@@ -19,6 +19,7 @@ along shortest fiber paths. Frame-loss draws use the per-edge rng stream
 
 from __future__ import annotations
 
+import heapq
 import math
 import struct
 import zlib
@@ -187,39 +188,55 @@ def edge_cost(edge, cost: PathCost) -> float:
         # decibels lost end to end, so minimizing the sum maximizes the
         # product of channel success probabilities
         static = edge.p_src * edge.eta_det
+        if static <= 0.0:
+            # a channel that never heralds is no route at any price
+            return math.inf
         base = edge.alpha_db_per_km * edge.length_km - 10.0 * math.log10(static)
     return edge.weight * base
 
 
-def _dijkstra(
+def _shortest_paths(
     topology: Topology,
     src: str,
-    dst: str,
     cost: PathCost,
-    interior_ok: Callable[[str], bool],
-) -> list[str] | None:
-    """Least-cost path; ties broken by smallest node-id sequence."""
-    import heapq
+    repeater_class: RepeaterClass | None = None,
+    dst: str | None = None,
+) -> dict[str, tuple[str, ...]]:
+    """Least-cost simple paths from src, keyed (cost, hop count, node ids).
 
-    best: dict[str, tuple[float, tuple[str, ...]]] = {src: (0.0, (src,))}
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (src,))]
+    Costs are summed in source order. END nodes, and nodes of another
+    class when ``repeater_class`` is given, are labelled but never
+    expanded, so they only end paths. The search settles every reachable
+    node, or stops once ``dst`` is settled. Ranking hop count before node
+    ids keeps the tie-break consistent between a path and its own suffix
+    when edges cost nothing.
+    """
+    settled: dict[str, tuple[str, ...]] = {}
+    best: dict[str, tuple[float, int, tuple[str, ...]]] = {src: (0.0, 0, (src,))}
+    heap = [best[src]]
     while heap:
-        dist, path = heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        dist, hops, path = key
         node = path[-1]
-        if best.get(node, (math.inf, ())) < (dist, path):
+        if best[node] < key:
             continue
+        settled[node] = path
         if node == dst:
-            return list(path)
+            break
+        spec = topology.nodes[node]
+        if node != src and (
+            spec.role is Role.END
+            or repeater_class not in (None, spec.repeater_class)
+        ):
+            continue
         for neighbor, edge in topology.neighbors(node):
-            if neighbor in path:
+            if neighbor in settled:
                 continue
-            if neighbor != dst and not interior_ok(neighbor):
-                continue
-            cand = (dist + edge_cost(edge, cost), path + (neighbor,))
-            if cand < best.get(neighbor, (math.inf, ())):
+            cand = (dist + edge_cost(edge, cost), hops + 1, path + (neighbor,))
+            if cand < best.get(neighbor, (math.inf,)):
                 best[neighbor] = cand
                 heapq.heappush(heap, cand)
-    return None
+    return settled
 
 
 def compute_path(
@@ -234,26 +251,21 @@ def compute_path(
     """Least-cost route from src to dst visiting waypoints in order.
 
     Interior nodes must be repeaters or switches, and must match
-    ``repeater_class`` when one is given. Waypoint legs are individually
-    shortest; legs that reuse a node are rejected rather than re-solved.
+    ``repeater_class`` when one is given. Among routes of equal cost the
+    one with fewer hops wins, then the smallest node-id sequence. Waypoint
+    legs are individually shortest; legs that reuse a node are rejected
+    rather than re-solved.
     """
     for node_id in (src, dst, *waypoints):
         if node_id not in topology.nodes:
             raise NoPathError(f"unknown node {node_id}")
 
-    def interior_ok(node_id: str) -> bool:
-        spec = topology.nodes[node_id]
-        if spec.role is Role.END:
-            return False
-        if repeater_class is not None and spec.repeater_class is not repeater_class:
-            return False
-        return True
-
     stops = [src, *waypoints, dst]
     full: list[str] = [src]
     seen = {src}
     for leg_src, leg_dst in zip(stops, stops[1:]):
-        leg = _dijkstra(topology, leg_src, leg_dst, cost, interior_ok)
+        paths = _shortest_paths(topology, leg_src, cost, repeater_class, leg_dst)
+        leg = paths.get(leg_dst)
         if leg is None:
             raise NoPathError(f"no {cost.value} route {leg_src} -> {leg_dst}")
         for node_id in leg[1:]:
@@ -271,26 +283,27 @@ def build_routing_tables(
 ) -> dict[str, dict[int, str]]:
     """Per-node forwarding maps: destination address to next-hop edge id.
 
-    Built from per-destination shortest-path trees with the compute_path
-    tie-break, which makes the next hops mutually consistent; the walk
-    check below asserts the resulting tables are loop free.
+    One search per source settles every destination it can reach, with the
+    same key as compute_path, so each entry is the first edge of the route
+    compute_path returns for that pair. The walk check below asserts the
+    resulting tables are loop free.
     """
-    tables: dict[str, dict[int, str]] = {n: {} for n in topology.nodes}
+    tables: dict[str, dict[int, str]] = {}
+    for src in topology.nodes:
+        paths = _shortest_paths(topology, src, cost)
+        tables[src] = {
+            topology.address_of(dst): topology.edge_between(src, path[1]).edge_id
+            for dst, path in paths.items()
+            if dst != src
+        }
+    limit = len(topology.nodes)
     for dst in topology.nodes:
         addr = topology.address_of(dst)
         for src in topology.nodes:
-            if src == dst:
+            if addr not in tables[src]:
                 continue
-            try:
-                path = compute_path(topology, src, dst, cost)
-            except NoPathError:
-                continue
-            tables[src][addr] = topology.edge_between(path[0], path[1]).edge_id
-    limit = len(topology.nodes)
-    for src in topology.nodes:
-        for addr in tables[src]:
             node, hops = src, 0
-            while node != topology.node_by_address(addr):
+            while node != dst:
                 edge_id = tables[node].get(addr)
                 if edge_id is None or hops > limit:
                     raise ValueError(f"routing tables loop for {src} -> {addr}")
@@ -847,8 +860,6 @@ class NetworkService:
     def _classical_distances(self) -> dict[str, dict[str, float]]:
         # classical signals relay through any node, so this is a plain
         # shortest-length metric with no role or class constraints
-        import heapq
-
         out: dict[str, dict[str, float]] = {}
         for src in self.topology.nodes:
             dist = {src: 0.0}

@@ -191,6 +191,50 @@ def test_run_experiment_invalid_request_row():
     assert [r["outcome"] for r in rows] == ["InvalidRequest"]
 
 
+def test_loss_weighted_routes_over_lossless_edges():
+    # every edge costs 0 dB, so only hop count separates b-d from b-c-d
+    topo = parse_topology(
+        "node a role=end class=first memories=4\n"
+        "node b role=repeater class=first memories=4\n"
+        "node c role=repeater class=first memories=4\n"
+        "node d role=end class=first memories=4\n"
+        "edge a b length_km=5 alpha=0 p_src=1\n"
+        "edge b c length_km=5 alpha=0 p_src=1\n"
+        "edge b d length_km=5 alpha=0 p_src=1\n"
+        "edge c d length_km=5 alpha=0 p_src=1\n"
+    )
+    scn = parse_scenario(
+        "seed=3\n"
+        "cost=loss_weighted\n"
+        "request id=r1 src=a dst=d model=cl class=first protocol=ol"
+        " arrivals=fixed:0\n"
+    )
+    rows = run_experiment(topo, scn)
+    assert [r["outcome"] for r in rows] == ["success"]
+
+
+def test_loss_weighted_never_routes_over_a_dark_edge():
+    topo = parse_topology(
+        "node a role=end class=first memories=4\n"
+        "node b role=repeater class=first memories=4\n"
+        "node d role=end class=first memories=4\n"
+        "edge a b length_km=5 alpha=0.2 p_src=0\n"
+        "edge b d length_km=5 alpha=0.2 p_src=0.5\n"
+    )
+    scn = parse_scenario(
+        "seed=3\n"
+        "cost=loss_weighted\n"
+        "controller=b\n"
+        "request id=co src=a dst=d model=co class=first protocol=sl"
+        " arrivals=fixed:0\n"
+        "request id=cl src=a dst=d model=cl class=first protocol=ol"
+        " arrivals=fixed:0\n"
+    )
+    rows = run_experiment(topo, scn)
+    outcomes = {r["request_id"]: r["outcome"] for r in rows}
+    assert outcomes == {"co": "NoPath", "cl": "NoRoute"}
+
+
 def test_poisson_arrivals_expand_per_trial():
     topo = parse_topology(CHAIN_TOPO)
     scn = parse_scenario(

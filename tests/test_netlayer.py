@@ -3,6 +3,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrnet import (
     ChannelResult,
@@ -158,6 +159,50 @@ def test_routing_tables_walk_every_pair():
         for j in range(4):
             if i != j:
                 assert stables[f"leaf{i}"][star.address_of(f"leaf{j}")] == f"s{i}"
+
+
+@st.composite
+def _tie_heavy_topologies(draw):
+    """Small graphs with END nodes, free and dark edges, and many cost ties."""
+    n = draw(st.integers(2, 12))
+    topo = Topology()
+    for i in range(n):
+        topo.add_node(NodeSpec(f"v{i}", role=draw(st.sampled_from(list(Role))),
+                               repeater_class=draw(st.sampled_from(
+                                   list(RepeaterClass)))))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1]),
+        max_size=3 * n,
+        unique_by=frozenset,
+    ))
+    for k, (a, b) in enumerate(pairs):
+        topo.add_edge(EdgeSpec(
+            f"e{k}", f"v{a}", f"v{b}",
+            length_km=draw(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0])),
+            alpha_db_per_km=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            p_src=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        ))
+    return topo
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tie_heavy_topologies())
+def test_tables_hold_the_first_edge_of_every_computed_path(topo):
+    for cost in PathCost:
+        tables = build_routing_tables(topo, cost)
+        for src in topo.nodes:
+            for dst in topo.nodes:
+                if src == dst:
+                    continue
+                addr = topo.address_of(dst)
+                try:
+                    path = compute_path(topo, src, dst, cost)
+                except NoPathError:
+                    assert addr not in tables[src], (cost, src, dst)
+                    continue
+                first = topo.edge_between(path[0], path[1]).edge_id
+                assert tables[src].get(addr) == first, (cost, src, dst, path)
 
 
 def test_ten_channel_line_walks_in_order():
