@@ -65,6 +65,12 @@ class MemoryLedger:
     Tags are opaque strings (request or session ids).  Besides enforcing
     per-node capacity, the ledger integrates slot-seconds per (tag, node)
     so utilization can be reported per request afterwards.
+
+    Entries are indexed by tag: ``tag -> {node: [held, since, slot_seconds]}``
+    with nodes in the order the tag first touched them, so every per-tag
+    call costs O(nodes the tag touched), not O(run history).  An entry's
+    slot-seconds are settled on ``acquire``, ``release`` and
+    ``occupancy_s``, always as ``slot + held * (now - since)``.
     """
 
     def __init__(self, topology: Topology):
@@ -72,61 +78,75 @@ class MemoryLedger:
             node_id: spec.memory_count for node_id, spec in topology.nodes.items()
         }
         self.in_use: dict[str, int] = {node_id: 0 for node_id in topology.nodes}
-        self._held: dict[tuple[str, str], int] = {}
-        self._since: dict[tuple[str, str], float] = {}
-        self._slot_seconds: dict[tuple[str, str], float] = {}
+        self._by_tag: dict[str, dict[str, list]] = {}
 
     def available(self, node_id: str) -> int:
         return self.capacity[node_id] - self.in_use[node_id]
 
+    def _entry(self, tag: str, node_id: str, now: float) -> list:
+        return self._by_tag.setdefault(tag, {}).setdefault(node_id, [0, now, 0.0])
+
+    @staticmethod
+    def _settle(entry: list, now: float) -> None:
+        held, since, slot = entry
+        entry[2] = slot + held * (now - since)
+        entry[1] = now
+
     def held_by(self, tag: str, node_id: str) -> int:
-        return self._held.get((tag, node_id), 0)
+        entry = self._by_tag.get(tag, {}).get(node_id)
+        return 0 if entry is None else entry[0]
 
     def tags_holding(self, tag: str) -> list[str]:
-        return [node for (t, node), n in self._held.items() if t == tag and n > 0]
-
-    def _settle(self, key: tuple[str, str], now: float) -> None:
-        held = self._held.get(key, 0)
-        since = self._since.get(key, now)
-        self._slot_seconds[key] = self._slot_seconds.get(key, 0.0) + held * (now - since)
-        self._since[key] = now
+        return [
+            node_id
+            for node_id, entry in self._by_tag.get(tag, {}).items()
+            if entry[0] > 0
+        ]
 
     def acquire(self, node_id: str, count: int, tag: str, now: float) -> None:
         if count > self.available(node_id):
             raise ResourceExhausted(
                 f"{node_id}: need {count} slots, {self.available(node_id)} free"
             )
-        key = (tag, node_id)
-        self._settle(key, now)
+        entry = self._entry(tag, node_id, now)
+        self._settle(entry, now)
         self.in_use[node_id] += count
-        self._held[key] = self._held.get(key, 0) + count
+        entry[0] += count
 
     def release(self, node_id: str, count: int, tag: str, now: float) -> None:
-        key = (tag, node_id)
-        held = self._held.get(key, 0)
+        held = self.held_by(tag, node_id)
         if count > held:
             raise ValueError(f"{tag} releases {count} at {node_id} but holds {held}")
-        self._settle(key, now)
-        self._held[key] = held - count
+        entry = self._entry(tag, node_id, now)
+        self._settle(entry, now)
+        entry[0] = held - count
         self.in_use[node_id] -= count
 
     def release_all(self, tag: str, now: float) -> None:
-        for node_id in self.tags_holding(tag):
-            self.release(node_id, self._held[(tag, node_id)], tag, now)
+        for node_id, entry in self._by_tag.get(tag, {}).items():
+            if entry[0] > 0:
+                self._settle(entry, now)
+                self.in_use[node_id] -= entry[0]
+                entry[0] = 0
 
     def occupancy_s(self, tag: str, now: float, nodes=None) -> float:
         """Accumulated slot-seconds for ``tag``, optionally over given nodes."""
         total = 0.0
-        for (t, node_id), _ in list(self._held.items()):
-            if t != tag or (nodes is not None and node_id not in nodes):
+        for node_id, entry in self._by_tag.get(tag, {}).items():
+            if nodes is not None and node_id not in nodes:
                 continue
-            self._settle((t, node_id), now)
-            total += self._slot_seconds.get((t, node_id), 0.0)
+            self._settle(entry, now)
+            total += entry[2]
         return total
 
 
 class Simulator:
-    """Event queue, clock, named random streams, and memory accounting."""
+    """Event queue, clock, named random streams, and memory accounting.
+
+    With a ``trace_fp``, each executed event is written to it as one
+    tab-separated line the moment it runs; without one, nothing about
+    executed events is kept.
+    """
 
     def __init__(
         self,
@@ -134,13 +154,14 @@ class Simulator:
         params: PhysicsParams,
         seed: int = 0,
         livelock_ceiling: int = 2_000_000,
+        trace_fp=None,
     ):
         self.topology = topology
         self.params = params
         self.seed = seed
         self.livelock_ceiling = livelock_ceiling
         self.now = 0.0
-        self.trace: list[tuple[float, int, str, str]] = []
+        self.trace_fp = trace_fp
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._streams: dict[str, np.random.Generator] = {}
@@ -198,6 +219,7 @@ class Simulator:
         simulation should always exhaust its work or satisfy its stop.
         """
         processed = 0
+        trace_fp = self.trace_fp
         while self._heap:
             if stop is not None and stop():
                 return
@@ -212,13 +234,11 @@ class Simulator:
                     f"exceeded {self.livelock_ceiling} events at t={self.now}"
                 )
             self.now = event.time
-            self.trace.append((event.time, event.seq, event.kind.value, event.summary))
+            if trace_fp is not None:
+                trace_fp.write(
+                    f"{event.time:.9e}\t{event.seq}\t{event.kind.value}\t{event.summary}\n"
+                )
             event.action()
 
     def pending(self) -> int:
         return sum(1 for _, _, ev in self._heap if not ev.cancelled)
-
-    def dump_trace(self, fp) -> None:
-        """Write the executed-event trace, one tab-separated line per event."""
-        for time, seq, kind, summary in self.trace:
-            fp.write(f"{time:.9e}\t{seq}\t{kind}\t{summary}\n")

@@ -432,7 +432,12 @@ def run_experiment(
     base_seed = scenario.seed if seed is None else seed
     rows: list[dict] = []
     for trial in range(scenario.trials):
-        sim = Simulator(topology, scenario.physics, seed=splitmix64(base_seed, trial))
+        sim = Simulator(
+            topology,
+            scenario.physics,
+            seed=splitmix64(base_seed, trial),
+            trace_fp=trace_fp,
+        )
         service = NetworkService(
             sim,
             controller=scenario.controller,
@@ -510,8 +515,6 @@ def run_experiment(
                     "arrival": at,
                 }
             )
-        if trace_fp is not None:
-            sim.dump_trace(trace_fp)
     rows.sort(key=lambda r: (r["trial"], r["arrival"], r["request_id"]))
     return rows
 

@@ -171,9 +171,6 @@ class WernerLink:
             return self.w
         return self.w * math.exp(-self.decay_rate * dt)
 
-    def fidelity_at(self, now: float) -> float:
-        return fidelity_of(self.w_at(now))
-
     def materialize(self, now: float) -> None:
         """Fold accumulated decay into ``w`` so the link reads as of ``now``."""
         self.w = self.w_at(now)
@@ -234,12 +231,6 @@ class Topology:
 
     def address_of(self, node_id: str) -> int:
         return self._addresses[node_id]
-
-    def node_by_address(self, address: int) -> str:
-        for node_id, addr in self._addresses.items():
-            if addr == address:
-                return node_id
-        raise KeyError(f"no node with address {address}")
 
     def path_length_km(self, path: list[str]) -> float:
         """Total fiber length along consecutive nodes of ``path``."""

@@ -38,7 +38,7 @@ from .capability import (
     can_swap,
     validate_request,
 )
-from .engine import EventKind, Simulator
+from .engine import EventKind, ResourceExhausted, Simulator
 from .linklayer import (
     ChannelResult,
     Failure,
@@ -902,6 +902,11 @@ class NetworkService:
             state.watchdog.cancel()
         if state.session is not None and not state.session.finished:
             state.session.abort("Superseded", detail or outcome)
+        # the watchdog's action and the session's callbacks point back at the
+        # state; dropping these links keeps long-lived requests from holding
+        # finished sessions until a full collection
+        state.watchdog = None
+        state.session = None
         for leg in state.legs:
             leg.abort("Superseded")
         occupancy = 0.0
@@ -1359,22 +1364,22 @@ class NetworkService:
             self._finish(state, "NoPath", detail=str(err))
             return
         state.path = path
+        session = LinkSession(
+            self.engine,
+            path,
+            request.repeater_class,
+            LinkProtocol.ONE_BY_ONE,
+            options=self.options,
+            manage_memory=True,
+            tag=state.tag,
+            f_min=request.f_min,
+            on_done=lambda s: self._co_session_done(state, s),
+        )
+        state.session = session
         try:
-            session = LinkSession(
-                self.engine,
-                path,
-                request.repeater_class,
-                LinkProtocol.ONE_BY_ONE,
-                options=self.options,
-                manage_memory=True,
-                tag=state.tag,
-                f_min=request.f_min,
-                on_done=lambda s: self._co_session_done(state, s),
-            )
-            state.session = session
             session.start(at=state.emission)
-        except Exception as err:  # ResourceExhausted under contention
-            self._finish(state, type(err).__name__, detail=str(err))
+        except ResourceExhausted as err:
+            self._finish(state, "ResourceExhausted", detail=str(err))
 
     def _hybrid_fast(self, state: _RequestState) -> None:
         request = state.request

@@ -243,23 +243,6 @@ def swap(
     )
 
 
-def apply_operation_noise(
-    link: WernerLink,
-    node: NodeSpec,
-    options: AllPhotonicOptions | None = None,
-) -> WernerLink:
-    """Degrade a pair by one local two-qubit operation at ``node``."""
-    cls = node.repeater_class
-    if cls is RepeaterClass.FIRST:
-        eps = node.eps_op
-    elif cls is RepeaterClass.ALL_PHOTONIC and not (options is not None and options.ecc):
-        eps = node.eps_op
-    else:
-        eps = node.eps_res
-    link.w = link.w * (1.0 - eps)
-    return link
-
-
 def attempt_generation(
     edge: EdgeSpec,
     params: PhysicsParams,

@@ -3,19 +3,25 @@ import io
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qrnet import (
+    ConnectionModel,
+    ConnectionRequest,
     EventKind,
+    LinkProtocol,
     LivelockError,
     MemoryLedger,
+    NetworkService,
     PastEventError,
     PhysicsParams,
+    RepeaterClass,
     ResourceExhausted,
     Simulator,
 )
 from qrnet.engine import stream_seed
 
-from conftest import chain_topology
+from conftest import chain_topology, grid_topology
 
 
 def _sim(seed=0, **kw):
@@ -123,12 +129,14 @@ def test_classical_delay_is_propagation_plus_processing():
 
 
 def test_trace_lines_are_tab_separated_scientific():
-    sim = _sim()
-    sim.schedule(0.0015, EventKind.PROTOCOL_STEP, lambda: None, "hello")
-    sim.run_until()
     buf = io.StringIO()
-    sim.dump_trace(buf)
-    assert buf.getvalue() == "1.500000000e-03\t0\tProtocolStep\thello\n"
+    sim = _sim(trace_fp=buf)
+    seen = []
+    sim.schedule(0.0015, EventKind.PROTOCOL_STEP, lambda: seen.append(buf.getvalue()), "hello")
+    sim.run_until()
+    # the line is written as the event executes, before its action runs
+    assert seen == ["1.500000000e-03\t0\tProtocolStep\thello\n"]
+    assert buf.getvalue() == seen[0]
 
 
 def test_ledger_acquire_release_cycle():
@@ -172,3 +180,144 @@ def test_release_all_clears_every_node():
     assert ledger.held_by("req:1", "n1") == 0
     assert ledger.held_by("req:2", "n1") == 1
     assert ledger.available("n1") == 3
+
+
+class _FlatLedger:
+    """Reference ledger: flat (tag, node) dicts, scanned in full per query."""
+
+    def __init__(self, capacity):
+        self.capacity = dict(capacity)
+        self.in_use = {node: 0 for node in capacity}
+        self.held, self.since, self.slot = {}, {}, {}
+
+    def _settle(self, key, now):
+        held = self.held.get(key, 0)
+        since = self.since.get(key, now)
+        self.slot[key] = self.slot.get(key, 0.0) + held * (now - since)
+        self.since[key] = now
+
+    def acquire(self, node, count, tag, now):
+        if count > self.capacity[node] - self.in_use[node]:
+            raise ResourceExhausted(node)
+        self._settle((tag, node), now)
+        self.in_use[node] += count
+        self.held[(tag, node)] = self.held.get((tag, node), 0) + count
+
+    def release(self, node, count, tag, now):
+        held = self.held.get((tag, node), 0)
+        if count > held:
+            raise ValueError(tag)
+        self._settle((tag, node), now)
+        self.held[(tag, node)] = held - count
+        self.in_use[node] -= count
+
+    def tags_holding(self, tag):
+        return [n for (t, n), held in self.held.items() if t == tag and held > 0]
+
+    def release_all(self, tag, now):
+        for node in self.tags_holding(tag):
+            self.release(node, self.held[(tag, node)], tag, now)
+
+    def occupancy_s(self, tag, now, nodes=None):
+        total = 0.0
+        for t, node in list(self.held):
+            if t != tag or (nodes is not None and node not in nodes):
+                continue
+            self._settle((t, node), now)
+            total += self.slot[(t, node)]
+        return total
+
+
+LEDGER_TAGS = ["req:a", "req:b", "req:c"]
+LEDGER_NODES = ["n0", "n1", "n2"]
+LEDGER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["acquire", "release", "release_all", "occupancy_s"]),
+        st.sampled_from(LEDGER_TAGS),
+        st.sampled_from(LEDGER_NODES),
+        st.integers(0, 3),
+        # steps that do not add up exactly, so summation order shows
+        st.sampled_from([0.0, 1e-4, 0.1, 1.0 / 3.0, 2.5]),
+        st.none() | st.frozensets(st.sampled_from(LEDGER_NODES)),
+    ),
+    max_size=60,
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ResourceExhausted, ValueError) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LEDGER_OPS)
+# 2e-4 + 2e-4 + 3e-4 sums differently from 3e-4 + 2e-4 + 2e-4
+@example([
+    ("acquire", "req:a", "n0", 2, 0.0, None),
+    ("acquire", "req:a", "n1", 2, 0.0, None),
+    ("acquire", "req:a", "n2", 3, 0.0, None),
+    ("occupancy_s", "req:a", "n0", 0, 1e-4, None),
+])
+def test_ledger_matches_flat_reference(ops):
+    ledger = MemoryLedger(chain_topology([10.0, 10.0], memories=3))
+    ref = _FlatLedger(ledger.capacity)
+    now = 0.0
+    for kind, tag, node, count, step, nodes in ops:
+        now += step
+        if kind in ("acquire", "release"):
+            args = (node, count, tag, now)
+        elif kind == "release_all":
+            args = (tag, now)
+        else:
+            args = (tag, now, nodes)
+        got = _outcome(lambda: getattr(ledger, kind)(*args))
+        want = _outcome(lambda: getattr(ref, kind)(*args))
+        assert got == want  # occupancy_s bit for bit, not approximately
+        for t in LEDGER_TAGS:
+            assert ledger.tags_holding(t) == ref.tags_holding(t)
+            for n in LEDGER_NODES:
+                assert ledger.held_by(t, n) == ref.held.get((t, n), 0)
+        for n in LEDGER_NODES:
+            assert ledger.in_use[n] == sum(ledger.held_by(t, n) for t in LEDGER_TAGS)
+            assert ledger.in_use[n] == ref.in_use[n]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from([ConnectionModel.CONNECTION_ORIENTED,
+                             ConnectionModel.CONNECTIONLESS]),
+            st.integers(0, 8),
+            st.integers(0, 8),
+            st.floats(0.0, 2e-3),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+def test_every_node_is_back_at_capacity_when_the_queue_drains(seed, requests):
+    topo = grid_topology(3, 3, memories=2, t_coh=0.05, rate=1e4, p_src=0.5)
+    sim = Simulator(topo, PhysicsParams(), seed=seed)
+    service = NetworkService(sim, controller="g11")
+    nodes = list(topo.nodes)
+    submitted = 0
+    for k, (model, a, b, at) in enumerate(requests):
+        if a == b:
+            continue
+        proto = (LinkProtocol.SIMULTANEOUS
+                 if model is ConnectionModel.CONNECTION_ORIENTED
+                 else LinkProtocol.ONE_BY_ONE)
+        service.submit(
+            ConnectionRequest(f"r{k}", nodes[a], nodes[b], RepeaterClass.FIRST,
+                              proto, model, deadline=0.01, retry_limit=5),
+            at=at,
+        )
+        submitted += 1
+    sim.run_until()
+    assert len(service.outcomes) == submitted
+    for node in nodes:
+        assert sim.memory.available(node) == topo.nodes[node].memory_count

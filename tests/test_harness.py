@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import pytest
@@ -165,6 +166,38 @@ def test_run_experiment_rows_and_determinism():
     # a different seed changes the stream labels' content, not the shape
     rows_c = run_experiment(topo, scn, seed=99)
     assert len(rows_c) == 2
+
+
+TRACE_TOPO = """\
+node a role=end class=first memories=2 t_coh=0.05
+node b role=repeater class=first memories=2 t_coh=0.05
+node c role=repeater class=first memories=2 t_coh=0.05
+node d role=end class=first memories=2 t_coh=0.05
+edge a b length_km=10 alpha=0 p_src=0.5 rate_hz=1e4
+edge b c length_km=10 alpha=0 p_src=0.5 rate_hz=1e4
+edge c d length_km=10 alpha=0 p_src=0.5 rate_hz=1e4
+"""
+
+TRACE_SCENARIO = """\
+seed=29
+trials=2
+duration=0.01
+controller=b
+request id=co src=a dst=d model=co class=first protocol=sl arrivals=poisson:300 deadline=0.005
+request id=cl src=a dst=c model=cl class=first protocol=ol arrivals=poisson:300
+request id=hy src=a dst=d model=hybrid class=first protocol=ol waypoints=b arrivals=fixed:0.002
+"""
+
+
+def test_trace_bytes_are_frozen_across_trials():
+    # a fixed digest: any change to trace content, order or line format shows
+    buf = io.StringIO()
+    run_experiment(parse_topology(TRACE_TOPO), parse_scenario(TRACE_SCENARIO), trace_fp=buf)
+    data = buf.getvalue().encode()
+    assert data.count(b"\n") == 275
+    assert hashlib.sha256(data).hexdigest() == (
+        "477ea1ae43bf586afc3a95af0152f6bac8803e762ac5bea5e707d1295fe2a720"
+    )
 
 
 def test_run_experiment_capability_failure_row():

@@ -28,6 +28,7 @@ from qrnet import (
     establish_connectionless,
     establish_hybrid,
 )
+from qrnet.linklayer import LinkSession
 
 from conftest import chain_topology
 
@@ -412,6 +413,23 @@ def test_hybrid_alternate_single_session():
     res = establish_hybrid(req, sim, controller="n2")
     assert isinstance(res, ChannelResult), res
     assert math.isclose(res.link.w, 1.0)
+
+
+def test_hybrid_alternate_raises_programming_errors(monkeypatch):
+    # only ResourceExhausted is a network condition; anything else is a bug
+    # and must not turn into an outcome row named after the exception
+    def broken_start(self, at=None):
+        raise TypeError("broken session start")
+
+    monkeypatch.setattr(LinkSession, "start", broken_start)
+    sim = Simulator(chain_topology([25.0, 25.0, 25.0, 25.0]), PARAMS, seed=13)
+    service = NetworkService(sim, controller="n2")
+    service.submit(ConnectionRequest("hy3", "n0", "n4", RepeaterClass.FIRST,
+                                     LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
+                                     waypoints=("n2",), alternate_mode=True), at=0.0)
+    with pytest.raises(TypeError, match="broken session start"):
+        sim.run_until()
+    assert service.outcomes == []
 
 
 def test_hybrid_fast_beats_alternate_here():
