@@ -71,6 +71,11 @@ class MemoryLedger:
     call costs O(nodes the tag touched), not O(run history).  An entry's
     slot-seconds are settled on ``acquire``, ``release`` and
     ``occupancy_s``, always as ``slot + held * (now - since)``.
+
+    A waiter blocked on memory parks on the nodes it needs instead of
+    polling.  Every ``release`` and ``release_all`` that frees slots at a
+    node calls ``wake`` on it, which hands each waiter parked there one
+    ``waiter.wake()`` call and takes it off all of its nodes' lists.
     """
 
     def __init__(self, topology: Topology):
@@ -79,6 +84,8 @@ class MemoryLedger:
         }
         self.in_use: dict[str, int] = {node_id: 0 for node_id in topology.nodes}
         self._by_tag: dict[str, dict[str, list]] = {}
+        # node -> {waiter: the nodes it parked on}, in parking order
+        self._waiters: dict[str, dict] = {}
 
     def available(self, node_id: str) -> int:
         return self.capacity[node_id] - self.in_use[node_id]
@@ -121,6 +128,8 @@ class MemoryLedger:
         self._settle(entry, now)
         entry[0] = held - count
         self.in_use[node_id] -= count
+        if count:
+            self.wake(node_id)
 
     def release_all(self, tag: str, now: float) -> None:
         for node_id, entry in self._by_tag.get(tag, {}).items():
@@ -128,6 +137,29 @@ class MemoryLedger:
                 self._settle(entry, now)
                 self.in_use[node_id] -= entry[0]
                 entry[0] = 0
+                self.wake(node_id)
+
+    def park(self, waiter, node_ids: tuple[str, ...]) -> None:
+        """Hold ``waiter`` until memory frees at one of ``node_ids``."""
+        for node_id in node_ids:
+            self._waiters.setdefault(node_id, {})[waiter] = node_ids
+
+    def unpark(self, waiter, node_ids: tuple[str, ...]) -> None:
+        for node_id in node_ids:
+            waiting = self._waiters.get(node_id)
+            if waiting:
+                waiting.pop(waiter, None)
+
+    def wake(self, node_id: str) -> None:
+        """Call ``wake()`` once on every waiter parked at ``node_id``."""
+        waiting = self._waiters.pop(node_id, None)
+        if not waiting:
+            return
+        for waiter, node_ids in waiting.items():
+            for other in node_ids:
+                if other != node_id:
+                    self._waiters[other].pop(waiter, None)
+            waiter.wake()
 
     def occupancy_s(self, tag: str, now: float, nodes=None) -> float:
         """Accumulated slot-seconds for ``tag``, optionally over given nodes."""

@@ -21,12 +21,21 @@ Purification pumping, when enabled (f_target, r_max), holds one base pair
 per segment and measures each additional generated pair against it on
 arrival; only base pairs occupy tracked memory slots.  Round outcomes are
 exchanged classically before a segment is declared ready.
+
+A session's ``can_attempt`` gate may hold a segment back until memory frees.
+Generation ticks on each segment's attempt clock, one slot per
+``1/attempt_rate_hz``.  A tick that finds the gate shut parks the segment
+on the memory ledger at both of its nodes.  The next release at either
+node wakes it, and it ticks again at the first slot of its clock after the
+release.  Attempt times are those of a segment that checked the gate at
+every slot, but the trace shows one ``AttemptTick`` per shut-gate wait
+instead of one per slot waited through.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -74,7 +83,6 @@ def swap_schedule(path: list[str], policy: SwapPolicy) -> list[list[str]]:
 @dataclass
 class SessionStats:
     attempts_total: int = 0
-    attempts_per_segment: dict[int, int] = field(default_factory=dict)
     purification_rounds: int = 0
     swaps: int = 0
     started_at: float = 0.0
@@ -116,6 +124,8 @@ class _Segment:
         self._base_confirmed = False
         self._pump_queue: list[WernerLink] = []
         self._known: dict[int, set[str]] = {}
+        self._summary = f"gen {self.edge.edge_id} seg{index}"
+        self._next_tick = 0.0
         # pairs are born at w0 and age one fiber transit before both heralds
         # land; whether that still clears f_target is a static property of
         # the edge, so both ends decide it without talking.
@@ -141,7 +151,7 @@ class _Segment:
             1.0 / self.edge.attempt_rate_hz,
             EventKind.ATTEMPT_TICK,
             self._tick,
-            f"gen {self.edge.edge_id} seg{self.index}",
+            self._summary,
         )
 
     def _tick(self) -> None:
@@ -149,14 +159,14 @@ class _Segment:
         if session.finished or self.done:
             return
         if session.can_attempt is not None and not session.can_attempt(self):
-            self._schedule_tick()
+            # wait for a release at either end instead of polling; the
+            # attempt clock keeps running from the slot after this one
+            engine = session.engine
+            self._next_tick = engine.now + 1.0 / self.edge.attempt_rate_hz
+            engine.memory.park(self, (self.node_a, self.node_b))
             return
         rng = session.engine.stream(f"gen:{self.edge.edge_id}")
-        stats = session.stats
-        stats.attempts_total += 1
-        stats.attempts_per_segment[self.index] = (
-            stats.attempts_per_segment.get(self.index, 0) + 1
-        )
+        session.stats.attempts_total += 1
         now = session.engine.now
         link_id = session.engine.next_link_id()
         if session.ap_mode:
@@ -193,6 +203,23 @@ class _Segment:
             self._schedule_tick()
         else:
             self.done = True
+
+    def wake(self) -> None:
+        """Memory freed at one end: tick at the first attempt slot after now.
+
+        The slots are replayed with the float steps ``Simulator.after``
+        takes from tick to tick, so attempt times, and every random draw,
+        are the ones a segment polling at each slot would have made.
+        """
+        session = self.session
+        if session.finished or self.done:
+            return
+        engine = session.engine
+        period = 1.0 / self.edge.attempt_rate_hz
+        t = self._next_tick
+        while t <= engine.now:
+            t += period
+        engine.schedule(t, EventKind.ATTEMPT_TICK, self._tick, self._summary)
 
     # -- heralds and pumping -------------------------------------------
 
@@ -312,7 +339,11 @@ class LinkSession:
     is event-driven and the outcome lands in ``result`` (ChannelResult or
     Failure) when ``finished`` turns true.  ``on_done`` and
     ``on_node_free`` let a network layer react to completion and to
-    interior nodes being released after their swap.
+    interior nodes being released after their swap.  A segment that
+    ``can_attempt`` turns away is re-checked only after a ``MemoryLedger``
+    release or ``wake`` at one of its two nodes, so the gate must open only
+    on such a change.  Once ``on_done`` has run, the session drops its
+    callbacks, flow and segments.
     """
 
     def __init__(
@@ -465,8 +496,7 @@ class LinkSession:
             setup_latency_s=now - self.stats.started_at,
             stats=self.stats,
         )
-        if self.on_done is not None:
-            self.on_done(self)
+        self._report()
 
     def abort(self, reason: str, detail: str = "") -> None:
         """Terminate from outside; pending events become no-ops."""
@@ -479,14 +509,31 @@ class LinkSession:
         self.finished = True
         self._cleanup()
         self.result = Failure(reason, detail, segment, self.stats)
-        if self.on_done is not None:
-            self.on_done(self)
+        self._report()
 
     def _cleanup(self) -> None:
         if self._deadline_event is not None:
             self._deadline_event.cancel()
+            self._deadline_event = None
+        if self.can_attempt is not None:
+            for segment in self.segments:
+                self.engine.memory.unpark(segment, (segment.node_a, segment.node_b))
         if self.manage_memory:
             self.engine.memory.release_all(self.tag, self.engine.now)
+
+    def _report(self) -> None:
+        """Hand the result to ``on_done``, then drop every link back here.
+
+        Segments, flow, callbacks and the deadline event all lead back to
+        this session, so once they are gone the pending events that still
+        name it free it by reference counting.
+        """
+        if self.on_done is not None:
+            self.on_done(self)
+        self.on_done = self.on_node_free = None
+        self.can_attempt = self.on_pair_stored = None
+        self._flow = None
+        self.segments = []
 
 
 class _SimultaneousFlow:
@@ -790,12 +837,8 @@ class _LogicalHopFlow:
         self.position += 1
         receiver = session._spec(self.position)
         rng = session.engine.stream(f"hop:{edge.edge_id}")
-        stats = session.stats
         seg_index = self.position - 1
-        stats.attempts_total += 1
-        stats.attempts_per_segment[seg_index] = (
-            stats.attempts_per_segment.get(seg_index, 0) + 1
-        )
+        session.stats.attempts_total += 1
         w_next = physics.transmit_logical_hop(
             edge, self.w, receiver, session.params, rng
         )

@@ -198,6 +198,10 @@ class Topology:
     edges: dict[str, EdgeSpec] = field(default_factory=dict)
     _adjacency: dict[str, list[str]] = field(default_factory=dict, repr=False)
     _addresses: dict[str, int] = field(default_factory=dict, repr=False)
+    # (node, neighbor) -> the first edge added between them
+    _edge_by_ends: dict[tuple[str, str], EdgeSpec] = field(
+        default_factory=dict, repr=False
+    )
 
     def add_node(self, spec: NodeSpec) -> None:
         if spec.node_id in self.nodes:
@@ -213,6 +217,7 @@ class Topology:
         for end in (spec.node_a, spec.node_b):
             if end in self._adjacency:
                 self._adjacency[end].append(spec.edge_id)
+                self._edge_by_ends.setdefault((end, spec.other(end)), spec)
 
     def neighbors(self, node_id: str) -> list[tuple[str, EdgeSpec]]:
         """(neighbor id, edge) pairs in edge insertion order."""
@@ -223,11 +228,10 @@ class Topology:
         return out
 
     def edge_between(self, a: str, b: str) -> EdgeSpec:
-        for edge_id in self._adjacency.get(a, ()):
-            edge = self.edges[edge_id]
-            if edge.other(a) == b:
-                return edge
-        raise KeyError(f"no edge between {a} and {b}")
+        edge = self._edge_by_ends.get((a, b))
+        if edge is None:
+            raise KeyError(f"no edge between {a} and {b}")
+        return edge
 
     def address_of(self, node_id: str) -> int:
         return self._addresses[node_id]

@@ -406,8 +406,6 @@ class ConnectionOutcome:
 
 def _merge_stats(into: SessionStats, part: SessionStats) -> None:
     into.attempts_total += part.attempts_total
-    for seg, n in part.attempts_per_segment.items():
-        into.attempts_per_segment[seg] = into.attempts_per_segment.get(seg, 0) + n
     into.purification_rounds += part.purification_rounds
     into.swaps += part.swaps
 
@@ -523,6 +521,7 @@ class _ClLeg:
         self.finished = True
         self._cancel_timeout()
         self.on_failure(reason, detail)
+        self._drop_callbacks()
 
     def _finish_success(self, link: WernerLink) -> None:
         if self.finished:
@@ -530,11 +529,16 @@ class _ClLeg:
         self.finished = True
         self._cancel_timeout()
         self.on_success(link, self.engine.now)
+        self._drop_callbacks()
 
     def _cancel_timeout(self) -> None:
         if self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
+
+    def _drop_callbacks(self) -> None:
+        # both close over the request state, which lists this leg
+        self.on_success = self.on_failure = None
 
     def abort(self, reason: str, detail: str = "") -> None:
         if self.finished:
@@ -542,6 +546,7 @@ class _ClLeg:
         self.finished = True
         self._cancel_timeout()
         self._abort_try()
+        self._drop_callbacks()
 
     # -- frame movement -------------------------------------------------
 
@@ -664,6 +669,8 @@ class _ClLeg:
                     if fresh(v):
                         ledger.acquire(v, width(v), self.tag, now)
                         self._node_held.add(v)
+                        # v no longer gates this leg's other hops through it
+                        ledger.wake(v)
             # else: a concurrent request claimed the slots between the
             # attempt gate and the herald; the half is lost on arrival and
             # _segment_done regenerates
@@ -1420,50 +1427,45 @@ class NetworkService:
             return
         state.leg_results[index] = (link, at)
         if len(state.leg_results) == len(state.legs):
-            self._hybrid_merge(state)
+            self._hybrid_merge_at(state, 0, state.leg_results[0][0])
 
-    def _hybrid_merge(self, state: _RequestState) -> None:
-        """Anchors swap left to right once every area has its channel."""
+    def _hybrid_merge_at(self, state: _RequestState, i: int, chain: WernerLink) -> None:
+        """Anchor ``i`` swaps; anchors go left to right once every area is up."""
+        if state.closed:
+            return
         request = state.request
-        anchors = list(request.waypoints)
-        chain, _ = state.leg_results[0]
-
-        def merge_at(i: int, chain: WernerLink) -> None:
-            if state.closed:
-                return
-            anchor = anchors[i]
-            part, _ = state.leg_results[i + 1]
-            merged = physics.swap(
-                chain,
-                part,
-                self.topology.nodes[anchor],
-                self.engine.stream(f"swap:{anchor}"),
-                now=self.engine.now,
-                link_id=self.engine.next_link_id(),
-                node_a=self.topology.nodes[request.src],
-                node_c=self.topology.nodes[
-                    anchors[i + 1] if i + 1 < len(anchors) else request.dst
-                ],
-                options=self.options,
+        anchors = request.waypoints
+        anchor = anchors[i]
+        part, _ = state.leg_results[i + 1]
+        merged = physics.swap(
+            chain,
+            part,
+            self.topology.nodes[anchor],
+            self.engine.stream(f"swap:{anchor}"),
+            now=self.engine.now,
+            link_id=self.engine.next_link_id(),
+            node_a=self.topology.nodes[request.src],
+            node_c=self.topology.nodes[
+                anchors[i + 1] if i + 1 < len(anchors) else request.dst
+            ],
+            options=self.options,
+        )
+        state.stats.swaps += 1
+        ledger = self.engine.memory
+        for tag in (f"{state.tag}:leg{i}", f"{state.tag}:leg{i + 1}"):
+            held = ledger.held_by(tag, anchor)
+            if held:
+                ledger.release(anchor, held, tag, self.engine.now)
+        if i + 1 < len(anchors):
+            self.engine.send_classical(
+                anchor,
+                anchors[i + 1],
+                self.classical_distance(anchor, anchors[i + 1]),
+                lambda: self._hybrid_merge_at(state, i + 1, merged),
+                f"swap herald {state.tag} -> {anchors[i + 1]}",
             )
-            state.stats.swaps += 1
-            ledger = self.engine.memory
-            for tag in (f"{state.tag}:leg{i}", f"{state.tag}:leg{i + 1}"):
-                held = ledger.held_by(tag, anchor)
-                if held:
-                    ledger.release(anchor, held, tag, self.engine.now)
-            if i + 1 < len(anchors):
-                self.engine.send_classical(
-                    anchor,
-                    anchors[i + 1],
-                    self.classical_distance(anchor, anchors[i + 1]),
-                    lambda: merge_at(i + 1, merged),
-                    f"swap herald {state.tag} -> {anchors[i + 1]}",
-                )
-            else:
-                self._hybrid_announce(state, anchor, merged)
-
-        merge_at(0, chain)
+        else:
+            self._hybrid_announce(state, anchor, merged)
 
     def _hybrid_announce(
         self, state: _RequestState, anchor: str, link: WernerLink

@@ -153,6 +153,38 @@ def test_ledger_acquire_release_cycle():
         ledger.release("n1", 1, "req:1", now=1.0)
 
 
+def test_ledger_wakes_a_parked_waiter_once_per_park():
+    topo = chain_topology([10.0, 10.0], memories=2)
+    ledger = MemoryLedger(topo)
+    woken = []
+
+    class Waiter:
+        def __init__(self, name):
+            self.name = name
+
+        def wake(self):
+            woken.append(self.name)
+
+    first, second, gone = Waiter("first"), Waiter("second"), Waiter("gone")
+    ledger.acquire("n1", 2, "a", now=0.0)
+    ledger.acquire("n2", 1, "b", now=0.0)
+    ledger.park(first, ("n1", "n2"))
+    ledger.park(second, ("n1", "n0"))
+    ledger.park(gone, ("n1", "n2"))
+    ledger.unpark(gone, ("n1", "n2"))
+    ledger.acquire("n1", 0, "a", now=0.5)  # acquiring wakes nobody
+    assert woken == []
+    ledger.release("n1", 1, "a", now=1.0)
+    assert woken == ["first", "second"]  # in parking order
+    # a woken waiter is off every list it parked on
+    ledger.release_all("b", now=2.0)
+    ledger.release_all("a", now=2.0)
+    assert woken == ["first", "second"]
+    ledger.park(first, ("n0", "n1"))
+    ledger.wake("n0")
+    assert woken == ["first", "second", "first"]
+
+
 def test_ledger_occupancy_accumulates_across_cycles():
     topo = chain_topology([10.0, 10.0], memories=4)
     ledger = MemoryLedger(topo)
@@ -320,4 +352,30 @@ def test_every_node_is_back_at_capacity_when_the_queue_drains(seed, requests):
     sim.run_until()
     assert len(service.outcomes) == submitted
     for node in nodes:
+        assert sim.memory.available(node) == topo.nodes[node].memory_count
+
+
+def test_contended_cl_grid_fits_a_ceiling_sized_for_its_real_work():
+    # 36 CL legs crossing a 3x3 grid of two-memory nodes. Blocked hops wait
+    # for a release without spending events, so the run takes about 5,000
+    # events; re-checking every gate at each attempt slot took about 19,000
+    # and would trip this ceiling.
+    topo = grid_topology(3, 3, memories=2, t_coh=0.05, rate=1e4, p_src=0.5)
+    sim = Simulator(topo, PhysicsParams(), seed=5, livelock_ceiling=10_000)
+    service = NetworkService(sim, controller="g11")
+    pairs = [("00", "22"), ("20", "02"), ("01", "21"), ("10", "12"),
+             ("22", "00"), ("02", "20"), ("12", "10"), ("21", "01"),
+             ("00", "12"), ("22", "10"), ("02", "21"), ("20", "01")]
+    for k, (a, b) in enumerate(pairs * 3):
+        service.submit(
+            ConnectionRequest(f"r{k}", f"g{a}", f"g{b}", RepeaterClass.FIRST,
+                              LinkProtocol.ONE_BY_ONE,
+                              ConnectionModel.CONNECTIONLESS,
+                              deadline=0.05, retry_limit=8),
+            at=1.37e-4 * k,
+        )
+    sim.run_until()
+    assert len(service.outcomes) == 36
+    assert sum(o.completed for o in service.outcomes) == 12
+    for node in topo.nodes:
         assert sim.memory.available(node) == topo.nodes[node].memory_count

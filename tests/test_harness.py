@@ -194,10 +194,97 @@ def test_trace_bytes_are_frozen_across_trials():
     buf = io.StringIO()
     run_experiment(parse_topology(TRACE_TOPO), parse_scenario(TRACE_SCENARIO), trace_fp=buf)
     data = buf.getvalue().encode()
-    assert data.count(b"\n") == 275
+    assert data.count(b"\n") == 269
     assert hashlib.sha256(data).hexdigest() == (
-        "477ea1ae43bf586afc3a95af0152f6bac8803e762ac5bea5e707d1295fe2a720"
+        "1096c0eb725ddf617cde4182ce2f0e3e714e75c060831e32bd011abb649f7f28"
     )
+
+
+def _grid_text(n):
+    """n x n lattice of switches sharing two memories, as topology text."""
+    lines = [
+        f"node g{r}_{c} role=switch class=first memories=2 t_coh=0.05"
+        for r in range(n)
+        for c in range(n)
+    ]
+    edge = "length_km=5 alpha=0 p_src=0.5 rate_hz=1e4"
+    for r in range(n):
+        for c in range(n):
+            if c + 1 < n:
+                lines.append(f"edge g{r}_{c} g{r}_{c + 1} {edge}")
+            if r + 1 < n:
+                lines.append(f"edge g{r}_{c} g{r + 1}_{c} {edge}")
+    return "\n".join(lines) + "\n"
+
+
+CROSSING_PAIRS = [
+    ("g0_0", "g2_2"), ("g2_0", "g0_2"), ("g0_1", "g2_1"), ("g1_0", "g1_2"),
+    ("g2_2", "g0_0"), ("g0_2", "g2_0"), ("g1_2", "g1_0"), ("g2_1", "g0_1"),
+    ("g0_0", "g1_2"), ("g2_2", "g1_0"), ("g0_2", "g2_1"), ("g2_0", "g0_1"),
+]
+
+
+def _crossing_cl_scenario(pipelining, arrival_at, hybrid=False):
+    lines = [
+        "seed=41",
+        "trials=2",
+        "controller=g1_1",
+        f"policy pipelining={pipelining} retry_limit=6",
+    ]
+    for k, (src, dst) in enumerate(CROSSING_PAIRS):
+        lines.append(
+            f"request id=r{k} src={src} dst={dst} model=cl class=first protocol=ol"
+            f" arrivals=fixed:{arrival_at(k):.7f} deadline=0.02"
+        )
+    if hybrid:
+        lines.append(
+            "request id=hy src=g0_0 dst=g2_2 model=hybrid class=first protocol=ol"
+            " waypoints=g1_1 arrivals=fixed:0.0004321 deadline=0.02"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _staggered(k):
+    # arrival offsets share no common period with the 1e-4 s attempt clock
+    # or the 25 us fiber delay, so no two events ever tie in time
+    return 1.37e-4 * k + 3.1e-6 * (k * k % 7)
+
+
+def _csv_bytes(topology_text, scenario_text, trace_fp=None):
+    rows = run_experiment(
+        parse_topology(topology_text), parse_scenario(scenario_text), trace_fp=trace_fp
+    )
+    buf = io.StringIO()
+    emit_metrics(rows, buf)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize(
+    "pipelining, hybrid, lines, digest",
+    [
+        (True, False, 25, "a2b78d707abe21f45beadc762e9b93ad9e90a1f4090bce384bb87045294408e0"),
+        (False, False, 25, "7bfa7f4cebd1a14dcafa37af7504675f255166e8d6205a2cbd9cb474e51b8c13"),
+        (True, True, 27, "04d1e901308a4d8ae2ab58d2f75cb7f70973e805837c48156fa6f56439cc2a96"),
+    ],
+    ids=["pipelined", "store-and-forward", "hybrid"],
+)
+def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
+    # twelve CL legs crossing a 3x3 grid of two-memory nodes: most hops wait
+    # behind another flow's memory, so how a blocked hop waits shows here
+    scenario = _crossing_cl_scenario(str(pipelining).lower(), _staggered, hybrid)
+    data = _csv_bytes(_grid_text(3), scenario)
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_simultaneous_cl_arrivals_rerun_to_the_same_bytes():
+    scenario = _crossing_cl_scenario("true", lambda k: 0.0)
+    runs = []
+    for _ in range(2):
+        trace = io.StringIO()
+        runs.append((_csv_bytes(_grid_text(3), scenario, trace), trace.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].count(b"\n") == 25
 
 
 def test_run_experiment_capability_failure_row():

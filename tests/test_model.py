@@ -96,6 +96,16 @@ def test_topology_neighbor_order_and_path_length():
     assert topo.edge_between("n2", "n1").edge_id == "e1"
 
 
+def test_edge_between_keeps_the_first_of_parallel_edges():
+    topo = chain_topology([10.0])
+    topo.add_edge(EdgeSpec("e9", "n1", "n0", length_km=3.0))
+    assert topo.edge_between("n0", "n1").edge_id == "e0"
+    assert topo.edge_between("n1", "n0").edge_id == "e0"
+    assert [e.edge_id for _, e in topo.neighbors("n0")] == ["e0", "e9"]
+    with pytest.raises(KeyError):
+        topo.edge_between("n0", "n0")
+
+
 def test_duplicate_ids_rejected():
     topo = Topology()
     topo.add_node(NodeSpec("a"))

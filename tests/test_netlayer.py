@@ -362,6 +362,49 @@ def test_cl_recovers_when_loss_clears():
     assert out.emissions == out.retries + 1
 
 
+def test_blocked_cl_hop_waits_for_the_release_then_attempts_on_its_slot_clock():
+    # another tag holds both of n1's slots, so neither hop of the leg may
+    # store a half there until the release at 12.3 ms
+    topo = chain_topology([5.0, 5.0], memories=2, rate=1e4)
+    executed = []  # (exact clock, trace line) of every event
+
+    class Sink:
+        def write(self, line):
+            executed.append((sim.now, line))
+
+    sim = Simulator(topo, PARAMS, seed=3, trace_fp=Sink())
+    sim.memory.acquire("n1", 2, "blocker", 0.0)
+    release_at = 0.0123
+    sim.schedule(
+        release_at,
+        EventKind.PROTOCOL_STEP,
+        lambda: sim.memory.release_all("blocker", sim.now),
+        "unblock",
+    )
+    service = NetworkService(sim, controller="n1", cl_timeout=1.0)
+    service.submit(_cl_request("cl", "n0", "n2"), at=0.0)
+    sim.run_until()
+    (out,) = service.outcomes
+    assert out.outcome == "Completed"
+    period = 1.0 / 1e4
+    for edge_id in ("e0", "e1"):
+        ticks = [
+            now for now, line in executed if line.endswith(f"\tgen {edge_id} seg0\n")
+        ]
+        # p_src=1 and no loss: one tick that finds the gate shut, then one
+        # attempt that succeeds
+        assert len(ticks) == 2
+        blocked, attempt = ticks
+        assert blocked < release_at < attempt
+        slot = blocked
+        while slot <= release_at:
+            slot += period
+        assert attempt == slot
+    assert out.stats.attempts_total == 2
+    for n in topo.nodes:
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
+
+
 def test_cl_third_class_relays_end_to_end():
     topo = chain_topology([10.0, 10.0, 10.0], cls=RepeaterClass.THIRD,
                           eps_res=0.01)
