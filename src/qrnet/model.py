@@ -196,7 +196,10 @@ class Topology:
 
     nodes: dict[str, NodeSpec] = field(default_factory=dict)
     edges: dict[str, EdgeSpec] = field(default_factory=dict)
-    _adjacency: dict[str, list[str]] = field(default_factory=dict, repr=False)
+    # node -> (neighbor, edge) pairs in edge insertion order
+    _neighbors: dict[str, list[tuple[str, EdgeSpec]]] = field(
+        default_factory=dict, repr=False
+    )
     _addresses: dict[str, int] = field(default_factory=dict, repr=False)
     # (node, neighbor) -> the first edge added between them
     _edge_by_ends: dict[tuple[str, str], EdgeSpec] = field(
@@ -207,7 +210,7 @@ class Topology:
         if spec.node_id in self.nodes:
             raise ValueError(f"duplicate node id: {spec.node_id}")
         self.nodes[spec.node_id] = spec
-        self._adjacency[spec.node_id] = []
+        self._neighbors[spec.node_id] = []
         self._addresses[spec.node_id] = len(self._addresses)
 
     def add_edge(self, spec: EdgeSpec) -> None:
@@ -215,17 +218,17 @@ class Topology:
             raise ValueError(f"duplicate edge id: {spec.edge_id}")
         self.edges[spec.edge_id] = spec
         for end in (spec.node_a, spec.node_b):
-            if end in self._adjacency:
-                self._adjacency[end].append(spec.edge_id)
+            if end in self._neighbors:
+                self._neighbors[end].append((spec.other(end), spec))
                 self._edge_by_ends.setdefault((end, spec.other(end)), spec)
 
     def neighbors(self, node_id: str) -> list[tuple[str, EdgeSpec]]:
-        """(neighbor id, edge) pairs in edge insertion order."""
-        out = []
-        for edge_id in self._adjacency.get(node_id, ()):
-            edge = self.edges[edge_id]
-            out.append((edge.other(node_id), edge))
-        return out
+        """(neighbor id, edge) pairs in edge insertion order.
+
+        The list is kept up to date by ``add_edge`` and returned as is, not
+        copied, so callers must not modify it.
+        """
+        return self._neighbors.get(node_id, [])
 
     def edge_between(self, a: str, b: str) -> EdgeSpec:
         edge = self._edge_by_ends.get((a, b))

@@ -201,7 +201,7 @@ def _shortest_paths(
     cost: PathCost,
     repeater_class: RepeaterClass | None = None,
     dst: str | None = None,
-) -> dict[str, tuple[str, ...]]:
+) -> dict[str, str | None]:
     """Least-cost simple paths from src, keyed (cost, hop count, node ids).
 
     Costs are summed in source order. END nodes, and nodes of another
@@ -210,8 +210,13 @@ def _shortest_paths(
     node, or stops once ``dst`` is settled. Ranking hop count before node
     ids keeps the tie-break consistent between a path and its own suffix
     when edges cost nothing.
+
+    Returns the search tree as a predecessor map in settling order: each
+    settled node maps to the node before it on its path, and src to None.
+    A settled path only ever extends a settled path, so walking the map
+    back from a node rebuilds exactly the path the search settled.
     """
-    settled: dict[str, tuple[str, ...]] = {}
+    pred: dict[str, str | None] = {}
     best: dict[str, tuple[float, int, tuple[str, ...]]] = {src: (0.0, 0, (src,))}
     heap = [best[src]]
     while heap:
@@ -220,7 +225,7 @@ def _shortest_paths(
         node = path[-1]
         if best[node] < key:
             continue
-        settled[node] = path
+        pred[node] = path[-2] if hops else None
         if node == dst:
             break
         spec = topology.nodes[node]
@@ -230,13 +235,41 @@ def _shortest_paths(
         ):
             continue
         for neighbor, edge in topology.neighbors(node):
-            if neighbor in settled:
+            if neighbor in pred:
                 continue
             cand = (dist + edge_cost(edge, cost), hops + 1, path + (neighbor,))
             if cand < best.get(neighbor, (math.inf,)):
                 best[neighbor] = cand
                 heapq.heappush(heap, cand)
-    return settled
+    return pred
+
+
+# A memo of search trees, keyed (src, class filter) with None for no filter.
+# It is only valid for one topology and one PathCost.
+SearchTrees = dict[tuple[str, RepeaterClass | None], dict[str, str | None]]
+
+
+def _search_tree(
+    topology: Topology,
+    src: str,
+    cost: PathCost,
+    repeater_class: RepeaterClass | None,
+    trees: SearchTrees,
+) -> dict[str, str | None]:
+    """The memo's full search tree from src, searched on first use."""
+    key = (src, repeater_class)
+    pred = trees.get(key)
+    if pred is None:
+        if repeater_class is not None and all(
+            spec.role is Role.END or spec.repeater_class is repeater_class
+            for spec in topology.nodes.values()
+        ):
+            # the filter cannot prune a node, so the unfiltered tree serves
+            pred = _search_tree(topology, src, cost, None, trees)
+        else:
+            pred = _shortest_paths(topology, src, cost, repeater_class)
+        trees[key] = pred
+    return pred
 
 
 def compute_path(
@@ -247,6 +280,7 @@ def compute_path(
     *,
     repeater_class: RepeaterClass | None = None,
     waypoints: tuple[str, ...] = (),
+    trees: SearchTrees | None = None,
 ) -> list[str]:
     """Least-cost route from src to dst visiting waypoints in order.
 
@@ -255,6 +289,15 @@ def compute_path(
     one with fewer hops wins, then the smallest node-id sequence. Waypoint
     legs are individually shortest; legs that reuse a node are rejected
     rather than re-solved.
+
+    Without ``trees`` each leg runs its own search, stopping at the leg's
+    end. With ``trees``, a memo filled by :func:`build_routing_tables` or
+    by earlier calls under the same topology and cost, each leg is read
+    back from its start's full search tree, which is searched and stored
+    on first use. Both give the same route, since a search settles the
+    same path to a node whether or not it stops there. When every non-END
+    node already has the requested class the filter prunes nothing, so
+    the unfiltered tree serves and is stored under the class too.
     """
     for node_id in (src, dst, *waypoints):
         if node_id not in topology.nodes:
@@ -264,11 +307,18 @@ def compute_path(
     full: list[str] = [src]
     seen = {src}
     for leg_src, leg_dst in zip(stops, stops[1:]):
-        paths = _shortest_paths(topology, leg_src, cost, repeater_class, leg_dst)
-        leg = paths.get(leg_dst)
-        if leg is None:
+        if trees is None:
+            pred = _shortest_paths(topology, leg_src, cost, repeater_class, leg_dst)
+        else:
+            pred = _search_tree(topology, leg_src, cost, repeater_class, trees)
+        if leg_dst not in pred:
             raise NoPathError(f"no {cost.value} route {leg_src} -> {leg_dst}")
-        for node_id in leg[1:]:
+        leg = []
+        node = leg_dst
+        while node != leg_src:
+            leg.append(node)
+            node = pred[node]
+        for node_id in reversed(leg):
             if node_id in seen:
                 raise NoPathError(
                     f"waypoint legs intersect at {node_id}; route unusable"
@@ -279,36 +329,49 @@ def compute_path(
 
 
 def build_routing_tables(
-    topology: Topology, cost: PathCost = PathCost.HOP_COUNT
+    topology: Topology,
+    cost: PathCost = PathCost.HOP_COUNT,
+    trees: SearchTrees | None = None,
 ) -> dict[str, dict[int, str]]:
     """Per-node forwarding maps: destination address to next-hop edge id.
 
     One search per source settles every destination it can reach, with the
     same key as compute_path, so each entry is the first edge of the route
-    compute_path returns for that pair. The walk check below asserts the
-    resulting tables are loop free.
+    compute_path returns for that pair. Given ``trees``, each source's
+    search tree is stored there under ``(src, None)`` for compute_path to
+    reuse. The walk check below asserts the resulting tables are loop
+    free; it remembers, per destination, the nodes already proven to
+    reach it, so it costs O(N^2) steps in all.
     """
     tables: dict[str, dict[int, str]] = {}
     for src in topology.nodes:
-        paths = _shortest_paths(topology, src, cost)
+        pred = _shortest_paths(topology, src, cost)
+        if trees is not None:
+            trees[(src, None)] = pred
+        # nodes settle after their predecessor, so its first hop is known
+        first: dict[str, str] = {}
+        for node, prev in pred.items():
+            if prev is not None:
+                first[node] = node if prev == src else first[prev]
         tables[src] = {
-            topology.address_of(dst): topology.edge_between(src, path[1]).edge_id
-            for dst, path in paths.items()
-            if dst != src
+            topology.address_of(dst): topology.edge_between(src, hop).edge_id
+            for dst, hop in first.items()
         }
     limit = len(topology.nodes)
     for dst in topology.nodes:
         addr = topology.address_of(dst)
+        proven = {dst}
         for src in topology.nodes:
             if addr not in tables[src]:
                 continue
-            node, hops = src, 0
-            while node != dst:
+            node, walk = src, []
+            while node not in proven:
                 edge_id = tables[node].get(addr)
-                if edge_id is None or hops > limit:
+                if edge_id is None or len(walk) > limit:
                     raise ValueError(f"routing tables loop for {src} -> {addr}")
+                walk.append(node)
                 node = topology.edges[edge_id].other(node)
-                hops += 1
+            proven.update(walk)
     return tables
 
 
@@ -851,7 +914,9 @@ class NetworkService:
         self.swap_policy = swap_policy
         self.pipelining = pipelining
         self.options = options
-        self.tables = build_routing_tables(engine.topology, cost)
+        # search trees of the table build, reused for CO and hybrid paths
+        self._trees: SearchTrees = {}
+        self.tables = build_routing_tables(engine.topology, cost, self._trees)
         self._cdist = self._classical_distances()
         self.outcomes: list[ConnectionOutcome] = []
         self._queue: deque[_RequestState] = deque()
@@ -1045,6 +1110,7 @@ class NetworkService:
                 self.cost,
                 repeater_class=request.repeater_class,
                 waypoints=request.waypoints,
+                trees=self._trees,
             )
         except NoPathError as err:
             self._co_reject(state, "NoPath", str(err))
@@ -1366,6 +1432,7 @@ class NetworkService:
                 self.cost,
                 repeater_class=request.repeater_class,
                 waypoints=request.waypoints,
+                trees=self._trees,
             )
         except NoPathError as err:
             self._finish(state, "NoPath", detail=str(err))

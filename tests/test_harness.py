@@ -1,5 +1,6 @@
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from qrnet import (
     parse_topology,
     run_experiment,
 )
+from qrnet import harness
 from qrnet.harness import CSV_HEADER, splitmix64
 
 CHAIN_TOPO = """\
@@ -402,3 +404,13 @@ def test_emit_metrics_format():
     buf2 = io.StringIO()
     emit_metrics(rows, buf2)
     assert buf2.getvalue() == text
+
+
+@pytest.mark.parametrize("key_set", [
+    "_NODE_KEYS", "_EDGE_KEYS", "_SCALAR_KEYS",
+    "_PHYSICS_KEYS", "_POLICY_KEYS", "_REQUEST_KEYS",
+])
+def test_readme_documents_every_key_the_parser_accepts(key_set):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    missing = sorted(k for k in getattr(harness, key_set) if f"`{k}`" not in readme)
+    assert not missing, f"{key_set} keys missing from README.md: {missing}"

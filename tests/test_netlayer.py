@@ -28,6 +28,7 @@ from qrnet import (
     establish_connectionless,
     establish_hybrid,
 )
+from qrnet import netlayer
 from qrnet.linklayer import LinkSession
 
 from conftest import chain_topology
@@ -204,6 +205,58 @@ def test_tables_hold_the_first_edge_of_every_computed_path(topo):
                     continue
                 first = topo.edge_between(path[0], path[1]).edge_id
                 assert tables[src].get(addr) == first, (cost, src, dst, path)
+
+
+def _route_or_error(topo, src, dst, cost, **kw):
+    try:
+        return compute_path(topo, src, dst, cost, **kw)
+    except NoPathError as err:
+        return f"NoPathError: {err}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tie_heavy_topologies(), st.data())
+def test_memoized_paths_match_fresh_searches(topo, data):
+    names = list(topo.nodes)
+    waypoints = tuple(data.draw(st.lists(st.sampled_from(names), max_size=2)))
+    classes = (None, *RepeaterClass)
+    for cost in PathCost:
+        # one memo per cost, shared across classes and waypoint lists as a
+        # NetworkService shares it across requests
+        trees = {}
+        build_routing_tables(topo, cost, trees)
+        for i, src in enumerate(names):
+            for j, dst in enumerate(names):
+                if src == dst:
+                    continue
+                cls = classes[(i + j) % len(classes)]
+                for via in ((), waypoints):
+                    kw = dict(repeater_class=cls, waypoints=via)
+                    fresh = _route_or_error(topo, src, dst, cost, **kw)
+                    memo = _route_or_error(topo, src, dst, cost, trees=trees, **kw)
+                    assert memo == fresh, (cost, src, dst, cls, via)
+
+
+def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
+    # a 4-cycle whose searches send odd nodes one way round and even nodes
+    # the other, so toward v0 the first hops bounce between v1 and v2
+    topo = Topology()
+    names = [f"v{i}" for i in range(4)]
+    for name in names:
+        topo.add_node(NodeSpec(name, role=Role.SWITCH,
+                               repeater_class=RepeaterClass.FIRST))
+    for i in range(4):
+        topo.add_edge(EdgeSpec(f"e{i}", names[i], names[(i + 1) % 4]))
+
+    def cycling_search(topology, src, cost, repeater_class=None, dst=None):
+        i = names.index(src)
+        step = 1 if i % 2 else -1
+        order = [names[(i + k * step) % 4] for k in range(4)]
+        return dict(zip(order, [None, *order]))
+
+    monkeypatch.setattr(netlayer, "_shortest_paths", cycling_search)
+    with pytest.raises(ValueError, match="routing tables loop"):
+        build_routing_tables(topo)
 
 
 def test_ten_channel_line_walks_in_order():
