@@ -18,7 +18,7 @@ from qrnet import (
     Role,
     Simulator,
     Topology,
-    establish_hybrid,
+    establish,
 )
 
 HOPS = 4
@@ -44,7 +44,7 @@ def once(alternate, seed, t_coh):
     req = ConnectionRequest("h", "n0", f"n{HOPS}", RepeaterClass.FIRST,
                             LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
                             waypoints=(ANCHOR,), alternate_mode=alternate)
-    res = establish_hybrid(req, sim, controller=ANCHOR)
+    res = establish(req, sim, controller=ANCHOR)
     assert isinstance(res, ChannelResult), res
     fid = (1 + 3 * res.link.w_at(sim.now)) / 4
     return res.setup_latency_s, fid

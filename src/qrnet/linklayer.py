@@ -86,7 +86,6 @@ class SessionStats:
     purification_rounds: int = 0
     swaps: int = 0
     started_at: float = 0.0
-    finished_at: float = 0.0
 
 
 @dataclass
@@ -100,7 +99,6 @@ class ChannelResult:
 class Failure:
     reason: str
     detail: str = ""
-    segment: int | None = None
     stats: SessionStats | None = None
 
 
@@ -140,7 +138,7 @@ class _Segment:
 
     # -- generation ---------------------------------------------------
 
-    def start(self, summary: str = "") -> None:
+    def start(self) -> None:
         if self.started:
             return
         self.started = True
@@ -240,7 +238,7 @@ class _Segment:
             if len(known) == 2:
                 self._base_confirmed = True
             for end in known:
-                self._mark_ready(end, now, pair)
+                self._mark_ready(end, now)
             return
         if len(known) < 2:
             return
@@ -280,7 +278,7 @@ class _Segment:
             budget_left = self.rounds < session.params.r_max
             if survivor is not None:
                 if fidelity_of(survivor.w) >= session.params.f_target or not budget_left:
-                    self._finalize_pumping(now)
+                    self._finalize_pumping()
                     return
                 continue
             # round failed, both pairs gone
@@ -291,8 +289,8 @@ class _Segment:
                     promoted = self._pump_queue.pop(0)
                     self.link = promoted
                     self.done = True
-                    self._mark_ready(self.node_a, session.engine.now, promoted)
-                    self._mark_ready(self.node_b, session.engine.now, promoted)
+                    self._mark_ready(self.node_a, session.engine.now)
+                    self._mark_ready(self.node_b, session.engine.now)
                 return
             if self._pump_queue:
                 # promote a confirmed spare to be the new base and keep going
@@ -301,7 +299,7 @@ class _Segment:
                 self._base_confirmed = False
                 return
 
-    def _finalize_pumping(self, decided_at: float) -> None:
+    def _finalize_pumping(self) -> None:
         """Round outcome travels to both ends before the segment is usable."""
         session = self.session
         self.done = True
@@ -312,23 +310,15 @@ class _Segment:
                 sender,
                 receiver,
                 self.edge.length_km,
-                lambda r=receiver: self._mark_ready(
-                    r, session.engine.now, self.link
-                ),
+                lambda r=receiver: self._mark_ready(r, session.engine.now),
                 f"pump done {self.edge.edge_id} -> {receiver}",
             )
 
-    def _mark_ready(self, node_id: str, time: float, pair: WernerLink | None) -> None:
+    def _mark_ready(self, node_id: str, time: float) -> None:
         if self.session.finished or node_id in self.ready_time:
             return
         self.ready_time[node_id] = time
         self.session._segment_ready(self, node_id, time)
-
-    def base_known(self, node_id: str) -> bool:
-        for known in self._known.values():
-            if node_id in known:
-                return True
-        return self._base_confirmed or node_id in self.ready_time
 
 
 class LinkSession:
@@ -360,7 +350,6 @@ class LinkSession:
         manage_memory: bool = True,
         tag: str | None = None,
         deadline: float | None = None,
-        f_min: float | None = None,
         on_done: Callable[["LinkSession"], None] | None = None,
         on_node_free: Callable[[str], None] | None = None,
         can_attempt: Callable[[_Segment], bool] | None = None,
@@ -397,7 +386,6 @@ class LinkSession:
         self.manage_memory = manage_memory
         self.tag = tag or f"session:{id(self)}"
         self.deadline = deadline
-        self.f_min = f_min
         self.on_done = on_done
         self.on_node_free = on_node_free
         self.can_attempt = can_attempt
@@ -471,24 +459,38 @@ class LinkSession:
     def _segment_base_known(self, segment: _Segment, node_id: str) -> None:
         self._flow.segment_base_known(segment, node_id)
 
-    def _release_interior(self, node_id: str) -> None:
+    def _swap(
+        self, k: int, a: int, c: int, ab: WernerLink, bc: WernerLink
+    ) -> WernerLink:
+        """Swap ``ab`` and ``bc`` at path[k] into one pair path[a]-path[c].
+
+        Counts the swap and frees path[k], whose two halves are consumed.
+        """
+        spec_a, spec_c = self._spec(a), self._spec(c)
+        merged = physics.swap(
+            ab,
+            bc,
+            self._spec(k),
+            now=self.engine.now,
+            link_id=self.engine.next_link_id(),
+            node_a=spec_a,
+            node_c=spec_c,
+            options=self.options,
+        )
+        merged.decay_rate = self.link_decay_rate(spec_a, spec_c)
+        self.stats.swaps += 1
+        node_id = self.path[k]
         if self.manage_memory and not self.ap_mode and not self.third_class:
             self.engine.memory.release(node_id, 2, self.tag, self.engine.now)
         if self.on_node_free is not None:
             self.on_node_free(node_id)
+        return merged
 
     def _complete(self, link: WernerLink) -> None:
         if self.finished:
             return
         now = self.engine.now
         link.materialize(now)
-        if self.f_min is not None and fidelity_of(link.w) < self.f_min:
-            self._finish_failure(
-                "FidelityBelowMinimum",
-                f"delivered F={fidelity_of(link.w):.6f} < {self.f_min}",
-            )
-            return
-        self.stats.finished_at = now
         self.finished = True
         self._cleanup()
         self.result = ChannelResult(
@@ -502,13 +504,12 @@ class LinkSession:
         """Terminate from outside; pending events become no-ops."""
         self._finish_failure(reason, detail)
 
-    def _finish_failure(self, reason: str, detail: str = "", segment: int | None = None) -> None:
+    def _finish_failure(self, reason: str, detail: str = "") -> None:
         if self.finished:
             return
-        self.stats.finished_at = self.engine.now
         self.finished = True
         self._cleanup()
-        self.result = Failure(reason, detail, segment, self.stats)
+        self.result = Failure(reason, detail, self.stats)
         self._report()
 
     def _cleanup(self) -> None:
@@ -584,7 +585,7 @@ class _SimultaneousFlow:
         interval = (segment.index, segment.index + 1)
         if len(session.path) == 2:
             if len(segment.ready_time) == 2:
-                self._finish(segment.link)
+                session._complete(segment.link)
             return
         entry = self.consumer[interval]
         if entry is None:
@@ -607,25 +608,9 @@ class _SimultaneousFlow:
         if session.finished:
             return
         left, right, m = self.merges[m_idx]
-        now = session.engine.now
-        node_spec = session._spec(m)
-        rng = session.engine.stream(f"swap:{session.path[m]}")
-        merged = physics.swap(
-            self.links.pop(left),
-            self.links.pop(right),
-            node_spec,
-            rng,
-            now=now,
-            link_id=session.engine.next_link_id(),
-            node_a=session._spec(left[0]),
-            node_c=session._spec(right[1]),
-            options=session.options,
+        merged = session._swap(
+            m, left[0], right[1], self.links.pop(left), self.links.pop(right)
         )
-        merged.decay_rate = session.link_decay_rate(
-            session._spec(left[0]), session._spec(right[1])
-        )
-        session.stats.swaps += 1
-        session._release_interior(session.path[m])
         out_interval = (left[0], right[1])
         self.links[out_interval] = merged
         entry = self.consumer[out_interval]
@@ -660,10 +645,7 @@ class _SimultaneousFlow:
             return
         self._end_heralds.add(end)
         if len(self._end_heralds) == 2:
-            self._finish(self._final_link)
-
-    def _finish(self, link: WernerLink) -> None:
-        self.session._complete(link)
+            self.session._complete(self._final_link)
 
 
 class _OneByOneFlow:
@@ -721,26 +703,7 @@ class _OneByOneFlow:
         segment = self._segment(k)
         if session.path[k] not in segment.ready_time or segment.link is None:
             return
-        now = session.engine.now
-        node_spec = session._spec(k)
-        rng = session.engine.stream(f"swap:{session.path[k]}")
-        merged = physics.swap(
-            self.frontier,
-            segment.link,
-            node_spec,
-            rng,
-            now=now,
-            link_id=session.engine.next_link_id(),
-            node_a=session._spec(0),
-            node_c=session._spec(k + 1),
-            options=session.options,
-        )
-        merged.decay_rate = session.link_decay_rate(
-            session._spec(0), session._spec(k + 1)
-        )
-        session.stats.swaps += 1
-        session._release_interior(session.path[k])
-        self.frontier = merged
+        self.frontier = session._swap(k, 0, k + 1, self.frontier, segment.link)
         self.frontier_known.clear()
         last = len(session.path) - 1
         if k + 1 == last:
@@ -810,12 +773,6 @@ class _LogicalHopFlow:
             f"encode {edge.edge_id}",
         )
 
-    def segment_base_known(self, segment, node_id) -> None:
-        pass
-
-    def segment_ready(self, segment, node_id, time) -> None:
-        pass
-
     def _depart(self) -> None:
         session = self.session
         i = self.position
@@ -837,7 +794,6 @@ class _LogicalHopFlow:
         self.position += 1
         receiver = session._spec(self.position)
         rng = session.engine.stream(f"hop:{edge.edge_id}")
-        seg_index = self.position - 1
         session.stats.attempts_total += 1
         w_next = physics.transmit_logical_hop(
             edge, self.w, receiver, session.params, rng
@@ -846,7 +802,6 @@ class _LogicalHopFlow:
             session._finish_failure(
                 "HopFailure",
                 f"encoded transfer lost entering {receiver.node_id}",
-                segment=seg_index,
             )
             return
         self.w = w_next

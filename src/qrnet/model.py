@@ -130,9 +130,6 @@ class WernerLink:
     ``w`` is stored as of ``last_updated``; memory decay between then and
     any later read is applied lazily by the simulator that owns the link.
     ``decay_rate`` is the combined per-second rate of both holder nodes.
-    The 2-bit Pauli tag records which Bell state the pair is currently in
-    relative to ``target``; it is classical side information and does not
-    change ``w``.
     """
 
     link_id: int
@@ -141,10 +138,7 @@ class WernerLink:
     w: float
     created_at: float
     last_updated: float
-    target: BellState = BellState.PSI_PLUS
     decay_rate: float = 0.0
-    pauli_x: int = 0
-    pauli_z: int = 0
 
     def __post_init__(self) -> None:
         if self.node_a == self.node_b:

@@ -46,7 +46,7 @@ from .linklayer import (
     SessionStats,
     SwapPolicy,
 )
-from .model import RepeaterClass, Role, Topology, WernerLink
+from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
 from .physics import PhysicsParams, channel_success_prob
 
 
@@ -791,7 +791,6 @@ class _ClLeg:
                 self.chain,
                 pair,
                 spec_u,
-                engine.stream(f"swap:{u}"),
                 now=engine.now,
                 link_id=engine.next_link_id(),
                 node_a=self.service.topology.nodes[self.src],
@@ -994,7 +993,6 @@ class NetworkService:
             except ValueError:
                 pass
             state.queued = False
-        state.stats.finished_at = now
         emissions = state.emissions + sum(leg.emissions for leg in state.legs)
         if state.legs:
             retries = sum(max(0, leg.gen) for leg in state.legs)
@@ -1015,6 +1013,34 @@ class NetworkService:
         if state.on_outcome is not None:
             state.on_outcome(record)
         self._try_admit()
+
+    def _deliver(self, state: _RequestState, link: WernerLink) -> None:
+        """Close a request whose end-to-end pair both ends now know of.
+
+        Every model ends here, so a delivered pair is held to the request's
+        ``f_min`` in one place.
+        """
+        link.materialize(self.engine.now)
+        f_min = state.request.f_min
+        if f_min is not None and fidelity_of(link.w) < f_min:
+            self._finish(
+                state,
+                "FidelityBelowMinimum",
+                detail=f"delivered F={fidelity_of(link.w):.6f} < {f_min}",
+            )
+            return
+        self._finish(state, "Completed", link=link)
+
+    def _orders_at(self, nodes) -> float:
+        """When orders the controller sends now have reached all ``nodes``."""
+        c = self.engine.params.c_fiber
+        now = self.engine.now
+        return max(
+            now
+            + self.classical_distance(self.controller, n) / c
+            + self.topology.nodes[n].proc_delay
+            for n in nodes
+        )
 
     # -- submission ---------------------------------------------------------
 
@@ -1155,15 +1181,8 @@ class NetworkService:
             now = self.engine.now
             for node_id, slots in plan.items():
                 ledger.acquire(node_id, slots, state.tag, now)
-            c = self.engine.params.c_fiber
-            t_start = max(
-                now
-                + self.classical_distance(self.controller, n) / c
-                + self.topology.nodes[n].proc_delay
-                for n in state.path
-            )
             self.engine.schedule(
-                t_start,
+                self._orders_at(state.path),
                 EventKind.PROTOCOL_STEP,
                 lambda s=state: self._co_start_session(s),
                 f"orders {state.request.request_id}",
@@ -1183,7 +1202,6 @@ class NetworkService:
             options=self.options,
             manage_memory=False,
             tag=state.tag,
-            f_min=request.f_min,
             on_done=lambda s: self._co_session_done(state, s),
             on_node_free=lambda n: self._co_node_freed(state, n),
         )
@@ -1214,7 +1232,7 @@ class NetworkService:
         result = session.result
         _merge_stats(state.stats, session.stats)
         if isinstance(result, ChannelResult):
-            self._finish(state, "Completed", link=result.link)
+            self._deliver(state, result.link)
         else:
             self._finish(state, result.reason, detail=result.detail)
 
@@ -1234,11 +1252,10 @@ class NetworkService:
             if node in seen:
                 raise NoPathError(f"table walk loops at {node}")
             seen.add(node)
-            hops.append(edge)
+            hops.append((edge, self.topology.nodes[node]))
         c = self.engine.params.c_fiber
         total = 0.0
-        for edge in hops:
-            receiver = self.topology.nodes[edge.other(edge.node_a)]
+        for edge, receiver in hops:
             if cls is RepeaterClass.THIRD:
                 total += edge.length_km / c + receiver.proc_delay
             else:
@@ -1250,7 +1267,7 @@ class NetworkService:
                     + receiver.proc_delay
                 )
         if cls is RepeaterClass.THIRD:
-            total += 1.0 / hops[0].attempt_rate_hz
+            total += 1.0 / hops[0][0].attempt_rate_hz
         total += self.classical_distance(dst, src) / c
         total += self.topology.nodes[src].proc_delay
         return total
@@ -1316,7 +1333,7 @@ class NetworkService:
                 state.tag,
                 request.src,
                 request.dst,
-                on_success=lambda link, t: self._cl_done(state, link),
+                on_success=lambda link, t: self._deliver(state, link),
                 on_failure=lambda reason, detail: self._finish(
                     state, reason, detail=detail
                 ),
@@ -1326,20 +1343,6 @@ class NetworkService:
             return
         state.legs.append(leg)
         leg.start()
-
-    def _cl_done(self, state: _RequestState, link: WernerLink) -> None:
-        request = state.request
-        if request.f_min is not None:
-            from .model import fidelity_of
-
-            if fidelity_of(link.w) < request.f_min:
-                self._finish(
-                    state,
-                    "FidelityBelowMinimum",
-                    detail=f"delivered F={fidelity_of(link.w):.6f} < {request.f_min}",
-                )
-                return
-        self._finish(state, "Completed", link=link)
 
     # -- hybrid ---------------------------------------------------------------
 
@@ -1398,17 +1401,8 @@ class NetworkService:
         if state.closed:
             return
         request = state.request
-        fixed = [request.src, *request.waypoints, request.dst]
-        c = self.engine.params.c_fiber
-        now = self.engine.now
-        t_start = max(
-            now
-            + self.classical_distance(self.controller, n) / c
-            + self.topology.nodes[n].proc_delay
-            for n in fixed
-        )
         self.engine.schedule(
-            t_start,
+            self._orders_at([request.src, *request.waypoints, request.dst]),
             EventKind.PROTOCOL_STEP,
             lambda: self._hybrid_begin(state),
             f"orders {request.request_id}",
@@ -1446,7 +1440,6 @@ class NetworkService:
             options=self.options,
             manage_memory=True,
             tag=state.tag,
-            f_min=request.f_min,
             on_done=lambda s: self._co_session_done(state, s),
         )
         state.session = session
@@ -1508,7 +1501,6 @@ class NetworkService:
             chain,
             part,
             self.topology.nodes[anchor],
-            self.engine.stream(f"swap:{anchor}"),
             now=self.engine.now,
             link_id=self.engine.next_link_id(),
             node_a=self.topology.nodes[request.src],
@@ -1545,18 +1537,7 @@ class NetworkService:
                 return
             heard.add(end)
             if len(heard) == 2:
-                link.materialize(self.engine.now)
-                if request.f_min is not None:
-                    from .model import fidelity_of
-
-                    if fidelity_of(link.w) < request.f_min:
-                        self._finish(
-                            state,
-                            "FidelityBelowMinimum",
-                            detail=f"delivered F={fidelity_of(link.w):.6f}",
-                        )
-                        return
-                self._finish(state, "Completed", link=link)
+                self._deliver(state, link)
 
         for end in (request.src, request.dst):
             self.engine.send_classical(
@@ -1569,16 +1550,19 @@ class NetworkService:
 
 
 # --------------------------------------------------------------------------
-# blocking wrappers
+# blocking wrapper
 
 
-def _establish(
+def establish(
     request: ConnectionRequest, engine: Simulator, **service_kwargs
 ) -> ChannelResult | Failure:
+    """Run one request of any model to completion on a fresh service.
+
+    ``service_kwargs`` go to :class:`NetworkService`.
+    """
     service = NetworkService(engine, **service_kwargs)
     service.submit(request, at=engine.now)
-    done = lambda: bool(service.outcomes)
-    engine.run_until(stop=done)
+    engine.run_until(stop=lambda: bool(service.outcomes))
     if not service.outcomes:
         return Failure("Stalled", "event queue drained before the request finished")
     record = service.outcomes[0]
@@ -1589,30 +1573,3 @@ def _establish(
             stats=record.stats,
         )
     return Failure(record.outcome, record.detail, stats=record.stats)
-
-
-def establish_connection_oriented(
-    request: ConnectionRequest, engine: Simulator, **service_kwargs
-) -> ChannelResult | Failure:
-    """Run one connection-oriented request to completion."""
-    if request.model is not ConnectionModel.CONNECTION_ORIENTED:
-        raise ValueError("request model must be connection oriented")
-    return _establish(request, engine, **service_kwargs)
-
-
-def establish_connectionless(
-    request: ConnectionRequest, engine: Simulator, **service_kwargs
-) -> ChannelResult | Failure:
-    """Run one connectionless request to completion."""
-    if request.model is not ConnectionModel.CONNECTIONLESS:
-        raise ValueError("request model must be connectionless")
-    return _establish(request, engine, **service_kwargs)
-
-
-def establish_hybrid(
-    request: ConnectionRequest, engine: Simulator, **service_kwargs
-) -> ChannelResult | Failure:
-    """Run one hybrid request to completion."""
-    if request.model is not ConnectionModel.HYBRID:
-        raise ValueError("request model must be hybrid")
-    return _establish(request, engine, **service_kwargs)

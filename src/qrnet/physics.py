@@ -159,10 +159,7 @@ def purify(
         w=w_new,
         created_at=now,
         last_updated=now,
-        target=a.target,
         decay_rate=a.decay_rate,
-        pauli_x=a.pauli_x,
-        pauli_z=a.pauli_z,
     )
 
 
@@ -194,7 +191,6 @@ def swap(
     ab: WernerLink,
     bc: WernerLink,
     node_b: NodeSpec,
-    rng,
     *,
     now: float,
     link_id: int,
@@ -204,9 +200,9 @@ def swap(
 ) -> WernerLink:
     """Swap two adjacent pairs at their shared node into one longer pair.
 
-    The measurement outcome at the swapping node is two uniform classical
-    bits; they update the Pauli tag of the surviving pair but not its
-    Werner parameter.  Consumes both inputs.
+    The Bell measurement's outcome only selects a local Pauli correction,
+    which leaves a Werner state unchanged, so no outcome is drawn.
+    Consumes both inputs.
     """
     if not can_swap(node_b.repeater_class):
         raise CapabilityViolation(
@@ -225,7 +221,6 @@ def swap(
 
     eps = swap_noise(node_b, options)
     w_new = swapped_w(ab.w_at(now), bc.w_at(now), eps)
-    outcome = int(rng.integers(0, 4))
     rate = 0.0
     if node_a is not None and node_c is not None:
         rate = link_decay_rate(node_a, node_c)
@@ -236,10 +231,7 @@ def swap(
         w=w_new,
         created_at=now,
         last_updated=now,
-        target=ab.target,
         decay_rate=rate,
-        pauli_x=(ab.pauli_x ^ bc.pauli_x ^ (outcome & 1)),
-        pauli_z=(ab.pauli_z ^ bc.pauli_z ^ (outcome >> 1)),
     )
 
 

@@ -25,7 +25,7 @@ from qrnet import (
     RepeaterClass,
     Simulator,
     SwapPolicy,
-    establish_hybrid,
+    establish,
     matrix_rows,
     one_by_one_link,
     simultaneous_link,
@@ -196,7 +196,7 @@ def test_07_anchored_paths_compose_and_alternate_trades_latency():
         LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
         waypoints=("n2",),
     )
-    res = establish_hybrid(req, sim, controller="n2")
+    res = establish(req, sim, controller="n2")
     assert isinstance(res, ChannelResult), res
     product_gap = abs(res.link.w - 0.9 ** 4)
 
@@ -211,7 +211,7 @@ def test_07_anchored_paths_compose_and_alternate_trades_latency():
                 LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
                 waypoints=("n2",), alternate_mode=alt,
             )
-            hres = establish_hybrid(hreq, sim, controller="n2")
+            hres = establish(hreq, sim, controller="n2")
             assert isinstance(hres, ChannelResult), (seed, alt, hres)
             lat[alt] = hres.setup_latency_s
         if lat[True] >= lat[False]:

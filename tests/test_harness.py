@@ -279,6 +279,94 @@ def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# Chains that run every link-layer flow and every network-layer model, so a
+# change to how a request's result is reached shows as a digest change.
+# Third class: logical hops lost at p_hop and frames lost in transit.
+THIRD_TOPO = """\
+node a role=end class=third memories=1 eps_op=0.02 eps_res=0.01
+node r1 role=repeater class=third memories=0 eps_op=0.02 eps_res=0.01
+node r2 role=repeater class=third memories=0 eps_op=0.02 eps_res=0.01
+node r3 role=repeater class=third memories=0 eps_op=0.02 eps_res=0.01
+node b role=end class=third memories=1 eps_op=0.02 eps_res=0.01
+edge a r1 length_km=20 alpha=0 rate_hz=1e5
+edge r1 r2 length_km=15 alpha=0 rate_hz=1e5
+edge r2 r3 length_km=25 alpha=0 rate_hz=1e5
+edge r3 b length_km=10 alpha=0 rate_hz=1e5
+"""
+THIRD_SCN = """\
+seed=17
+trials=2
+duration=0.02
+controller=r2
+frame_loss=0.05
+physics w0=0.97 p_hop=0.93
+request id=co src=a dst=b model=co class=third protocol=ol arrivals=poisson:1500 deadline=0.0012
+request id=cl src=a dst=b model=cl class=third protocol=ol arrivals=poisson:1500 deadline=0.0022
+request id=ha src=b dst=a model=hybrid class=third protocol=ol waypoints=r2 alternate=true arrivals=poisson:1000
+"""
+
+# First class with w0 < 1 and pumping; each request's f_min sits inside the
+# spread of its delivered fidelities, so some runs miss it.
+FIRST_TOPO = """\
+node a role=end class=first memories=3 t_coh=0.02 eps_op=0.01
+node r1 role=repeater class=first memories=4 t_coh=0.02 eps_op=0.01
+node r2 role=repeater class=first memories=4 t_coh=0.02 eps_op=0.01
+node r3 role=repeater class=first memories=4 t_coh=0.02 eps_op=0.01
+node b role=end class=first memories=3 t_coh=0.02 eps_op=0.01
+edge a r1 length_km=10 alpha=0 p_src=0.4 rate_hz=1e4
+edge r1 r2 length_km=15 alpha=0 p_src=0.4 rate_hz=1e4
+edge r2 r3 length_km=10 alpha=0 p_src=0.4 rate_hz=1e4
+edge r3 b length_km=5 alpha=0 p_src=0.4 rate_hz=1e4
+"""
+FIRST_SCN = """\
+seed=23
+trials=2
+duration=0.03
+controller=r2
+physics w0=0.96 f_target=0.975 r_max=2
+policy retry_limit=1
+request id=cs src=a dst=b model=co class=first protocol=sl arrivals=poisson:300 f_min=0.78 deadline=0.004
+request id=co src=a dst=b model=co class=first protocol=ol arrivals=poisson:300 f_min=0.78 deadline=0.004
+request id=cl src=a dst=b model=cl class=first protocol=ol arrivals=poisson:300 f_min=0.78
+request id=hy src=a dst=b model=hybrid class=first protocol=ol waypoints=r1,r3 arrivals=poisson:300 f_min=0.72 deadline=0.006
+request id=ha src=b dst=a model=hybrid class=first protocol=ol waypoints=r2 alternate=true arrivals=poisson:300 f_min=0.75
+"""
+
+AP_TOPO = """\
+node a role=end class=all_photonic memories=2 eps_op=0.02 eps_res=0.005
+node p1 role=repeater class=all_photonic memories=2 eps_op=0.02 eps_res=0.005
+node p2 role=repeater class=all_photonic memories=2 eps_op=0.02 eps_res=0.005
+node b role=end class=all_photonic memories=2 eps_op=0.02 eps_res=0.005
+edge a p1 length_km=8 alpha=0.2 rate_hz=1e5
+edge p1 p2 length_km=8 alpha=0.2 rate_hz=1e5
+edge p2 b length_km=8 alpha=0.2 rate_hz=1e5
+"""
+AP_SCN = """\
+seed=31
+trials=2
+duration=0.01
+controller=p1
+allphotonic hep=true ecc=true
+physics w0=0.9 f_target=0.93 r_max=2 cluster_overhead=0.5
+request id=ap src=a dst=b model=co class=all_photonic protocol=sl arrivals=poisson:1500
+"""
+
+
+@pytest.mark.parametrize(
+    "topology_text, scenario_text, lines, digest",
+    [
+        (THIRD_TOPO, THIRD_SCN, 178, "bef56cd2ae4127a6ffd0db3ec13b7da44fb27c34d5afdb22760a09a803ced4c4"),
+        (FIRST_TOPO, FIRST_SCN, 93, "96dfc850a9ae2da4c45ab276eacf48612a4ec99bfb2714caf45201dc792c2c31"),
+        (AP_TOPO, AP_SCN, 25, "904105934f8f3d65b955f8b5672d5e9f71f8ed782e183895b5e0c12673696492"),
+    ],
+    ids=["third", "first-pump-fmin", "allphotonic"],
+)
+def test_paper_paths_csv_is_frozen(topology_text, scenario_text, lines, digest):
+    data = _csv_bytes(topology_text, scenario_text)
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_simultaneous_cl_arrivals_rerun_to_the_same_bytes():
     scenario = _crossing_cl_scenario("true", lambda k: 0.0)
     runs = []

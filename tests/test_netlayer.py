@@ -1,4 +1,5 @@
 import math
+import re
 
 import networkx as nx
 import numpy as np
@@ -24,9 +25,7 @@ from qrnet import (
     Topology,
     build_routing_tables,
     compute_path,
-    establish_connection_oriented,
-    establish_connectionless,
-    establish_hybrid,
+    establish,
 )
 from qrnet import netlayer
 from qrnet.linklayer import LinkSession
@@ -284,7 +283,7 @@ def test_ten_channel_line_walks_in_order():
     assert walked == [str(i) for i in range(1, 10)]
     # and the channel chain actually carries a connection
     sim = Simulator(topo, PARAMS, seed=31)
-    res = establish_connectionless(
+    res = establish(
         _cl_request("walk", "n0", "n9", cls=RepeaterClass.SECOND), sim
     )
     assert isinstance(res, ChannelResult), res
@@ -297,7 +296,7 @@ def test_ten_channel_line_walks_in_order():
 def test_co_three_node_exact_latency():
     topo = chain_topology([50.0, 30.0], eps_op=0.01)
     sim = Simulator(topo, PARAMS, seed=11)
-    res = establish_connection_oriented(
+    res = establish(
         _co_request("co1", "n0", "n2"), sim, controller="n1"
     )
     assert isinstance(res, ChannelResult), res
@@ -352,7 +351,7 @@ def test_co_reports_capability_violation():
     req = ConnectionRequest("bad", "n0", "n2", RepeaterClass.THIRD,
                             LinkProtocol.SIMULTANEOUS,
                             ConnectionModel.CONNECTION_ORIENTED)
-    res = establish_connection_oriented(req, sim)
+    res = establish(req, sim)
     assert isinstance(res, Failure)
     assert res.reason == "CapabilityViolation"
 
@@ -364,7 +363,7 @@ def test_co_allphotonic_simultaneous_allowed():
     req = ConnectionRequest("ap", "n0", "n2", RepeaterClass.ALL_PHOTONIC,
                             LinkProtocol.SIMULTANEOUS,
                             ConnectionModel.CONNECTION_ORIENTED)
-    res = establish_connection_oriented(req, sim)
+    res = establish(req, sim)
     assert isinstance(res, ChannelResult), res
 
 
@@ -375,7 +374,7 @@ def test_co_allphotonic_simultaneous_allowed():
 def test_cl_three_node_success_restores_slots():
     topo = chain_topology([50.0, 30.0], eps_op=0.01)
     sim = Simulator(topo, PARAMS, seed=3)
-    res = establish_connectionless(_cl_request("cl1", "n0", "n2"), sim)
+    res = establish(_cl_request("cl1", "n0", "n2"), sim)
     assert isinstance(res, ChannelResult), res
     assert math.isclose(res.link.w, 0.99)
     assert set(res.link.endpoints()) == {"n0", "n2"}
@@ -462,7 +461,7 @@ def test_cl_third_class_relays_end_to_end():
     topo = chain_topology([10.0, 10.0, 10.0], cls=RepeaterClass.THIRD,
                           eps_res=0.01)
     sim = Simulator(topo, PARAMS, seed=9)
-    res = establish_connectionless(
+    res = establish(
         _cl_request("cl4", "n0", "n3", cls=RepeaterClass.THIRD), sim
     )
     assert isinstance(res, ChannelResult), res
@@ -472,13 +471,32 @@ def test_cl_third_class_relays_end_to_end():
         assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
+def test_cl_timeout_estimate_charges_the_node_each_hop_enters():
+    # a -> b -> c with b slow; declaring a-b as "b a" must not move b's delay
+    c_fiber = PARAMS.c_fiber
+    hop = 1.0 / 1e3 + 2.0 * 20.0 / c_fiber  # one attempt slot, herald round trip
+    expect = hop + 1e-3 + hop + 40.0 / c_fiber  # then the confirmation back
+    for first_edge in (("a", "b"), ("b", "a")):
+        topo = Topology()
+        for nid in ("a", "b", "c"):
+            role = Role.REPEATER if nid == "b" else Role.END
+            topo.add_node(NodeSpec(nid, role=role,
+                                   proc_delay=1e-3 if nid == "b" else 0.0))
+        for eid, (u, v) in (("ab", first_edge), ("bc", ("b", "c"))):
+            topo.add_edge(EdgeSpec(eid, u, v, length_km=20.0,
+                                   alpha_db_per_km=0.0, attempt_rate_hz=1e3))
+        service = NetworkService(Simulator(topo, PARAMS))
+        estimate = service._zero_load_estimate("a", "c", RepeaterClass.FIRST)
+        assert math.isclose(estimate, expect), first_edge
+
+
 def test_cl_rejects_allphotonic():
     topo = chain_topology([10.0, 10.0], cls=RepeaterClass.ALL_PHOTONIC)
     sim = Simulator(topo, PARAMS, seed=4)
     req = ConnectionRequest("nc", "n0", "n2", RepeaterClass.ALL_PHOTONIC,
                             LinkProtocol.SIMULTANEOUS,
                             ConnectionModel.CONNECTIONLESS)
-    res = establish_connectionless(req, sim)
+    res = establish(req, sim)
     assert isinstance(res, Failure)
     assert res.reason == "CapabilityViolation"
 
@@ -493,7 +511,7 @@ def test_hybrid_fast_path_product_law():
     req = ConnectionRequest("hy1", "n0", "n4", RepeaterClass.FIRST,
                             LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
                             waypoints=("n2",))
-    res = establish_hybrid(req, sim, controller="n2")
+    res = establish(req, sim, controller="n2")
     assert isinstance(res, ChannelResult), res
     assert set(res.link.endpoints()) == {"n0", "n4"}
     assert math.isclose(res.link.w, 1.0)
@@ -506,7 +524,7 @@ def test_hybrid_alternate_single_session():
     req = ConnectionRequest("hy2", "n0", "n4", RepeaterClass.FIRST,
                             LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
                             waypoints=("n2",), alternate_mode=True)
-    res = establish_hybrid(req, sim, controller="n2")
+    res = establish(req, sim, controller="n2")
     assert isinstance(res, ChannelResult), res
     assert math.isclose(res.link.w, 1.0)
 
@@ -535,7 +553,7 @@ def test_hybrid_fast_beats_alternate_here():
         req = ConnectionRequest("hy", "n0", "n4", RepeaterClass.FIRST,
                                 LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
                                 waypoints=("n2",), alternate_mode=alt)
-        res = establish_hybrid(req, sim, controller="n2")
+        res = establish(req, sim, controller="n2")
         assert isinstance(res, ChannelResult)
         lat[alt] = res.setup_latency_s
     assert lat[False] < lat[True]
@@ -547,7 +565,7 @@ def test_hybrid_rejects_third_class_fast_mode():
     req = ConnectionRequest("hy3", "n0", "n4", RepeaterClass.THIRD,
                             LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID,
                             waypoints=("n2",))
-    res = establish_hybrid(req, sim)
+    res = establish(req, sim)
     assert isinstance(res, Failure)
     assert res.reason == "CapabilityViolation"
 
@@ -558,6 +576,41 @@ def test_hybrid_requires_waypoints():
                             LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID)
     with pytest.raises(ValueError):
         NetworkService(sim).submit(req, at=0.0)
+
+
+# --------------------------------------------------------------------------
+# fidelity floor
+
+
+@pytest.mark.parametrize(
+    "protocol, model, waypoints, alternate",
+    [
+        (LinkProtocol.SIMULTANEOUS, ConnectionModel.CONNECTION_ORIENTED, (), False),
+        (LinkProtocol.ONE_BY_ONE, ConnectionModel.CONNECTION_ORIENTED, (), False),
+        (LinkProtocol.ONE_BY_ONE, ConnectionModel.CONNECTIONLESS, (), False),
+        (LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID, ("n2",), False),
+        (LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID, ("n2",), True),
+    ],
+    ids=["co-sl", "co-ol", "cl", "hybrid", "hybrid-alternate"],
+)
+def test_every_model_holds_the_delivered_pair_to_f_min(
+    protocol, model, waypoints, alternate
+):
+    # w0 < 1, so no pair reaches F = 1 while a floor of 0.5 is always met
+    params = PhysicsParams(w0=0.95)
+    for f_min, completes in ((1.0, False), (0.5, True)):
+        sim = Simulator(chain_topology([25.0] * 4), params, seed=7)
+        req = ConnectionRequest("fm", "n0", "n4", RepeaterClass.FIRST,
+                                protocol, model, f_min=f_min,
+                                waypoints=waypoints, alternate_mode=alternate)
+        res = establish(req, sim, controller="n2")
+        if completes:
+            assert isinstance(res, ChannelResult), res
+            assert (1 + 3 * res.link.w) / 4 >= f_min
+        else:
+            assert isinstance(res, Failure), res
+            assert res.reason == "FidelityBelowMinimum"
+            assert re.fullmatch(r"delivered F=0\.\d{6} < 1\.0", res.detail), res.detail
 
 
 def test_request_validation():

@@ -106,29 +106,27 @@ def test_swap_frozen_point():
     assert math.isclose((1 + 3 * w_out) / 4, 61.0 / 75.0, abs_tol=1e-15)
 
 
-def test_swap_composes_links_and_tags():
+def test_swap_composes_links():
     node_b = NodeSpec("b", role=Role.REPEATER, eps_op=0.0)
     ab = _pair(0.9, "a", "b", link_id=1)
     bc = _pair(0.8, "b", "c", link_id=2)
-    rng = CountingRng([3])  # outcome bits x=1, z=1
-    out = swap(ab, bc, node_b, rng, now=0.0, link_id=9)
+    out = swap(ab, bc, node_b, now=0.0, link_id=9)
     assert set(out.endpoints()) == {"a", "c"}
     assert math.isclose(out.w, 0.9 * 0.8)
-    assert (out.pauli_x, out.pauli_z) != (0, 0)
 
 
 def test_swap_noise_by_class():
     ab = _pair(1.0, "a", "b")
     bc = _pair(1.0, "b", "c")
     first = NodeSpec("b", role=Role.REPEATER, eps_op=0.05, eps_res=0.01)
-    out = swap(ab, bc, first, CountingRng([0]), now=0.0, link_id=1)
+    out = swap(ab, bc, first, now=0.0, link_id=1)
     assert math.isclose(out.w, 0.95)
     second = NodeSpec(
         "b", role=Role.REPEATER, repeater_class=RepeaterClass.SECOND,
         eps_op=0.05, eps_res=0.01,
     )
     out = swap(_pair(1.0, "a", "b"), _pair(1.0, "b", "c"), second,
-               CountingRng([0]), now=0.0, link_id=2)
+               now=0.0, link_id=2)
     assert math.isclose(out.w, 0.99)
 
 
@@ -136,7 +134,7 @@ def test_third_class_cannot_swap():
     node = NodeSpec("b", role=Role.REPEATER, repeater_class=RepeaterClass.THIRD)
     with pytest.raises(CapabilityViolation):
         swap(_pair(1.0, "a", "b"), _pair(1.0, "b", "c"), node,
-             CountingRng([0]), now=0.0, link_id=1)
+             now=0.0, link_id=1)
 
 
 def test_decohere_frozen_point():
