@@ -18,9 +18,10 @@ single-segment path degenerates to the generation herald itself, making the
 two protocols coincide there).
 
 Purification pumping, when enabled (f_target, r_max), holds one base pair
-per segment and measures each additional generated pair against it on
-arrival; only base pairs occupy tracked memory slots.  Round outcomes are
-exchanged classically before a segment is declared ready.
+per segment and measures each additional generated pair against it once
+both its heralds land, one pumped pair at a time; only base pairs occupy
+tracked memory slots.  Round outcomes are exchanged classically before a
+segment is declared ready.
 
 A session's ``can_attempt`` gate may hold a segment back until memory frees.
 Generation ticks on each segment's attempt clock, one slot per
@@ -50,7 +51,6 @@ from .capability import (
 from .engine import EventKind, Simulator
 from .model import (
     RepeaterClass,
-    Role,
     WernerLink,
     fidelity_of,
 )
@@ -118,9 +118,8 @@ class _Segment:
         self.rounds = 0
         self.started = False
         self.done = False
-        self.ready_time: dict[str, float] = {}
+        self.ready: set[str] = set()
         self._base_confirmed = False
-        self._pump_queue: list[WernerLink] = []
         self._known: dict[int, set[str]] = {}
         self._summary = f"gen {self.edge.edge_id} seg{index}"
         self._next_tick = 0.0
@@ -229,8 +228,7 @@ class _Segment:
         if known is None:
             return
         known.add(node_id)
-        now = session.engine.now
-        session._segment_base_known(self, node_id)
+        session._flow.segment_base_known(self, node_id)
         if not self.pump_mode or self.rounds_exhausted:
             # single-pair mode: this pair is the deliverable itself
             if self.link is None:
@@ -238,7 +236,7 @@ class _Segment:
             if len(known) == 2:
                 self._base_confirmed = True
             for end in known:
-                self._mark_ready(end, now)
+                self._mark_ready(end)
             return
         if len(known) < 2:
             return
@@ -246,79 +244,55 @@ class _Segment:
         if not self._base_confirmed:
             self.link = pair
             self._base_confirmed = True
-            self._drain_pump_queue()
-        else:
-            self._pump_queue.append(pair)
-            self._drain_pump_queue()
+        elif not self.done:
+            self._pump(pair)
 
-    def _drain_pump_queue(self) -> None:
+    def _pump(self, pair: WernerLink) -> None:
+        """One round: measure ``pair`` against the base pair."""
         session = self.session
-        while (
-            self.link is not None
-            and self._pump_queue
-            and not self.rounds_exhausted
-            and not self.done
-        ):
-            pump_pair = self._pump_queue.pop(0)
-            now = session.engine.now
-            rng = session.engine.stream(f"purify:{self.edge.edge_id}")
-            self.rounds += 1
-            session.stats.purification_rounds += 1
-            survivor = physics.purify(
-                self.link,
-                pump_pair,
-                rng,
-                now=now,
-                link_id=session.engine.next_link_id(),
-                node_a=self.spec_a,
-                node_b=self.spec_b,
-                options=session.options,
-            )
-            self.link = survivor
-            budget_left = self.rounds < session.params.r_max
-            if survivor is not None:
-                if fidelity_of(survivor.w) >= session.params.f_target or not budget_left:
-                    self._finalize_pumping()
-                    return
-                continue
-            # round failed, both pairs gone
-            if not budget_left:
-                self.rounds_exhausted = True
-                if self._pump_queue:
-                    # a confirmed spare becomes the delivered pair as-is
-                    promoted = self._pump_queue.pop(0)
-                    self.link = promoted
-                    self.done = True
-                    self._mark_ready(self.node_a, session.engine.now)
-                    self._mark_ready(self.node_b, session.engine.now)
-                return
-            if self._pump_queue:
-                # promote a confirmed spare to be the new base and keep going
-                self.link = self._pump_queue.pop(0)
-            else:
-                self._base_confirmed = False
-                return
+        rng = session.engine.stream(f"purify:{self.edge.edge_id}")
+        self.rounds += 1
+        session.stats.purification_rounds += 1
+        survivor = physics.purify(
+            self.link,
+            pair,
+            rng,
+            now=session.engine.now,
+            link_id=session.engine.next_link_id(),
+            node_a=self.spec_a,
+            node_b=self.spec_b,
+            options=session.options,
+        )
+        self.link = survivor
+        budget_left = self.rounds < session.params.r_max
+        if survivor is not None:
+            if fidelity_of(survivor.w) >= session.params.f_target or not budget_left:
+                self._finalize_pumping()
+        elif budget_left:
+            # round failed, both pairs gone: the next pair is the new base
+            self._base_confirmed = False
+        else:
+            self.rounds_exhausted = True
 
     def _finalize_pumping(self) -> None:
         """Round outcome travels to both ends before the segment is usable."""
         session = self.session
         self.done = True
-        self._pump_queue.clear()
         for receiver in (self.node_a, self.node_b):
             sender = self.node_b if receiver == self.node_a else self.node_a
             session.engine.send_classical(
                 sender,
                 receiver,
                 self.edge.length_km,
-                lambda r=receiver: self._mark_ready(r, session.engine.now),
+                lambda r=receiver: self._mark_ready(r),
                 f"pump done {self.edge.edge_id} -> {receiver}",
             )
 
-    def _mark_ready(self, node_id: str, time: float) -> None:
-        if self.session.finished or node_id in self.ready_time:
+    def _mark_ready(self, node_id: str) -> None:
+        if self.session.finished or node_id in self.ready:
             return
-        self.ready_time[node_id] = time
-        self.session._segment_ready(self, node_id, time)
+        self.ready.add(node_id)
+        self.session._flow.segment_ready(self, node_id)
 
 
 class LinkSession:
@@ -332,8 +306,11 @@ class LinkSession:
     interior nodes being released after their swap.  A segment that
     ``can_attempt`` turns away is re-checked only after a ``MemoryLedger``
     release or ``wake`` at one of its two nodes, so the gate must open only
-    on such a change.  Once ``on_done`` has run, the session drops its
-    callbacks, flow and segments.
+    on such a change.  ``on_pair_stored`` runs only for a base pair, one a
+    segment generates while it holds no pair, and in the same tick as the
+    ``can_attempt`` that passed, so the ledger cannot change in between.
+    Once ``on_done`` has run, the session drops its callbacks, flow and
+    segments.
     """
 
     def __init__(
@@ -453,12 +430,6 @@ class LinkSession:
         if not self.finished:
             self._finish_failure("Timeout", "deadline passed before completion")
 
-    def _segment_ready(self, segment: _Segment, node_id: str, time: float) -> None:
-        self._flow.segment_ready(segment, node_id, time)
-
-    def _segment_base_known(self, segment: _Segment, node_id: str) -> None:
-        self._flow.segment_base_known(segment, node_id)
-
     def _swap(
         self, k: int, a: int, c: int, ab: WernerLink, bc: WernerLink
     ) -> WernerLink:
@@ -548,10 +519,9 @@ class _SimultaneousFlow:
         # interval -> produced link; merge index -> inputs seen
         self.links: dict[tuple[int, int], WernerLink] = {}
         self.known: dict[int, set[tuple[int, int]]] = {i: set() for i in range(len(self.merges))}
-        self.consumer: dict[tuple[int, int], tuple[int, str] | None] = {}
+        self.consumer: dict[tuple[int, int], int | None] = {}
         for m_idx, (left, right, _) in enumerate(self.merges):
-            self.consumer[left] = (m_idx, "left")
-            self.consumer[right] = (m_idx, "right")
+            self.consumer[left] = self.consumer[right] = m_idx
         root = (0, len(path) - 1)
         self.consumer[root] = None
         self._end_heralds: set[str] = set()
@@ -580,17 +550,14 @@ class _SimultaneousFlow:
     def segment_base_known(self, segment, node_id) -> None:
         pass
 
-    def segment_ready(self, segment, node_id, time) -> None:
+    def segment_ready(self, segment, node_id) -> None:
         session = self.session
         interval = (segment.index, segment.index + 1)
         if len(session.path) == 2:
-            if len(segment.ready_time) == 2:
+            if len(segment.ready) == 2:
                 session._complete(segment.link)
             return
-        entry = self.consumer[interval]
-        if entry is None:
-            return
-        m_idx, _ = entry
+        m_idx = self.consumer[interval]
         merge_node = session.path[self.merges[m_idx][2]]
         if node_id == merge_node:
             self.links[interval] = segment.link
@@ -613,11 +580,10 @@ class _SimultaneousFlow:
         )
         out_interval = (left[0], right[1])
         self.links[out_interval] = merged
-        entry = self.consumer[out_interval]
-        if entry is None:
+        next_idx = self.consumer[out_interval]
+        if next_idx is None:
             self._announce_completion(out_interval, m)
             return
-        next_idx, _ = entry
         next_node = self.merges[next_idx][2]
         session.engine.send_classical(
             session.path[m],
@@ -654,8 +620,8 @@ class _OneByOneFlow:
     def __init__(self, session: LinkSession):
         self.session = session
         self.frontier: WernerLink | None = None
-        self.frontier_known: dict[int, float] = {}
-        self._started: set[int] = set()
+        # the path index whose node has heard of the current frontier pair
+        self.frontier_at: int | None = None
 
     def begin(self) -> None:
         self._start_segment(0)
@@ -667,27 +633,25 @@ class _OneByOneFlow:
         return session.segments[index]
 
     def _start_segment(self, index: int) -> None:
-        if index in self._started or index > len(self.session.path) - 2:
-            return
-        self._started.add(index)
-        self._segment(index).start()
+        if index < len(self.session.path) - 1:
+            self._segment(index).start()
 
     def segment_base_known(self, segment, node_id) -> None:
         # pipelined mode: the next segment may generate while this one pumps
         if self.session.pipelining and node_id == segment.node_b:
             self._start_segment(segment.index + 1)
 
-    def segment_ready(self, segment, node_id, time) -> None:
+    def segment_ready(self, segment, node_id) -> None:
         session = self.session
         n_segments = len(session.path) - 1
         if segment.index == 0:
             if n_segments == 1:
-                if len(segment.ready_time) == 2:
+                if len(segment.ready) == 2:
                     session._complete(segment.link)
                 return
             if node_id == session.path[1]:
                 self.frontier = segment.link
-                self.frontier_known[1] = time
+                self.frontier_at = 1
                 if not session.pipelining:
                     self._start_segment(1)
                 self._try_swap(1)
@@ -698,13 +662,13 @@ class _OneByOneFlow:
     def _try_swap(self, k: int) -> None:
         """Swap at path[k] merges the frontier with segment k."""
         session = self.session
-        if session.finished or k not in self.frontier_known:
+        if session.finished or self.frontier_at != k:
             return
         segment = self._segment(k)
-        if session.path[k] not in segment.ready_time or segment.link is None:
+        if session.path[k] not in segment.ready or segment.link is None:
             return
         self.frontier = session._swap(k, 0, k + 1, self.frontier, segment.link)
-        self.frontier_known.clear()
+        self.frontier_at = None
         last = len(session.path) - 1
         if k + 1 == last:
             edge_km = session._dist_km(k, last)
@@ -728,7 +692,7 @@ class _OneByOneFlow:
         session = self.session
         if session.finished:
             return
-        self.frontier_known[idx] = session.engine.now
+        self.frontier_at = idx
         if not session.pipelining:
             self._start_segment(idx)
         self._try_swap(idx)

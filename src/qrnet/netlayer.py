@@ -47,7 +47,7 @@ from .linklayer import (
     SwapPolicy,
 )
 from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
-from .physics import PhysicsParams, channel_success_prob
+from .physics import channel_success_prob
 
 
 # --------------------------------------------------------------------------
@@ -500,7 +500,7 @@ class _ClLeg:
         timeout: float,
         stats: SessionStats,
         drops: dict[str, int],
-        on_success: Callable[[WernerLink, float], None],
+        on_success: Callable[[WernerLink], None],
         on_failure: Callable[[str, str], None],
     ):
         self.service = service
@@ -518,7 +518,6 @@ class _ClLeg:
         self.on_failure = on_failure
         self.third = cls is RepeaterClass.THIRD
         self.gen = -1
-        self.emissions = 0
         self.finished = False
         self._timeout_event = None
         self._sessions: list[LinkSession] = []
@@ -531,7 +530,6 @@ class _ClLeg:
         self.held_frames: dict[str, tuple[str, bytes, object]] = {}
         self.delivered = False
         self.payload_w = self.engine.params.w0
-        self._stored_ok: set[LinkSession] = set()
         self._node_held: set[str] = set()
 
     # -- try lifecycle -------------------------------------------------
@@ -541,7 +539,6 @@ class _ClLeg:
 
     def _start_try(self) -> None:
         self.gen += 1
-        self.emissions += 1
         self._reset_try_state()
         frame = QuantumFrame(
             frame_id=self.service.next_frame_id(),
@@ -591,7 +588,7 @@ class _ClLeg:
             return
         self.finished = True
         self._cancel_timeout()
-        self.on_success(link, self.engine.now)
+        self.on_success(link)
         self._drop_callbacks()
 
     def _cancel_timeout(self) -> None:
@@ -603,7 +600,7 @@ class _ClLeg:
         # both close over the request state, which lists this leg
         self.on_success = self.on_failure = None
 
-    def abort(self, reason: str, detail: str = "") -> None:
+    def abort(self) -> None:
         if self.finished:
             return
         self.finished = True
@@ -699,45 +696,6 @@ class _ClLeg:
     # -- entanglement extension (first and second class) -----------------
 
     def _launch_segment(self, gen: int, node: str, nxt: str) -> None:
-        ledger = self.engine.memory
-
-        def width(v: str) -> int:
-            # an interior sees two halves of this chain (incoming pair and
-            # outgoing pair), the endpoints only one
-            return 1 if v in (self.src, self.dst) else 2
-
-        def fresh(v: str) -> bool:
-            return v not in self._node_held
-
-        def gate() -> bool:
-            # reserve an interior whole at first touch; half-filled nodes
-            # wedge every chain that converges on them
-            return all(
-                not fresh(v) or ledger.available(v) >= width(v)
-                for v in (node, nxt)
-            )
-
-        def can_attempt(segment) -> bool:
-            if segment.session in self._stored_ok:
-                return True
-            return gate()
-
-        def on_stored(segment, pair) -> None:
-            if segment.session in self._stored_ok:
-                return
-            now = self.engine.now
-            if gate():
-                self._stored_ok.add(segment.session)
-                for v in (node, nxt):
-                    if fresh(v):
-                        ledger.acquire(v, width(v), self.tag, now)
-                        self._node_held.add(v)
-                        # v no longer gates this leg's other hops through it
-                        ledger.wake(v)
-            # else: a concurrent request claimed the slots between the
-            # attempt gate and the herald; the half is lost on arrival and
-            # _segment_done regenerates
-
         session = LinkSession(
             self.engine,
             [node, nxt],
@@ -746,24 +704,46 @@ class _ClLeg:
             options=self.service.options,
             manage_memory=False,
             tag=self.tag,
-            can_attempt=can_attempt,
-            on_pair_stored=on_stored,
-            on_done=lambda s, g=gen, u=node, v=nxt: self._segment_done(g, u, v, s),
+            can_attempt=self._can_attempt,
+            on_pair_stored=self._claim,
+            on_done=lambda s, g=gen: self._segment_done(g, s),
         )
         self._sessions.append(session)
         session.start()
 
-    def _segment_done(self, gen: int, u: str, v: str, session: LinkSession) -> None:
+    def _width(self, v: str) -> int:
+        # an interior sees two halves of this chain (incoming pair and
+        # outgoing pair), the endpoints only one
+        return 1 if v in (self.src, self.dst) else 2
+
+    def _can_attempt(self, segment) -> bool:
+        # reserve an interior whole at first touch; half-filled nodes
+        # wedge every chain that converges on them
+        ledger = self.engine.memory
+        return all(
+            v in self._node_held or ledger.available(v) >= self._width(v)
+            for v in (segment.node_a, segment.node_b)
+        )
+
+    def _claim(self, segment, pair) -> None:
+        # runs in the tick whose _can_attempt just passed, so the slots are
+        # still free; acquire raises ResourceExhausted if they are not
+        ledger = self.engine.memory
+        for v in (segment.node_a, segment.node_b):
+            if v not in self._node_held:
+                ledger.acquire(v, self._width(v), self.tag, self.engine.now)
+                self._node_held.add(v)
+                # v no longer gates this leg's other hops through it
+                ledger.wake(v)
+
+    def _segment_done(self, gen: int, session: LinkSession) -> None:
         if self.finished or gen != self.gen:
             return
         result = session.result
         if not isinstance(result, ChannelResult):
             return  # aborted attempts die silently; the timeout governs
         _merge_stats(self.stats, result.stats)
-        if session not in self._stored_ok:
-            self._launch_segment(gen, u, v)
-            return
-        self._stored_ok.discard(session)
+        u, v = session.path
         self.pairs[u] = (v, result.link)
         self._advance(gen)
 
@@ -866,15 +846,13 @@ class _RequestState:
         self.request = request
         self.emission = emission
         self.tag = f"req:{request.request_id}"
-        self.stats = SessionStats(started_at=emission)
+        self.stats = SessionStats()
         self.drops: dict[str, int] = {}
         self.closed = False
-        self.queued = False
         self.path: list[str] | None = None
         self.session: LinkSession | None = None
         self.legs: list[_ClLeg] = []
-        self.leg_results: dict[int, tuple[WernerLink, float]] = {}
-        self.emissions = 0
+        self.leg_results: dict[int, WernerLink] = {}
         self.watchdog = None
         self.on_outcome: Callable[[ConnectionOutcome], None] | None = None
 
@@ -979,7 +957,7 @@ class NetworkService:
         state.watchdog = None
         state.session = None
         for leg in state.legs:
-            leg.abort("Superseded")
+            leg.abort()
         occupancy = 0.0
         interior = self._interior_nodes(state)
         tags = [state.tag] + [leg.tag for leg in state.legs]
@@ -987,13 +965,6 @@ class NetworkService:
             occupancy += self.engine.memory.occupancy_s(tag, now, nodes=interior)
             self.engine.memory.release_all(tag, now)
         self._active.pop(state.tag, None)
-        if state.queued:
-            try:
-                self._queue.remove(state)
-            except ValueError:
-                pass
-            state.queued = False
-        emissions = state.emissions + sum(leg.emissions for leg in state.legs)
         if state.legs:
             retries = sum(max(0, leg.gen) for leg in state.legs)
         record = ConnectionOutcome(
@@ -1003,7 +974,7 @@ class NetworkService:
             setup_latency_s=now - state.emission,
             stats=state.stats,
             retries=retries,
-            emissions=emissions,
+            emissions=sum(leg.gen + 1 for leg in state.legs),
             drops=dict(state.drops),
             node_occupancy_s=occupancy,
             detail=detail,
@@ -1141,7 +1112,6 @@ class NetworkService:
         except NoPathError as err:
             self._co_reject(state, "NoPath", str(err))
             return
-        state.queued = True
         self._queue.append(state)
         self._try_admit()
 
@@ -1166,7 +1136,8 @@ class NetworkService:
 
     def _try_admit(self) -> None:
         # strict FIFO: only the head may claim resources, so one starved
-        # request holds back everything behind it
+        # request holds back everything behind it; a request closed while
+        # queued leaves the queue when it reaches the head
         while self._queue:
             state = self._queue[0]
             if state.closed:
@@ -1177,7 +1148,6 @@ class NetworkService:
             if any(ledger.available(n) < k for n, k in plan.items()):
                 return
             self._queue.popleft()
-            state.queued = False
             now = self.engine.now
             for node_id, slots in plan.items():
                 ledger.acquire(node_id, slots, state.tag, now)
@@ -1291,7 +1261,7 @@ class NetworkService:
         tag: str,
         src: str,
         dst: str,
-        on_success: Callable[[WernerLink, float], None],
+        on_success: Callable[[WernerLink], None],
         on_failure: Callable[[str, str], None],
     ) -> _ClLeg:
         request = state.request
@@ -1333,7 +1303,7 @@ class NetworkService:
                 state.tag,
                 request.src,
                 request.dst,
-                on_success=lambda link, t: self._deliver(state, link),
+                on_success=lambda link: self._deliver(state, link),
                 on_failure=lambda reason, detail: self._finish(
                     state, reason, detail=detail
                 ),
@@ -1466,8 +1436,8 @@ class NetworkService:
                     tag,
                     leg_src,
                     leg_dst,
-                    on_success=lambda link, t, idx=i: self._hybrid_leg_done(
-                        state, idx, link, t
+                    on_success=lambda link, idx=i: self._hybrid_leg_done(
+                        state, idx, link
                     ),
                     on_failure=lambda reason, detail, idx=i: self._finish(
                         state, reason, detail=f"area {idx}: {detail}"
@@ -1480,14 +1450,12 @@ class NetworkService:
         for leg in list(state.legs):
             leg.start()
 
-    def _hybrid_leg_done(
-        self, state: _RequestState, index: int, link: WernerLink, at: float
-    ) -> None:
+    def _hybrid_leg_done(self, state: _RequestState, index: int, link: WernerLink) -> None:
         if state.closed:
             return
-        state.leg_results[index] = (link, at)
+        state.leg_results[index] = link
         if len(state.leg_results) == len(state.legs):
-            self._hybrid_merge_at(state, 0, state.leg_results[0][0])
+            self._hybrid_merge_at(state, 0, state.leg_results[0])
 
     def _hybrid_merge_at(self, state: _RequestState, i: int, chain: WernerLink) -> None:
         """Anchor ``i`` swaps; anchors go left to right once every area is up."""
@@ -1496,7 +1464,7 @@ class NetworkService:
         request = state.request
         anchors = request.waypoints
         anchor = anchors[i]
-        part, _ = state.leg_results[i + 1]
+        part = state.leg_results[i + 1]
         merged = physics.swap(
             chain,
             part,

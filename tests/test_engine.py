@@ -321,11 +321,12 @@ def test_ledger_matches_flat_reference(ops):
     seed=st.integers(0, 2**32 - 1),
     requests=st.lists(
         st.tuples(
-            st.sampled_from([ConnectionModel.CONNECTION_ORIENTED,
-                             ConnectionModel.CONNECTIONLESS]),
+            st.sampled_from(["co", "cl", "hybrid", "alternate"]),
             st.integers(0, 8),
             st.integers(0, 8),
             st.floats(0.0, 2e-3),
+            # waypoints index the seven nodes left once src and dst are out
+            st.lists(st.integers(0, 6), min_size=1, max_size=2, unique=True),
         ),
         min_size=1,
         max_size=25,
@@ -336,16 +337,26 @@ def test_every_node_is_back_at_capacity_when_the_queue_drains(seed, requests):
     sim = Simulator(topo, PhysicsParams(), seed=seed)
     service = NetworkService(sim, controller="g11")
     nodes = list(topo.nodes)
+    models = {
+        "co": ConnectionModel.CONNECTION_ORIENTED,
+        "cl": ConnectionModel.CONNECTIONLESS,
+        "hybrid": ConnectionModel.HYBRID,
+        "alternate": ConnectionModel.HYBRID,
+    }
     submitted = 0
-    for k, (model, a, b, at) in enumerate(requests):
+    for k, (kind, a, b, at, stops) in enumerate(requests):
         if a == b:
             continue
-        proto = (LinkProtocol.SIMULTANEOUS
-                 if model is ConnectionModel.CONNECTION_ORIENTED
+        src, dst = nodes[a], nodes[b]
+        others = [n for n in nodes if n not in (src, dst)]
+        hybrid = models[kind] is ConnectionModel.HYBRID
+        proto = (LinkProtocol.SIMULTANEOUS if kind == "co"
                  else LinkProtocol.ONE_BY_ONE)
         service.submit(
-            ConnectionRequest(f"r{k}", nodes[a], nodes[b], RepeaterClass.FIRST,
-                              proto, model, deadline=0.01, retry_limit=5),
+            ConnectionRequest(f"r{k}", src, dst, RepeaterClass.FIRST,
+                              proto, models[kind], deadline=0.01, retry_limit=5,
+                              waypoints=[others[i] for i in stops] if hybrid else (),
+                              alternate_mode=kind == "alternate"),
             at=at,
         )
         submitted += 1

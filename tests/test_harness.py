@@ -331,6 +331,11 @@ request id=cl src=a dst=b model=cl class=first protocol=ol arrivals=poisson:300 
 request id=hy src=a dst=b model=hybrid class=first protocol=ol waypoints=r1,r3 arrivals=poisson:300 f_min=0.72 deadline=0.006
 request id=ha src=b dst=a model=hybrid class=first protocol=ol waypoints=r2 alternate=true arrivals=poisson:300 f_min=0.75
 """
+# The same requests without pipelining: one-by-one starts each segment only
+# once the frontier reaches it, and CL frames wait for the swap herald.
+FIRST_NOPIPE_SCN = FIRST_SCN.replace(
+    "policy retry_limit=1\n", "policy retry_limit=1 pipelining=false\n"
+)
 
 AP_TOPO = """\
 node a role=end class=all_photonic memories=2 eps_op=0.02 eps_res=0.005
@@ -357,9 +362,10 @@ request id=ap src=a dst=b model=co class=all_photonic protocol=sl arrivals=poiss
     [
         (THIRD_TOPO, THIRD_SCN, 178, "bef56cd2ae4127a6ffd0db3ec13b7da44fb27c34d5afdb22760a09a803ced4c4"),
         (FIRST_TOPO, FIRST_SCN, 93, "96dfc850a9ae2da4c45ab276eacf48612a4ec99bfb2714caf45201dc792c2c31"),
+        (FIRST_TOPO, FIRST_NOPIPE_SCN, 93, "bf79f7aa739bb019c6f997edbda58cd1aa2c174e3c93e5dd8ead88c1084dcf5d"),
         (AP_TOPO, AP_SCN, 25, "904105934f8f3d65b955f8b5672d5e9f71f8ed782e183895b5e0c12673696492"),
     ],
-    ids=["third", "first-pump-fmin", "allphotonic"],
+    ids=["third", "first-pump-fmin", "first-pump-fmin-nopipe", "allphotonic"],
 )
 def test_paper_paths_csv_is_frozen(topology_text, scenario_text, lines, digest):
     data = _csv_bytes(topology_text, scenario_text)
