@@ -72,10 +72,11 @@ class MemoryLedger:
     slot-seconds are settled on ``acquire``, ``release`` and
     ``occupancy_s``, always as ``slot + held * (now - since)``.
 
-    A waiter blocked on memory parks on the nodes it needs instead of
-    polling.  Every ``release`` and ``release_all`` that frees slots at a
-    node calls ``wake`` on it, which hands each waiter parked there one
-    ``waiter.wake()`` call and takes it off all of its nodes' lists.
+    A waiter blocked on memory parks at the one node that blocks it, with
+    the slots it needs there and its owner's tag, instead of polling.
+    ``release`` and ``release_all`` wake only the waiters at the freed node
+    whose need now fits; the rest stay parked.  An owner whose own claim of
+    a node unblocks its waiters there wakes them with ``wake(node, tag)``.
     """
 
     def __init__(self, topology: Topology):
@@ -84,7 +85,7 @@ class MemoryLedger:
         }
         self.in_use: dict[str, int] = {node_id: 0 for node_id in topology.nodes}
         self._by_tag: dict[str, dict[str, list]] = {}
-        # node -> {waiter: the nodes it parked on}, in parking order
+        # node -> {waiter: (need, tag)}, in parking order
         self._waiters: dict[str, dict] = {}
 
     def available(self, node_id: str) -> int:
@@ -139,26 +140,33 @@ class MemoryLedger:
                 entry[0] = 0
                 self.wake(node_id)
 
-    def park(self, waiter, node_ids: tuple[str, ...]) -> None:
-        """Hold ``waiter`` until memory frees at one of ``node_ids``."""
-        for node_id in node_ids:
-            self._waiters.setdefault(node_id, {})[waiter] = node_ids
+    def park(self, waiter, node_id: str, need: int, tag: str) -> None:
+        """Hold ``waiter`` until ``need`` slots are free at ``node_id``."""
+        self._waiters.setdefault(node_id, {})[waiter] = (need, tag)
 
-    def unpark(self, waiter, node_ids: tuple[str, ...]) -> None:
-        for node_id in node_ids:
-            waiting = self._waiters.get(node_id)
-            if waiting:
-                waiting.pop(waiter, None)
+    def unpark(self, waiter, node_id: str) -> None:
+        waiting = self._waiters.get(node_id)
+        if waiting:
+            waiting.pop(waiter, None)
 
-    def wake(self, node_id: str) -> None:
-        """Call ``wake()`` once on every waiter parked at ``node_id``."""
-        waiting = self._waiters.pop(node_id, None)
+    def wake(self, node_id: str, tag: str | None = None) -> None:
+        """Wake, in parking order, the waiters ``node_id`` can now serve.
+
+        With a ``tag``, wake that tag's waiters there instead, whatever
+        their need.  Each woken waiter leaves the list and gets one
+        ``wake()`` call.
+        """
+        waiting = self._waiters.get(node_id)
         if not waiting:
             return
-        for waiter, node_ids in waiting.items():
-            for other in node_ids:
-                if other != node_id:
-                    self._waiters[other].pop(waiter, None)
+        free = self.available(node_id)
+        woken = [
+            waiter
+            for waiter, (need, owner) in waiting.items()
+            if (owner == tag if tag is not None else need <= free)
+        ]
+        for waiter in woken:
+            del waiting[waiter]
             waiter.wake()
 
     def occupancy_s(self, tag: str, now: float, nodes=None) -> float:

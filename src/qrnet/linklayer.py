@@ -23,14 +23,16 @@ both its heralds land, one pumped pair at a time; only base pairs occupy
 tracked memory slots.  Round outcomes are exchanged classically before a
 segment is declared ready.
 
-A session's ``can_attempt`` gate may hold a segment back until memory frees.
+A session's ``blocked_at`` gate may hold a segment back until memory frees.
 Generation ticks on each segment's attempt clock, one slot per
 ``1/attempt_rate_hz``.  A tick that finds the gate shut parks the segment
-on the memory ledger at both of its nodes.  The next release at either
-node wakes it, and it ticks again at the first slot of its clock after the
-release.  Attempt times are those of a segment that checked the gate at
-every slot, but the trace shows one ``AttemptTick`` per shut-gate wait
-instead of one per slot waited through.
+on the memory ledger at the one node that blocks it, with the slots it
+needs there.  Only a release that leaves that many slots free there, or
+the gate owner's own claim of the node, wakes it, and it ticks again at the
+first slot of its clock after the wake.  Attempt times are those of a
+segment that checked the gate at every slot, but the trace shows an
+``AttemptTick`` only at the slot that found the gate shut and at the first
+slot after each wake, not at the slots waited through.
 """
 
 from __future__ import annotations
@@ -117,12 +119,17 @@ class _Segment:
         self.link: WernerLink | None = None
         self.rounds = 0
         self.started = False
+        # a failed pumping round leaves ``link`` at None too, so whether a
+        # pair was ever stored needs its own flag
+        self.stored = False
         self.done = False
         self.ready: set[str] = set()
         self._base_confirmed = False
         self._known: dict[int, set[str]] = {}
         self._summary = f"gen {self.edge.edge_id} seg{index}"
         self._next_tick = 0.0
+        self._tick_event = None
+        self.parked_at: str | None = None
         # pairs are born at w0 and age one fiber transit before both heralds
         # land; whether that still clears f_target is a static property of
         # the edge, so both ends decide it without talking.
@@ -144,7 +151,7 @@ class _Segment:
         self._schedule_tick()
 
     def _schedule_tick(self) -> None:
-        self.session.engine.after(
+        self._tick_event = self.session.engine.after(
             1.0 / self.edge.attempt_rate_hz,
             EventKind.ATTEMPT_TICK,
             self._tick,
@@ -152,15 +159,21 @@ class _Segment:
         )
 
     def _tick(self) -> None:
+        # the event holds this segment through its action; dropping it here
+        # keeps a finished session free of cycles, so refcounting frees it
+        self._tick_event = None
         session = self.session
         if session.finished or self.done:
             return
-        if session.can_attempt is not None and not session.can_attempt(self):
-            # wait for a release at either end instead of polling; the
-            # attempt clock keeps running from the slot after this one
+        blocked = None if session.blocked_at is None else session.blocked_at(self)
+        if blocked is not None:
+            # wait at the blocking node until it can serve us instead of
+            # polling; the attempt clock keeps running from the next slot
+            node_id, need = blocked
             engine = session.engine
             self._next_tick = engine.now + 1.0 / self.edge.attempt_rate_hz
-            engine.memory.park(self, (self.node_a, self.node_b))
+            self.parked_at = node_id
+            engine.memory.park(self, node_id, need, session.tag)
             return
         rng = session.engine.stream(f"gen:{self.edge.edge_id}")
         session.stats.attempts_total += 1
@@ -183,6 +196,7 @@ class _Segment:
         if pair is None:
             self._schedule_tick()
             return
+        self.stored = True
         is_base = self.link is None and not self._base_confirmed
         if is_base and session.on_pair_stored is not None:
             session.on_pair_stored(self, pair)
@@ -202,21 +216,30 @@ class _Segment:
             self.done = True
 
     def wake(self) -> None:
-        """Memory freed at one end: tick at the first attempt slot after now.
+        """The blocking node can serve us: tick at the first slot after now.
 
         The slots are replayed with the float steps ``Simulator.after``
         takes from tick to tick, so attempt times, and every random draw,
         are the ones a segment polling at each slot would have made.
         """
-        session = self.session
-        if session.finished or self.done:
-            return
-        engine = session.engine
+        self.parked_at = None
+        engine = self.session.engine
         period = 1.0 / self.edge.attempt_rate_hz
         t = self._next_tick
         while t <= engine.now:
             t += period
-        engine.schedule(t, EventKind.ATTEMPT_TICK, self._tick, self._summary)
+        self._tick_event = engine.schedule(
+            t, EventKind.ATTEMPT_TICK, self._tick, self._summary
+        )
+
+    def restart(self) -> None:
+        # a parked segment stays parked on its new clock: nothing has woken
+        # it, so a fresh segment's first tick would find the gate shut too
+        if self.parked_at is not None:
+            self._next_tick = self.session.engine.now + 1.0 / self.edge.attempt_rate_hz
+        else:
+            self._tick_event.cancel()
+            self._schedule_tick()
 
     # -- heralds and pumping -------------------------------------------
 
@@ -303,14 +326,20 @@ class LinkSession:
     is event-driven and the outcome lands in ``result`` (ChannelResult or
     Failure) when ``finished`` turns true.  ``on_done`` and
     ``on_node_free`` let a network layer react to completion and to
-    interior nodes being released after their swap.  A segment that
-    ``can_attempt`` turns away is re-checked only after a ``MemoryLedger``
-    release or ``wake`` at one of its two nodes, so the gate must open only
-    on such a change.  ``on_pair_stored`` runs only for a base pair, one a
-    segment generates while it holds no pair, and in the same tick as the
-    ``can_attempt`` that passed, so the ledger cannot change in between.
-    Once ``on_done`` has run, the session drops its callbacks, flow and
-    segments.
+    interior nodes being released after their swap.
+
+    ``blocked_at(segment)`` gates memory: ``None`` lets the segment
+    attempt, ``(node, need)`` names the first of its nodes that cannot
+    serve it and the slots it needs there.  The segment parks there under
+    the session's tag until a ``MemoryLedger`` release leaves ``need`` slots
+    free or the owner calls ``MemoryLedger.wake(node, tag)``, so the gate
+    may open at a node only through one of those.  ``on_pair_stored`` runs
+    only for a base pair, one a segment generates while it holds no pair,
+    and in the same tick as the ``blocked_at`` that passed, so the ledger
+    cannot change in between.  An ``untouched`` session holds nothing a
+    fresh one on its path would not, so its owner may ``restart`` it
+    instead of building one.  Once ``on_done`` has run, the session drops
+    its callbacks, flow and segments.
     """
 
     def __init__(
@@ -329,7 +358,7 @@ class LinkSession:
         deadline: float | None = None,
         on_done: Callable[["LinkSession"], None] | None = None,
         on_node_free: Callable[[str], None] | None = None,
-        can_attempt: Callable[[_Segment], bool] | None = None,
+        blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
         on_pair_stored: Callable[[_Segment, WernerLink], None] | None = None,
     ):
         if len(path) < 2:
@@ -365,7 +394,7 @@ class LinkSession:
         self.deadline = deadline
         self.on_done = on_done
         self.on_node_free = on_node_free
-        self.can_attempt = can_attempt
+        self.blocked_at = blocked_at
         self.on_pair_stored = on_pair_stored
         self.ap_mode = cls is RepeaterClass.ALL_PHOTONIC
         self.third_class = cls is RepeaterClass.THIRD
@@ -425,6 +454,17 @@ class LinkSession:
         else:
             self._flow = _OneByOneFlow(self)
         self._flow.begin()
+
+    @property
+    def untouched(self) -> bool:
+        """Live, and no segment has stored a pair."""
+        return not self.finished and not any(s.stored for s in self.segments)
+
+    def restart(self) -> None:
+        """Begin an ``untouched`` session again at now, as a fresh one would."""
+        self.stats = SessionStats(started_at=self.engine.now)
+        for segment in self.segments:
+            segment.restart()
 
     def _deadline_fired(self) -> None:
         if not self.finished:
@@ -487,9 +527,9 @@ class LinkSession:
         if self._deadline_event is not None:
             self._deadline_event.cancel()
             self._deadline_event = None
-        if self.can_attempt is not None:
-            for segment in self.segments:
-                self.engine.memory.unpark(segment, (segment.node_a, segment.node_b))
+        for segment in self.segments:
+            if segment.parked_at is not None:
+                self.engine.memory.unpark(segment, segment.parked_at)
         if self.manage_memory:
             self.engine.memory.release_all(self.tag, self.engine.now)
 
@@ -503,7 +543,7 @@ class LinkSession:
         if self.on_done is not None:
             self.on_done(self)
         self.on_done = self.on_node_free = None
-        self.can_attempt = self.on_pair_stored = None
+        self.blocked_at = self.on_pair_stored = None
         self._flow = None
         self.segments = []
 

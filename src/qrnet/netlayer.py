@@ -535,7 +535,9 @@ class _ClLeg:
     # -- try lifecycle -------------------------------------------------
 
     def start(self) -> None:
-        self._start_try()
+        # a hybrid request may close while its earlier legs start
+        if not self.finished:
+            self._start_try()
 
     def _start_try(self) -> None:
         self.gen += 1
@@ -560,19 +562,24 @@ class _ClLeg:
     def _timed_out(self, gen: int) -> None:
         if self.finished or gen != self.gen:
             return
-        self._abort_try()
-        if self.gen < self.retry_limit:
+        retrying = self.gen < self.retry_limit
+        self._abort_try(retrying)
+        if retrying:
             self._start_try()
         else:
             self._finish_failure("RetriesExhausted", "no confirmation from target")
 
-    def _abort_try(self) -> None:
+    def _abort_try(self, retrying: bool = False) -> None:
         # synchronized cutoff: the source's timeout also frees the stale
-        # halves parked at downstream nodes
-        for session in self._sessions:
+        # halves parked at downstream nodes.  A retry's frame leaves the
+        # source over the same table edge, so the retry restarts the source
+        # hop, always the try's first session, if it never stored a pair.
+        sessions = self._sessions
+        keep = retrying and bool(sessions) and sessions[0].untouched
+        self._sessions = sessions[:1] if keep else []
+        for session in sessions[len(self._sessions):]:
             if not session.finished:
                 session.abort("Superseded", "source timed out this attempt")
-        self._sessions.clear()
         self.engine.memory.release_all(self.tag, self.engine.now)
 
     def _finish_failure(self, reason: str, detail: str) -> None:
@@ -631,7 +638,7 @@ class _ClLeg:
         if self.third:
             self._third_hop(gen, node, nxt, edge, buf_next)
             return
-        self._launch_segment(gen, node, nxt)
+        self._launch_segment(node, nxt)
         if self.service.pipelining:
             self._transit(gen, node, nxt, edge, buf_next)
         else:
@@ -695,7 +702,11 @@ class _ClLeg:
 
     # -- entanglement extension (first and second class) -----------------
 
-    def _launch_segment(self, gen: int, node: str, nxt: str) -> None:
+    def _launch_segment(self, node: str, nxt: str) -> None:
+        if node == self.src and self._sessions:
+            # the source hop kept from the timed-out try
+            self._sessions[0].restart()
+            return
         session = LinkSession(
             self.engine,
             [node, nxt],
@@ -704,9 +715,9 @@ class _ClLeg:
             options=self.service.options,
             manage_memory=False,
             tag=self.tag,
-            can_attempt=self._can_attempt,
+            blocked_at=self._blocked_at,
             on_pair_stored=self._claim,
-            on_done=lambda s, g=gen: self._segment_done(g, s),
+            on_done=self._segment_done,
         )
         self._sessions.append(session)
         session.start()
@@ -716,17 +727,19 @@ class _ClLeg:
         # outgoing pair), the endpoints only one
         return 1 if v in (self.src, self.dst) else 2
 
-    def _can_attempt(self, segment) -> bool:
+    def _blocked_at(self, segment) -> tuple[str, int] | None:
         # reserve an interior whole at first touch; half-filled nodes
         # wedge every chain that converges on them
         ledger = self.engine.memory
-        return all(
-            v in self._node_held or ledger.available(v) >= self._width(v)
-            for v in (segment.node_a, segment.node_b)
-        )
+        for v in (segment.node_a, segment.node_b):
+            if v not in self._node_held:
+                need = self._width(v)
+                if ledger.available(v) < need:
+                    return v, need
+        return None
 
     def _claim(self, segment, pair) -> None:
-        # runs in the tick whose _can_attempt just passed, so the slots are
+        # runs in the tick whose _blocked_at just passed, so the slots are
         # still free; acquire raises ResourceExhausted if they are not
         ledger = self.engine.memory
         for v in (segment.node_a, segment.node_b):
@@ -734,10 +747,12 @@ class _ClLeg:
                 ledger.acquire(v, self._width(v), self.tag, self.engine.now)
                 self._node_held.add(v)
                 # v no longer gates this leg's other hops through it
-                ledger.wake(v)
+                ledger.wake(v, self.tag)
 
-    def _segment_done(self, gen: int, session: LinkSession) -> None:
-        if self.finished or gen != self.gen:
+    def _segment_done(self, session: LinkSession) -> None:
+        # every session of an earlier try was aborted when it ended, so a
+        # session that completes belongs to this try
+        if self.finished:
             return
         result = session.result
         if not isinstance(result, ChannelResult):
@@ -745,7 +760,7 @@ class _ClLeg:
         _merge_stats(self.stats, result.stats)
         u, v = session.path
         self.pairs[u] = (v, result.link)
-        self._advance(gen)
+        self._advance(self.gen)
 
     def _chain_known(self, gen: int, node: str, link: WernerLink) -> None:
         if self.finished or gen != self.gen:

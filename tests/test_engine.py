@@ -153,7 +153,7 @@ def test_ledger_acquire_release_cycle():
         ledger.release("n1", 1, "req:1", now=1.0)
 
 
-def test_ledger_wakes_a_parked_waiter_once_per_park():
+def test_ledger_wakes_only_the_waiters_a_node_can_serve():
     topo = chain_topology([10.0, 10.0], memories=2)
     ledger = MemoryLedger(topo)
     woken = []
@@ -165,24 +165,34 @@ def test_ledger_wakes_a_parked_waiter_once_per_park():
         def wake(self):
             woken.append(self.name)
 
-    first, second, gone = Waiter("first"), Waiter("second"), Waiter("gone")
+    one, two, big, gone, mine = (
+        Waiter(name) for name in ("one", "two", "big", "gone", "mine")
+    )
     ledger.acquire("n1", 2, "a", now=0.0)
-    ledger.acquire("n2", 1, "b", now=0.0)
-    ledger.park(first, ("n1", "n2"))
-    ledger.park(second, ("n1", "n0"))
-    ledger.park(gone, ("n1", "n2"))
-    ledger.unpark(gone, ("n1", "n2"))
+    ledger.park(big, "n1", 2, "leg:big")
+    ledger.park(one, "n1", 1, "leg:one")
+    ledger.park(gone, "n1", 1, "leg:gone")
+    ledger.park(two, "n1", 1, "leg:two")
+    ledger.unpark(gone, "n1")
+    ledger.park(mine, "n0", 2, "leg:mine")
     ledger.acquire("n1", 0, "a", now=0.5)  # acquiring wakes nobody
     assert woken == []
+    # one slot frees: the waiters needing one wake in parking order, the
+    # one needing two stays parked, and the unparked one is gone
     ledger.release("n1", 1, "a", now=1.0)
-    assert woken == ["first", "second"]  # in parking order
-    # a woken waiter is off every list it parked on
-    ledger.release_all("b", now=2.0)
-    ledger.release_all("a", now=2.0)
-    assert woken == ["first", "second"]
-    ledger.park(first, ("n0", "n1"))
-    ledger.wake("n0")
-    assert woken == ["first", "second", "first"]
+    assert woken == ["one", "two"]
+    ledger.release("n1", 0, "a", now=1.5)  # a woken waiter is off the list
+    assert woken == ["one", "two"]
+    # a tag wake reaches only that tag's waiters at that node, whatever
+    # their need
+    ledger.acquire("n0", 2, "b", now=2.0)
+    ledger.wake("n0", "leg:other")
+    ledger.wake("n1", "leg:mine")
+    assert woken == ["one", "two"]
+    ledger.wake("n0", "leg:mine")
+    assert woken == ["one", "two", "mine"]
+    ledger.release_all("a", now=3.0)
+    assert woken == ["one", "two", "mine", "big"]
 
 
 def test_ledger_occupancy_accumulates_across_cycles():

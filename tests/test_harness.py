@@ -18,6 +18,7 @@ from qrnet import (
     run_experiment,
 )
 from qrnet import harness
+from qrnet.linklayer import LinkSession
 from qrnet.harness import CSV_HEADER, splitmix64
 
 CHAIN_TOPO = """\
@@ -196,9 +197,9 @@ def test_trace_bytes_are_frozen_across_trials():
     buf = io.StringIO()
     run_experiment(parse_topology(TRACE_TOPO), parse_scenario(TRACE_SCENARIO), trace_fp=buf)
     data = buf.getvalue().encode()
-    assert data.count(b"\n") == 269
+    assert data.count(b"\n") == 267
     assert hashlib.sha256(data).hexdigest() == (
-        "1096c0eb725ddf617cde4182ce2f0e3e714e75c060831e32bd011abb649f7f28"
+        "1da5bb7ad071dd43bcd6a1568c9b63ec72ac9df7f06d586c36996142602278fc"
     )
 
 
@@ -277,6 +278,56 @@ def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
     data = _csv_bytes(_grid_text(3), scenario)
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "pipelining, hybrid, max_ticks, max_sessions",
+    [(True, False, 818, 235), (False, False, 432, 152), (True, True, 813, 222)],
+    ids=["pipelined", "store-and-forward", "hybrid"],
+)
+def test_contended_cl_work_stays_within_its_recorded_counts(
+    pipelining, hybrid, max_ticks, max_sessions, monkeypatch
+):
+    # the bounds are the counts with blocked hops woken only when their
+    # blocking node can serve them and a retry's untouched source hop kept;
+    # waking every waiter at a release, or building the source hop again on
+    # every retry, exceeds them
+    built = []
+    init = LinkSession.__init__
+
+    def counting_init(session, *args, **kwargs):
+        built.append(session)
+        init(session, *args, **kwargs)
+
+    monkeypatch.setattr(LinkSession, "__init__", counting_init)
+    trace = io.StringIO()
+    scenario = _crossing_cl_scenario(str(pipelining).lower(), _staggered, hybrid)
+    _csv_bytes(_grid_text(3), scenario, trace)
+    assert trace.getvalue().count("\tAttemptTick\t") <= max_ticks
+    assert len(built) <= max_sessions
+
+
+def test_hybrid_request_closed_by_its_first_leg_starts_no_later_leg():
+    # ttl 0 drops leg 0's frame at its own source, which closes the request
+    # while _hybrid_fast is still starting legs; leg 1 must not start, so no
+    # try timeout is left behind to run the clock on
+    scenario = parse_scenario(
+        "seed=13\ntrials=2\nduration=0.004\ncontroller=b\n"
+        "request id=hy src=a dst=d model=hybrid class=first protocol=ol"
+        " waypoints=c arrivals=poisson:1000\n"
+    )
+    scenario.ttl = 0  # below what the parser accepts
+    trace = io.StringIO()
+    rows = run_experiment(parse_topology(TRACE_TOPO), scenario, trace_fp=trace)
+    assert "cl timeout" not in trace.getvalue()
+    assert {row["outcome"] for row in rows} == {"TtlExpired"}
+    buf = io.StringIO()
+    emit_metrics(rows, buf)
+    data = buf.getvalue().encode()
+    assert data.count(b"\n") == 7
+    assert hashlib.sha256(data).hexdigest() == (
+        "bf43afa656d574b362814ca520ab667d0722f4e938d243654626b54a5262188b"
+    )
 
 
 # Chains that run every link-layer flow and every network-layer model, so a

@@ -27,7 +27,7 @@ from qrnet import (
     compute_path,
     establish,
 )
-from qrnet import netlayer
+from qrnet import netlayer, physics
 from qrnet.linklayer import LinkSession
 
 from conftest import chain_topology
@@ -453,6 +453,118 @@ def test_blocked_cl_hop_waits_for_the_release_then_attempts_on_its_slot_clock():
             slot += period
         assert attempt == slot
     assert out.stats.attempts_total == 2
+    for n in topo.nodes:
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
+
+
+def _blocked_chain_run(release_at, cl_timeout=1.0, retry_limit=3):
+    """CL n0 -> n2 while another tag holds both of n1's slots until release_at.
+
+    Returns the one outcome and the (exact clock, trace line) of every event.
+    """
+    topo = chain_topology([5.0, 5.0], memories=2, rate=1e4)
+    executed = []
+
+    class Sink:
+        def write(self, line):
+            executed.append((sim.now, line))
+
+    sim = Simulator(topo, PARAMS, seed=3, trace_fp=Sink())
+    sim.memory.acquire("n1", 2, "blocker", 0.0)
+    sim.schedule(
+        release_at,
+        EventKind.PROTOCOL_STEP,
+        lambda: sim.memory.release_all("blocker", sim.now),
+        "unblock",
+    )
+    service = NetworkService(sim, controller="n1", cl_timeout=cl_timeout)
+    service.submit(_cl_request("cl", "n0", "n2", retry_limit=retry_limit), at=0.0)
+    sim.run_until()
+    (out,) = service.outcomes
+    for n in topo.nodes:
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
+    return out, executed
+
+
+def _ticks(executed, edge_id):
+    return [now for now, line in executed if line.endswith(f"\tgen {edge_id} seg0\n")]
+
+
+@pytest.fixture
+def built_sessions(monkeypatch):
+    """Paths of the LinkSessions the network layer builds, in build order."""
+    built = []
+
+    class Recording(LinkSession):
+        def __init__(self, engine, path, *args, **kwargs):
+            super().__init__(engine, path, *args, **kwargs)
+            built.append(tuple(path))
+
+    monkeypatch.setattr(netlayer, "LinkSession", Recording)
+    return built
+
+
+def test_blocked_cl_hop_released_exactly_on_a_slot_attempts_at_the_next_slot():
+    period = 1.0 / 1e4
+    # the source hop's first tick finds n1 full whenever the release comes
+    (first, _) = _ticks(_blocked_chain_run(0.0123)[1], "e0")
+    release_at = first
+    for _ in range(100):  # the float steps of the hop's own slot clock
+        release_at += period
+    out, executed = _blocked_chain_run(release_at)
+    assert out.outcome == "Completed"
+    # the slot the release falls on has begun, so the attempt takes the next
+    assert _ticks(executed, "e0") == [first, release_at + period]
+
+
+def test_blocked_cl_source_hop_is_built_once_across_retries(built_sessions):
+    # tries time out every 2 ms while n1 is full until 12.3 ms; the source
+    # hop never stores a pair meanwhile, so each retry restarts it
+    period = 1.0 / 1e4
+    release_at = 0.0123
+    out, executed = _blocked_chain_run(release_at, cl_timeout=0.002, retry_limit=20)
+    assert out.outcome == "Completed"
+    timeouts = [now for now, line in executed if "\tcl timeout " in line]
+    assert len(timeouts) >= 3
+    assert max(timeouts) < release_at
+    assert out.retries == len(timeouts)
+    assert built_sessions.count(("n0", "n1")) == 1
+    assert built_sessions.count(("n1", "n2")) == len(timeouts) + 1
+    # one shut-gate tick in the first try, then the attempt on the clock the
+    # last retry restarted, stepped by float steps from the retry time
+    slot = timeouts[-1] + period
+    while slot <= release_at:
+        slot += period
+    ticks = _ticks(executed, "e0")
+    assert len(ticks) == 2
+    assert ticks[-1] == slot
+    assert out.stats.attempts_total == 2
+
+
+def test_cl_source_hop_whose_pumping_round_failed_is_rebuilt(built_sessions, monkeypatch):
+    # every round fails, so the hop's link is None for the period after each
+    # failed round even though it has stored pairs; the 250 us timeout lands
+    # in such a period, and the hop must still not be reused
+    monkeypatch.setattr(physics, "purify", lambda *args, **kwargs: None)
+    seen = []  # whether the source hop held no pair at each try's end
+    abort_try = netlayer._ClLeg._abort_try
+
+    def recording_abort_try(leg, retrying=False):
+        seen.append(leg._sessions[0].segments[0].link is None)
+        abort_try(leg, retrying)
+
+    monkeypatch.setattr(netlayer._ClLeg, "_abort_try", recording_abort_try)
+    topo = chain_topology([5.0], memories=2, rate=1e4)
+    params = PhysicsParams(w0=0.9, f_target=0.99, r_max=1000)
+    sim = Simulator(topo, params, seed=3)
+    service = NetworkService(sim, cl_timeout=2.5e-4)
+    service.submit(_cl_request("cl", "n0", "n1", retry_limit=2), at=0.0)
+    sim.run_until()
+    (out,) = service.outcomes
+    assert out.outcome == "RetriesExhausted"
+    assert out.stats.purification_rounds == 0  # no hop completed
+    assert seen == [True, True, True]
+    assert built_sessions == [("n0", "n1")] * 3
     for n in topo.nodes:
         assert sim.memory.available(n) == topo.nodes[n].memory_count
 
