@@ -58,8 +58,9 @@ TRAILER_MAGIC = b"QFRT"
 
 # header layout, big endian: version, frame id, src, dst, class, op flags,
 # hop count, ttl, payload qubit count; a CRC-32 over these 23 bytes follows.
-_HEADER_FMT = ">BQIIBBBBH"
-_HEADER_BODY = struct.calcsize(_HEADER_FMT)
+_HEADER = struct.Struct(">BQIIBBBBH")
+_WORD = struct.Struct(">I")  # each CRC-32
+_HEADER_BODY = _HEADER.size
 HEADER_SIZE = _HEADER_BODY + 4
 FRAME_SIZE = HEADER_SIZE + 8
 
@@ -106,8 +107,7 @@ class QuantumFrame:
 
 
 def encode_frame(frame: QuantumFrame) -> bytes:
-    body = struct.pack(
-        _HEADER_FMT,
+    body = _HEADER.pack(
         frame.version,
         frame.frame_id,
         frame.src_addr,
@@ -118,23 +118,21 @@ def encode_frame(frame: QuantumFrame) -> bytes:
         frame.ttl,
         frame.payload_qubits,
     )
-    header = body + struct.pack(">I", zlib.crc32(body))
-    frame_crc = zlib.crc32(header + TRAILER_MAGIC)
-    return header + TRAILER_MAGIC + struct.pack(">I", frame_crc)
+    header = body + _WORD.pack(zlib.crc32(body)) + TRAILER_MAGIC
+    return header + _WORD.pack(zlib.crc32(header))
 
 
 def decode_frame(buf: bytes) -> QuantumFrame:
     """Parse and validate classical frame bytes; payload comes back None."""
     if len(buf) != FRAME_SIZE:
         raise FrameError("BadLength", f"{len(buf)} bytes, expected {FRAME_SIZE}")
-    body, header_crc = buf[:_HEADER_BODY], buf[_HEADER_BODY:HEADER_SIZE]
-    if zlib.crc32(body) != struct.unpack(">I", header_crc)[0]:
+    body = buf[:_HEADER_BODY]
+    if zlib.crc32(body) != _WORD.unpack_from(buf, _HEADER_BODY)[0]:
         raise FrameError("CrcFail", "header checksum mismatch")
     magic = buf[HEADER_SIZE : HEADER_SIZE + 4]
     if magic != TRAILER_MAGIC:
         raise FrameError("BadMagic", magic.hex())
-    frame_crc = struct.unpack(">I", buf[HEADER_SIZE + 4 :])[0]
-    if zlib.crc32(buf[: HEADER_SIZE + 4]) != frame_crc:
+    if zlib.crc32(buf[: HEADER_SIZE + 4]) != _WORD.unpack_from(buf, HEADER_SIZE + 4)[0]:
         raise FrameError("CrcFail", "frame checksum mismatch")
     (
         version,
@@ -146,7 +144,7 @@ def decode_frame(buf: bytes) -> QuantumFrame:
         hop_count,
         ttl,
         payload_qubits,
-    ) = struct.unpack(_HEADER_FMT, body)
+    ) = _HEADER.unpack(body)
     if version != FRAME_VERSION:
         raise FrameError("BadVersion", str(version))
     cls = _CODE_CLASSES.get(class_code)
@@ -485,6 +483,12 @@ class _ClLeg:
     its halves exist, freeing its slots immediately. The source learns
     nothing until the target confirms, so every mid-path loss surfaces as
     a timeout here.
+
+    Without pipelining a node holds the frame's forwarding decision until
+    its hop's pair exists, and encodes the frame only when it leaves.  A
+    try that timed out with nothing past the source (``_idle``) retries by
+    taking a new frame id for the held frame and restarting the source
+    hop; any other try is aborted and started again in full.
     """
 
     def __init__(
@@ -527,7 +531,7 @@ class _ClLeg:
         self.chain: WernerLink | None = None
         self.chain_end: str | None = self.src
         self.pairs: dict[str, tuple[str, WernerLink]] = {}
-        self.held_frames: dict[str, tuple[str, bytes, object]] = {}
+        self.held_frames: dict[str, tuple[str, object, QuantumFrame]] = {}
         self.delivered = False
         self.payload_w = self.engine.params.w0
         self._node_held: set[str] = set()
@@ -550,6 +554,10 @@ class _ClLeg:
             op_flags=self.op_flags,
             ttl=self.service.default_ttl,
         )
+        self._schedule_timeout()
+        self._at_node(self.gen, self.src, encode_frame(frame))
+
+    def _schedule_timeout(self) -> None:
         if math.isfinite(self.timeout):
             self._timeout_event = self.engine.after(
                 self.timeout,
@@ -557,17 +565,35 @@ class _ClLeg:
                 lambda g=self.gen: self._timed_out(g),
                 f"cl timeout {self.tag}",
             )
-        self._at_node(self.gen, self.src, encode_frame(frame))
 
     def _timed_out(self, gen: int) -> None:
         if self.finished or gen != self.gen:
             return
-        retrying = self.gen < self.retry_limit
-        self._abort_try(retrying)
-        if retrying:
-            self._start_try()
-        else:
+        if self.gen >= self.retry_limit:
+            self._abort_try()
             self._finish_failure("RetriesExhausted", "no confirmation from target")
+        elif self._idle():
+            self._retry_idle()
+        else:
+            self._abort_try(retrying=True)
+            self._start_try()
+
+    def _idle(self) -> bool:
+        # a frame is held only without pipelining, and leaves the source only
+        # with the source hop's pair; while it is held there, that hop is the
+        # try's only session, and if it is untouched the leg holds no slot,
+        # no pair and no chain
+        return self.src in self.held_frames and self._sessions[0].untouched
+
+    def _retry_idle(self) -> None:
+        # what a full retry would do, less the work whose result is known:
+        # the leg holds no slots, and the source's forwarding decision
+        # reads only the tables, the addresses and the ttl, which the try
+        # before already passed; only the new frame id differs
+        self.gen += 1
+        self.held_frames[self.src][2].frame_id = self.service.next_frame_id()
+        self._schedule_timeout()
+        self._sessions[0].restart()
 
     def _abort_try(self, retrying: bool = False) -> None:
         # synchronized cutoff: the source's timeout also frees the stale
@@ -634,19 +660,20 @@ class _ClLeg:
             return
         edge = service.topology.edges[decision.edge_id]
         nxt = edge.other(node)
-        buf_next = encode_frame(decision.frame)
         if self.third:
-            self._third_hop(gen, node, nxt, edge, buf_next)
+            self._third_hop(gen, node, nxt, edge, encode_frame(decision.frame))
             return
         self._launch_segment(node, nxt)
         if self.service.pipelining:
-            self._transit(gen, node, nxt, edge, buf_next)
+            self._transit(gen, node, nxt, edge, decision.frame)
         else:
             # store and forward: the frame leaves with the swap herald,
             # so only the chain head ever holds memory for this flow
-            self.held_frames[node] = (nxt, buf_next, edge)
+            self.held_frames[node] = (nxt, edge, decision.frame)
 
-    def _transit(self, gen: int, node: str, nxt: str, edge, buf: bytes) -> None:
+    def _transit(
+        self, gen: int, node: str, nxt: str, edge, frame: QuantumFrame
+    ) -> None:
         rng = self.engine.stream(f"frame:{edge.edge_id}")
         if rng.uniform() < self.service.frame_loss_prob:
             self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
@@ -655,7 +682,7 @@ class _ClLeg:
             node,
             nxt,
             edge.length_km,
-            lambda g=gen, n=nxt, b=buf: self._at_node(g, n, b),
+            lambda g=gen, n=nxt, b=encode_frame(frame): self._at_node(g, n, b),
             f"frame {self.tag} -> {nxt}",
         )
 
@@ -811,8 +838,7 @@ class _ClLeg:
     def _dispatch_held(self, gen: int, node: str) -> None:
         held = self.held_frames.pop(node, None)
         if held is not None:
-            nxt, buf, edge = held
-            self._transit(gen, node, nxt, edge, buf)
+            self._transit(gen, node, *held)
 
     # -- completion -------------------------------------------------------
 

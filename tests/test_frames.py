@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrnet import (
     FRAME_SIZE,
@@ -43,6 +44,34 @@ def test_wire_size_is_fixed():
     assert len(buf) == FRAME_SIZE == 35
     assert HEADER_SIZE == 27
     assert buf[HEADER_SIZE:HEADER_SIZE + 4] == TRAILER_MAGIC
+
+
+def test_golden_frame_bytes():
+    # recorded from the encoder before it used precompiled structs
+    assert encode_frame(_frame()).hex() == (
+        "01112233445566778800000001000000040205023d00077a50b71051465254d9e08cdb"
+    )
+
+
+_VALID_FRAMES = st.builds(
+    QuantumFrame,
+    frame_id=st.integers(0, 2**64 - 1),
+    src_addr=st.integers(0, 2**32 - 1),
+    dst_addr=st.integers(0, 2**32 - 1),
+    qr_class=st.sampled_from(list(RepeaterClass)),
+    op_flags=st.integers(0, 255),
+    hop_count=st.integers(0, 255),
+    ttl=st.integers(0, 255),
+    payload_qubits=st.integers(0, 2**16 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_VALID_FRAMES)
+def test_decode_then_encode_gives_back_the_same_bytes(frame):
+    buf = encode_frame(frame)
+    assert len(buf) == FRAME_SIZE
+    assert encode_frame(decode_frame(buf)) == buf
 
 
 def test_roundtrip_preserves_every_field():

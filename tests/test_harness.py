@@ -17,7 +17,7 @@ from qrnet import (
     parse_topology,
     run_experiment,
 )
-from qrnet import harness
+from qrnet import harness, netlayer
 from qrnet.linklayer import LinkSession
 from qrnet.harness import CSV_HEADER, splitmix64
 
@@ -281,17 +281,59 @@ def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
 
 
 @pytest.mark.parametrize(
-    "pipelining, hybrid, max_ticks, max_sessions",
-    [(True, False, 818, 235), (False, False, 432, 152), (True, True, 813, 222)],
-    ids=["pipelined", "store-and-forward", "hybrid"],
+    "hybrid, lines, digest, trace_lines, trace_digest",
+    [
+        (
+            False,
+            25,
+            "7bfa7f4cebd1a14dcafa37af7504675f255166e8d6205a2cbd9cb474e51b8c13",
+            971,
+            "9be6677bb5e47cd4f645c155b5a6f0258485f35e1e10bb8b77d0b7ddf8ae0a47",
+        ),
+        (
+            True,
+            27,
+            "34ee2e5638c3e6b86ac90bb3317e5fc20c1376d4db46bfaf01a79efd0fd108ef",
+            927,
+            "8f7e21b547931b62bd7d703fb0237cc1a025adcc3d4e2e8f8282b92ea725a031",
+        ),
+    ],
+    ids=["store-and-forward", "store-and-forward-hybrid"],
+)
+def test_contended_store_and_forward_csv_and_trace_are_frozen(
+    hybrid, lines, digest, trace_lines, trace_digest
+):
+    # a store-and-forward try whose source hop waits behind another flow's
+    # memory retries without leaving the source; the trace pins that such
+    # a retry runs the same events, in the same order, as a full one
+    trace = io.StringIO()
+    scenario = _crossing_cl_scenario("false", _staggered, hybrid)
+    data = _csv_bytes(_grid_text(3), scenario, trace)
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
+    traced = trace.getvalue().encode()
+    assert traced.count(b"\n") == trace_lines
+    assert hashlib.sha256(traced).hexdigest() == trace_digest
+
+
+@pytest.mark.parametrize(
+    "pipelining, hybrid, max_ticks, max_sessions, max_forwards",
+    [
+        (True, False, 818, 235, 381),
+        (False, False, 432, 152, 177),
+        (True, True, 813, 222, 374),
+        (False, True, 400, 146, 172),
+    ],
+    ids=["pipelined", "store-and-forward", "hybrid", "store-and-forward-hybrid"],
 )
 def test_contended_cl_work_stays_within_its_recorded_counts(
-    pipelining, hybrid, max_ticks, max_sessions, monkeypatch
+    pipelining, hybrid, max_ticks, max_sessions, max_forwards, monkeypatch
 ):
     # the bounds are the counts with blocked hops woken only when their
-    # blocking node can serve them and a retry's untouched source hop kept;
-    # waking every waiter at a release, or building the source hop again on
-    # every retry, exceeds them
+    # blocking node can serve them, a retry's untouched source hop kept, and
+    # a store-and-forward retry that never left the source not forwarding
+    # its frame again; waking every waiter at a release, building the source
+    # hop again, or a full retry of a try idle at its source exceeds them
     built = []
     init = LinkSession.__init__
 
@@ -299,12 +341,21 @@ def test_contended_cl_work_stays_within_its_recorded_counts(
         built.append(session)
         init(session, *args, **kwargs)
 
+    forwards = []
+    forward_frame = netlayer.forward_frame
+
+    def counting_forward(*args):
+        forwards.append(args[2])
+        return forward_frame(*args)
+
     monkeypatch.setattr(LinkSession, "__init__", counting_init)
+    monkeypatch.setattr(netlayer, "forward_frame", counting_forward)
     trace = io.StringIO()
     scenario = _crossing_cl_scenario(str(pipelining).lower(), _staggered, hybrid)
     _csv_bytes(_grid_text(3), scenario, trace)
     assert trace.getvalue().count("\tAttemptTick\t") <= max_ticks
     assert len(built) <= max_sessions
+    assert len(forwards) <= max_forwards
 
 
 def test_hybrid_request_closed_by_its_first_leg_starts_no_later_leg():

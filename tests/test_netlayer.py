@@ -457,7 +457,7 @@ def test_blocked_cl_hop_waits_for_the_release_then_attempts_on_its_slot_clock():
         assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
-def _blocked_chain_run(release_at, cl_timeout=1.0, retry_limit=3):
+def _blocked_chain_run(release_at, cl_timeout=1.0, retry_limit=3, pipelining=True):
     """CL n0 -> n2 while another tag holds both of n1's slots until release_at.
 
     Returns the one outcome and the (exact clock, trace line) of every event.
@@ -477,7 +477,9 @@ def _blocked_chain_run(release_at, cl_timeout=1.0, retry_limit=3):
         lambda: sim.memory.release_all("blocker", sim.now),
         "unblock",
     )
-    service = NetworkService(sim, controller="n1", cl_timeout=cl_timeout)
+    service = NetworkService(
+        sim, controller="n1", cl_timeout=cl_timeout, pipelining=pipelining
+    )
     service.submit(_cl_request("cl", "n0", "n2", retry_limit=retry_limit), at=0.0)
     sim.run_until()
     (out,) = service.outcomes
@@ -538,6 +540,58 @@ def test_blocked_cl_source_hop_is_built_once_across_retries(built_sessions):
     ticks = _ticks(executed, "e0")
     assert len(ticks) == 2
     assert ticks[-1] == slot
+    assert out.stats.attempts_total == 2
+
+
+@pytest.mark.parametrize("pipelining", [False, True], ids=["idle", "pipelined"])
+def test_cl_retry_of_a_try_idle_at_its_source_only_renames_its_frame(
+    pipelining, built_sessions, monkeypatch
+):
+    # n1 is full until 12.3 ms.  Store and forward holds the frame at n0
+    # until the source hop stores a pair, so each timed-out try is idle:
+    # its retry takes a new frame id and restarts the hop, and the source
+    # decides where the frame goes only once.  A pipelined frame has left
+    # n0 already, so each of its retries decides at the source again.
+    period = 1.0 / 1e4
+    release_at = 0.0123
+    taken = []
+    next_frame_id = NetworkService.next_frame_id
+
+    def recording_next_frame_id(service):
+        taken.append(next_frame_id(service))
+        return taken[-1]
+
+    decided = []  # (node, frame id) of every forwarding decision
+    forward_frame = netlayer.forward_frame
+
+    def recording_forward_frame(topology, tables, node, buf):
+        decided.append((node, netlayer.decode_frame(buf).frame_id))
+        return forward_frame(topology, tables, node, buf)
+
+    monkeypatch.setattr(NetworkService, "next_frame_id", recording_next_frame_id)
+    monkeypatch.setattr(netlayer, "forward_frame", recording_forward_frame)
+    out, executed = _blocked_chain_run(
+        release_at, cl_timeout=0.002, retry_limit=20, pipelining=pipelining
+    )
+    assert out.outcome == "Completed"
+    timeouts = [now for now, line in executed if "\tcl timeout " in line]
+    assert len(timeouts) >= 3
+    assert max(timeouts) < release_at
+    assert taken == list(range(1, len(timeouts) + 2))  # one id per try
+    assert out.retries == len(timeouts)
+    assert out.emissions == len(timeouts) + 1
+    at_source = [frame_id for node, frame_id in decided if node == "n0"]
+    assert at_source == (taken if pipelining else taken[:1])
+    # the frame the target receives is the last try's
+    assert decided[-1] == ("n2", taken[-1])
+    if not pipelining:
+        assert decided == [("n0", 1), ("n1", taken[-1]), ("n2", taken[-1])]
+        assert built_sessions == [("n0", "n1"), ("n1", "n2")]
+    # the attempt lands on the clock the last retry restarted
+    slot = timeouts[-1] + period
+    while slot <= release_at:
+        slot += period
+    assert _ticks(executed, "e0")[-1] == slot
     assert out.stats.attempts_total == 2
 
 
