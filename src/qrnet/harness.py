@@ -248,14 +248,14 @@ def _parse_arrivals(value: str, lineno: int) -> tuple:
     scheme, arg = value.split(":", 1)
     if scheme == "poisson":
         rate = _as_float(arg, lineno, "arrivals rate")
-        if rate <= 0:
+        if not rate > 0:
             raise ParseError(lineno, "poisson rate must be positive")
         return ("poisson", rate)
     if scheme == "fixed":
         times = [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t]
         if not times:
             raise ParseError(lineno, "fixed arrivals need at least one time")
-        if any(t < 0 for t in times):
+        if not all(t >= 0 for t in times):
             raise ParseError(lineno, "arrival times must be nonnegative")
         return ("fixed", sorted(times))
     raise ParseError(lineno, f"unknown arrival scheme {scheme!r}")
@@ -285,7 +285,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise ParseError(lineno, "trials must be at least 1")
             elif kind == "duration":
                 scenario.duration = _as_float(value, lineno, "duration")
-                if scenario.duration <= 0:
+                if not scenario.duration > 0:
                     raise ParseError(lineno, "duration must be positive")
             elif kind == "controller":
                 scenario.controller = value
@@ -309,6 +309,14 @@ def parse_scenario(text: str) -> Scenario:
                     physics_kw[key] = _as_int(value, lineno, key)
                 else:
                     physics_kw[key] = _as_float(value, lineno, key)
+                number = physics_kw[key]
+                # NaN fails every comparison, so each check rejects it
+                if key in ("w0", "f_target", "p_hop") and not 0 <= number <= 1:
+                    raise ParseError(lineno, f"{key} must be in [0, 1]")
+                if key == "c_fiber" and not number > 0:
+                    raise ParseError(lineno, "c_fiber must be positive")
+                if not number >= 0:
+                    raise ParseError(lineno, f"{key} must be nonnegative")
         elif kind == "allphotonic":
             keys = _pairs(tokens[1:], lineno)
             unknown = set(keys) - {"hep", "ecc", "fgo"}
@@ -332,6 +340,8 @@ def parse_scenario(text: str) -> Scenario:
                 scenario.pipelining = _as_bool(keys["pipelining"], lineno, "pipelining")
             if "cl_timeout" in keys:
                 scenario.cl_timeout = _as_float(keys["cl_timeout"], lineno, "cl_timeout")
+                if not scenario.cl_timeout > 0:
+                    raise ParseError(lineno, "cl_timeout must be positive")
             if "retry_limit" in keys:
                 scenario.retry_limit = _as_int(keys["retry_limit"], lineno, "retry_limit")
                 if scenario.retry_limit < 0:

@@ -57,7 +57,6 @@ from .model import (
     fidelity_of,
 )
 from . import physics
-from .physics import PhysicsParams
 
 
 class SwapPolicy(Enum):
@@ -349,13 +348,11 @@ class LinkSession:
         cls: RepeaterClass | None,
         protocol: LinkProtocol,
         *,
-        params: PhysicsParams | None = None,
         policy: SwapPolicy = SwapPolicy.HIERARCHICAL,
         pipelining: bool = True,
         options: AllPhotonicOptions | None = None,
         manage_memory: bool = True,
         tag: str | None = None,
-        deadline: float | None = None,
         on_done: Callable[["LinkSession"], None] | None = None,
         on_node_free: Callable[[str], None] | None = None,
         blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
@@ -385,13 +382,12 @@ class LinkSession:
         self.path = list(path)
         self.cls = cls
         self.protocol = protocol
-        self.params = params or engine.params
+        self.params = engine.params
         self.policy = policy if protocol is LinkProtocol.SIMULTANEOUS else SwapPolicy.LEFT_TO_RIGHT
         self.pipelining = pipelining
         self.options = options
         self.manage_memory = manage_memory
         self.tag = tag or f"session:{id(self)}"
-        self.deadline = deadline
         self.on_done = on_done
         self.on_node_free = on_node_free
         self.blocked_at = blocked_at
@@ -408,7 +404,6 @@ class LinkSession:
         self.finished = False
         self.result: ChannelResult | Failure | None = None
         self.segments: list[_Segment] = []
-        self._deadline_event = None
         self._prefix_km = [0.0]
         for a, b in zip(path, path[1:]):
             self._prefix_km.append(
@@ -430,23 +425,15 @@ class LinkSession:
 
     # -- lifecycle ------------------------------------------------------
 
-    def start(self, at: float | None = None) -> None:
+    def start(self) -> None:
         """Begin the protocol; memory is reserved up front when managed."""
-        start_time = self.engine.now if at is None else at
-        self.stats.started_at = start_time
+        self.stats.started_at = self.engine.now
         if self.manage_memory and not self.ap_mode and not self.third_class:
             now = self.engine.now
             self.engine.memory.acquire(self.path[0], 1, self.tag, now)
             self.engine.memory.acquire(self.path[-1], 1, self.tag, now)
             for node_id in self.path[1:-1]:
                 self.engine.memory.acquire(node_id, 2, self.tag, now)
-        if self.deadline is not None:
-            self._deadline_event = self.engine.schedule(
-                self.deadline,
-                EventKind.TIMEOUT,
-                self._deadline_fired,
-                f"deadline {self.tag}",
-            )
         if self.protocol is LinkProtocol.SIMULTANEOUS:
             self._flow = _SimultaneousFlow(self)
         elif self.third_class:
@@ -465,10 +452,6 @@ class LinkSession:
         self.stats = SessionStats(started_at=self.engine.now)
         for segment in self.segments:
             segment.restart()
-
-    def _deadline_fired(self) -> None:
-        if not self.finished:
-            self._finish_failure("Timeout", "deadline passed before completion")
 
     def _swap(
         self, k: int, a: int, c: int, ab: WernerLink, bc: WernerLink
@@ -512,10 +495,7 @@ class LinkSession:
         self._report()
 
     def abort(self, reason: str, detail: str = "") -> None:
-        """Terminate from outside; pending events become no-ops."""
-        self._finish_failure(reason, detail)
-
-    def _finish_failure(self, reason: str, detail: str = "") -> None:
+        """End the session with a Failure; pending events become no-ops."""
         if self.finished:
             return
         self.finished = True
@@ -524,9 +504,6 @@ class LinkSession:
         self._report()
 
     def _cleanup(self) -> None:
-        if self._deadline_event is not None:
-            self._deadline_event.cancel()
-            self._deadline_event = None
         for segment in self.segments:
             if segment.parked_at is not None:
                 self.engine.memory.unpark(segment, segment.parked_at)
@@ -536,9 +513,9 @@ class LinkSession:
     def _report(self) -> None:
         """Hand the result to ``on_done``, then drop every link back here.
 
-        Segments, flow, callbacks and the deadline event all lead back to
-        this session, so once they are gone the pending events that still
-        name it free it by reference counting.
+        Segments, flow and callbacks all lead back to this session, so once
+        they are gone the pending events that still name it free it by
+        reference counting.
         """
         if self.on_done is not None:
             self.on_done(self)
@@ -803,7 +780,7 @@ class _LogicalHopFlow:
             edge, self.w, receiver, session.params, rng
         )
         if w_next is None:
-            session._finish_failure(
+            session.abort(
                 "HopFailure",
                 f"encoded transfer lost entering {receiver.node_id}",
             )
@@ -841,7 +818,7 @@ def _run_blocking(session: LinkSession) -> ChannelResult | Failure:
     session.start()
     session.engine.run_until(stop=lambda: session.finished)
     if session.result is None:
-        session._finish_failure(
+        session.abort(
             "Stalled", "event queue drained before the protocol finished"
         )
     return session.result
@@ -851,13 +828,10 @@ def simultaneous_link(
     engine: Simulator,
     path: list[str],
     cls: RepeaterClass | None = None,
-    params: PhysicsParams | None = None,
     **kwargs,
 ) -> ChannelResult | Failure:
     """Run the simultaneous protocol to completion and return its outcome."""
-    session = LinkSession(
-        engine, path, cls, LinkProtocol.SIMULTANEOUS, params=params, **kwargs
-    )
+    session = LinkSession(engine, path, cls, LinkProtocol.SIMULTANEOUS, **kwargs)
     return _run_blocking(session)
 
 
@@ -865,11 +839,8 @@ def one_by_one_link(
     engine: Simulator,
     path: list[str],
     cls: RepeaterClass | None = None,
-    params: PhysicsParams | None = None,
     **kwargs,
 ) -> ChannelResult | Failure:
     """Run the one-by-one protocol to completion and return its outcome."""
-    session = LinkSession(
-        engine, path, cls, LinkProtocol.ONE_BY_ONE, params=params, **kwargs
-    )
+    session = LinkSession(engine, path, cls, LinkProtocol.ONE_BY_ONE, **kwargs)
     return _run_blocking(session)

@@ -439,6 +439,8 @@ class ConnectionRequest:
             raise ValueError("src and dst must differ")
         if self.f_min is not None and not 0.25 <= self.f_min <= 1.0:
             raise ValueError(f"f_min {self.f_min} outside [0.25, 1]")
+        if self.deadline is not None and not self.deadline >= 0:
+            raise ValueError(f"deadline {self.deadline} must be nonnegative")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be nonnegative")
         self.waypoints = tuple(self.waypoints)
@@ -485,10 +487,10 @@ class _ClLeg:
     a timeout here.
 
     Without pipelining a node holds the frame's forwarding decision until
-    its hop's pair exists, and encodes the frame only when it leaves.  A
-    try that timed out with nothing past the source (``_idle``) retries by
-    taking a new frame id for the held frame and restarting the source
-    hop; any other try is aborted and started again in full.
+    its hop's pair exists, and encodes the frame only when it leaves.  The
+    source decides once, on the first try.  A try that times out is
+    aborted, and the retry sends that decision's frame again under a new
+    frame id, restarting the source hop if it never stored a pair.
     """
 
     def __init__(
@@ -540,12 +542,9 @@ class _ClLeg:
 
     def start(self) -> None:
         # a hybrid request may close while its earlier legs start
-        if not self.finished:
-            self._start_try()
-
-    def _start_try(self) -> None:
-        self.gen += 1
-        self._reset_try_state()
+        if self.finished:
+            return
+        self.gen = 0
         frame = QuantumFrame(
             frame_id=self.service.next_frame_id(),
             src_addr=self.service.topology.address_of(self.src),
@@ -555,7 +554,7 @@ class _ClLeg:
             ttl=self.service.default_ttl,
         )
         self._schedule_timeout()
-        self._at_node(self.gen, self.src, encode_frame(frame))
+        self._at_node(0, self.src, encode_frame(frame))
 
     def _schedule_timeout(self) -> None:
         if math.isfinite(self.timeout):
@@ -571,29 +570,20 @@ class _ClLeg:
             return
         if self.gen >= self.retry_limit:
             self._abort_try()
-            self._finish_failure("RetriesExhausted", "no confirmation from target")
-        elif self._idle():
-            self._retry_idle()
-        else:
-            self._abort_try(retrying=True)
-            self._start_try()
-
-    def _idle(self) -> bool:
-        # a frame is held only without pipelining, and leaves the source only
-        # with the source hop's pair; while it is held there, that hop is the
-        # try's only session, and if it is untouched the leg holds no slot,
-        # no pair and no chain
-        return self.src in self.held_frames and self._sessions[0].untouched
-
-    def _retry_idle(self) -> None:
-        # what a full retry would do, less the work whose result is known:
-        # the leg holds no slots, and the source's forwarding decision
-        # reads only the tables, the addresses and the ttl, which the try
-        # before already passed; only the new frame id differs
+            self._close(
+                self.on_failure, "RetriesExhausted", "no confirmation from target"
+            )
+            return
+        self._abort_try(retrying=True)
         self.gen += 1
-        self.held_frames[self.src][2].frame_id = self.service.next_frame_id()
+        self._reset_try_state()
+        # the source's forwarding decision reads only the tables, the
+        # addresses and the ttl, so the first try's holds for every retry;
+        # only the frame id is new
+        nxt, edge, frame = self._source_decision
+        frame.frame_id = self.service.next_frame_id()
         self._schedule_timeout()
-        self._sessions[0].restart()
+        self._depart(self.gen, self.src, nxt, edge, frame)
 
     def _abort_try(self, retrying: bool = False) -> None:
         # synchronized cutoff: the source's timeout also frees the stale
@@ -606,40 +596,22 @@ class _ClLeg:
         for session in sessions[len(self._sessions):]:
             if not session.finished:
                 session.abort("Superseded", "source timed out this attempt")
-        self.engine.memory.release_all(self.tag, self.engine.now)
+        if self._node_held:  # the tag holds slots only where _claim put them
+            self.engine.memory.release_all(self.tag, self.engine.now)
 
-    def _finish_failure(self, reason: str, detail: str) -> None:
+    def _close(self, notify: Callable, *args) -> None:
         if self.finished:
             return
         self.finished = True
-        self._cancel_timeout()
-        self.on_failure(reason, detail)
-        self._drop_callbacks()
-
-    def _finish_success(self, link: WernerLink) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self._cancel_timeout()
-        self.on_success(link)
-        self._drop_callbacks()
-
-    def _cancel_timeout(self) -> None:
         if self._timeout_event is not None:
             self._timeout_event.cancel()
             self._timeout_event = None
-
-    def _drop_callbacks(self) -> None:
-        # both close over the request state, which lists this leg
+        notify(*args)
+        # both callbacks close over the request state, which lists this leg
         self.on_success = self.on_failure = None
 
     def abort(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self._cancel_timeout()
-        self._abort_try()
-        self._drop_callbacks()
+        self._close(self._abort_try)
 
     # -- frame movement -------------------------------------------------
 
@@ -656,20 +628,27 @@ class _ClLeg:
             if node == self.src:
                 # the source sees its own drop; waiting out the timeout
                 # would learn nothing new
-                self._finish_failure(decision.reason, f"dropped at source {node}")
+                self._close(
+                    self.on_failure, decision.reason, f"dropped at source {node}"
+                )
             return
         edge = service.topology.edges[decision.edge_id]
         nxt = edge.other(node)
+        if node == self.src:
+            self._source_decision = (nxt, edge, decision.frame)
+        self._depart(gen, node, nxt, edge, decision.frame)
+
+    def _depart(self, gen: int, node: str, nxt: str, edge, frame: QuantumFrame) -> None:
         if self.third:
-            self._third_hop(gen, node, nxt, edge, encode_frame(decision.frame))
+            self._third_hop(gen, node, nxt, edge, encode_frame(frame))
             return
         self._launch_segment(node, nxt)
         if self.service.pipelining:
-            self._transit(gen, node, nxt, edge, decision.frame)
+            self._transit(gen, node, nxt, edge, frame)
         else:
             # store and forward: the frame leaves with the swap herald,
             # so only the chain head ever holds memory for this flow
-            self.held_frames[node] = (nxt, edge, decision.frame)
+            self.held_frames[node] = (nxt, edge, frame)
 
     def _transit(
         self, gen: int, node: str, nxt: str, edge, frame: QuantumFrame
@@ -875,7 +854,7 @@ class _ClLeg:
         if self.finished or gen != self.gen:
             return
         link.materialize(self.engine.now)
-        self._finish_success(link)
+        self._close(self.on_success, link)
 
 
 # --------------------------------------------------------------------------
@@ -1054,6 +1033,18 @@ class NetworkService:
             for n in nodes
         )
 
+    def _route(self, request: ConnectionRequest) -> list[str]:
+        """The path an anchored request's session runs over (CO, alternate)."""
+        return compute_path(
+            self.topology,
+            request.src,
+            request.dst,
+            self.cost,
+            repeater_class=request.repeater_class,
+            waypoints=request.waypoints,
+            trees=self._trees,
+        )
+
     # -- submission ---------------------------------------------------------
 
     def submit(
@@ -1141,15 +1132,7 @@ class NetworkService:
             self._co_reject(state, "CapabilityViolation", str(err))
             return
         try:
-            state.path = compute_path(
-                self.topology,
-                request.src,
-                request.dst,
-                self.cost,
-                repeater_class=request.repeater_class,
-                waypoints=request.waypoints,
-                trees=self._trees,
-            )
+            state.path = self._route(request)
         except NoPathError as err:
             self._co_reject(state, "NoPath", str(err))
             return
@@ -1217,7 +1200,7 @@ class NetworkService:
             on_node_free=lambda n: self._co_node_freed(state, n),
         )
         state.session = session
-        session.start(at=state.emission)
+        session.start()
 
     def _co_node_freed(self, state: _RequestState, node_id: str) -> None:
         # the swap freed the slots physically; the controller's books
@@ -1430,19 +1413,10 @@ class NetworkService:
     def _hybrid_alternate(self, state: _RequestState) -> None:
         request = state.request
         try:
-            path = compute_path(
-                self.topology,
-                request.src,
-                request.dst,
-                self.cost,
-                repeater_class=request.repeater_class,
-                waypoints=request.waypoints,
-                trees=self._trees,
-            )
+            path = self._route(request)
         except NoPathError as err:
             self._finish(state, "NoPath", detail=str(err))
             return
-        state.path = path
         session = LinkSession(
             self.engine,
             path,
@@ -1455,7 +1429,7 @@ class NetworkService:
         )
         state.session = session
         try:
-            session.start(at=state.emission)
+            session.start()
         except ResourceExhausted as err:
             self._finish(state, "ResourceExhausted", detail=str(err))
 

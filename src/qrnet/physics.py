@@ -58,10 +58,6 @@ class PhysicsParams:
     p_hop: float = 1.0
 
 
-class NoFreeMemory(Exception):
-    """An endpoint had no memory slot available for a new pair."""
-
-
 class MismatchedEndpoints(Exception):
     """Purification inputs must span exactly the same node pair."""
 
@@ -244,19 +240,12 @@ def attempt_generation(
     link_id: int = 0,
     node_a: NodeSpec | None = None,
     node_b: NodeSpec | None = None,
-    memory=None,
 ) -> WernerLink | None:
     """One pulsed attempt to generate a heralded pair across ``edge``.
 
     Exactly one uniform is drawn per attempt.  On success the fresh pair
-    starts at w = params.w0.  When a memory ledger is passed, both
-    endpoints must have a free slot or NoFreeMemory is raised before any
-    draw; acquisition itself is the caller's job.
+    starts at w = params.w0.
     """
-    if memory is not None:
-        for end in (edge.node_a, edge.node_b):
-            if memory.available(end) < 1:
-                raise NoFreeMemory(f"no free slot at {end} for edge {edge.edge_id}")
     if rng.random() >= channel_success_prob(edge):
         return None
     rate = 0.0

@@ -132,11 +132,36 @@ def test_parse_scenario_rejects_malformed_lines():
          " arrivals=fixed:0\n", 2),             # duplicate id
         ("request id=x src=a dst=b model=co class=first protocol=sl"
          " arrivals=poisson:2\n", 0),           # poisson needs duration
+        # out-of-range values, NaN included, fail at their own line
+        ("seed=1\npolicy cl_timeout=0\n", 2),
+        ("policy cl_timeout=-1\n", 1),
+        ("duration=nan\n", 1),
+        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:nan\n", 2),
+        ("request src=a dst=b model=co arrivals=fixed:0,nan\n", 1),
+        ("policy cl_timeout=nan\n", 1),
+        ("physics c_fiber=0\n", 1),
+        ("physics c_fiber=-1\n", 1),
+        ("physics w0=1.5\n", 1),
+        ("physics w0=-0.1\n", 1),
+        ("physics w0=nan\n", 1),
+        ("physics f_target=2\n", 1),
+        ("physics p_hop=2\n", 1),
+        ("physics p_hop=nan\n", 1),
+        ("physics r_max=-1\n", 1),
+        ("physics cluster_overhead=-0.5\n", 1),
+        ("physics cluster_overhead=nan\n", 1),
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as err:
             parse_scenario(text)
         assert err.value.line == line, text
+    # the closed ends of each range are accepted
+    scn = parse_scenario(
+        "physics w0=0 f_target=1 p_hop=0 r_max=0 cluster_overhead=0\n"
+        "policy cl_timeout=1e-9\n"
+    )
+    assert (scn.physics.w0, scn.physics.f_target, scn.physics.p_hop) == (0, 1, 0)
+    assert scn.cl_timeout == 1e-9
 
 
 def test_parse_scenario_zero_requests_is_legal():
@@ -281,9 +306,18 @@ def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
 
 
 @pytest.mark.parametrize(
-    "hybrid, lines, digest, trace_lines, trace_digest",
+    "pipelining, hybrid, lines, digest, trace_lines, trace_digest",
     [
         (
+            True,
+            False,
+            25,
+            "a2b78d707abe21f45beadc762e9b93ad9e90a1f4090bce384bb87045294408e0",
+            1573,
+            "02decc2fcef9d45651268f68bbdbb4203fa863f29d6db618273065a0e3cf42a0",
+        ),
+        (
+            False,
             False,
             25,
             "7bfa7f4cebd1a14dcafa37af7504675f255166e8d6205a2cbd9cb474e51b8c13",
@@ -292,22 +326,31 @@ def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
         ),
         (
             True,
+            True,
+            27,
+            "04d1e901308a4d8ae2ab58d2f75cb7f70973e805837c48156fa6f56439cc2a96",
+            1525,
+            "261b64940b3b856d587cbb77356b11064a4f54a531cea0621567f104710cd1d7",
+        ),
+        (
+            False,
+            True,
             27,
             "34ee2e5638c3e6b86ac90bb3317e5fc20c1376d4db46bfaf01a79efd0fd108ef",
             927,
             "8f7e21b547931b62bd7d703fb0237cc1a025adcc3d4e2e8f8282b92ea725a031",
         ),
     ],
-    ids=["store-and-forward", "store-and-forward-hybrid"],
+    ids=["pipelined", "store-and-forward", "hybrid", "store-and-forward-hybrid"],
 )
-def test_contended_store_and_forward_csv_and_trace_are_frozen(
-    hybrid, lines, digest, trace_lines, trace_digest
+def test_contended_cl_csv_and_trace_are_frozen(
+    pipelining, hybrid, lines, digest, trace_lines, trace_digest
 ):
-    # a store-and-forward try whose source hop waits behind another flow's
-    # memory retries without leaving the source; the trace pins that such
-    # a retry runs the same events, in the same order, as a full one
+    # a retry reuses the source's first forwarding decision and only renames
+    # the frame; the trace pins that it runs the same events, in the same
+    # order, as one that decides at the source again, in both modes
     trace = io.StringIO()
-    scenario = _crossing_cl_scenario("false", _staggered, hybrid)
+    scenario = _crossing_cl_scenario(str(pipelining).lower(), _staggered, hybrid)
     data = _csv_bytes(_grid_text(3), scenario, trace)
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
@@ -319,10 +362,10 @@ def test_contended_store_and_forward_csv_and_trace_are_frozen(
 @pytest.mark.parametrize(
     "pipelining, hybrid, max_ticks, max_sessions, max_forwards",
     [
-        (True, False, 818, 235, 381),
-        (False, False, 432, 152, 177),
-        (True, True, 813, 222, 374),
-        (False, True, 400, 146, 172),
+        (True, False, 818, 235, 307),
+        (False, False, 432, 152, 144),
+        (True, True, 813, 222, 298),
+        (False, True, 400, 146, 144),
     ],
     ids=["pipelined", "store-and-forward", "hybrid", "store-and-forward-hybrid"],
 )
@@ -331,9 +374,9 @@ def test_contended_cl_work_stays_within_its_recorded_counts(
 ):
     # the bounds are the counts with blocked hops woken only when their
     # blocking node can serve them, a retry's untouched source hop kept, and
-    # a store-and-forward retry that never left the source not forwarding
-    # its frame again; waking every waiter at a release, building the source
-    # hop again, or a full retry of a try idle at its source exceeds them
+    # the source deciding where a leg's frame goes only on its first try;
+    # waking every waiter at a release, building the source hop again, or
+    # deciding at the source again on a retry exceeds them
     built = []
     init = LinkSession.__init__
 
@@ -507,6 +550,15 @@ def test_run_experiment_invalid_request_row():
     )
     rows = run_experiment(topo, scn)
     assert [r["outcome"] for r in rows] == ["InvalidRequest"]
+    # a deadline before the emission, or NaN, is refused the same way
+    for deadline in ("-0.01", "nan"):
+        scn = parse_scenario(
+            "seed=1\n"
+            "request id=late src=alice dst=bob model=cl class=first protocol=ol"
+            f" arrivals=fixed:0 deadline={deadline}\n"
+        )
+        rows = run_experiment(topo, scn)
+        assert [r["outcome"] for r in rows] == ["InvalidRequest"], deadline
 
 
 def test_loss_weighted_routes_over_lossless_edges():

@@ -3,8 +3,10 @@ import math
 from qrnet import (
     CapabilityViolation,
     ChannelResult,
+    EventKind,
     Failure,
     LinkProtocol,
+    LinkSession,
     PhysicsParams,
     RepeaterClass,
     Simulator,
@@ -123,13 +125,26 @@ def test_pumping_triggers_when_target_above_raw_fidelity():
     assert res.stats.purification_rounds == 0
 
 
-def test_deadline_fails_and_releases_memory():
+def test_session_aborted_from_outside_fails_and_releases_memory():
+    # e0 almost never fires, so only the owner's abort ends the session
     topo = chain_topology([50.0, 30.0], rate=1.0)
     topo.edges["e0"].p_src = 1e-6
     sim = Simulator(topo, PARAMS, seed=1)
-    res = simultaneous_link(sim, ["n0", "n1", "n2"], deadline=0.5)
+    done = []
+    session = LinkSession(
+        sim, ["n0", "n1", "n2"], None, LinkProtocol.SIMULTANEOUS, on_done=done.append
+    )
+    session.start()
+    assert [sim.memory.in_use[n] for n in ("n0", "n1", "n2")] == [1, 2, 1]
+    sim.schedule(
+        0.5, EventKind.TIMEOUT, lambda: session.abort("Timeout", "owner gave up")
+    )
+    sim.run_until(stop=lambda: session.finished)
+    assert done == [session]
+    assert sim.now == 0.5
+    res = session.result
     assert isinstance(res, Failure)
-    assert res.reason == "Timeout"
+    assert (res.reason, res.detail) == ("Timeout", "owner gave up")
     for node in ("n0", "n1", "n2"):
         assert sim.memory.in_use[node] == 0
 

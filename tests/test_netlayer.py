@@ -547,11 +547,12 @@ def test_blocked_cl_source_hop_is_built_once_across_retries(built_sessions):
 def test_cl_retry_of_a_try_idle_at_its_source_only_renames_its_frame(
     pipelining, built_sessions, monkeypatch
 ):
-    # n1 is full until 12.3 ms.  Store and forward holds the frame at n0
-    # until the source hop stores a pair, so each timed-out try is idle:
-    # its retry takes a new frame id and restarts the hop, and the source
-    # decides where the frame goes only once.  A pipelined frame has left
-    # n0 already, so each of its retries decides at the source again.
+    # n1 is full until 12.3 ms.  The source decides where the frame goes
+    # only once, and each retry sends that decision's frame under a new id.
+    # Store and forward holds the frame at n0 until the source hop stores a
+    # pair, so each timed-out try is idle: its retry renames the held frame
+    # and restarts the hop.  A pipelined frame has left n0 already, so n1
+    # decides again on every try.
     period = 1.0 / 1e4
     release_at = 0.0123
     taken = []
@@ -581,7 +582,7 @@ def test_cl_retry_of_a_try_idle_at_its_source_only_renames_its_frame(
     assert out.retries == len(timeouts)
     assert out.emissions == len(timeouts) + 1
     at_source = [frame_id for node, frame_id in decided if node == "n0"]
-    assert at_source == (taken if pipelining else taken[:1])
+    assert at_source == taken[:1]
     # the frame the target receives is the last try's
     assert decided[-1] == ("n2", taken[-1])
     if not pipelining:
@@ -792,3 +793,11 @@ def test_request_validation():
         ConnectionRequest("x", "a", "b", RepeaterClass.FIRST,
                           LinkProtocol.ONE_BY_ONE,
                           ConnectionModel.CONNECTIONLESS, retry_limit=-1)
+    for deadline in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="deadline"):
+            ConnectionRequest("x", "a", "b", RepeaterClass.FIRST,
+                              LinkProtocol.ONE_BY_ONE,
+                              ConnectionModel.CONNECTIONLESS, deadline=deadline)
+    # a zero deadline is legal: the request times out at its emission
+    ConnectionRequest("x", "a", "b", RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
+                      ConnectionModel.CONNECTIONLESS, deadline=0.0)
