@@ -79,15 +79,6 @@ _A = Support.ALLOWED
 _D = Support.DISALLOWED
 _NC = Support.NOT_CONSIDERED
 
-FEATURE_ORDER = (
-    Feature.HEG,
-    Feature.HEP,
-    Feature.HES,
-    Feature.ECC,
-    Feature.GQM,
-    Feature.FGO,
-)
-
 _FEATURES: dict[RepeaterClass, dict[Feature, Requirement]] = {
     RepeaterClass.FIRST: {
         Feature.HEG: _R, Feature.HEP: _R, Feature.HES: _R,
@@ -130,13 +121,6 @@ _MODELS: dict[RepeaterClass, dict[ConnectionModel, Support]] = {
         ConnectionModel.CONNECTION_ORIENTED: _A, ConnectionModel.CONNECTIONLESS: _NC,
     },
 }
-
-CLASS_ORDER = (
-    RepeaterClass.FIRST,
-    RepeaterClass.SECOND,
-    RepeaterClass.THIRD,
-    RepeaterClass.ALL_PHOTONIC,
-)
 
 
 def supports_feature(
@@ -213,8 +197,8 @@ def matrix_rows() -> list[tuple[str, list[str]]]:
     req_sym = {_R: "R", _N: "-", _S: "S"}
     sup_sym = {_A: "A", _D: "D", _NC: "NC"}
     rows = []
-    for cls in CLASS_ORDER:
-        cells = [req_sym[_FEATURES[cls][f]] for f in FEATURE_ORDER]
+    for cls in RepeaterClass:
+        cells = [req_sym[_FEATURES[cls][f]] for f in Feature]
         cells.append(sup_sym[_LINKS[cls][LinkProtocol.SIMULTANEOUS]])
         cells.append(sup_sym[_LINKS[cls][LinkProtocol.ONE_BY_ONE]])
         cells.append(sup_sym[_MODELS[cls][ConnectionModel.CONNECTION_ORIENTED]])

@@ -104,13 +104,6 @@ class MemoryLedger:
         entry = self._by_tag.get(tag, {}).get(node_id)
         return 0 if entry is None else entry[0]
 
-    def tags_holding(self, tag: str) -> list[str]:
-        return [
-            node_id
-            for node_id, entry in self._by_tag.get(tag, {}).items()
-            if entry[0] > 0
-        ]
-
     def acquire(self, node_id: str, count: int, tag: str, now: float) -> None:
         if count > self.available(node_id):
             raise ResourceExhausted(
@@ -248,11 +241,7 @@ class Simulator:
             delay, EventKind.CLASSICAL_DELIVERY, action, summary or f"{src}->{dst}"
         )
 
-    def run_until(
-        self,
-        stop: Callable[[], bool] | None = None,
-        time_limit: float | None = None,
-    ) -> None:
+    def run_until(self, stop: Callable[[], bool] | None = None) -> None:
         """Process events until the stop predicate holds or the queue drains.
 
         Raises LivelockError if the event ceiling is hit first; a finished
@@ -262,8 +251,6 @@ class Simulator:
         trace_fp = self.trace_fp
         while self._heap:
             if stop is not None and stop():
-                return
-            if time_limit is not None and self._heap[0][0] > time_limit:
                 return
             _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
@@ -279,6 +266,3 @@ class Simulator:
                     f"{event.time:.9e}\t{event.seq}\t{event.kind.value}\t{event.summary}\n"
                 )
             event.action()
-
-    def pending(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)

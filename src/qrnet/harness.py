@@ -100,11 +100,6 @@ _NODE_KEYS = {"role", "class", "memories", "t_coh", "eps_op", "eps_res", "proc_d
 _EDGE_KEYS = {"length_km", "alpha", "p_src", "eta_det", "rate_hz"}
 
 
-# violation kinds that concern a node record vs an edge record; used to
-# map a structural violation back to the line that declared its subject
-_NODE_VIOLATIONS = {"BadMemory", "BadCoherence", "EpsOrder", "BadDelay"}
-
-
 def parse_topology(text: str, *, check: bool = True) -> Topology:
     """Build a topology from its text form.
 
@@ -177,11 +172,8 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
         problems = validate_topology(topo)
         if problems:
             first = problems[0]
-            if first.kind in _NODE_VIOLATIONS:
-                at = node_lines.get(first.subject, 0)
-            else:
-                at = edge_lines.get(first.subject) or node_lines.get(first.subject, 0)
-            raise ParseError(at, f"{first.kind}: {first.reason}")
+            lines = node_lines if first.record == "node" else edge_lines
+            raise ParseError(lines[first.subject], f"{first.kind}: {first.reason}")
     return topo
 
 

@@ -16,37 +16,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-class BellState(Enum):
-    """The four maximally entangled two-qubit states.
-
-    Amplitudes follow the sign/label convention used throughout this
-    package: the PSI pair lives on |00>, |11> and the PHI pair on
-    |01>, |10>.
-    """
-
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-
-
-_BELL_VECTORS = {
-    BellState.PSI_PLUS: (INV_SQRT2, 0.0, 0.0, INV_SQRT2),
-    BellState.PSI_MINUS: (INV_SQRT2, 0.0, 0.0, -INV_SQRT2),
-    BellState.PHI_PLUS: (0.0, INV_SQRT2, INV_SQRT2, 0.0),
-    BellState.PHI_MINUS: (0.0, INV_SQRT2, -INV_SQRT2, 0.0),
-}
-
-
-def bell_amplitudes(state: BellState) -> np.ndarray:
-    """Amplitude vector of ``state`` over the product basis |00>,|01>,|10>,|11>."""
-    return np.array(_BELL_VECTORS[state], dtype=float)
-
 
 def fidelity_of(w: float) -> float:
     """Fidelity to the target Bell state of a Werner state with parameter ``w``."""
@@ -113,7 +82,6 @@ class EdgeSpec:
     p_src: float = 1.0               # source emission probability per attempt
     eta_det: float = 1.0             # detector efficiency
     attempt_rate_hz: float = 1.0e6   # pulsed generation attempt rate
-    weight: float = 1.0              # static admission weight used by routing
 
     def other(self, node_id: str) -> str:
         if node_id == self.node_a:
@@ -173,11 +141,15 @@ class WernerLink:
 
 @dataclass
 class Violation:
-    """One structural problem found in a topology."""
+    """One structural problem found in a topology.
+
+    ``record`` is "node" or "edge", the kind of record ``subject`` names.
+    """
 
     kind: str
     subject: str
     reason: str
+    record: str
 
 
 @dataclass
@@ -233,12 +205,6 @@ class Topology:
     def address_of(self, node_id: str) -> int:
         return self._addresses[node_id]
 
-    def path_length_km(self, path: list[str]) -> float:
-        """Total fiber length along consecutive nodes of ``path``."""
-        return sum(
-            self.edge_between(a, b).length_km for a, b in zip(path, path[1:])
-        )
-
 
 def link_decay_rate(node_a: NodeSpec, node_b: NodeSpec) -> float:
     """Combined memory decay rate for a pair held at two nodes."""
@@ -254,87 +220,56 @@ def validate_topology(topology: Topology) -> list[Violation]:
     problems: list[Violation] = []
 
     for node in topology.nodes.values():
+        found = []
         if node.memory_count < 0:
-            problems.append(
-                Violation("BadMemory", node.node_id, "memory_count must be >= 0")
-            )
+            found.append(("BadMemory", "memory_count must be >= 0"))
         if (
             node.role in (Role.REPEATER, Role.SWITCH)
             and node.repeater_class is not RepeaterClass.THIRD
             and node.memory_count < 2
         ):
-            problems.append(
-                Violation(
-                    "BadMemory",
-                    node.node_id,
-                    "repeaters and switches need at least 2 memory slots "
-                    "unless they are third class",
-                )
-            )
-        if node.t_coh <= 0:
-            problems.append(
-                Violation("BadCoherence", node.node_id, "t_coh must be positive")
-            )
+            found.append((
+                "BadMemory",
+                "repeaters and switches need at least 2 memory slots "
+                "unless they are third class",
+            ))
+        if not node.t_coh > 0:
+            found.append(("BadCoherence", "t_coh must be positive"))
         for name, value in (("eps_op", node.eps_op), ("eps_res", node.eps_res)):
             if not 0.0 <= value <= 1.0:
-                problems.append(
-                    Violation("BadProbability", node.node_id, f"{name} out of [0,1]")
-                )
+                found.append(("BadProbability", f"{name} out of [0,1]"))
         if node.eps_res > node.eps_op:
-            problems.append(
-                Violation(
-                    "EpsOrder",
-                    node.node_id,
-                    "eps_res must not exceed eps_op (correction cannot hurt)",
-                )
-            )
-        if node.proc_delay < 0:
-            problems.append(
-                Violation("BadDelay", node.node_id, "proc_delay must be >= 0")
-            )
+            found.append((
+                "EpsOrder", "eps_res must not exceed eps_op (correction cannot hurt)"
+            ))
+        if not node.proc_delay >= 0:
+            found.append(("BadDelay", "proc_delay must be >= 0"))
+        problems += [Violation(k, node.node_id, r, "node") for k, r in found]
 
     seen_pairs: dict[tuple[str, str], str] = {}
     for edge in topology.edges.values():
+        found = []
         for end in (edge.node_a, edge.node_b):
             if end not in topology.nodes:
-                problems.append(
-                    Violation("UnknownEndpoint", edge.edge_id, f"unknown node {end}")
-                )
+                found.append(("UnknownEndpoint", f"unknown node {end}"))
         if edge.node_a == edge.node_b:
-            problems.append(
-                Violation("SelfLoop", edge.edge_id, "edge joins a node to itself")
-            )
+            found.append(("SelfLoop", "edge joins a node to itself"))
         pair = tuple(sorted((edge.node_a, edge.node_b)))
         if pair in seen_pairs:
-            problems.append(
-                Violation(
-                    "DuplicateEdge",
-                    edge.edge_id,
-                    f"same endpoints as edge {seen_pairs[pair]}",
-                )
+            found.append(
+                ("DuplicateEdge", f"same endpoints as edge {seen_pairs[pair]}")
             )
         else:
             seen_pairs[pair] = edge.edge_id
-        if edge.length_km <= 0:
-            problems.append(
-                Violation("BadLength", edge.edge_id, "length_km must be positive")
-            )
-        if edge.alpha_db_per_km < 0:
-            problems.append(
-                Violation("BadLoss", edge.edge_id, "alpha must be >= 0")
-            )
+        if not edge.length_km > 0:
+            found.append(("BadLength", "length_km must be positive"))
+        if not edge.alpha_db_per_km >= 0:
+            found.append(("BadLoss", "alpha must be >= 0"))
         for name, value in (("p_src", edge.p_src), ("eta_det", edge.eta_det)):
             if not 0.0 <= value <= 1.0:
-                problems.append(
-                    Violation("BadProbability", edge.edge_id, f"{name} out of [0,1]")
-                )
-        if edge.attempt_rate_hz <= 0:
-            problems.append(
-                Violation("BadRate", edge.edge_id, "attempt_rate_hz must be positive")
-            )
-        if edge.weight <= 0:
-            problems.append(
-                Violation("BadWeight", edge.edge_id, "weight must be positive")
-            )
+                found.append(("BadProbability", f"{name} out of [0,1]"))
+        if not edge.attempt_rate_hz > 0:
+            found.append(("BadRate", "attempt_rate_hz must be positive"))
+        problems += [Violation(k, edge.edge_id, r, "edge") for k, r in found]
 
     return problems

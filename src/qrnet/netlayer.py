@@ -87,11 +87,11 @@ class FrameError(ValueError):
 
 @dataclass
 class QuantumFrame:
-    """Classical header and trailer around a quantum payload handle.
+    """Classical header and trailer that travel with a quantum payload.
 
-    The payload itself is a simulation object (an entangled half or a
-    logical qubit), never serialized; only the classical bytes go on the
-    wire.
+    The payload itself (an entangled half or a logical qubit) is not part
+    of the frame: the protocol that sends the frame keeps it, and only the
+    classical bytes go on the wire.
     """
 
     frame_id: int
@@ -103,7 +103,6 @@ class QuantumFrame:
     ttl: int = 64
     payload_qubits: int = 1
     version: int = FRAME_VERSION
-    payload: object | None = None
 
 
 def encode_frame(frame: QuantumFrame) -> bytes:
@@ -123,7 +122,7 @@ def encode_frame(frame: QuantumFrame) -> bytes:
 
 
 def decode_frame(buf: bytes) -> QuantumFrame:
-    """Parse and validate classical frame bytes; payload comes back None."""
+    """Parse and validate classical frame bytes into a frame."""
     if len(buf) != FRAME_SIZE:
         raise FrameError("BadLength", f"{len(buf)} bytes, expected {FRAME_SIZE}")
     body = buf[:_HEADER_BODY]
@@ -177,20 +176,18 @@ class PathCost(Enum):
 
 
 def edge_cost(edge, cost: PathCost) -> float:
-    """Additive cost of one edge; ``weight`` scales every metric."""
+    """Additive cost of one edge under ``cost``."""
     if cost is PathCost.HOP_COUNT:
-        base = 1.0
-    elif cost is PathCost.LATENCY:
-        base = edge.length_km
-    else:
-        # decibels lost end to end, so minimizing the sum maximizes the
-        # product of channel success probabilities
-        static = edge.p_src * edge.eta_det
-        if static <= 0.0:
-            # a channel that never heralds is no route at any price
-            return math.inf
-        base = edge.alpha_db_per_km * edge.length_km - 10.0 * math.log10(static)
-    return edge.weight * base
+        return 1.0
+    if cost is PathCost.LATENCY:
+        return edge.length_km
+    # decibels lost end to end, so minimizing the sum maximizes the
+    # product of channel success probabilities
+    static = edge.p_src * edge.eta_det
+    if static <= 0.0:
+        # a channel that never heralds is no route at any price
+        return math.inf
+    return edge.alpha_db_per_km * edge.length_km - 10.0 * math.log10(static)
 
 
 def _shortest_paths(

@@ -85,17 +85,6 @@ def decay_factor(dt: float, t_coh: float) -> float:
     return math.exp(-dt / t_coh)
 
 
-def decohere(link: WernerLink, dt: float, t_coh: float) -> WernerLink:
-    """Apply ``dt`` seconds of memory decay to ``link`` in place.
-
-    Composes exactly: two calls with dt1 and dt2 equal one call with
-    dt1 + dt2.
-    """
-    link.w = link.w * decay_factor(dt, t_coh)
-    link.last_updated += dt
-    return link
-
-
 def purify_success_prob(f_a: float, f_b: float) -> float:
     """Probability that one purification round keeps the pair."""
     return (

@@ -85,7 +85,6 @@ def test_roundtrip_preserves_every_field():
     assert got.hop_count == sent.hop_count
     assert got.ttl == sent.ttl
     assert got.payload_qubits == sent.payload_qubits
-    assert got.payload is None
 
 
 def test_every_single_byte_flip_is_caught():

@@ -63,6 +63,26 @@ def test_parse_topology_reports_offending_line():
     with pytest.raises(ParseError) as err:
         parse_topology(unknown)
     assert err.value.line == 2
+    # node "2" shares its id with the second edge; the node's line is reported
+    clash = "node 1 role=end\nnode 2 role=end eps_op=2\nedge 1 2\nedge 2 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_topology(clash)
+    assert err.value.line == 2
+    assert "BadProbability" in str(err.value)
+    # NaN fails every range check, at the line that set it
+    for lineno, key, kind in [
+        (2, "t_coh", "BadCoherence"),
+        (2, "proc_delay", "BadDelay"),
+        (3, "length_km", "BadLength"),
+        (3, "alpha", "BadLoss"),
+        (3, "rate_hz", "BadRate"),
+    ]:
+        lines = ["node a role=end", "node b role=end", "edge a b"]
+        lines[lineno - 1] += f" {key}=nan"
+        with pytest.raises(ParseError) as err:
+            parse_topology("\n".join(lines) + "\n")
+        assert err.value.line == lineno, key
+        assert kind in str(err.value), key
 
 
 def test_parse_topology_check_flag():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qrnet import (
-    BellState,
     EdgeSpec,
     NodeSpec,
     RepeaterClass,
@@ -15,7 +14,7 @@ from qrnet import (
     validate_topology,
     werner_from_fidelity,
 )
-from qrnet.model import bell_amplitudes, link_decay_rate
+from qrnet.model import link_decay_rate
 
 from conftest import chain_topology
 
@@ -40,14 +39,6 @@ def test_fidelity_range_checks():
         fidelity_of(1.5)
     with pytest.raises(ValueError):
         werner_from_fidelity(0.2)
-
-
-def test_bell_amplitudes_orthonormal():
-    vectors = [np.array(bell_amplitudes(state)) for state in BellState]
-    for i, u in enumerate(vectors):
-        for j, v in enumerate(vectors):
-            ip = float(np.dot(u, v))
-            assert math.isclose(ip, 1.0 if i == j else 0.0, abs_tol=1e-12)
 
 
 def test_link_decay_and_materialize():
@@ -91,7 +82,8 @@ def test_topology_neighbor_order_and_path_length():
     topo = chain_topology([10.0, 20.0, 30.0])
     names = [n for n, _ in topo.neighbors("n1")]
     assert names == ["n0", "n2"]
-    assert topo.path_length_km(["n0", "n1", "n2", "n3"]) == 60.0
+    lengths = [topo.edge_between(f"n{i}", f"n{i + 1}").length_km for i in range(3)]
+    assert lengths == [10.0, 20.0, 30.0]
     assert topo.edge_between("n1", "n2").edge_id == "e1"
     assert topo.edge_between("n2", "n1").edge_id == "e1"
 
@@ -132,6 +124,25 @@ def test_validate_topology_flags():
     assert "SelfLoop" in kinds
     assert "DuplicateEdge" in kinds
     assert "BadProbability" in kinds
+
+    # NaN fails every range check; an infinite t_coh is legal
+    nan = math.nan
+    topo = Topology()
+    topo.add_node(NodeSpec("a", role=Role.END, t_coh=nan))
+    topo.add_node(NodeSpec("b", role=Role.END, proc_delay=nan, eps_op=nan))
+    topo.add_node(NodeSpec("c", role=Role.END, t_coh=math.inf))
+    topo.add_edge(EdgeSpec("1", "a", "b", length_km=nan, alpha_db_per_km=nan))
+    topo.add_edge(EdgeSpec("2", "b", "c", attempt_rate_hz=nan, p_src=nan))
+    found = {(v.record, v.subject, v.kind) for v in validate_topology(topo)}
+    assert found == {
+        ("node", "a", "BadCoherence"),
+        ("node", "b", "BadDelay"),
+        ("node", "b", "BadProbability"),
+        ("edge", "1", "BadLength"),
+        ("edge", "1", "BadLoss"),
+        ("edge", "2", "BadRate"),
+        ("edge", "2", "BadProbability"),
+    }
 
 
 def test_validate_topology_clean():

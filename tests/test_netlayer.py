@@ -55,13 +55,13 @@ def test_weighted_triangle_prefers_two_cheap_hops():
     for nid in ("A", "B", "C"):
         topo.add_node(NodeSpec(nid, role=Role.SWITCH,
                                repeater_class=RepeaterClass.FIRST))
-    topo.add_edge(EdgeSpec("ab", "A", "B", weight=1.0))
-    topo.add_edge(EdgeSpec("bc", "B", "C", weight=1.0))
-    topo.add_edge(EdgeSpec("ac", "A", "C", weight=3.0))
-    assert compute_path(topo, "A", "C") == ["A", "B", "C"]
+    topo.add_edge(EdgeSpec("ab", "A", "B", length_km=1.0))
+    topo.add_edge(EdgeSpec("bc", "B", "C", length_km=1.0))
+    topo.add_edge(EdgeSpec("ac", "A", "C", length_km=3.0))
+    assert compute_path(topo, "A", "C", PathCost.LATENCY) == ["A", "B", "C"]
     # drop the detour's advantage and the direct edge wins
-    topo.edges["ac"].weight = 1.5
-    assert compute_path(topo, "A", "C") == ["A", "C"]
+    topo.edges["ac"].length_km = 1.5
+    assert compute_path(topo, "A", "C", PathCost.LATENCY) == ["A", "C"]
 
 
 def test_latency_and_loss_metrics_disagree_when_they_should():

@@ -18,7 +18,6 @@ from qrnet.physics import (
     allphotonic_generate,
     attempt_generation,
     decay_factor,
-    decohere,
     purified_fidelity,
     purify,
     purify_success_prob,
@@ -138,9 +137,7 @@ def test_third_class_cannot_swap():
 
 
 def test_decohere_frozen_point():
-    link = _pair(0.9, decay=1.0)
-    out = decohere(link, 1.0, 1.0)
-    assert out.w == 0.33109149705429813  # 0.9 / e, frozen
+    assert _pair(0.9, decay=1.0).w_at(1.0) == 0.33109149705429813  # 0.9 / e, frozen
     assert decay_factor(0.0, 5.0) == 1.0
     assert decay_factor(3.0, math.inf) == 1.0
 

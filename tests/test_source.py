@@ -5,10 +5,16 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
     p
-    for p in (Path(__file__).resolve().parents[1] / "src" / "qrnet").glob("*.py")
+    for p in (ROOT / "src" / "qrnet").glob("*.py")
     if p.name != "__init__.py"  # re-exports names it never uses itself
+)
+# where a name counts as used: tests do not count, and neither do the
+# package's re-exports
+CALLERS = SOURCES + sorted(
+    p for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py")
 )
 
 
@@ -28,3 +34,36 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names a module uses: loaded names, attributes, imports and strings.
+
+    Strings count because a profiler can wrap a function by its name.
+    """
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_definition_has_a_caller_outside_the_tests():
+    used: set[str] = set()
+    for path in CALLERS:
+        used |= _referenced(ast.parse(path.read_text(), str(path)))
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    ]
+    assert unused == []
