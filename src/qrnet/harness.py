@@ -26,7 +26,7 @@ from .model import (
     fidelity_of,
     validate_topology,
 )
-from .netlayer import ConnectionRequest, NetworkService, PathCost
+from .netlayer import ConnectionRequest, NetworkService, PathCost, RouteState
 from .physics import PhysicsParams
 
 
@@ -432,6 +432,8 @@ def run_experiment(
     rest of a sweep.
     """
     base_seed = scenario.seed if seed is None else seed
+    # routes and classical distances depend only on the topology and cost
+    routes = RouteState(topology, scenario.cost)
     rows: list[dict] = []
     for trial in range(scenario.trials):
         sim = Simulator(
@@ -450,6 +452,7 @@ def run_experiment(
             swap_policy=scenario.swap_policy,
             pipelining=scenario.pipelining,
             options=scenario.options,
+            routes=routes,
         )
         arrival_of: dict[str, float] = {}
         invalid: list[tuple[str, str, RequestTemplate, float]] = []

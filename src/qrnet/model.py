@@ -261,15 +261,15 @@ def validate_topology(topology: Topology) -> list[Violation]:
             )
         else:
             seen_pairs[pair] = edge.edge_id
-        if not edge.length_km > 0:
-            found.append(("BadLength", "length_km must be positive"))
+        if not 0 < edge.length_km < math.inf:
+            found.append(("BadLength", "length_km must be positive and finite"))
         if not edge.alpha_db_per_km >= 0:
             found.append(("BadLoss", "alpha must be >= 0"))
         for name, value in (("p_src", edge.p_src), ("eta_det", edge.eta_det)):
             if not 0.0 <= value <= 1.0:
                 found.append(("BadProbability", f"{name} out of [0,1]"))
-        if not edge.attempt_rate_hz > 0:
-            found.append(("BadRate", "attempt_rate_hz must be positive"))
+        if not 0 < edge.attempt_rate_hz < math.inf:
+            found.append(("BadRate", "attempt_rate_hz must be positive and finite"))
         problems += [Violation(k, edge.edge_id, r, "edge") for k, r in found]
 
     return problems

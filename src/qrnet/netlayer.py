@@ -191,80 +191,151 @@ def edge_cost(edge, cost: PathCost) -> float:
 
 
 def _shortest_paths(
-    topology: Topology,
+    routes: RouteState,
     src: str,
-    cost: PathCost,
     repeater_class: RepeaterClass | None = None,
     dst: str | None = None,
 ) -> dict[str, str | None]:
     """Least-cost simple paths from src, keyed (cost, hop count, node ids).
 
-    Costs are summed in source order. END nodes, and nodes of another
-    class when ``repeater_class`` is given, are labelled but never
-    expanded, so they only end paths. The search settles every reachable
-    node, or stops once ``dst`` is settled. Ranking hop count before node
-    ids keeps the tie-break consistent between a path and its own suffix
-    when edges cost nothing.
+    Costs are read from ``routes.adjacency`` and summed in source order.
+    END nodes, and nodes of another class when ``repeater_class`` is given,
+    are labelled but never expanded, so they only end paths. The search
+    settles every reachable node, or stops once ``dst`` is settled. Ranking
+    hop count before node ids keeps the tie-break consistent between a path
+    and its own suffix when edges cost nothing.
 
     Returns the search tree as a predecessor map in settling order: each
     settled node maps to the node before it on its path, and src to None.
     A settled path only ever extends a settled path, so walking the map
     back from a node rebuilds exactly the path the search settled.
     """
+    nodes = routes.topology.nodes
+    adjacency = routes.adjacency
     pred: dict[str, str | None] = {}
-    best: dict[str, tuple[float, int, tuple[str, ...]]] = {src: (0.0, 0, (src,))}
+    # a path's key is stored as (cost, hops, path to its last node's
+    # predecessor, last node), which orders exactly as (cost, hops, path)
+    # but builds each settled node's path once rather than per relaxation
+    best: dict[str, tuple[float, int, tuple[str, ...], str]] = {src: (0.0, 0, (), src)}
     heap = [best[src]]
+    unreached = (math.inf,)
     while heap:
-        key = heapq.heappop(heap)
-        dist, hops, path = key
-        node = path[-1]
-        if best[node] < key:
-            continue
-        pred[node] = path[-2] if hops else None
+        dist, hops, via, node = heapq.heappop(heap)
+        if node in pred:
+            continue  # a stale entry: the node settled under a smaller key
+        pred[node] = via[-1] if hops else None
         if node == dst:
             break
-        spec = topology.nodes[node]
+        spec = nodes[node]
         if node != src and (
             spec.role is Role.END
             or repeater_class not in (None, spec.repeater_class)
         ):
             continue
-        for neighbor, edge in topology.neighbors(node):
+        path = via + (node,)
+        hops += 1
+        for neighbor, step in adjacency[node]:
             if neighbor in pred:
                 continue
-            cand = (dist + edge_cost(edge, cost), hops + 1, path + (neighbor,))
-            if cand < best.get(neighbor, (math.inf,)):
+            cand = (dist + step, hops, path, neighbor)
+            if cand < best.get(neighbor, unreached):
                 best[neighbor] = cand
                 heapq.heappush(heap, cand)
     return pred
 
 
-# A memo of search trees, keyed (src, class filter) with None for no filter.
-# It is only valid for one topology and one PathCost.
-SearchTrees = dict[tuple[str, RepeaterClass | None], dict[str, str | None]]
+class RouteState:
+    """Everything routing derives from one topology under one path cost.
+
+    * ``adjacency``: each node's ``(neighbour, edge cost)`` pairs in edge
+      insertion order, built here once;
+    * ``trees``: the memo of search trees, keyed ``(src, class filter)``
+      with None for no filter, each searched on its first use;
+    * whether a class filter prunes any node, checked once per class;
+    * the classical-distance rows, each source's filled on its first query.
+
+    Nothing here depends on a simulator, so ``run_experiment`` builds one
+    per experiment and every trial's :class:`NetworkService` shares it; a
+    service given none builds its own. Everything is kept for the
+    object's lifetime, which assumes the topology is not edited meanwhile.
+    """
+
+    def __init__(self, topology: Topology, cost: PathCost):
+        self.topology = topology
+        self.cost = cost
+        self.adjacency = {
+            node: [(nb, edge_cost(edge, cost)) for nb, edge in topology.neighbors(node)]
+            for node in topology.nodes
+        }
+        self._lengths = {
+            node: [(nb, edge.length_km) for nb, edge in topology.neighbors(node)]
+            for node in topology.nodes
+        }
+        self.trees: dict[tuple[str, RepeaterClass | None], dict[str, str | None]] = {}
+        self._prunes: dict[RepeaterClass, bool] = {}
+        self._cdist: dict[str, dict[str, float]] = {}
+
+    def tree(
+        self, src: str, repeater_class: RepeaterClass | None = None
+    ) -> dict[str, str | None]:
+        """The full search tree from src, searched and stored on first use."""
+        key = (src, repeater_class)
+        pred = self.trees.get(key)
+        if pred is None:
+            if repeater_class is not None and not self._prunes_under(repeater_class):
+                # the filter cannot prune a node, so the unfiltered tree serves
+                pred = self.tree(src)
+            else:
+                pred = _shortest_paths(self, src, repeater_class)
+            self.trees[key] = pred
+        return pred
+
+    def _prunes_under(self, repeater_class: RepeaterClass) -> bool:
+        prunes = self._prunes.get(repeater_class)
+        if prunes is None:
+            prunes = self._prunes[repeater_class] = any(
+                spec.role is not Role.END and spec.repeater_class is not repeater_class
+                for spec in self.topology.nodes.values()
+            )
+        return prunes
+
+    def classical_distance(self, a: str, b: str) -> float:
+        """Fiber length of the shortest classical route, read from a's row."""
+        row = self._cdist.get(a)
+        if row is None:
+            row = self._cdist[a] = self._classical_row(a) if a in self._lengths else {}
+        try:
+            return row[b]
+        except KeyError:
+            raise NoPathError(f"no classical route {a} -> {b}") from None
+
+    def _classical_row(self, src: str) -> dict[str, float]:
+        # classical signals relay through any node, so this is a plain
+        # shortest-length metric with no role or class constraints
+        lengths = self._lengths
+        dist = {src: 0.0}
+        heap = [(0.0, src)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for neighbor, length in lengths[node]:
+                cand = d + length
+                if cand < dist.get(neighbor, math.inf):
+                    dist[neighbor] = cand
+                    heapq.heappush(heap, (cand, neighbor))
+        return dist
 
 
-def _search_tree(
-    topology: Topology,
-    src: str,
-    cost: PathCost,
-    repeater_class: RepeaterClass | None,
-    trees: SearchTrees,
-) -> dict[str, str | None]:
-    """The memo's full search tree from src, searched on first use."""
-    key = (src, repeater_class)
-    pred = trees.get(key)
-    if pred is None:
-        if repeater_class is not None and all(
-            spec.role is Role.END or spec.repeater_class is repeater_class
-            for spec in topology.nodes.values()
-        ):
-            # the filter cannot prune a node, so the unfiltered tree serves
-            pred = _search_tree(topology, src, cost, None, trees)
-        else:
-            pred = _shortest_paths(topology, src, cost, repeater_class)
-        trees[key] = pred
-    return pred
+def _routes_for(
+    topology: Topology, cost: PathCost, routes: RouteState | None
+) -> RouteState:
+    """``routes`` when it was built for this topology and cost; new if None."""
+    if routes is None:
+        return RouteState(topology, cost)
+    if routes.topology is not topology or routes.cost is not cost:
+        raise ValueError("route state belongs to another topology or path cost")
+    return routes
 
 
 def compute_path(
@@ -275,7 +346,7 @@ def compute_path(
     *,
     repeater_class: RepeaterClass | None = None,
     waypoints: tuple[str, ...] = (),
-    trees: SearchTrees | None = None,
+    routes: RouteState | None = None,
 ) -> list[str]:
     """Least-cost route from src to dst visiting waypoints in order.
 
@@ -285,27 +356,29 @@ def compute_path(
     legs are individually shortest; legs that reuse a node are rejected
     rather than re-solved.
 
-    Without ``trees`` each leg runs its own search, stopping at the leg's
-    end. With ``trees``, a memo filled by :func:`build_routing_tables` or
-    by earlier calls under the same topology and cost, each leg is read
-    back from its start's full search tree, which is searched and stored
-    on first use. Both give the same route, since a search settles the
-    same path to a node whether or not it stops there. When every non-END
-    node already has the requested class the filter prunes nothing, so
-    the unfiltered tree serves and is stored under the class too.
+    Without ``routes`` each leg runs its own search, stopping at the leg's
+    end, and nothing is kept. With ``routes``, built for this topology and
+    cost, each leg is read back from its start's full search tree in
+    ``routes.trees``, which keeps it for as long as ``routes`` lives. Both
+    give the same route, since a search settles the same path to a node
+    whether or not it stops there. When every non-END node already has the
+    requested class the filter prunes nothing, so the unfiltered tree
+    serves and is stored under the class too.
     """
     for node_id in (src, dst, *waypoints):
         if node_id not in topology.nodes:
             raise NoPathError(f"unknown node {node_id}")
 
+    memo = routes is not None
+    routes = _routes_for(topology, cost, routes)
     stops = [src, *waypoints, dst]
     full: list[str] = [src]
     seen = {src}
     for leg_src, leg_dst in zip(stops, stops[1:]):
-        if trees is None:
-            pred = _shortest_paths(topology, leg_src, cost, repeater_class, leg_dst)
+        if memo:
+            pred = routes.tree(leg_src, repeater_class)
         else:
-            pred = _search_tree(topology, leg_src, cost, repeater_class, trees)
+            pred = _shortest_paths(routes, leg_src, repeater_class, leg_dst)
         if leg_dst not in pred:
             raise NoPathError(f"no {cost.value} route {leg_src} -> {leg_dst}")
         leg = []
@@ -326,35 +399,35 @@ def compute_path(
 def build_routing_tables(
     topology: Topology,
     cost: PathCost = PathCost.HOP_COUNT,
-    trees: SearchTrees | None = None,
+    routes: RouteState | None = None,
 ) -> dict[str, dict[int, str]]:
     """Per-node forwarding maps: destination address to next-hop edge id.
 
-    One search per source settles every destination it can reach, with the
-    same key as compute_path, so each entry is the first edge of the route
-    compute_path returns for that pair. Given ``trees``, each source's
-    search tree is stored there under ``(src, None)`` for compute_path to
-    reuse. The walk check below asserts the resulting tables are loop
-    free; it remembers, per destination, the nodes already proven to
-    reach it, so it costs O(N^2) steps in all.
+    Each source's unfiltered search tree settles every destination it can
+    reach, with the same key as compute_path, so each entry is the first
+    edge of the route compute_path returns for that pair. The trees come
+    from ``routes``' memo, which keeps any it has to search, so a second
+    build on the same ``routes`` searches nothing; without ``routes`` they
+    are searched afresh and dropped. The tables themselves are assembled
+    on every call. The walk check below asserts they are loop free; it
+    remembers, per destination, the nodes already proven to reach it, so
+    it costs O(N^2) steps in all.
     """
+    routes = _routes_for(topology, cost, routes)
+    address = {node: topology.address_of(node) for node in topology.nodes}
     tables: dict[str, dict[int, str]] = {}
     for src in topology.nodes:
-        pred = _shortest_paths(topology, src, cost)
-        if trees is not None:
-            trees[(src, None)] = pred
-        # nodes settle after their predecessor, so its first hop is known
+        # nodes settle after their predecessor, so its first edge is known;
+        # only src's neighbours look an edge up
         first: dict[str, str] = {}
-        for node, prev in pred.items():
-            if prev is not None:
-                first[node] = node if prev == src else first[prev]
-        tables[src] = {
-            topology.address_of(dst): topology.edge_between(src, hop).edge_id
-            for dst, hop in first.items()
-        }
+        for node, prev in routes.tree(src).items():
+            if prev == src:
+                first[node] = topology.edge_between(src, node).edge_id
+            elif prev is not None:
+                first[node] = first[prev]
+        tables[src] = {address[dst]: edge_id for dst, edge_id in first.items()}
     limit = len(topology.nodes)
-    for dst in topology.nodes:
-        addr = topology.address_of(dst)
+    for dst, addr in address.items():
         proven = {dst}
         for src in topology.nodes:
             if addr not in tables[src]:
@@ -842,7 +915,7 @@ class _ClLeg:
         self.engine.send_classical(
             self.dst,
             self.src,
-            self.service.classical_distance(self.dst, self.src),
+            self.service.routes.classical_distance(self.dst, self.src),
             lambda g=gen, l=link: self._confirmed(g, l),
             f"confirm {self.tag} -> {self.src}",
         )
@@ -893,6 +966,7 @@ class NetworkService:
         swap_policy: SwapPolicy = SwapPolicy.HIERARCHICAL,
         pipelining: bool = True,
         options: AllPhotonicOptions | None = None,
+        routes: RouteState | None = None,
     ):
         self.engine = engine
         self.topology = engine.topology
@@ -908,10 +982,9 @@ class NetworkService:
         self.swap_policy = swap_policy
         self.pipelining = pipelining
         self.options = options
-        # search trees of the table build, reused for CO and hybrid paths
-        self._trees: SearchTrees = {}
-        self.tables = build_routing_tables(engine.topology, cost, self._trees)
-        self._cdist = self._classical_distances()
+        # search trees and classical distances, shared when ``routes`` is given
+        self.routes = _routes_for(engine.topology, cost, routes)
+        self.tables = build_routing_tables(engine.topology, cost, self.routes)
         self.outcomes: list[ConnectionOutcome] = []
         self._queue: deque[_RequestState] = deque()
         self._active: dict[str, _RequestState] = {}
@@ -922,31 +995,6 @@ class NetworkService:
     def next_frame_id(self) -> int:
         self._frame_seq += 1
         return self._frame_seq
-
-    def _classical_distances(self) -> dict[str, dict[str, float]]:
-        # classical signals relay through any node, so this is a plain
-        # shortest-length metric with no role or class constraints
-        out: dict[str, dict[str, float]] = {}
-        for src in self.topology.nodes:
-            dist = {src: 0.0}
-            heap = [(0.0, src)]
-            while heap:
-                d, node = heapq.heappop(heap)
-                if d > dist.get(node, math.inf):
-                    continue
-                for neighbor, edge in self.topology.neighbors(node):
-                    cand = d + edge.length_km
-                    if cand < dist.get(neighbor, math.inf):
-                        dist[neighbor] = cand
-                        heapq.heappush(heap, (cand, neighbor))
-            out[src] = dist
-        return out
-
-    def classical_distance(self, a: str, b: str) -> float:
-        try:
-            return self._cdist[a][b]
-        except KeyError:
-            raise NoPathError(f"no classical route {a} -> {b}") from None
 
     def _interior_nodes(self, state: _RequestState) -> set[str]:
         return set(self.topology.nodes) - {state.request.src, state.request.dst}
@@ -1025,7 +1073,7 @@ class NetworkService:
         now = self.engine.now
         return max(
             now
-            + self.classical_distance(self.controller, n) / c
+            + self.routes.classical_distance(self.controller, n) / c
             + self.topology.nodes[n].proc_delay
             for n in nodes
         )
@@ -1039,7 +1087,7 @@ class NetworkService:
             self.cost,
             repeater_class=request.repeater_class,
             waypoints=request.waypoints,
-            trees=self._trees,
+            routes=self.routes,
         )
 
     # -- submission ---------------------------------------------------------
@@ -1082,8 +1130,8 @@ class NetworkService:
                 self._finish(state, "NoPath", detail=f"unknown node {node_id}")
                 return
         try:
-            self.classical_distance(request.src, self.controller)
-            self.classical_distance(request.src, request.dst)
+            self.routes.classical_distance(request.src, self.controller)
+            self.routes.classical_distance(request.src, request.dst)
         except NoPathError as err:
             self._finish(state, "NoPath", detail=str(err))
             return
@@ -1109,7 +1157,7 @@ class NetworkService:
         self.engine.send_classical(
             request.src,
             self.controller,
-            self.classical_distance(request.src, self.controller),
+            self.routes.classical_distance(request.src, self.controller),
             lambda: self._co_request_arrived(state),
             f"request {request.request_id} -> controller",
         )
@@ -1140,7 +1188,7 @@ class NetworkService:
         self.engine.send_classical(
             self.controller,
             state.request.src,
-            self.classical_distance(self.controller, state.request.src),
+            self.routes.classical_distance(self.controller, state.request.src),
             lambda: self._finish(state, reason, detail=detail),
             f"reject {state.request.request_id}",
         )
@@ -1206,7 +1254,7 @@ class NetworkService:
         self.engine.send_classical(
             node_id,
             self.controller,
-            self.classical_distance(node_id, self.controller),
+            self.routes.classical_distance(node_id, self.controller),
             lambda: self._co_release_notice(state, node_id),
             f"free {node_id} ({state.request.request_id})",
         )
@@ -1259,7 +1307,7 @@ class NetworkService:
                 )
         if cls is RepeaterClass.THIRD:
             total += 1.0 / hops[0][0].attempt_rate_hz
-        total += self.classical_distance(dst, src) / c
+        total += self.routes.classical_distance(dst, src) / c
         total += self.topology.nodes[src].proc_delay
         return total
 
@@ -1350,7 +1398,7 @@ class NetworkService:
         self.engine.send_classical(
             request.src,
             self.controller,
-            self.classical_distance(request.src, self.controller),
+            self.routes.classical_distance(request.src, self.controller),
             lambda: self._hybrid_orders(state),
             f"request {request.request_id} -> controller",
         )
@@ -1499,7 +1547,7 @@ class NetworkService:
             self.engine.send_classical(
                 anchor,
                 anchors[i + 1],
-                self.classical_distance(anchor, anchors[i + 1]),
+                self.routes.classical_distance(anchor, anchors[i + 1]),
                 lambda: self._hybrid_merge_at(state, i + 1, merged),
                 f"swap herald {state.tag} -> {anchors[i + 1]}",
             )
@@ -1523,7 +1571,7 @@ class NetworkService:
             self.engine.send_classical(
                 anchor,
                 end,
-                self.classical_distance(anchor, end),
+                self.routes.classical_distance(anchor, end),
                 lambda e=end: end_heard(e),
                 f"success herald {state.tag} -> {end}",
             )

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,16 +70,19 @@ def test_parse_topology_reports_offending_line():
         parse_topology(clash)
     assert err.value.line == 2
     assert "BadProbability" in str(err.value)
-    # NaN fails every range check, at the line that set it
-    for lineno, key, kind in [
-        (2, "t_coh", "BadCoherence"),
-        (2, "proc_delay", "BadDelay"),
-        (3, "length_km", "BadLength"),
-        (3, "alpha", "BadLoss"),
-        (3, "rate_hz", "BadRate"),
+    # NaN fails every range check, as does an infinite length or rate, at
+    # the line that set it
+    for lineno, key, value, kind in [
+        (2, "t_coh", "nan", "BadCoherence"),
+        (2, "proc_delay", "nan", "BadDelay"),
+        (3, "length_km", "nan", "BadLength"),
+        (3, "length_km", "inf", "BadLength"),
+        (3, "alpha", "nan", "BadLoss"),
+        (3, "rate_hz", "nan", "BadRate"),
+        (3, "rate_hz", "inf", "BadRate"),
     ]:
         lines = ["node a role=end", "node b role=end", "edge a b"]
-        lines[lineno - 1] += f" {key}=nan"
+        lines[lineno - 1] += f" {key}={value}"
         with pytest.raises(ParseError) as err:
             parse_topology("\n".join(lines) + "\n")
         assert err.value.line == lineno, key
@@ -546,6 +550,61 @@ def test_simultaneous_cl_arrivals_rerun_to_the_same_bytes():
         runs.append((_csv_bytes(_grid_text(3), scenario, trace), trace.getvalue()))
     assert runs[0] == runs[1]
     assert runs[0][0].count(b"\n") == 25
+
+
+def test_trials_share_one_route_state(monkeypatch):
+    # g1_1 is second class, so a first-class CO route needs its own search
+    topology_text = _grid_text(3).replace(
+        "node g1_1 role=switch class=first", "node g1_1 role=switch class=second"
+    )
+    scenario = parse_scenario(
+        "seed=7\n"
+        "trials=2\n"
+        "controller=g0_0\n"
+        "request id=co src=g0_0 dst=g2_2 model=co class=first protocol=sl"
+        " arrivals=fixed:0,0.002 deadline=0.004\n"
+        "request id=co2 src=g2_0 dst=g0_2 model=co class=second protocol=sl"
+        " arrivals=fixed:0.001 deadline=0.004\n"
+        "request id=cl src=g0_1 dst=g2_1 model=cl class=first protocol=ol"
+        " arrivals=fixed:0.0005 deadline=0.004\n"
+        "request id=hy src=g2_2 dst=g0_0 model=hybrid class=first protocol=ol"
+        " waypoints=g1_0 arrivals=fixed:0.001 deadline=0.004\n"
+    )
+    searches, distance_rows, builds = Counter(), Counter(), []
+    search = netlayer._shortest_paths
+    distance_row = netlayer.RouteState._classical_row
+    build = netlayer.build_routing_tables
+
+    def counted_search(routes, src, repeater_class=None, dst=None):
+        searches[src, repeater_class] += 1
+        return search(routes, src, repeater_class, dst)
+
+    def counted_row(routes, src):
+        distance_rows[src] += 1
+        return distance_row(routes, src)
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(netlayer, "_shortest_paths", counted_search)
+    monkeypatch.setattr(netlayer.RouteState, "_classical_row", counted_row)
+    monkeypatch.setattr(netlayer, "build_routing_tables", counted_build)
+    shared = run_experiment(parse_topology(topology_text), scenario)
+    assert len(builds) == scenario.trials
+    assert set(searches.values()) == {1}
+    assert {src for src, cls in searches if cls is None} == {
+        f"g{r}_{c}" for r in range(3) for c in range(3)
+    }
+    assert ("g0_0", RepeaterClass.FIRST) in searches
+    assert distance_rows and set(distance_rows.values()) == {1}
+    # a service per trial that builds its own route state gives the same rows
+    monkeypatch.setattr(
+        harness,
+        "NetworkService",
+        lambda *args, routes, **kw: netlayer.NetworkService(*args, **kw),
+    )
+    assert run_experiment(parse_topology(topology_text), scenario) == shared
 
 
 def test_run_experiment_capability_failure_row():

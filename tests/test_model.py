@@ -125,14 +125,18 @@ def test_validate_topology_flags():
     assert "DuplicateEdge" in kinds
     assert "BadProbability" in kinds
 
-    # NaN fails every range check; an infinite t_coh is legal
-    nan = math.nan
+    # NaN fails every range check, and an infinite length or rate fails
+    # too; an infinite t_coh is legal
+    nan, inf = math.nan, math.inf
     topo = Topology()
     topo.add_node(NodeSpec("a", role=Role.END, t_coh=nan))
     topo.add_node(NodeSpec("b", role=Role.END, proc_delay=nan, eps_op=nan))
-    topo.add_node(NodeSpec("c", role=Role.END, t_coh=math.inf))
+    topo.add_node(NodeSpec("c", role=Role.END, t_coh=inf))
+    topo.add_node(NodeSpec("d", role=Role.END))
     topo.add_edge(EdgeSpec("1", "a", "b", length_km=nan, alpha_db_per_km=nan))
     topo.add_edge(EdgeSpec("2", "b", "c", attempt_rate_hz=nan, p_src=nan))
+    topo.add_edge(EdgeSpec("3", "a", "c", length_km=inf))
+    topo.add_edge(EdgeSpec("4", "c", "d", attempt_rate_hz=inf))
     found = {(v.record, v.subject, v.kind) for v in validate_topology(topo)}
     assert found == {
         ("node", "a", "BadCoherence"),
@@ -142,6 +146,8 @@ def test_validate_topology_flags():
         ("edge", "1", "BadLoss"),
         ("edge", "2", "BadRate"),
         ("edge", "2", "BadProbability"),
+        ("edge", "3", "BadLength"),
+        ("edge", "4", "BadRate"),
     }
 
 

@@ -21,6 +21,7 @@ from qrnet import (
     PhysicsParams,
     RepeaterClass,
     Role,
+    RouteState,
     Simulator,
     Topology,
     build_routing_tables,
@@ -222,8 +223,8 @@ def test_memoized_paths_match_fresh_searches(topo, data):
     for cost in PathCost:
         # one memo per cost, shared across classes and waypoint lists as a
         # NetworkService shares it across requests
-        trees = {}
-        build_routing_tables(topo, cost, trees)
+        routes = RouteState(topo, cost)
+        build_routing_tables(topo, cost, routes)
         for i, src in enumerate(names):
             for j, dst in enumerate(names):
                 if src == dst:
@@ -232,8 +233,122 @@ def test_memoized_paths_match_fresh_searches(topo, data):
                 for via in ((), waypoints):
                     kw = dict(repeater_class=cls, waypoints=via)
                     fresh = _route_or_error(topo, src, dst, cost, **kw)
-                    memo = _route_or_error(topo, src, dst, cost, trees=trees, **kw)
+                    memo = _route_or_error(topo, src, dst, cost, routes=routes, **kw)
                     assert memo == fresh, (cost, src, dst, cls, via)
+
+
+@st.composite
+def _small_role_topologies(draw):
+    """2-7 nodes of mixed roles and two classes; lengths whose sums are exact."""
+    n = draw(st.integers(2, 7))
+    topo = Topology()
+    for i in range(n):
+        topo.add_node(NodeSpec(
+            f"v{i}",
+            role=draw(st.sampled_from([Role.END, Role.REPEATER, Role.SWITCH])),
+            repeater_class=draw(st.sampled_from(
+                [RepeaterClass.FIRST, RepeaterClass.SECOND])),
+        ))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1]),
+        max_size=2 * n,
+        unique_by=frozenset,
+    ))
+    for k, (a, b) in enumerate(pairs):
+        topo.add_edge(EdgeSpec(f"e{k}", f"v{a}", f"v{b}",
+                               length_km=draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))))
+    return topo
+
+
+_ORACLE_COSTS = {
+    PathCost.HOP_COUNT: lambda edge: 1.0,
+    PathCost.LATENCY: lambda edge: edge.length_km,
+}
+
+
+def _least_simple_path(topo, src, dst, cost, cls):
+    """Minimum (cost summed from src, hops, node ids) over every simple path."""
+    best = None
+
+    def extend(path, total):
+        nonlocal best
+        node = path[-1]
+        if node == dst:
+            key = (total, len(path) - 1, tuple(path))
+            best = key if best is None or key < best else best
+            return
+        spec = topo.nodes[node]
+        if node != src and (spec.role is Role.END
+                            or cls not in (None, spec.repeater_class)):
+            return
+        for neighbor, edge in topo.neighbors(node):
+            if neighbor not in path:
+                extend(path + [neighbor], total + _ORACLE_COSTS[cost](edge))
+
+    extend([src], 0.0)
+    return None if best is None else list(best[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_role_topologies())
+def test_routes_match_an_enumeration_of_simple_paths(topo):
+    for cost in _ORACLE_COSTS:
+        routes = RouteState(topo, cost)
+        for cls in (None, RepeaterClass.FIRST, RepeaterClass.SECOND):
+            for src in topo.nodes:
+                for dst in topo.nodes:
+                    if src == dst:
+                        continue
+                    want = _least_simple_path(topo, src, dst, cost, cls)
+                    for kw in ({}, {"routes": routes}):
+                        got = _route_or_error(topo, src, dst, cost,
+                                              repeater_class=cls, **kw)
+                        if want is None:
+                            assert got.startswith("NoPathError"), (cost, cls, src, dst)
+                        else:
+                            assert got == want, (cost, cls, src, dst, kw)
+
+
+def test_classical_distances_equal_networkx_exactly():
+    rng = np.random.default_rng(43)
+    for trial in range(200):
+        n = int(rng.integers(2, 10))
+        topo = Topology()
+        graph = nx.Graph()
+        for i in range(n):
+            topo.add_node(NodeSpec(f"v{i}", role=Role.END))
+            graph.add_node(f"v{i}")
+        pairs = {tuple(sorted(rng.choice(n, size=2, replace=False)))
+                 for _ in range(int(rng.integers(0, 2 * n)))}
+        for k, (a, b) in enumerate(sorted(pairs)):
+            length = float(rng.uniform(0.1, 50.0))
+            topo.add_edge(EdgeSpec(f"e{k}", f"v{a}", f"v{b}", length_km=length))
+            graph.add_edge(f"v{a}", f"v{b}", weight=length)
+        routes = RouteState(topo, PathCost.HOP_COUNT)
+        for a in topo.nodes:
+            ref = nx.single_source_dijkstra_path_length(graph, a)
+            for b in topo.nodes:
+                if b in ref:
+                    assert routes.classical_distance(a, b) == ref[b], (trial, a, b)
+                else:
+                    with pytest.raises(NoPathError, match="no classical route"):
+                        routes.classical_distance(a, b)
+
+
+def test_route_state_for_another_topology_or_cost_raises():
+    topo = chain_topology([10.0, 10.0])
+    other = chain_topology([10.0, 10.0])
+    for routes in (RouteState(other, PathCost.HOP_COUNT),
+                   RouteState(topo, PathCost.LATENCY)):
+        with pytest.raises(ValueError, match="another topology or path cost"):
+            NetworkService(Simulator(topo, PARAMS, seed=1), routes=routes)
+        with pytest.raises(ValueError, match="another topology or path cost"):
+            compute_path(topo, "n0", "n2", routes=routes)
+    shared = RouteState(topo, PathCost.LATENCY)
+    service = NetworkService(Simulator(topo, PARAMS, seed=1),
+                             cost=PathCost.LATENCY, routes=shared)
+    assert service.routes is shared
 
 
 def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
@@ -247,7 +362,7 @@ def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
     for i in range(4):
         topo.add_edge(EdgeSpec(f"e{i}", names[i], names[(i + 1) % 4]))
 
-    def cycling_search(topology, src, cost, repeater_class=None, dst=None):
+    def cycling_search(routes, src, repeater_class=None, dst=None):
         i = names.index(src)
         step = 1 if i % 2 else -1
         order = [names[(i + k * step) % 4] for k in range(4)]
