@@ -240,15 +240,15 @@ def _parse_arrivals(value: str, lineno: int) -> tuple:
     scheme, arg = value.split(":", 1)
     if scheme == "poisson":
         rate = _as_float(arg, lineno, "arrivals rate")
-        if not rate > 0:
-            raise ParseError(lineno, "poisson rate must be positive")
+        if not 0 < rate < math.inf:
+            raise ParseError(lineno, "poisson rate must be positive and finite")
         return ("poisson", rate)
     if scheme == "fixed":
         times = [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t]
         if not times:
             raise ParseError(lineno, "fixed arrivals need at least one time")
-        if not all(t >= 0 for t in times):
-            raise ParseError(lineno, "arrival times must be nonnegative")
+        if not all(0 <= t < math.inf for t in times):
+            raise ParseError(lineno, "arrival times must be nonnegative and finite")
         return ("fixed", sorted(times))
     raise ParseError(lineno, f"unknown arrival scheme {scheme!r}")
 
@@ -277,8 +277,8 @@ def parse_scenario(text: str) -> Scenario:
                     raise ParseError(lineno, "trials must be at least 1")
             elif kind == "duration":
                 scenario.duration = _as_float(value, lineno, "duration")
-                if not scenario.duration > 0:
-                    raise ParseError(lineno, "duration must be positive")
+                if not 0 < scenario.duration < math.inf:
+                    raise ParseError(lineno, "duration must be positive and finite")
             elif kind == "controller":
                 scenario.controller = value
             elif kind == "cost":
@@ -445,7 +445,6 @@ def run_experiment(
         service = NetworkService(
             sim,
             controller=scenario.controller,
-            cost=scenario.cost,
             default_ttl=scenario.ttl,
             frame_loss_prob=scenario.frame_loss,
             cl_timeout=scenario.cl_timeout,

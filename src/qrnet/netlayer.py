@@ -194,16 +194,15 @@ def _shortest_paths(
     routes: RouteState,
     src: str,
     repeater_class: RepeaterClass | None = None,
-    dst: str | None = None,
 ) -> dict[str, str | None]:
     """Least-cost simple paths from src, keyed (cost, hop count, node ids).
 
     Costs are read from ``routes.adjacency`` and summed in source order.
     END nodes, and nodes of another class when ``repeater_class`` is given,
     are labelled but never expanded, so they only end paths. The search
-    settles every reachable node, or stops once ``dst`` is settled. Ranking
-    hop count before node ids keeps the tie-break consistent between a path
-    and its own suffix when edges cost nothing.
+    settles every reachable node. Ranking hop count before node ids keeps
+    the tie-break consistent between a path and its own suffix when edges
+    cost nothing.
 
     Returns the search tree as a predecessor map in settling order: each
     settled node maps to the node before it on its path, and src to None.
@@ -224,8 +223,6 @@ def _shortest_paths(
         if node in pred:
             continue  # a stale entry: the node settled under a smaller key
         pred[node] = via[-1] if hops else None
-        if node == dst:
-            break
         spec = nodes[node]
         if node != src and (
             spec.role is Role.END
@@ -251,8 +248,10 @@ class RouteState:
       insertion order, built here once;
     * ``trees``: the memo of search trees, keyed ``(src, class filter)``
       with None for no filter, each searched on its first use;
-    * whether a class filter prunes any node, checked once per class;
-    * the classical-distance rows, each source's filled on its first query.
+    * the classes of the nodes that can relay, so a class filter that
+      prunes no node is known at once;
+    * the classical-distance rows, each source's filled on its first query;
+    * the forwarding ``tables``, None until :func:`build_routing_tables` runs.
 
     Nothing here depends on a simulator, so ``run_experiment`` builds one
     per experiment and every trial's :class:`NetworkService` shares it; a
@@ -260,7 +259,7 @@ class RouteState:
     object's lifetime, which assumes the topology is not edited meanwhile.
     """
 
-    def __init__(self, topology: Topology, cost: PathCost):
+    def __init__(self, topology: Topology, cost: PathCost = PathCost.HOP_COUNT):
         self.topology = topology
         self.cost = cost
         self.adjacency = {
@@ -272,8 +271,13 @@ class RouteState:
             for node in topology.nodes
         }
         self.trees: dict[tuple[str, RepeaterClass | None], dict[str, str | None]] = {}
-        self._prunes: dict[RepeaterClass, bool] = {}
+        self._relay_classes = {
+            spec.repeater_class
+            for spec in topology.nodes.values()
+            if spec.role is not Role.END
+        }
         self._cdist: dict[str, dict[str, float]] = {}
+        self.tables: dict[str, dict[int, str]] | None = None
 
     def tree(
         self, src: str, repeater_class: RepeaterClass | None = None
@@ -282,22 +286,13 @@ class RouteState:
         key = (src, repeater_class)
         pred = self.trees.get(key)
         if pred is None:
-            if repeater_class is not None and not self._prunes_under(repeater_class):
+            if repeater_class is not None and self._relay_classes <= {repeater_class}:
                 # the filter cannot prune a node, so the unfiltered tree serves
                 pred = self.tree(src)
             else:
                 pred = _shortest_paths(self, src, repeater_class)
             self.trees[key] = pred
         return pred
-
-    def _prunes_under(self, repeater_class: RepeaterClass) -> bool:
-        prunes = self._prunes.get(repeater_class)
-        if prunes is None:
-            prunes = self._prunes[repeater_class] = any(
-                spec.role is not Role.END and spec.repeater_class is not repeater_class
-                for spec in self.topology.nodes.values()
-            )
-        return prunes
 
     def classical_distance(self, a: str, b: str) -> float:
         """Fiber length of the shortest classical route, read from a's row."""
@@ -327,26 +322,13 @@ class RouteState:
         return dist
 
 
-def _routes_for(
-    topology: Topology, cost: PathCost, routes: RouteState | None
-) -> RouteState:
-    """``routes`` when it was built for this topology and cost; new if None."""
-    if routes is None:
-        return RouteState(topology, cost)
-    if routes.topology is not topology or routes.cost is not cost:
-        raise ValueError("route state belongs to another topology or path cost")
-    return routes
-
-
 def compute_path(
-    topology: Topology,
+    routes: RouteState,
     src: str,
     dst: str,
-    cost: PathCost = PathCost.HOP_COUNT,
     *,
     repeater_class: RepeaterClass | None = None,
     waypoints: tuple[str, ...] = (),
-    routes: RouteState | None = None,
 ) -> list[str]:
     """Least-cost route from src to dst visiting waypoints in order.
 
@@ -356,31 +338,22 @@ def compute_path(
     legs are individually shortest; legs that reuse a node are rejected
     rather than re-solved.
 
-    Without ``routes`` each leg runs its own search, stopping at the leg's
-    end, and nothing is kept. With ``routes``, built for this topology and
-    cost, each leg is read back from its start's full search tree in
-    ``routes.trees``, which keeps it for as long as ``routes`` lives. Both
-    give the same route, since a search settles the same path to a node
-    whether or not it stops there. When every non-END node already has the
-    requested class the filter prunes nothing, so the unfiltered tree
-    serves and is stored under the class too.
+    Each leg is read from its start's search tree in ``routes``, searched
+    on first use and kept while ``routes`` lives. When every non-END node
+    has the requested class, the filter prunes nothing, so the unfiltered
+    tree serves and is stored under the class too.
     """
     for node_id in (src, dst, *waypoints):
-        if node_id not in topology.nodes:
+        if node_id not in routes.topology.nodes:
             raise NoPathError(f"unknown node {node_id}")
 
-    memo = routes is not None
-    routes = _routes_for(topology, cost, routes)
     stops = [src, *waypoints, dst]
     full: list[str] = [src]
     seen = {src}
     for leg_src, leg_dst in zip(stops, stops[1:]):
-        if memo:
-            pred = routes.tree(leg_src, repeater_class)
-        else:
-            pred = _shortest_paths(routes, leg_src, repeater_class, leg_dst)
+        pred = routes.tree(leg_src, repeater_class)
         if leg_dst not in pred:
-            raise NoPathError(f"no {cost.value} route {leg_src} -> {leg_dst}")
+            raise NoPathError(f"no {routes.cost.value} route {leg_src} -> {leg_dst}")
         leg = []
         node = leg_dst
         while node != leg_src:
@@ -396,24 +369,18 @@ def compute_path(
     return full
 
 
-def build_routing_tables(
-    topology: Topology,
-    cost: PathCost = PathCost.HOP_COUNT,
-    routes: RouteState | None = None,
-) -> dict[str, dict[int, str]]:
+def build_routing_tables(routes: RouteState) -> dict[str, dict[int, str]]:
     """Per-node forwarding maps: destination address to next-hop edge id.
 
     Each source's unfiltered search tree settles every destination it can
     reach, with the same key as compute_path, so each entry is the first
-    edge of the route compute_path returns for that pair. The trees come
-    from ``routes``' memo, which keeps any it has to search, so a second
-    build on the same ``routes`` searches nothing; without ``routes`` they
-    are searched afresh and dropped. The tables themselves are assembled
-    on every call. The walk check below asserts they are loop free; it
-    remembers, per destination, the nodes already proven to reach it, so
-    it costs O(N^2) steps in all.
+    edge of the route compute_path returns for that pair. The tables are
+    assembled and checked loop free once per ``routes`` and kept in
+    ``routes.tables``; later calls return that same object.
     """
-    routes = _routes_for(topology, cost, routes)
+    if routes.tables is not None:
+        return routes.tables
+    topology = routes.topology
     address = {node: topology.address_of(node) for node in topology.nodes}
     tables: dict[str, dict[int, str]] = {}
     for src in topology.nodes:
@@ -426,6 +393,16 @@ def build_routing_tables(
             elif prev is not None:
                 first[node] = first[prev]
         tables[src] = {address[dst]: edge_id for dst, edge_id in first.items()}
+    _check_loop_free(topology, tables, address)
+    routes.tables = tables
+    return tables
+
+
+def _check_loop_free(
+    topology: Topology, tables: dict[str, dict[int, str]], address: dict[str, int]
+) -> None:
+    """Raise unless every table walk reaches its destination, in O(N^2) steps."""
+    # per destination, nodes already proven to reach it are not walked again
     limit = len(topology.nodes)
     for dst, addr in address.items():
         proven = {dst}
@@ -440,7 +417,6 @@ def build_routing_tables(
                 walk.append(node)
                 node = topology.edges[edge_id].other(node)
             proven.update(walk)
-    return tables
 
 
 class ForwardAction(Enum):
@@ -952,6 +928,7 @@ class NetworkService:
 
     All three connection models share the engine, the memory ledger, and
     the routing tables, so concurrent requests contend realistically.
+    It routes by hop count unless given ``routes`` for the engine's topology.
     """
 
     def __init__(
@@ -959,7 +936,6 @@ class NetworkService:
         engine: Simulator,
         *,
         controller: str | None = None,
-        cost: PathCost = PathCost.HOP_COUNT,
         default_ttl: int = 64,
         frame_loss_prob: float = 0.0,
         cl_timeout: float | None = None,
@@ -975,16 +951,16 @@ class NetworkService:
         if controller not in engine.topology.nodes:
             raise KeyError(f"controller {controller} not in topology")
         self.controller = controller
-        self.cost = cost
         self.default_ttl = default_ttl
         self.frame_loss_prob = frame_loss_prob
         self.cl_timeout = cl_timeout
         self.swap_policy = swap_policy
         self.pipelining = pipelining
         self.options = options
-        # search trees and classical distances, shared when ``routes`` is given
-        self.routes = _routes_for(engine.topology, cost, routes)
-        self.tables = build_routing_tables(engine.topology, cost, self.routes)
+        self.routes = routes or RouteState(engine.topology)
+        if self.routes.topology is not engine.topology:
+            raise ValueError("route state belongs to another topology")
+        self.tables = build_routing_tables(self.routes)
         self.outcomes: list[ConnectionOutcome] = []
         self._queue: deque[_RequestState] = deque()
         self._active: dict[str, _RequestState] = {}
@@ -1081,13 +1057,11 @@ class NetworkService:
     def _route(self, request: ConnectionRequest) -> list[str]:
         """The path an anchored request's session runs over (CO, alternate)."""
         return compute_path(
-            self.topology,
+            self.routes,
             request.src,
             request.dst,
-            self.cost,
             repeater_class=request.repeater_class,
             waypoints=request.waypoints,
-            routes=self.routes,
         )
 
     # -- submission ---------------------------------------------------------

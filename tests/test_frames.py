@@ -8,6 +8,7 @@ from qrnet import (
     FrameError,
     QuantumFrame,
     RepeaterClass,
+    RouteState,
     build_routing_tables,
     decode_frame,
     encode_frame,
@@ -137,7 +138,7 @@ def test_unknown_class_code_rejected():
 
 def _line_tables():
     topo = chain_topology([10.0, 10.0, 10.0])
-    return topo, build_routing_tables(topo)
+    return topo, build_routing_tables(RouteState(topo))
 
 
 def test_forwarding_walks_the_line():

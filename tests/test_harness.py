@@ -162,6 +162,12 @@ def test_parse_scenario_rejects_malformed_lines():
         ("duration=nan\n", 1),
         ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:nan\n", 2),
         ("request src=a dst=b model=co arrivals=fixed:0,nan\n", 1),
+        # so do infinities: an infinite arrival never happens, and an
+        # infinite rate or duration would expand arrivals forever
+        ("duration=inf\n", 1),
+        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:inf\n", 2),
+        ("request src=a dst=b model=co arrivals=fixed:inf\n", 1),
+        ("request src=a dst=b model=co arrivals=fixed:0,inf\n", 1),
         ("policy cl_timeout=nan\n", 1),
         ("physics c_fiber=0\n", 1),
         ("physics c_fiber=-1\n", 1),
@@ -575,9 +581,9 @@ def test_trials_share_one_route_state(monkeypatch):
     distance_row = netlayer.RouteState._classical_row
     build = netlayer.build_routing_tables
 
-    def counted_search(routes, src, repeater_class=None, dst=None):
+    def counted_search(routes, src, repeater_class=None):
         searches[src, repeater_class] += 1
-        return search(routes, src, repeater_class, dst)
+        return search(routes, src, repeater_class)
 
     def counted_row(routes, src):
         distance_rows[src] += 1
@@ -602,9 +608,75 @@ def test_trials_share_one_route_state(monkeypatch):
     monkeypatch.setattr(
         harness,
         "NetworkService",
-        lambda *args, routes, **kw: netlayer.NetworkService(*args, **kw),
+        lambda *args, routes, **kw: netlayer.NetworkService(
+            *args, routes=netlayer.RouteState(routes.topology, routes.cost), **kw
+        ),
     )
     assert run_experiment(parse_topology(topology_text), scenario) == shared
+
+
+def test_trials_share_one_set_of_routing_tables(monkeypatch):
+    scenario = parse_scenario(
+        "seed=5\n"
+        "trials=2\n"
+        "request id=cl src=g0_0 dst=g2_2 model=cl class=first protocol=ol"
+        " arrivals=fixed:0 deadline=0.004\n"
+    )
+    services, checks = [], []
+    check = netlayer._check_loop_free
+
+    def recorded_service(*args, **kw):
+        services.append(netlayer.NetworkService(*args, **kw))
+        return services[-1]
+
+    def counted_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(harness, "NetworkService", recorded_service)
+    monkeypatch.setattr(netlayer, "_check_loop_free", counted_check)
+    run_experiment(parse_topology(_grid_text(3)), scenario)
+    assert len(services) == 2
+    assert services[0].tables is services[1].tables is services[0].routes.tables
+    assert len(checks) == 1
+
+
+LADDER_TOPO = """\
+node t0 role=end class=first memories=2 t_coh=0.05
+node t1 role=repeater class=first memories=2 t_coh=0.05
+node t2 role=end class=first memories=2 t_coh=0.05
+node b0 role=end class=first memories=2 t_coh=0.05
+node b1 role=repeater class=first memories=2 t_coh=0.05
+node b2 role=end class=first memories=2 t_coh=0.05
+edge t0 t1 length_km=5 alpha=0 p_src=0.3 rate_hz=1e4
+edge t1 t2 length_km=5 alpha=0 p_src=0.3 rate_hz=1e4
+edge b0 b1 length_km=5 alpha=0 p_src=0.3 rate_hz=1e4
+edge b1 b2 length_km=5 alpha=0 p_src=0.3 rate_hz=1e4
+edge t0 b0 length_km=50 alpha=0 p_src=0.3 rate_hz=1e4
+"""
+
+
+def _ladder_request(rid, src, dst, model):
+    protocol = "sl" if model == "co" else "ol"
+    return (f"request id={rid} src={src} dst={dst} model={model} class=first"
+            f" protocol={protocol} arrivals=fixed:0,0.0005,0.001,0.0015"
+            " deadline=0.01\n")
+
+
+@pytest.mark.parametrize("top, bottom", [("cl", "cl"), ("cl", "co"), ("co", "cl")])
+def test_a_request_on_a_node_disjoint_path_leaves_existing_rows_unchanged(top, bottom):
+    # the two rails share no node; the rung's ends are END nodes, so it only
+    # carries the controller's classical signals. Two CO requests are left
+    # out: they share the controller's FIFO admission queue.
+    head = "seed=11\ntrials=3\ncontroller=t0\nframe_loss=0.2\n"
+    alone = head + _ladder_request("top", "t0", "t2", top)
+    both = alone + _ladder_request("bottom", "b0", "b2", bottom)
+    topo = parse_topology(LADDER_TOPO)
+    want = run_experiment(topo, parse_scenario(alone))
+    got = [r for r in run_experiment(topo, parse_scenario(both))
+           if r["request_id"].startswith("top")]
+    assert len(want) == 12
+    assert got == want
 
 
 def test_run_experiment_capability_failure_row():

@@ -59,10 +59,10 @@ def test_weighted_triangle_prefers_two_cheap_hops():
     topo.add_edge(EdgeSpec("ab", "A", "B", length_km=1.0))
     topo.add_edge(EdgeSpec("bc", "B", "C", length_km=1.0))
     topo.add_edge(EdgeSpec("ac", "A", "C", length_km=3.0))
-    assert compute_path(topo, "A", "C", PathCost.LATENCY) == ["A", "B", "C"]
+    assert compute_path(RouteState(topo, PathCost.LATENCY), "A", "C") == ["A", "B", "C"]
     # drop the detour's advantage and the direct edge wins
     topo.edges["ac"].length_km = 1.5
-    assert compute_path(topo, "A", "C", PathCost.LATENCY) == ["A", "C"]
+    assert compute_path(RouteState(topo, PathCost.LATENCY), "A", "C") == ["A", "C"]
 
 
 def test_latency_and_loss_metrics_disagree_when_they_should():
@@ -75,8 +75,9 @@ def test_latency_and_loss_metrics_disagree_when_they_should():
                            alpha_db_per_km=2.0))
     topo.add_edge(EdgeSpec("sm", "s", "m", length_km=30.0, alpha_db_per_km=0.1))
     topo.add_edge(EdgeSpec("mt", "m", "t", length_km=30.0, alpha_db_per_km=0.1))
-    assert compute_path(topo, "s", "t", PathCost.LATENCY) == ["s", "t"]
-    assert compute_path(topo, "s", "t", PathCost.LOSS_WEIGHTED) == ["s", "m", "t"]
+    assert compute_path(RouteState(topo, PathCost.LATENCY), "s", "t") == ["s", "t"]
+    assert compute_path(RouteState(topo, PathCost.LOSS_WEIGHTED), "s", "t") == [
+        "s", "m", "t"]
 
 
 def test_interior_constraints():
@@ -87,13 +88,14 @@ def test_interior_constraints():
     topo.add_edge(EdgeSpec("ab", "a", "b"))
     topo.add_edge(EdgeSpec("bc", "b", "c"))
     with pytest.raises(NoPathError):
-        compute_path(topo, "a", "c")
+        compute_path(RouteState(topo), "a", "c")
     # class filter excludes mismatched interiors
     mixed = chain_topology([10.0, 10.0])
     mixed.nodes["n1"].repeater_class = RepeaterClass.SECOND
     with pytest.raises(NoPathError):
-        compute_path(mixed, "n0", "n2", repeater_class=RepeaterClass.FIRST)
-    assert compute_path(mixed, "n0", "n2",
+        compute_path(RouteState(mixed), "n0", "n2",
+                     repeater_class=RepeaterClass.FIRST)
+    assert compute_path(RouteState(mixed), "n0", "n2",
                         repeater_class=RepeaterClass.SECOND) == ["n0", "n1", "n2"]
 
 
@@ -105,7 +107,7 @@ def test_no_path_between_components():
     topo.add_edge(EdgeSpec("ab", "a", "b"))
     topo.add_edge(EdgeSpec("cd", "c", "d"))
     with pytest.raises(NoPathError):
-        compute_path(topo, "a", "d")
+        compute_path(RouteState(topo), "a", "d")
 
 
 def test_costs_match_networkx_on_random_graphs():
@@ -132,7 +134,7 @@ def test_costs_match_networkx_on_random_graphs():
             topo.add_edge(EdgeSpec(f"e{k}", f"v{a}", f"v{b}", length_km=length))
             graph.add_edge(f"v{a}", f"v{b}", weight=length)
         src, dst = f"v{order[0]}", f"v{order[-1]}"
-        path = compute_path(topo, src, dst, PathCost.LATENCY)
+        path = compute_path(RouteState(topo, PathCost.LATENCY), src, dst)
         mine = sum(
             topo.edge_between(u, v).length_km for u, v in zip(path, path[1:])
         )
@@ -142,7 +144,7 @@ def test_costs_match_networkx_on_random_graphs():
 
 def test_routing_tables_walk_every_pair():
     topo = chain_topology([10.0, 20.0, 30.0])
-    tables = build_routing_tables(topo)
+    tables = build_routing_tables(RouteState(topo))
     # next hop from each line node toward n3 marches right
     assert tables["n0"][topo.address_of("n3")] == "e0"
     assert tables["n1"][topo.address_of("n3")] == "e1"
@@ -156,7 +158,7 @@ def test_routing_tables_walk_every_pair():
         star.add_node(NodeSpec(f"leaf{i}", role=Role.END,
                                repeater_class=RepeaterClass.FIRST))
         star.add_edge(EdgeSpec(f"s{i}", "hub", f"leaf{i}"))
-    stables = build_routing_tables(star)
+    stables = build_routing_tables(RouteState(star))
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -192,14 +194,15 @@ def _tie_heavy_topologies(draw):
 @given(_tie_heavy_topologies())
 def test_tables_hold_the_first_edge_of_every_computed_path(topo):
     for cost in PathCost:
-        tables = build_routing_tables(topo, cost)
+        tables = build_routing_tables(RouteState(topo, cost))
         for src in topo.nodes:
             for dst in topo.nodes:
                 if src == dst:
                     continue
                 addr = topo.address_of(dst)
                 try:
-                    path = compute_path(topo, src, dst, cost)
+                    # a route state of its own, so the path shares no memo
+                    path = compute_path(RouteState(topo, cost), src, dst)
                 except NoPathError:
                     assert addr not in tables[src], (cost, src, dst)
                     continue
@@ -207,9 +210,9 @@ def test_tables_hold_the_first_edge_of_every_computed_path(topo):
                 assert tables[src].get(addr) == first, (cost, src, dst, path)
 
 
-def _route_or_error(topo, src, dst, cost, **kw):
+def _route_or_error(routes, src, dst, **kw):
     try:
-        return compute_path(topo, src, dst, cost, **kw)
+        return compute_path(routes, src, dst, **kw)
     except NoPathError as err:
         return f"NoPathError: {err}"
 
@@ -221,10 +224,11 @@ def test_memoized_paths_match_fresh_searches(topo, data):
     waypoints = tuple(data.draw(st.lists(st.sampled_from(names), max_size=2)))
     classes = (None, *RepeaterClass)
     for cost in PathCost:
-        # one memo per cost, shared across classes and waypoint lists as a
-        # NetworkService shares it across requests
+        # one route state per cost, shared across classes and waypoint
+        # lists as a NetworkService shares it across requests, against a
+        # fresh one per query
         routes = RouteState(topo, cost)
-        build_routing_tables(topo, cost, routes)
+        build_routing_tables(routes)
         for i, src in enumerate(names):
             for j, dst in enumerate(names):
                 if src == dst:
@@ -232,8 +236,8 @@ def test_memoized_paths_match_fresh_searches(topo, data):
                 cls = classes[(i + j) % len(classes)]
                 for via in ((), waypoints):
                     kw = dict(repeater_class=cls, waypoints=via)
-                    fresh = _route_or_error(topo, src, dst, cost, **kw)
-                    memo = _route_or_error(topo, src, dst, cost, routes=routes, **kw)
+                    fresh = _route_or_error(RouteState(topo, cost), src, dst, **kw)
+                    memo = _route_or_error(routes, src, dst, **kw)
                     assert memo == fresh, (cost, src, dst, cls, via)
 
 
@@ -294,20 +298,19 @@ def _least_simple_path(topo, src, dst, cost, cls):
 @given(_small_role_topologies())
 def test_routes_match_an_enumeration_of_simple_paths(topo):
     for cost in _ORACLE_COSTS:
-        routes = RouteState(topo, cost)
+        shared = RouteState(topo, cost)
         for cls in (None, RepeaterClass.FIRST, RepeaterClass.SECOND):
             for src in topo.nodes:
                 for dst in topo.nodes:
                     if src == dst:
                         continue
                     want = _least_simple_path(topo, src, dst, cost, cls)
-                    for kw in ({}, {"routes": routes}):
-                        got = _route_or_error(topo, src, dst, cost,
-                                              repeater_class=cls, **kw)
+                    for routes in (RouteState(topo, cost), shared):
+                        got = _route_or_error(routes, src, dst, repeater_class=cls)
                         if want is None:
                             assert got.startswith("NoPathError"), (cost, cls, src, dst)
                         else:
-                            assert got == want, (cost, cls, src, dst, kw)
+                            assert got == want, (cost, cls, src, dst, routes is shared)
 
 
 def test_classical_distances_equal_networkx_exactly():
@@ -339,16 +342,14 @@ def test_classical_distances_equal_networkx_exactly():
 def test_route_state_for_another_topology_or_cost_raises():
     topo = chain_topology([10.0, 10.0])
     other = chain_topology([10.0, 10.0])
-    for routes in (RouteState(other, PathCost.HOP_COUNT),
-                   RouteState(topo, PathCost.LATENCY)):
-        with pytest.raises(ValueError, match="another topology or path cost"):
-            NetworkService(Simulator(topo, PARAMS, seed=1), routes=routes)
-        with pytest.raises(ValueError, match="another topology or path cost"):
-            compute_path(topo, "n0", "n2", routes=routes)
+    with pytest.raises(ValueError, match="another topology"):
+        NetworkService(Simulator(topo, PARAMS, seed=1), routes=RouteState(other))
     shared = RouteState(topo, PathCost.LATENCY)
-    service = NetworkService(Simulator(topo, PARAMS, seed=1),
-                             cost=PathCost.LATENCY, routes=shared)
+    service = NetworkService(Simulator(topo, PARAMS, seed=1), routes=shared)
     assert service.routes is shared
+    assert service.tables is shared.tables
+    # without route state the service routes by hop count
+    assert NetworkService(Simulator(topo, PARAMS, seed=1)).routes.cost is PathCost.HOP_COUNT
 
 
 def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
@@ -362,7 +363,7 @@ def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
     for i in range(4):
         topo.add_edge(EdgeSpec(f"e{i}", names[i], names[(i + 1) % 4]))
 
-    def cycling_search(routes, src, repeater_class=None, dst=None):
+    def cycling_search(routes, src, repeater_class=None):
         i = names.index(src)
         step = 1 if i % 2 else -1
         order = [names[(i + k * step) % 4] for k in range(4)]
@@ -370,7 +371,7 @@ def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
 
     monkeypatch.setattr(netlayer, "_shortest_paths", cycling_search)
     with pytest.raises(ValueError, match="routing tables loop"):
-        build_routing_tables(topo)
+        build_routing_tables(RouteState(topo))
 
 
 def test_ten_channel_line_walks_in_order():
@@ -388,7 +389,7 @@ def test_ten_channel_line_walks_in_order():
                            repeater_class=RepeaterClass.SECOND))
     topo.add_edge(EdgeSpec("10", "n5", "spur", length_km=5.0,
                            alpha_db_per_km=0.0, attempt_rate_hz=1e4))
-    tables = build_routing_tables(topo)
+    tables = build_routing_tables(RouteState(topo))
     at, walked = "n0", []
     dst = topo.address_of("n9")
     while at != "n9":

@@ -67,3 +67,22 @@ def test_every_definition_has_a_caller_outside_the_tests():
         and node.name not in used
     ]
     assert unused == []
+
+
+def test_every_keyword_only_parameter_is_passed_outside_the_tests():
+    # matched by name, like the check above: a keyword counts as passed when
+    # any call in src/qrnet, demos/ or perfbench/ names it
+    passed: set[str] = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                passed.update(kw.arg for kw in node.keywords if kw.arg)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}({arg.arg}=)"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.kwonlyargs
+        if arg.arg not in passed
+    ]
+    assert unused == []
