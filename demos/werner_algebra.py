@@ -19,7 +19,7 @@ from qrnet.physics import decay_factor, purified_fidelity, purify_success_prob, 
 
 def pair(w, node_a="a", node_b="b", link_id=0):
     return WernerLink(link_id=link_id, node_a=node_a, node_b=node_b, w=w,
-                      created_at=0.0, last_updated=0.0, decay_rate=0.0)
+                      last_updated=0.0, decay_rate=0.0)
 
 
 print("fidelity <-> werner")

@@ -55,6 +55,7 @@ from .model import (
     RepeaterClass,
     WernerLink,
     fidelity_of,
+    link_decay_rate,
 )
 from . import physics
 
@@ -79,6 +80,16 @@ def swap_schedule(path: list[str], policy: SwapPolicy) -> list[list[str]]:
         rounds.append([path[i] for i in boundaries[0::2]])
         boundaries = boundaries[1::2]
     return rounds
+
+
+def memory_plan(path: list[str], cls: RepeaterClass) -> dict[str, int]:
+    """One slot at each end of ``path`` and two at each interior, ends first.
+
+    Third class and all-photonic nodes hold no pair, so the plan is empty.
+    """
+    if cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
+        return {}
+    return {path[0]: 1, path[-1]: 1, **dict.fromkeys(path[1:-1], 2)}
 
 
 @dataclass
@@ -133,9 +144,9 @@ class _Segment:
         # land; whether that still clears f_target is a static property of
         # the edge, so both ends decide it without talking.
         params = session.params
-        rate = session.link_decay_rate(self.spec_a, self.spec_b)
+        self.decay_rate = session.link_decay_rate(self.spec_a, self.spec_b)
         herald_age = self.edge.length_km / params.c_fiber
-        w_at_herald = params.w0 * math.exp(-rate * herald_age)
+        w_at_herald = params.w0 * math.exp(-self.decay_rate * herald_age)
         self.pump_mode = (
             session.pump_enabled and fidelity_of(w_at_herald) < params.f_target
         )
@@ -189,8 +200,7 @@ class _Segment:
                 rng,
                 now=now,
                 link_id=link_id,
-                node_a=self.spec_a,
-                node_b=self.spec_b,
+                decay_rate=self.decay_rate,
             )
         if pair is None:
             self._schedule_tick()
@@ -246,9 +256,7 @@ class _Segment:
         session = self.session
         if session.finished:
             return
-        known = self._known.get(pair.link_id)
-        if known is None:
-            return
+        known = self._known[pair.link_id]
         known.add(node_id)
         session._flow.segment_base_known(self, node_id)
         if not self.pump_mode or self.rounds_exhausted:
@@ -413,9 +421,7 @@ class LinkSession:
     # -- helpers --------------------------------------------------------
 
     def link_decay_rate(self, spec_a, spec_b) -> float:
-        if self.third_class or self.ap_mode:
-            return 0.0
-        return spec_a.decay_rate() + spec_b.decay_rate()
+        return 0.0 if self.third_class or self.ap_mode else link_decay_rate(spec_a, spec_b)
 
     def _dist_km(self, i: int, j: int) -> float:
         return abs(self._prefix_km[j] - self._prefix_km[i])
@@ -428,12 +434,9 @@ class LinkSession:
     def start(self) -> None:
         """Begin the protocol; memory is reserved up front when managed."""
         self.stats.started_at = self.engine.now
-        if self.manage_memory and not self.ap_mode and not self.third_class:
-            now = self.engine.now
-            self.engine.memory.acquire(self.path[0], 1, self.tag, now)
-            self.engine.memory.acquire(self.path[-1], 1, self.tag, now)
-            for node_id in self.path[1:-1]:
-                self.engine.memory.acquire(node_id, 2, self.tag, now)
+        if self.manage_memory:
+            for node_id, slots in memory_plan(self.path, self.cls).items():
+                self.engine.memory.acquire(node_id, slots, self.tag, self.engine.now)
         if self.protocol is LinkProtocol.SIMULTANEOUS:
             self._flow = _SimultaneousFlow(self)
         elif self.third_class:
@@ -460,18 +463,15 @@ class LinkSession:
 
         Counts the swap and frees path[k], whose two halves are consumed.
         """
-        spec_a, spec_c = self._spec(a), self._spec(c)
         merged = physics.swap(
             ab,
             bc,
             self._spec(k),
             now=self.engine.now,
             link_id=self.engine.next_link_id(),
-            node_a=spec_a,
-            node_c=spec_c,
+            decay_rate=self.link_decay_rate(self._spec(a), self._spec(c)),
             options=self.options,
         )
-        merged.decay_rate = self.link_decay_rate(spec_a, spec_c)
         self.stats.swaps += 1
         node_id = self.path[k]
         if self.manage_memory and not self.ap_mode and not self.third_class:
@@ -481,8 +481,6 @@ class LinkSession:
         return merged
 
     def _complete(self, link: WernerLink) -> None:
-        if self.finished:
-            return
         now = self.engine.now
         link.materialize(now)
         self.finished = True
@@ -807,7 +805,6 @@ class _LogicalHopFlow:
             node_a=session.path[0],
             node_b=session.path[-1],
             w=self.w,
-            created_at=session.engine.now,
             last_updated=session.engine.now,
             decay_rate=0.0,
         )

@@ -104,7 +104,6 @@ class WernerLink:
     node_a: str
     node_b: str
     w: float
-    created_at: float
     last_updated: float
     decay_rate: float = 0.0
 

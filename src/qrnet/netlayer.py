@@ -45,8 +45,9 @@ from .linklayer import (
     LinkSession,
     SessionStats,
     SwapPolicy,
+    memory_plan,
 )
-from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
+from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of, link_decay_rate
 from .physics import channel_success_prob
 
 
@@ -251,6 +252,8 @@ class RouteState:
     * the classes of the nodes that can relay, so a class filter that
       prunes no node is known at once;
     * the classical-distance rows, each source's filled on its first query;
+    * the node pairs, both ways, whose edge never heralds, found once per
+      scale on the channel success;
     * the forwarding ``tables``, None until :func:`build_routing_tables` runs.
 
     Nothing here depends on a simulator, so ``run_experiment`` builds one
@@ -277,6 +280,7 @@ class RouteState:
             if spec.role is not Role.END
         }
         self._cdist: dict[str, dict[str, float]] = {}
+        self._dark: dict[float, set[tuple[str, str]]] = {}
         self.tables: dict[str, dict[int, str]] | None = None
 
     def tree(
@@ -293,6 +297,14 @@ class RouteState:
                 pred = _shortest_paths(self, src, repeater_class)
             self.trees[key] = pred
         return pred
+
+    def dark(self, scale: float) -> set[tuple[str, str]]:
+        """Hops whose edge never heralds at ``scale`` times its channel success."""
+        if scale not in self._dark:
+            hops = [(e.node_a, e.node_b) for e in self.topology.edges.values()
+                    if channel_success_prob(e) * scale == 0]
+            self._dark[scale] = set(hops) | {(b, a) for a, b in hops}
+        return self._dark[scale]
 
     def classical_distance(self, a: str, b: str) -> float:
         """Fiber length of the shortest classical route, read from a's row."""
@@ -502,7 +514,6 @@ class ConnectionOutcome:
     setup_latency_s: float
     stats: SessionStats
     retries: int = 0
-    emissions: int = 0
     drops: dict[str, int] = field(default_factory=dict)
     node_occupancy_s: float = 0.0
     detail: str = ""
@@ -607,13 +618,11 @@ class _ClLeg:
             self._timeout_event = self.engine.after(
                 self.timeout,
                 EventKind.TIMEOUT,
-                lambda g=self.gen: self._timed_out(g),
+                self._timed_out,
                 f"cl timeout {self.tag}",
             )
 
-    def _timed_out(self, gen: int) -> None:
-        if self.finished or gen != self.gen:
-            return
+    def _timed_out(self) -> None:
         if self.gen >= self.retry_limit:
             self._abort_try()
             self._close(
@@ -833,15 +842,14 @@ class _ClLeg:
                 self.chain_end = v
                 self._dispatch_held(gen, u)
                 continue
-            spec_u = self.service.topology.nodes[u]
+            nodes = self.service.topology.nodes
             merged = physics.swap(
                 self.chain,
                 pair,
-                spec_u,
+                nodes[u],
                 now=engine.now,
                 link_id=engine.next_link_id(),
-                node_a=self.service.topology.nodes[self.src],
-                node_c=self.service.topology.nodes[v],
+                decay_rate=link_decay_rate(nodes[self.src], nodes[v]),
                 options=self.service.options,
             )
             self.stats.swaps += 1
@@ -875,7 +883,6 @@ class _ClLeg:
                 node_a=self.src,
                 node_b=self.dst,
                 w=self.payload_w,
-                created_at=self.engine.now,
                 last_updated=self.engine.now,
                 decay_rate=0.0,
             )
@@ -972,9 +979,6 @@ class NetworkService:
         self._frame_seq += 1
         return self._frame_seq
 
-    def _interior_nodes(self, state: _RequestState) -> set[str]:
-        return set(self.topology.nodes) - {state.request.src, state.request.dst}
-
     def _finish(
         self,
         state: _RequestState,
@@ -982,7 +986,6 @@ class NetworkService:
         *,
         link: WernerLink | None = None,
         detail: str = "",
-        retries: int = 0,
     ) -> None:
         if state.closed:
             return
@@ -1000,22 +1003,18 @@ class NetworkService:
         for leg in state.legs:
             leg.abort()
         occupancy = 0.0
-        interior = self._interior_nodes(state)
-        tags = [state.tag] + [leg.tag for leg in state.legs]
-        for tag in tags:
+        interior = set(self.topology.nodes) - {state.request.src, state.request.dst}
+        for tag in [state.tag] + [leg.tag for leg in state.legs]:
             occupancy += self.engine.memory.occupancy_s(tag, now, nodes=interior)
             self.engine.memory.release_all(tag, now)
         self._active.pop(state.tag, None)
-        if state.legs:
-            retries = sum(max(0, leg.gen) for leg in state.legs)
         record = ConnectionOutcome(
             request=state.request,
             outcome=outcome,
             link=link,
             setup_latency_s=now - state.emission,
             stats=state.stats,
-            retries=retries,
-            emissions=sum(leg.gen + 1 for leg in state.legs),
+            retries=sum(max(0, leg.gen) for leg in state.legs),
             drops=dict(state.drops),
             node_occupancy_s=occupancy,
             detail=detail,
@@ -1055,14 +1054,25 @@ class NetworkService:
         )
 
     def _route(self, request: ConnectionRequest) -> list[str]:
-        """The path an anchored request's session runs over (CO, alternate)."""
-        return compute_path(
+        """The path an anchored request's session runs over (CO, alternate).
+
+        No path crosses a hop whose pairs never herald; third class makes none.
+        """
+        cls = request.repeater_class
+        path = compute_path(
             self.routes,
             request.src,
             request.dst,
-            repeater_class=request.repeater_class,
+            repeater_class=cls,
             waypoints=request.waypoints,
         )
+        if cls is not RepeaterClass.THIRD:
+            # all-photonic generation scales the channel success
+            ap = cls is RepeaterClass.ALL_PHOTONIC
+            dark = self.routes.dark(self.engine.params.cluster_overhead if ap else 1.0)
+            if dark and any(hop in dark for hop in zip(path, path[1:])):
+                raise NoPathError(f"a hop of {'-'.join(path)} never heralds")
+        return path
 
     # -- submission ---------------------------------------------------------
 
@@ -1085,7 +1095,7 @@ class NetworkService:
             state.watchdog = self.engine.schedule(
                 emission + request.deadline,
                 EventKind.TIMEOUT,
-                lambda: self._deadline_fired(state),
+                lambda: self._finish(state, "Timeout", detail="deadline passed"),
                 f"deadline {state.tag}",
             )
         self.engine.schedule(
@@ -1110,30 +1120,23 @@ class NetworkService:
             self._finish(state, "NoPath", detail=str(err))
             return
         if request.model is ConnectionModel.CONNECTION_ORIENTED:
-            self._co_submit(state)
+            self._to_controller(state, lambda: self._co_request_arrived(state))
         elif request.model is ConnectionModel.CONNECTIONLESS:
             self._cl_submit(state)
         else:
             self._hybrid_submit(state)
 
-    def _deadline_fired(self, state: _RequestState) -> None:
-        if state.closed:
-            return
-        if state.session is not None and not state.session.finished:
-            state.session.abort("Timeout", "deadline passed")
-            return  # session on_done path records the outcome
-        self._finish(state, "Timeout", detail="deadline passed")
-
     # -- connection oriented -------------------------------------------------
 
-    def _co_submit(self, state: _RequestState) -> None:
-        request = state.request
+    def _to_controller(self, state: _RequestState, then: Callable[[], None]) -> None:
+        """Send the request from its source; ``then`` runs where it arrives."""
+        src = state.request.src
         self.engine.send_classical(
-            request.src,
+            src,
             self.controller,
-            self.routes.classical_distance(request.src, self.controller),
-            lambda: self._co_request_arrived(state),
-            f"request {request.request_id} -> controller",
+            self.routes.classical_distance(src, self.controller),
+            then,
+            f"request {state.request.request_id} -> controller",
         )
 
     def _co_request_arrived(self, state: _RequestState) -> None:
@@ -1167,16 +1170,6 @@ class NetworkService:
             f"reject {state.request.request_id}",
         )
 
-    def _reservation_plan(self, state: _RequestState) -> dict[str, int]:
-        cls = state.request.repeater_class
-        if cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
-            return {}
-        path = state.path
-        plan = {path[0]: 1, path[-1]: 1}
-        for node_id in path[1:-1]:
-            plan[node_id] = 2
-        return plan
-
     def _try_admit(self) -> None:
         # strict FIFO: only the head may claim resources, so one starved
         # request holds back everything behind it; a request closed while
@@ -1186,7 +1179,7 @@ class NetworkService:
             if state.closed:
                 self._queue.popleft()
                 continue
-            plan = self._reservation_plan(state)
+            plan = memory_plan(state.path, state.request.repeater_class)
             ledger = self.engine.memory
             if any(ledger.available(n) < k for n, k in plan.items()):
                 return
@@ -1255,16 +1248,12 @@ class NetworkService:
         """Expected unloaded establishment time along the table route."""
         addr = self.topology.address_of(dst)
         node, hops = src, []
-        seen = {src}
         while node != dst:
             edge_id = self.tables.get(node, {}).get(addr)
             if edge_id is None:
                 raise NoPathError(f"no table route {src} -> {dst}")
             edge = self.topology.edges[edge_id]
             node = edge.other(node)
-            if node in seen:
-                raise NoPathError(f"table walk loops at {node}")
-            seen.add(node)
             hops.append((edge, self.topology.nodes[node]))
         c = self.engine.params.c_fiber
         total = 0.0
@@ -1273,9 +1262,10 @@ class NetworkService:
                 total += edge.length_km / c + receiver.proc_delay
             else:
                 p = channel_success_prob(edge)
-                expected_attempts = 1.0 / p if p > 0 else math.inf
+                if p == 0.0:
+                    raise NoPathError(f"edge {edge.edge_id} never heralds")
                 total += (
-                    expected_attempts / edge.attempt_rate_hz
+                    1.0 / p / edge.attempt_rate_hz
                     + 2.0 * edge.length_km / c
                     + receiver.proc_delay
                 )
@@ -1291,9 +1281,6 @@ class NetworkService:
             flags |= OP_PURIFY
         if cls in (RepeaterClass.SECOND, RepeaterClass.THIRD):
             flags |= OP_ECC
-        elif cls is RepeaterClass.ALL_PHOTONIC and self.options is not None:
-            if self.options.ecc:
-                flags |= OP_ECC
         if self.pipelining:
             flags |= OP_PIPELINING
         return flags
@@ -1369,13 +1356,7 @@ class NetworkService:
         except NoPathError as err:
             self._finish(state, "NoPath", detail=str(err))
             return
-        self.engine.send_classical(
-            request.src,
-            self.controller,
-            self.routes.classical_distance(request.src, self.controller),
-            lambda: self._hybrid_orders(state),
-            f"request {request.request_id} -> controller",
-        )
+        self._to_controller(state, lambda: self._hybrid_orders(state))
 
     def _hybrid_validate(self, request: ConnectionRequest) -> None:
         if request.link_protocol is not LinkProtocol.ONE_BY_ONE:
@@ -1485,8 +1466,6 @@ class NetworkService:
             leg.start()
 
     def _hybrid_leg_done(self, state: _RequestState, index: int, link: WernerLink) -> None:
-        if state.closed:
-            return
         state.leg_results[index] = link
         if len(state.leg_results) == len(state.legs):
             self._hybrid_merge_at(state, 0, state.leg_results[0])
@@ -1498,17 +1477,15 @@ class NetworkService:
         request = state.request
         anchors = request.waypoints
         anchor = anchors[i]
-        part = state.leg_results[i + 1]
+        far = anchors[i + 1] if i + 1 < len(anchors) else request.dst
+        nodes = self.topology.nodes
         merged = physics.swap(
             chain,
-            part,
-            self.topology.nodes[anchor],
+            state.leg_results[i + 1],
+            nodes[anchor],
             now=self.engine.now,
             link_id=self.engine.next_link_id(),
-            node_a=self.topology.nodes[request.src],
-            node_c=self.topology.nodes[
-                anchors[i + 1] if i + 1 < len(anchors) else request.dst
-            ],
+            decay_rate=link_decay_rate(nodes[request.src], nodes[far]),
             options=self.options,
         )
         state.stats.swaps += 1
@@ -1520,10 +1497,10 @@ class NetworkService:
         if i + 1 < len(anchors):
             self.engine.send_classical(
                 anchor,
-                anchors[i + 1],
-                self.routes.classical_distance(anchor, anchors[i + 1]),
+                far,
+                self.routes.classical_distance(anchor, far),
                 lambda: self._hybrid_merge_at(state, i + 1, merged),
-                f"swap herald {state.tag} -> {anchors[i + 1]}",
+                f"swap herald {state.tag} -> {far}",
             )
         else:
             self._hybrid_announce(state, anchor, merged)

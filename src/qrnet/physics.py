@@ -32,7 +32,6 @@ from .model import (
     Role,
     WernerLink,
     fidelity_of,
-    link_decay_rate,
     werner_from_fidelity,
 )
 
@@ -142,7 +141,6 @@ def purify(
         node_a=a.node_a,
         node_b=a.node_b,
         w=w_new,
-        created_at=now,
         last_updated=now,
         decay_rate=a.decay_rate,
     )
@@ -179,15 +177,15 @@ def swap(
     *,
     now: float,
     link_id: int,
-    node_a: NodeSpec | None = None,
-    node_c: NodeSpec | None = None,
+    decay_rate: float = 0.0,
     options: AllPhotonicOptions | None = None,
 ) -> WernerLink:
     """Swap two adjacent pairs at their shared node into one longer pair.
 
     The Bell measurement's outcome only selects a local Pauli correction,
     which leaves a Werner state unchanged, so no outcome is drawn.
-    Consumes both inputs.
+    Consumes both inputs.  The merged pair decays at ``decay_rate``, which
+    the caller sets from the two nodes that hold it.
     """
     if not can_swap(node_b.repeater_class):
         raise CapabilityViolation(
@@ -204,19 +202,13 @@ def swap(
     if end_a == end_c:
         raise NoCommonNode("swap would close a loop onto a single node")
 
-    eps = swap_noise(node_b, options)
-    w_new = swapped_w(ab.w_at(now), bc.w_at(now), eps)
-    rate = 0.0
-    if node_a is not None and node_c is not None:
-        rate = link_decay_rate(node_a, node_c)
     return WernerLink(
         link_id=link_id,
         node_a=end_a,
         node_b=end_c,
-        w=w_new,
-        created_at=now,
+        w=swapped_w(ab.w_at(now), bc.w_at(now), swap_noise(node_b, options)),
         last_updated=now,
-        decay_rate=rate,
+        decay_rate=decay_rate,
     )
 
 
@@ -227,27 +219,23 @@ def attempt_generation(
     *,
     now: float = 0.0,
     link_id: int = 0,
-    node_a: NodeSpec | None = None,
-    node_b: NodeSpec | None = None,
+    decay_rate: float = 0.0,
 ) -> WernerLink | None:
     """One pulsed attempt to generate a heralded pair across ``edge``.
 
     Exactly one uniform is drawn per attempt.  On success the fresh pair
-    starts at w = params.w0.
+    starts at w = params.w0 and decays at ``decay_rate``, which the caller
+    sets from the two nodes that hold it.
     """
     if rng.random() >= channel_success_prob(edge):
         return None
-    rate = 0.0
-    if node_a is not None and node_b is not None:
-        rate = link_decay_rate(node_a, node_b)
     return WernerLink(
         link_id=link_id,
         node_a=edge.node_a,
         node_b=edge.node_b,
         w=params.w0,
-        created_at=now,
         last_updated=now,
-        decay_rate=rate,
+        decay_rate=decay_rate,
     )
 
 
@@ -272,7 +260,6 @@ def allphotonic_generate(
         node_a=edge.node_a,
         node_b=edge.node_b,
         w=params.w0,
-        created_at=now,
         last_updated=now,
         decay_rate=0.0,
     )

@@ -168,7 +168,7 @@ def test_06_retry_budget_is_exact_and_healing_recovers():
     sim.run_until()
     out = got[0]
     exhausted = (out.outcome == "RetriesExhausted"
-                 and out.emissions == 4
+                 and out.retries == 3
                  and out.drops.get("FrameLost") == 4)
     service.frame_loss_prob = 0.0
     req2 = ConnectionRequest(
@@ -181,7 +181,7 @@ def test_06_retry_budget_is_exact_and_healing_recovers():
     healed = got[1].completed
     ok = exhausted and healed
     _verdict("06 retry budget and healing", ok, time.perf_counter() - t0, 10.0,
-             f"{out.emissions} frames under total loss, then "
+             f"{out.retries + 1} frames under total loss, then "
              f"{got[1].outcome} after healing")
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import io
 from collections import Counter
@@ -19,6 +20,7 @@ from qrnet import (
     run_experiment,
 )
 from qrnet import harness, netlayer
+from qrnet.engine import Simulator
 from qrnet.linklayer import LinkSession
 from qrnet.harness import CSV_HEADER, splitmix64
 
@@ -103,6 +105,14 @@ def test_parse_topology_rejects_bad_tokens():
     with pytest.raises(ParseError) as err:
         parse_topology("node a role=end\nnode b role=end\nedge a b length_km=fast\n")
     assert err.value.line == 3
+    for bad in (
+        "node", "node c bogus=1", "node c role=bogus", "node c class=bogus",
+        "node c memories", "node c memories=two", "edge a", "edge a b bogus=1",
+        "edge a b p_src=1 p_src=1", "edge a ghost",
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_topology(f"node a role=end\nnode b role=end\n{bad}\n")
+        assert err.value.line == 3, bad
     with pytest.raises(ParseError) as err:
         parse_topology("frobnicate a b\n")
     assert err.value.line == 1
@@ -126,6 +136,8 @@ def test_parse_scenario_directives():
         "seed=3\n"
         "duration=2.5\n"
         "cost=latency\n"
+        "ttl=5\n"
+        "frame_loss=0.25\n"
         "physics w0=0.9 f_target=0.92 r_max=2\n"
         "policy swap=left_to_right pipelining=false retry_limit=1\n"
         "request src=a dst=b model=cl class=second protocol=ol"
@@ -133,6 +145,7 @@ def test_parse_scenario_directives():
     )
     assert scn.duration == 2.5
     assert scn.cost is PathCost.LATENCY
+    assert (scn.ttl, scn.frame_loss) == (5, 0.25)
     assert scn.physics.w0 == 0.9
     assert scn.physics.r_max == 2
     assert scn.swap_policy is SwapPolicy.LEFT_TO_RIGHT
@@ -180,6 +193,20 @@ def test_parse_scenario_rejects_malformed_lines():
         ("physics r_max=-1\n", 1),
         ("physics cluster_overhead=-0.5\n", 1),
         ("physics cluster_overhead=nan\n", 1),
+        # after a good first line, every malformed token fails at its own
+        *[(f"seed=1\n{bad}\n", 2) for bad in (
+            "ttl=0", "trials=0", "frame_loss=1.5", "policy retry_limit=-1",
+            "cost=bogus", "policy swap=bogus", "policy pipelining=maybe",
+            "request src=a dst=b model=bogus", "request src=a dst=b model=co class=bogus",
+            "request src=a dst=b model=co protocol=bogus",
+            "request src=a dst=b model=co alternate=maybe",
+            "allphotonic ecc=maybe", "physics w0", "physics =1", "physics w0=",
+            "physics w0=1 w0=1", "physics bogus=1", "allphotonic bogus=true",
+            "policy bogus=1", "request src=a dst=b model=co bogus=1",
+            "request src=a dst=b model=co arrivals=bogus:1",
+            "request src=a dst=b model=co arrivals=fixed:",
+            "request src=a dst=b model=co arrivals=poisson",
+        )],
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as err:
@@ -754,6 +781,50 @@ def test_loss_weighted_never_routes_over_a_dark_edge():
     rows = run_experiment(topo, scn)
     outcomes = {r["request_id"]: r["outcome"] for r in rows}
     assert outcomes == {"co": "NoPath", "cl": "NoRoute"}
+
+
+@pytest.mark.parametrize("cost", [c.value for c in PathCost])
+def test_a_never_heralding_edge_gives_rows_under_every_cost(monkeypatch, cost):
+    # no deadline, so a request that waited on the dark edge would run until
+    # the event ceiling; a low one makes that fail fast
+    monkeypatch.setattr(
+        harness, "Simulator", functools.partial(Simulator, livelock_ceiling=20_000)
+    )
+    topo = parse_topology(
+        "node a role=end class=first memories=4\n"
+        "node b role=repeater class=first memories=4\n"
+        "node d role=end class=first memories=4\n"
+        "edge a b length_km=5 alpha=0.2 p_src=0\n"
+        "edge b d length_km=5 alpha=0.2 p_src=0.5\n"
+    )
+    scn = parse_scenario(
+        f"seed=3\ncost={cost}\ncontroller=b\n"
+        "request id=co src=a dst=d model=co class=first protocol=sl\n"
+        "request id=cl src=a dst=d model=cl class=first protocol=ol\n"
+        "request id=hy src=a dst=d model=hybrid class=first protocol=ol waypoints=b\n"
+        "request id=alt src=a dst=d model=hybrid class=first protocol=ol waypoints=b"
+        " alternate=true\n"
+    )
+    outcomes = {r["request_id"]: r["outcome"] for r in run_experiment(topo, scn)}
+    assert outcomes == {"co": "NoPath", "cl": "NoRoute", "hy": "NoRoute", "alt": "NoPath"}
+
+
+def test_all_photonic_generation_with_no_cluster_success_has_no_path(monkeypatch):
+    monkeypatch.setattr(
+        harness, "Simulator", functools.partial(Simulator, livelock_ceiling=20_000)
+    )
+    topo = parse_topology(
+        "node a role=end class=all_photonic\n"
+        "node b role=repeater class=all_photonic\n"
+        "node d role=end class=all_photonic\n"
+        "edge a b length_km=5\n"
+        "edge b d length_km=5\n"
+    )
+    scn = parse_scenario(
+        "seed=3\ncontroller=b\nphysics cluster_overhead=0\n"
+        "request id=co src=a dst=d model=co class=all_photonic protocol=sl\n"
+    )
+    assert [r["outcome"] for r in run_experiment(topo, scn)] == ["NoPath"]
 
 
 def test_poisson_arrivals_expand_per_trial():

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from qrnet import (
     CapabilityViolation,
     ChannelResult,
@@ -174,3 +176,16 @@ def test_protocol_class_gate():
         pass
     else:
         raise AssertionError("third class must not run the simultaneous protocol")
+
+
+def test_session_rejects_malformed_paths():
+    topo = chain_topology([10.0] * 3)
+    topo.nodes["n2"].repeater_class = RepeaterClass.SECOND
+    sim = Simulator(topo, PARAMS, seed=1)
+    with pytest.raises(ValueError, match="at least two nodes"):
+        LinkSession(sim, ["n0"], RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE)
+    with pytest.raises(ValueError, match="must not repeat"):
+        LinkSession(sim, ["n0", "n1", "n0"], RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE)
+    with pytest.raises(CapabilityViolation, match="n2 is second"):
+        LinkSession(sim, ["n0", "n1", "n2", "n3"], RepeaterClass.FIRST,
+                    LinkProtocol.ONE_BY_ONE)

@@ -44,7 +44,7 @@ def test_fidelity_range_checks():
 def test_link_decay_and_materialize():
     link = WernerLink(
         link_id=1, node_a="a", node_b="b", w=0.8,
-        created_at=0.0, last_updated=0.0, decay_rate=2.0,
+        last_updated=0.0, decay_rate=2.0,
     )
     assert math.isclose(link.w_at(0.5), 0.8 * math.exp(-1.0))
     link.materialize(0.5)
@@ -56,7 +56,7 @@ def test_link_decay_and_materialize():
 
 def test_link_endpoints():
     link = WernerLink(
-        link_id=1, node_a="a", node_b="b", w=1.0, created_at=0.0, last_updated=0.0
+        link_id=1, node_a="a", node_b="b", w=1.0, last_updated=0.0
     )
     assert link.endpoints() == ("a", "b")
     assert link.other_end("a") == "b"

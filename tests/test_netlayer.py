@@ -506,7 +506,6 @@ def test_cl_retry_budget_is_exact():
     sim.run_until()
     out = service.outcomes[0]
     assert out.outcome == "RetriesExhausted"
-    assert out.emissions == 4
     assert out.retries == 3
     assert out.drops.get("FrameLost") == 4
     for n in ("n0", "n1", "n2"):
@@ -527,7 +526,6 @@ def test_cl_recovers_when_loss_clears():
     out = service.outcomes[0]
     assert out.outcome == "Completed"
     assert out.retries >= 1
-    assert out.emissions == out.retries + 1
 
 
 def test_blocked_cl_hop_waits_for_the_release_then_attempts_on_its_slot_clock():
@@ -696,7 +694,6 @@ def test_cl_retry_of_a_try_idle_at_its_source_only_renames_its_frame(
     assert max(timeouts) < release_at
     assert taken == list(range(1, len(timeouts) + 2))  # one id per try
     assert out.retries == len(timeouts)
-    assert out.emissions == len(timeouts) + 1
     at_source = [frame_id for node, frame_id in decided if node == "n0"]
     assert at_source == taken[:1]
     # the frame the target receives is the last try's
@@ -859,6 +856,37 @@ def test_hybrid_requires_waypoints():
                             LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID)
     with pytest.raises(ValueError):
         NetworkService(sim).submit(req, at=0.0)
+
+
+@pytest.mark.parametrize(
+    "dst, protocol, model, waypoints, reason, detail",
+    [
+        ("ghost", LinkProtocol.SIMULTANEOUS, ConnectionModel.CONNECTION_ORIENTED, (),
+         "NoPath", "unknown node ghost"),
+        ("z", LinkProtocol.ONE_BY_ONE, ConnectionModel.CONNECTIONLESS, (),
+         "NoPath", "no classical route n0 -> z"),
+        ("n4", LinkProtocol.SIMULTANEOUS, ConnectionModel.HYBRID, ("n2",),
+         "CapabilityViolation", "use one-by-one"),
+        ("n4", LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID, ("n4",),
+         "NoPath", "waypoint n4 repeats an endpoint"),
+        ("n4", LinkProtocol.ONE_BY_ONE, ConnectionModel.HYBRID, ("n3",),
+         "CapabilityViolation", "anchor n3 cannot swap"),
+    ],
+    ids=["unknown-node", "unreachable", "hybrid-sl", "waypoint-is-endpoint",
+         "third-class-anchor"],
+)
+def test_network_conditions_become_outcome_rows(
+    dst, protocol, model, waypoints, reason, detail
+):
+    topo = chain_topology([10.0] * 4)
+    topo.add_node(NodeSpec("z", role=Role.END))  # a component of its own
+    topo.nodes["n3"].repeater_class = RepeaterClass.THIRD
+    sim = Simulator(topo, PARAMS, seed=2)
+    req = ConnectionRequest("nc", "n0", dst, RepeaterClass.FIRST, protocol, model,
+                            waypoints=waypoints)
+    res = establish(req, sim)
+    assert isinstance(res, Failure), res
+    assert (res.reason, detail in res.detail) == (reason, True), res.detail
 
 
 # --------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from qrnet.physics import (
 def _pair(w, node_a="a", node_b="b", decay=0.0, at=0.0, link_id=1):
     return WernerLink(
         link_id=link_id, node_a=node_a, node_b=node_b, w=w,
-        created_at=at, last_updated=at, decay_rate=decay,
+        last_updated=at, decay_rate=decay,
     )
 
 

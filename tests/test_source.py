@@ -86,3 +86,33 @@ def test_every_keyword_only_parameter_is_passed_outside_the_tests():
         if arg.arg not in passed
     ]
     assert unused == []
+
+
+def _dataclass_fields(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in ast.unparse(d) for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    # a field counts as read when code in src/qrnet, demos/ or perfbench/
+    # loads an attribute of its name, or names it in a string (getattr);
+    # writing it, by keyword or by assignment, does not count
+    read: set[str] = set()
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    unread = [
+        f"{path.name}:{stmt.lineno} {cls}.{stmt.target.id}"
+        for path in SOURCES
+        for cls, stmt in _dataclass_fields(ast.parse(path.read_text(), str(path)))
+        if stmt.target.id not in read
+    ]
+    assert unread == []
