@@ -70,7 +70,9 @@ class MemoryLedger:
     with nodes in the order the tag first touched them, so every per-tag
     call costs O(nodes the tag touched), not O(run history).  An entry's
     slot-seconds are settled on ``acquire``, ``release`` and
-    ``occupancy_s``, always as ``slot + held * (now - since)``.
+    ``occupancy_s``, always as ``slot + held * (now - since)``. An owner
+    that has closed is forgotten (``forget``) once its slot-seconds are
+    read, so the ledger holds only the tags of live owners.
 
     A waiter blocked on memory parks at the one node that blocks it, with
     the slots it needs there and its owner's tag, instead of polling.
@@ -162,15 +164,19 @@ class MemoryLedger:
             del waiting[waiter]
             waiter.wake()
 
-    def occupancy_s(self, tag: str, now: float, nodes=None) -> float:
-        """Accumulated slot-seconds for ``tag``, optionally over given nodes."""
+    def occupancy_s(self, tag: str, now: float, skip=()) -> float:
+        """Accumulated slot-seconds for ``tag``, leaving out nodes in ``skip``."""
         total = 0.0
         for node_id, entry in self._by_tag.get(tag, {}).items():
-            if nodes is not None and node_id not in nodes:
+            if node_id in skip:
                 continue
             self._settle(entry, now)
             total += entry[2]
         return total
+
+    def forget(self, tag: str) -> None:
+        """Drop a closed owner's entries, after its last ``occupancy_s`` read."""
+        self._by_tag.pop(tag, None)
 
 
 class Simulator:
@@ -197,6 +203,8 @@ class Simulator:
         self.trace_fp = trace_fp
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
+        # seq of the event running now, or -1 before the first
+        self._running = -1
         self._streams: dict[str, np.random.Generator] = {}
         self._link_ids = 0
         self.memory = MemoryLedger(topology)
@@ -212,14 +220,37 @@ class Simulator:
         self._link_ids += 1
         return self._link_ids
 
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers now; return the first.
+
+        An event scheduled later with ``seq=`` one of them runs where it
+        would have run had it been scheduled now.
+        """
+        first = self._seq
+        self._seq += count
+        return first
+
     def schedule(
-        self, time: float, kind: EventKind, action: Callable[[], None], summary: str = ""
+        self,
+        time: float,
+        kind: EventKind,
+        action: Callable[[], None],
+        summary: str = "",
+        seq: int | None = None,
     ) -> SimEvent:
+        """Queue ``action`` at ``time``, on a fresh or a reserved ``seq``.
+
+        A reserved ``seq`` must still be ahead of the running event.
+        """
         if time < self.now:
             raise PastEventError(f"cannot schedule at {time}, clock is at {self.now}")
-        event = SimEvent(time, self._seq, kind, summary, action)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, event.seq, event))
+        if seq is None:
+            seq = self._seq
+            self._seq += 1
+        elif time == self.now and seq < self._running:
+            raise PastEventError(f"seq {seq} at {time} is behind the running event")
+        event = SimEvent(time, seq, kind, summary, action)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def after(
@@ -261,6 +292,7 @@ class Simulator:
                     f"exceeded {self.livelock_ceiling} events at t={self.now}"
                 )
             self.now = event.time
+            self._running = event.seq
             if trace_fp is not None:
                 trace_fp.write(
                     f"{event.time:.9e}\t{event.seq}\t{event.kind.value}\t{event.summary}\n"

@@ -453,7 +453,33 @@ def run_experiment(
             options=scenario.options,
             routes=routes,
         )
+        # each closed request becomes its row at once, so no outcome is kept
         arrival_of: dict[str, float] = {}
+
+        def add_row(outcome):
+            request = outcome.request
+            rows.append(
+                {
+                    "request_id": request.request_id,
+                    "trial": trial,
+                    "model": request.model.value,
+                    "class": request.repeater_class.value,
+                    "link_protocol": request.link_protocol.value,
+                    "outcome": "success" if outcome.completed else outcome.outcome,
+                    "setup_latency_s": outcome.setup_latency_s,
+                    "end_fidelity": (
+                        fidelity_of(outcome.link.w)
+                        if outcome.completed and outcome.link is not None
+                        else None
+                    ),
+                    "attempts_total": outcome.stats.attempts_total,
+                    "purification_rounds": outcome.stats.purification_rounds,
+                    "retries": outcome.retries,
+                    "node_occupancy_s": outcome.node_occupancy_s,
+                    "arrival": arrival_of.pop(request.request_id),
+                }
+            )
+
         invalid: list[tuple[str, str, RequestTemplate, float]] = []
         for template in scenario.requests:
             times = _expand_arrivals(template, sim, scenario.duration)
@@ -475,32 +501,10 @@ def run_experiment(
                         waypoints=template.waypoints,
                         alternate_mode=template.alternate,
                     )
-                    service.submit(request, at=at)
+                    service.submit(request, at=at, on_outcome=add_row)
                 except ValueError as err:
                     invalid.append((rid, str(err), template, at))
         sim.run_until()
-        for outcome in service.outcomes:
-            rows.append(
-                {
-                    "request_id": outcome.request.request_id,
-                    "trial": trial,
-                    "model": outcome.request.model.value,
-                    "class": outcome.request.repeater_class.value,
-                    "link_protocol": outcome.request.link_protocol.value,
-                    "outcome": "success" if outcome.completed else outcome.outcome,
-                    "setup_latency_s": outcome.setup_latency_s,
-                    "end_fidelity": (
-                        fidelity_of(outcome.link.w)
-                        if outcome.completed and outcome.link is not None
-                        else None
-                    ),
-                    "attempts_total": outcome.stats.attempts_total,
-                    "purification_rounds": outcome.stats.purification_rounds,
-                    "retries": outcome.retries,
-                    "node_occupancy_s": outcome.node_occupancy_s,
-                    "arrival": arrival_of.get(outcome.request.request_id, 0.0),
-                }
-            )
         for rid, reason, template, at in invalid:
             rows.append(
                 {

@@ -38,7 +38,7 @@ from .capability import (
     can_swap,
     validate_request,
 )
-from .engine import EventKind, ResourceExhausted, Simulator
+from .engine import EventKind, PastEventError, ResourceExhausted, Simulator
 from .linklayer import (
     ChannelResult,
     Failure,
@@ -936,6 +936,14 @@ class NetworkService:
     All three connection models share the engine, the memory ledger, and
     the routing tables, so concurrent requests contend realistically.
     It routes by hop count unless given ``routes`` for the engine's topology.
+
+    ``submit`` takes a request's sequence numbers at the call (its deadline
+    watchdog's, then its arrival's) and files the request by arrival; the
+    engine holds the events of the next filed request only, and each arrival
+    that runs schedules the next on its reserved numbers. So events run in
+    the order they would if every submit scheduled them at once, while a
+    request's state exists only from just before its arrival until it
+    closes. When it closes, its tags leave the memory ledger.
     """
 
     def __init__(
@@ -970,7 +978,12 @@ class NetworkService:
         self.tables = build_routing_tables(self.routes)
         self.outcomes: list[ConnectionOutcome] = []
         self._queue: deque[_RequestState] = deque()
-        self._active: dict[str, _RequestState] = {}
+        # ids submitted and not yet closed, filed ones included
+        self._active: set[str] = set()
+        # (arrival, arrival seq, request, on_outcome) of requests not yet
+        # pushed, and the key of the pushed arrival that pushes the next
+        self._filed: list[tuple] = []
+        self._feeder: tuple[float, int] | None = None
         self._frame_seq = 0
 
     # -- plumbing ---------------------------------------------------------
@@ -1003,11 +1016,15 @@ class NetworkService:
         for leg in state.legs:
             leg.abort()
         occupancy = 0.0
-        interior = set(self.topology.nodes) - {state.request.src, state.request.dst}
-        for tag in [state.tag] + [leg.tag for leg in state.legs]:
-            occupancy += self.engine.memory.occupancy_s(tag, now, nodes=interior)
-            self.engine.memory.release_all(tag, now)
-        self._active.pop(state.tag, None)
+        ends = (state.request.src, state.request.dst)
+        ledger = self.engine.memory
+        tags = [state.tag] + [leg.tag for leg in state.legs]
+        for tag in tags:
+            occupancy += ledger.occupancy_s(tag, now, ends)
+            ledger.release_all(tag, now)
+        for tag in tags:
+            ledger.forget(tag)
+        self._active.discard(state.request.request_id)
         record = ConnectionOutcome(
             request=state.request,
             outcome=outcome,
@@ -1020,9 +1037,10 @@ class NetworkService:
             detail=detail,
             finished_at=now,
         )
-        self.outcomes.append(record)
         if state.on_outcome is not None:
             state.on_outcome(record)
+        else:
+            self.outcomes.append(record)
         self._try_admit()
 
     def _deliver(self, state: _RequestState, link: WernerLink) -> None:
@@ -1082,30 +1100,60 @@ class NetworkService:
         at: float | None = None,
         on_outcome: Callable[[ConnectionOutcome], None] | None = None,
     ) -> None:
-        """Register a request; its fate arrives in ``outcomes`` later."""
+        """Register a request arriving at ``at`` (default: now).
+
+        Its fate goes to ``on_outcome`` when given, else to ``outcomes``.
+        """
         if request.model is ConnectionModel.HYBRID and not request.waypoints:
             raise ValueError("hybrid requests need at least one waypoint")
-        emission = self.engine.now if at is None else at
+        if request.request_id in self._active:
+            raise ValueError(f"request id {request.request_id} already active")
+        engine = self.engine
+        emission = engine.now if at is None else at
+        if emission < engine.now:
+            raise PastEventError(f"cannot submit at {emission}, clock is at {engine.now}")
+        self._active.add(request.request_id)
+        count = 1 if request.deadline is None else 2
+        key = (emission, engine.reserve(count) + count - 1)
+        if self._feeder is None:
+            self._feeder = key
+            self._push(key, request, on_outcome, feeds=True)
+        elif key < self._feeder:
+            # arrives before the feeder, so nothing filed can push it in time
+            self._push(key, request, on_outcome, feeds=False)
+        else:
+            heapq.heappush(self._filed, (*key, request, on_outcome))
+
+    def _push(self, key: tuple[float, int], request, on_outcome, *, feeds: bool) -> None:
+        """Schedule a request's events on the seqs ``submit`` reserved."""
+        emission, seq = key
         state = _RequestState(request, emission)
         state.on_outcome = on_outcome
-        if state.tag in self._active:
-            raise ValueError(f"request id {request.request_id} already active")
-        self._active[state.tag] = state
         if request.deadline is not None:
             state.watchdog = self.engine.schedule(
                 emission + request.deadline,
                 EventKind.TIMEOUT,
                 lambda: self._finish(state, "Timeout", detail="deadline passed"),
                 f"deadline {state.tag}",
+                seq=seq - 1,
             )
         self.engine.schedule(
             emission,
             EventKind.PROTOCOL_STEP,
-            lambda: self._arrive(state),
+            lambda: self._arrive(state, feeds),
             f"request {request.request_id} ({request.model.value})",
+            seq=seq,
         )
 
-    def _arrive(self, state: _RequestState) -> None:
+    def _arrive(self, state: _RequestState, feeds: bool) -> None:
+        if feeds:
+            # every filed request arrives after this one, so the first of
+            # them is pushed ahead of all its events
+            self._feeder = None
+            if self._filed:
+                emission, seq, request, on_outcome = heapq.heappop(self._filed)
+                self._feeder = (emission, seq)
+                self._push(self._feeder, request, on_outcome, feeds=True)
         if state.closed:
             return
         request = state.request
@@ -1296,10 +1344,10 @@ class NetworkService:
     ) -> _ClLeg:
         request = state.request
         cls = request.repeater_class
-        if self.cl_timeout is not None:
-            timeout = self.cl_timeout
-        else:
-            timeout = 3.0 * self._zero_load_estimate(src, dst, cls)
+        # the estimate also rejects a route with no table entry or a hop
+        # that never heralds, whichever timeout the leg gets
+        estimate = self._zero_load_estimate(src, dst, cls)
+        timeout = 3.0 * estimate if self.cl_timeout is None else self.cl_timeout
         return _ClLeg(
             self,
             tag,

@@ -48,6 +48,38 @@ def test_past_scheduling_rejected():
         sim.schedule(0.5, EventKind.PROTOCOL_STEP, lambda: None)
 
 
+def test_a_reserved_seq_runs_where_it_was_taken():
+    sim = _sim()
+    order = []
+    first = sim.reserve(2)
+    sim.schedule(1.0, EventKind.PROTOCOL_STEP, lambda: order.append("fresh"))
+
+    def push():
+        order.append("pusher")
+        sim.schedule(1.0, EventKind.PROTOCOL_STEP, lambda: order.append("reserved"),
+                     seq=first + 1)
+
+    sim.schedule(1.0, EventKind.PROTOCOL_STEP, push, seq=first)
+    sim.run_until()
+    assert order == ["pusher", "reserved", "fresh"]
+
+
+def test_a_reserved_seq_behind_the_running_event_is_rejected():
+    sim = _sim()
+    first = sim.reserve(1)
+    rejected = []
+
+    def late():
+        try:
+            sim.schedule(1.0, EventKind.PROTOCOL_STEP, lambda: None, seq=first)
+        except PastEventError:
+            rejected.append(sim.now)
+
+    sim.schedule(1.0, EventKind.PROTOCOL_STEP, late)
+    sim.run_until()
+    assert rejected == [1.0]
+
+
 def test_cancelled_events_do_not_fire():
     sim = _sim()
     fired = []
@@ -201,10 +233,10 @@ def test_ledger_occupancy_accumulates_across_cycles():
     ledger.acquire("n1", 1, "req:1", now=5.0)
     ledger.release("n1", 1, "req:1", now=8.0)   # 3 more
     assert math.isclose(ledger.occupancy_s("req:1", now=10.0), 5.0)
-    # filter to a node subset
+    # leave a node out
     ledger.acquire("n0", 1, "req:1", now=10.0)
     assert math.isclose(
-        ledger.occupancy_s("req:1", now=12.0, nodes={"n1"}), 5.0
+        ledger.occupancy_s("req:1", now=12.0, skip={"n0"}), 5.0
     )
     assert math.isclose(ledger.occupancy_s("req:1", now=12.0), 7.0)
 
@@ -258,10 +290,10 @@ class _FlatLedger:
         for node in self.tags_holding(tag):
             self.release(node, self.held[(tag, node)], tag, now)
 
-    def occupancy_s(self, tag, now, nodes=None):
+    def occupancy_s(self, tag, now, skip=()):
         total = 0.0
         for t, node in list(self.held):
-            if t != tag or (nodes is not None and node not in nodes):
+            if t != tag or node in skip:
                 continue
             self._settle((t, node), now)
             total += self.slot[(t, node)]
@@ -278,7 +310,7 @@ LEDGER_OPS = st.lists(
         st.integers(0, 3),
         # steps that do not add up exactly, so summation order shows
         st.sampled_from([0.0, 1e-4, 0.1, 1.0 / 3.0, 2.5]),
-        st.none() | st.frozensets(st.sampled_from(LEDGER_NODES)),
+        st.frozensets(st.sampled_from(LEDGER_NODES)),
     ),
     max_size=60,
 )
@@ -295,23 +327,23 @@ def _outcome(call):
 @given(LEDGER_OPS)
 # 2e-4 + 2e-4 + 3e-4 sums differently from 3e-4 + 2e-4 + 2e-4
 @example([
-    ("acquire", "req:a", "n0", 2, 0.0, None),
-    ("acquire", "req:a", "n1", 2, 0.0, None),
-    ("acquire", "req:a", "n2", 3, 0.0, None),
-    ("occupancy_s", "req:a", "n0", 0, 1e-4, None),
+    ("acquire", "req:a", "n0", 2, 0.0, frozenset()),
+    ("acquire", "req:a", "n1", 2, 0.0, frozenset()),
+    ("acquire", "req:a", "n2", 3, 0.0, frozenset()),
+    ("occupancy_s", "req:a", "n0", 0, 1e-4, frozenset()),
 ])
 def test_ledger_matches_flat_reference(ops):
     ledger = MemoryLedger(chain_topology([10.0, 10.0], memories=3))
     ref = _FlatLedger(ledger.capacity)
     now = 0.0
-    for kind, tag, node, count, step, nodes in ops:
+    for kind, tag, node, count, step, skip in ops:
         now += step
         if kind in ("acquire", "release"):
             args = (node, count, tag, now)
         elif kind == "release_all":
             args = (tag, now)
         else:
-            args = (tag, now, nodes)
+            args = (tag, now, skip)
         got = _outcome(lambda: getattr(ledger, kind)(*args))
         want = _outcome(lambda: getattr(ref, kind)(*args))
         assert got == want  # occupancy_s bit for bit, not approximately
@@ -371,6 +403,8 @@ def test_every_node_is_back_at_capacity_when_the_queue_drains(seed, requests):
     assert len(service.outcomes) == submitted
     for node in nodes:
         assert sim.memory.available(node) == topo.nodes[node].memory_count
+    # every request closed, so the ledger forgot every tag
+    assert sim.memory._by_tag == {}
 
 
 def test_contended_cl_grid_fits_a_ceiling_sized_for_its_real_work():

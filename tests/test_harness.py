@@ -809,6 +809,29 @@ def test_a_never_heralding_edge_gives_rows_under_every_cost(monkeypatch, cost):
     assert outcomes == {"co": "NoPath", "cl": "NoRoute", "hy": "NoRoute", "alt": "NoPath"}
 
 
+@pytest.mark.parametrize("cost", ["hop_count", "loss_weighted"])
+def test_a_never_heralding_edge_gives_no_route_with_a_fixed_cl_timeout(cost):
+    # a fixed try timeout needs no estimate of the route, but the route is
+    # still checked: the leg never starts, under either cost
+    topo = parse_topology(
+        "node a role=end class=first memories=4\n"
+        "node b role=repeater class=first memories=4\n"
+        "node d role=end class=first memories=4\n"
+        "edge a b length_km=5 alpha=0.2 p_src=0\n"
+        "edge b d length_km=5 alpha=0.2 p_src=0.5\n"
+    )
+    scn = parse_scenario(
+        f"seed=3\ncost={cost}\ncontroller=b\npolicy cl_timeout=0.001 retry_limit=3\n"
+        "request id=cl src=a dst=d model=cl class=first protocol=ol\n"
+        "request id=hy src=a dst=d model=hybrid class=first protocol=ol waypoints=b\n"
+    )
+    rows = run_experiment(topo, scn)
+    assert {r["request_id"]: (r["outcome"], r["retries"]) for r in rows} == {
+        "cl": ("NoRoute", 0),
+        "hy": ("NoRoute", 0),
+    }
+
+
 def test_all_photonic_generation_with_no_cluster_success_has_no_path(monkeypatch):
     monkeypatch.setattr(
         harness, "Simulator", functools.partial(Simulator, livelock_ceiling=20_000)
