@@ -33,7 +33,7 @@ class PastEventError(Exception):
 
 
 class LivelockError(Exception):
-    """The run exceeded its event ceiling without reaching its stop condition."""
+    """The run spent its event ceiling without progress or its stop condition."""
 
 
 class ResourceExhausted(Exception):
@@ -185,6 +185,11 @@ class Simulator:
     With a ``trace_fp``, each executed event is written to it as one
     tab-separated line the moment it runs; without one, nothing about
     executed events is kept.
+
+    ``livelock_ceiling`` bounds stalled work, not all work: ``run_until``
+    raises when a window of that many events runs with no ``progress``
+    call, which the network service makes when a request arrives or
+    closes.
     """
 
     def __init__(
@@ -203,6 +208,7 @@ class Simulator:
         self.trace_fp = trace_fp
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
+        self._progress = 0
         # seq of the event running now, or -1 before the first
         self._running = -1
         self._streams: dict[str, np.random.Generator] = {}
@@ -215,6 +221,10 @@ class Simulator:
             gen = np.random.default_rng(stream_seed(self.seed, label))
             self._streams[label] = gen
         return gen
+
+    def progress(self) -> None:
+        """Note that the run advanced, which resets the livelock ceiling."""
+        self._progress += 1
 
     def next_link_id(self) -> int:
         self._link_ids += 1
@@ -275,10 +285,13 @@ class Simulator:
     def run_until(self, stop: Callable[[], bool] | None = None) -> None:
         """Process events until the stop predicate holds or the queue drains.
 
-        Raises LivelockError if the event ceiling is hit first; a finished
-        simulation should always exhaust its work or satisfy its stop.
+        Raises LivelockError if a window of ``livelock_ceiling`` events runs
+        with no ``progress`` call, so within two windows of a stall; a
+        finished simulation should always exhaust its work or satisfy its stop.
         """
         processed = 0
+        limit = self.livelock_ceiling
+        progress = self._progress
         trace_fp = self.trace_fp
         while self._heap:
             if stop is not None and stop():
@@ -287,10 +300,14 @@ class Simulator:
             if event.cancelled:
                 continue
             processed += 1
-            if processed > self.livelock_ceiling:
-                raise LivelockError(
-                    f"exceeded {self.livelock_ceiling} events at t={self.now}"
-                )
+            if processed > limit:
+                if self._progress == progress:
+                    raise LivelockError(
+                        f"ran {self.livelock_ceiling} events without progress"
+                        f" at t={self.now}"
+                    )
+                progress = self._progress
+                limit = processed + self.livelock_ceiling
             self.now = event.time
             self._running = event.seq
             if trace_fp is not None:

@@ -486,7 +486,6 @@ def run_experiment(
             many = len(times) > 1
             for k, at in enumerate(times):
                 rid = f"{template.request_id}.{k}" if many else template.request_id
-                arrival_of[rid] = at
                 try:
                     request = ConnectionRequest(
                         rid,
@@ -502,6 +501,8 @@ def run_experiment(
                         alternate_mode=template.alternate,
                     )
                     service.submit(request, at=at, on_outcome=add_row)
+                    # a refused id may be another request's, which keeps its arrival
+                    arrival_of[rid] = at
                 except ValueError as err:
                     invalid.append((rid, str(err), template, at))
         sim.run_until()

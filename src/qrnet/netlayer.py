@@ -256,6 +256,9 @@ class RouteState:
       scale on the channel success;
     * the forwarding ``tables``, None until :func:`build_routing_tables` runs.
 
+    Everything is built on its first use, so set-up costs what the requests
+    read: a connection-oriented request searches only its source's tree, and
+    a node's table is filled only when a table walk or a frame reaches it.
     Nothing here depends on a simulator, so ``run_experiment`` builds one
     per experiment and every trial's :class:`NetworkService` shares it; a
     service given none builds its own. Everything is kept for the
@@ -281,7 +284,7 @@ class RouteState:
         }
         self._cdist: dict[str, dict[str, float]] = {}
         self._dark: dict[float, set[tuple[str, str]]] = {}
-        self.tables: dict[str, dict[int, str]] | None = None
+        self.tables: RoutingTables | None = None
 
     def tree(
         self, src: str, repeater_class: RepeaterClass | None = None
@@ -381,54 +384,94 @@ def compute_path(
     return full
 
 
-def build_routing_tables(routes: RouteState) -> dict[str, dict[int, str]]:
+class RoutingTables(dict):
     """Per-node forwarding maps: destination address to next-hop edge id.
 
-    Each source's unfiltered search tree settles every destination it can
-    reach, with the same key as compute_path, so each entry is the first
-    edge of the route compute_path returns for that pair. The tables are
-    assembled and checked loop free once per ``routes`` and kept in
-    ``routes.tables``; later calls return that same object.
+    ``tables[node]`` is filled on its first read from ``routes.tree(node)``,
+    so only nodes that some frame or walk reaches get a table; ``get``
+    returns the default only for a node the topology lacks. Each source's
+    unfiltered search tree settles every destination it can reach, with the
+    same key as compute_path, so each entry is the first edge of the route
+    compute_path returns for that pair.
     """
-    if routes.tables is not None:
-        return routes.tables
-    topology = routes.topology
-    address = {node: topology.address_of(node) for node in topology.nodes}
-    tables: dict[str, dict[int, str]] = {}
-    for src in topology.nodes:
+
+    def __init__(self, routes: RouteState):
+        super().__init__()
+        self.routes = routes
+        # per destination address, the nodes whose walk toward it is checked
+        self._proven: dict[int, set[str]] = {}
+
+    def __missing__(self, src: str) -> dict[int, str]:
+        topology = self.routes.topology
+        if src not in topology.nodes:
+            raise KeyError(src)
         # nodes settle after their predecessor, so its first edge is known;
         # only src's neighbours look an edge up
         first: dict[str, str] = {}
-        for node, prev in routes.tree(src).items():
+        for node, prev in self.routes.tree(src).items():
             if prev == src:
                 first[node] = topology.edge_between(src, node).edge_id
             elif prev is not None:
                 first[node] = first[prev]
-        tables[src] = {address[dst]: edge_id for dst, edge_id in first.items()}
-    _check_loop_free(topology, tables, address)
-    routes.tables = tables
-    return tables
+        table = self[src] = {topology.address_of(dst): e for dst, e in first.items()}
+        return table
+
+    def get(self, src: str, default=None):
+        try:
+            return self[src]
+        except KeyError:
+            return default
+
+    def walk(self, src: str, dst: str) -> list[tuple]:
+        """The hops a frame from src takes to dst, as (edge, receiving node).
+
+        The first walk toward dst from a node not yet proven to reach it is
+        loop-checked before it is taken, and its nodes are then proven, so
+        every frame follows a checked walk or a suffix of one.
+        """
+        topology = self.routes.topology
+        addr = topology.address_of(dst)
+        proven = self._proven.setdefault(addr, {dst})
+        if src not in proven:
+            if addr not in self[src]:
+                raise NoPathError(f"no table route {src} -> {dst}")
+            _check_loop_free(self, src, addr, proven)
+        node, hops = src, []
+        while node != dst:
+            edge = topology.edges[self[node][addr]]
+            node = edge.other(node)
+            hops.append((edge, topology.nodes[node]))
+        return hops
+
+
+def build_routing_tables(routes: RouteState) -> RoutingTables:
+    """The forwarding tables of ``routes``, each node's filled on first read.
+
+    They are made once per ``routes`` and kept in ``routes.tables``; later
+    calls return that same object.
+    """
+    if routes.tables is None:
+        routes.tables = RoutingTables(routes)
+    return routes.tables
 
 
 def _check_loop_free(
-    topology: Topology, tables: dict[str, dict[int, str]], address: dict[str, int]
+    tables: RoutingTables, src: str, addr: int, proven: set[str]
 ) -> None:
-    """Raise unless every table walk reaches its destination, in O(N^2) steps."""
-    # per destination, nodes already proven to reach it are not walked again
-    limit = len(topology.nodes)
-    for dst, addr in address.items():
-        proven = {dst}
-        for src in topology.nodes:
-            if addr not in tables[src]:
-                continue
-            node, walk = src, []
-            while node not in proven:
-                edge_id = tables[node].get(addr)
-                if edge_id is None or len(walk) > limit:
-                    raise ValueError(f"routing tables loop for {src} -> {addr}")
-                walk.append(node)
-                node = topology.edges[edge_id].other(node)
-            proven.update(walk)
+    """Raise unless src's table walk toward addr reaches a proven node.
+
+    The walk's nodes join ``proven``, so no node is walked twice per
+    destination.
+    """
+    edges = tables.routes.topology.edges
+    node, walk = src, set()
+    while node not in proven:
+        edge_id = tables[node].get(addr)
+        if edge_id is None or node in walk:
+            raise ValueError(f"routing tables loop for {src} -> {addr}")
+        walk.add(node)
+        node = edges[edge_id].other(node)
+    proven.update(walk)
 
 
 class ForwardAction(Enum):
@@ -923,6 +966,8 @@ class _RequestState:
         self.drops: dict[str, int] = {}
         self.closed = False
         self.path: list[str] | None = None
+        # a CO request's slots per node, fixed when its path is
+        self.plan: dict[str, int] = {}
         self.session: LinkSession | None = None
         self.legs: list[_ClLeg] = []
         self.leg_results: dict[int, WernerLink] = {}
@@ -936,6 +981,10 @@ class NetworkService:
     All three connection models share the engine, the memory ledger, and
     the routing tables, so concurrent requests contend realistically.
     It routes by hop count unless given ``routes`` for the engine's topology.
+    Its tables fill on first read, and a connectionless leg's table walk is
+    loop-checked the first time it is used, before any frame takes it.
+    Each arrival and close is reported to the engine as progress, which
+    resets its livelock ceiling.
 
     ``submit`` takes a request's sequence numbers at the call (its deadline
     watchdog's, then its arrival's) and files the request by arrival; the
@@ -1003,6 +1052,7 @@ class NetworkService:
         if state.closed:
             return
         state.closed = True
+        self.engine.progress()
         now = self.engine.now
         if state.watchdog is not None:
             state.watchdog.cancel()
@@ -1146,6 +1196,7 @@ class NetworkService:
         )
 
     def _arrive(self, state: _RequestState, feeds: bool) -> None:
+        self.engine.progress()
         if feeds:
             # every filed request arrives after this one, so the first of
             # them is pushed ahead of all its events
@@ -1206,6 +1257,7 @@ class NetworkService:
         except NoPathError as err:
             self._co_reject(state, "NoPath", str(err))
             return
+        state.plan = memory_plan(state.path, request.repeater_class)
         self._queue.append(state)
         self._try_admit()
 
@@ -1227,13 +1279,12 @@ class NetworkService:
             if state.closed:
                 self._queue.popleft()
                 continue
-            plan = memory_plan(state.path, state.request.repeater_class)
             ledger = self.engine.memory
-            if any(ledger.available(n) < k for n, k in plan.items()):
+            if any(ledger.available(n) < k for n, k in state.plan.items()):
                 return
             self._queue.popleft()
             now = self.engine.now
-            for node_id, slots in plan.items():
+            for node_id, slots in state.plan.items():
                 ledger.acquire(node_id, slots, state.tag, now)
             self.engine.schedule(
                 self._orders_at(state.path),
@@ -1294,15 +1345,7 @@ class NetworkService:
 
     def _zero_load_estimate(self, src: str, dst: str, cls: RepeaterClass) -> float:
         """Expected unloaded establishment time along the table route."""
-        addr = self.topology.address_of(dst)
-        node, hops = src, []
-        while node != dst:
-            edge_id = self.tables.get(node, {}).get(addr)
-            if edge_id is None:
-                raise NoPathError(f"no table route {src} -> {dst}")
-            edge = self.topology.edges[edge_id]
-            node = edge.other(node)
-            hops.append((edge, self.topology.nodes[node]))
+        hops = self.tables.walk(src, dst)
         c = self.engine.params.c_fiber
         total = 0.0
         for edge, receiver in hops:

@@ -123,6 +123,53 @@ def test_livelock_ceiling_raises():
         sim.run_until()
 
 
+class _EventCount:
+    """A trace sink that only counts the events written to it."""
+
+    def __init__(self):
+        self.events = 0
+
+    def write(self, line):
+        self.events += 1
+
+
+def test_livelock_ceiling_counts_events_since_the_last_progress():
+    counted = _EventCount()
+    sim = _sim(livelock_ceiling=50, trace_fp=counted)
+
+    def respawn(n):
+        if n <= 200:
+            sim.progress()
+        sim.after(0.001, EventKind.PROTOCOL_STEP, lambda: respawn(n + 1))
+
+    sim.schedule(0.0, EventKind.PROTOCOL_STEP, lambda: respawn(1))
+    with pytest.raises(LivelockError, match="ran 50 events without progress"):
+        sim.run_until()
+    # 200 events made progress, far past the ceiling; the stall after them
+    # raised within two windows of 50
+    assert 200 + 50 <= counted.events <= 200 + 100
+
+
+def test_arrivals_and_closes_are_progress():
+    # 300 CO requests one after another run 12 events each, so the
+    # run is far past a ceiling of 200 that no request's own events reach
+    counted = _EventCount()
+    topo = chain_topology([10.0, 10.0])
+    sim = Simulator(topo, PhysicsParams(), seed=2, livelock_ceiling=200,
+                    trace_fp=counted)
+    service = NetworkService(sim, controller="n1")
+    for k in range(300):
+        service.submit(
+            ConnectionRequest(f"r{k}", "n0", "n2", RepeaterClass.FIRST,
+                              LinkProtocol.SIMULTANEOUS,
+                              ConnectionModel.CONNECTION_ORIENTED),
+            at=0.01 * k,
+        )
+    sim.run_until()
+    assert len(service.outcomes) == 300
+    assert counted.events > 10 * 200
+
+
 def test_stream_seed_is_sha256_derived():
     digest = hashlib.sha256(b"42:gen:e0").digest()
     assert stream_seed(42, "gen:e0") == int.from_bytes(digest[:8], "big")
@@ -409,11 +456,12 @@ def test_every_node_is_back_at_capacity_when_the_queue_drains(seed, requests):
 
 def test_contended_cl_grid_fits_a_ceiling_sized_for_its_real_work():
     # 36 CL legs crossing a 3x3 grid of two-memory nodes. Blocked hops wait
-    # for a release without spending events, so the run takes about 5,000
+    # for a release without spending events, so the run takes about 3,700
     # events; re-checking every gate at each attempt slot took about 19,000
-    # and would trip this ceiling.
+    # and would break this bound.
     topo = grid_topology(3, 3, memories=2, t_coh=0.05, rate=1e4, p_src=0.5)
-    sim = Simulator(topo, PhysicsParams(), seed=5, livelock_ceiling=10_000)
+    counted = _EventCount()
+    sim = Simulator(topo, PhysicsParams(), seed=5, trace_fp=counted)
     service = NetworkService(sim, controller="g11")
     pairs = [("00", "22"), ("20", "02"), ("01", "21"), ("10", "12"),
              ("22", "00"), ("02", "20"), ("12", "10"), ("21", "01"),
@@ -427,6 +475,7 @@ def test_contended_cl_grid_fits_a_ceiling_sized_for_its_real_work():
             at=1.37e-4 * k,
         )
     sim.run_until()
+    assert counted.events <= 10_000
     assert len(service.outcomes) == 36
     assert sum(o.completed for o in service.outcomes) == 12
     for node in topo.nodes:

@@ -626,10 +626,16 @@ def test_trials_share_one_route_state(monkeypatch):
     shared = run_experiment(parse_topology(topology_text), scenario)
     assert len(builds) == scenario.trials
     assert set(searches.values()) == {1}
-    assert {src for src, cls in searches if cls is None} == {
-        f"g{r}_{c}" for r in range(3) for c in range(3)
+    # tables fill only where a table walk reads them: the CL walk
+    # g0_1-g1_1-g2_1 and the hybrid areas g2_2-g1_2-g1_1-g1_0 and g0_0-g1_0,
+    # each but its last node; CO searches only its sources, by class
+    tables = builds[0][0].tables
+    assert {src for src, cls in searches if cls is None} == set(tables) == {
+        "g0_1", "g1_1", "g2_2", "g1_2", "g0_0"
     }
-    assert ("g0_0", RepeaterClass.FIRST) in searches
+    assert {key for key in searches if key[1] is not None} == {
+        ("g0_0", RepeaterClass.FIRST), ("g2_0", RepeaterClass.SECOND)
+    }
     assert distance_rows and set(distance_rows.values()) == {1}
     # a service per trial that builds its own route state gives the same rows
     monkeypatch.setattr(
@@ -649,23 +655,72 @@ def test_trials_share_one_set_of_routing_tables(monkeypatch):
         "request id=cl src=g0_0 dst=g2_2 model=cl class=first protocol=ol"
         " arrivals=fixed:0 deadline=0.004\n"
     )
-    services, checks = [], []
+    services, checks, searches, seen_at_start = [], [], [], []
     check = netlayer._check_loop_free
+    search = netlayer._shortest_paths
 
     def recorded_service(*args, **kw):
+        seen_at_start.append((len(searches), len(checks)))
         services.append(netlayer.NetworkService(*args, **kw))
         return services[-1]
 
     def counted_check(*args):
-        checks.append(args)
+        checks.append(args[1:3])
         return check(*args)
+
+    def counted_search(routes, src, repeater_class=None):
+        searches.append(src)
+        return search(routes, src, repeater_class)
 
     monkeypatch.setattr(harness, "NetworkService", recorded_service)
     monkeypatch.setattr(netlayer, "_check_loop_free", counted_check)
+    monkeypatch.setattr(netlayer, "_shortest_paths", counted_search)
     run_experiment(parse_topology(_grid_text(3)), scenario)
     assert len(services) == 2
     assert services[0].tables is services[1].tables is services[0].routes.tables
-    assert len(checks) == 1
+    # the first trial walks g0_0 -> g2_2 once, checked once; the second
+    # reads what the first filled and searches and checks nothing
+    address = services[0].topology.address_of("g2_2")
+    assert checks == [("g0_0", address)]
+    assert seen_at_start[1] == (len(searches), len(checks))
+    assert set(searches) == set(services[0].tables)
+
+
+def test_a_connection_oriented_run_searches_only_its_sources(monkeypatch):
+    scenario = parse_scenario(
+        "seed=9\n"
+        "controller=g15_15\n"
+        "request id=a src=g0_0 dst=g29_29 model=co class=first protocol=sl"
+        " arrivals=fixed:0,0.001 deadline=0.01\n"
+        "request id=b src=g29_0 dst=g0_29 model=co class=first protocol=sl"
+        " arrivals=fixed:0.0005 deadline=0.01\n"
+        "request id=c src=g3_7 dst=g3_8 model=co class=first protocol=sl"
+        " arrivals=fixed:0.0002 deadline=0.01\n"
+    )
+    searches, fills, builds = Counter(), [], []
+    search = netlayer._shortest_paths
+    fill = netlayer.RoutingTables.__missing__
+    build = netlayer.build_routing_tables
+
+    def counted_search(routes, src, repeater_class=None):
+        searches[src] += 1
+        return search(routes, src, repeater_class)
+
+    def counted_fill(tables, src):
+        fills.append(src)
+        return fill(tables, src)
+
+    def counted_build(routes):
+        builds.append(routes)
+        return build(routes)
+
+    monkeypatch.setattr(netlayer, "_shortest_paths", counted_search)
+    monkeypatch.setattr(netlayer.RoutingTables, "__missing__", counted_fill)
+    monkeypatch.setattr(netlayer, "build_routing_tables", counted_build)
+    rows = run_experiment(parse_topology(_grid_text(30)), scenario)
+    assert len(rows) == 4 and len(builds) == 1
+    assert searches == Counter({"g0_0": 1, "g29_0": 1, "g3_7": 1})
+    assert fills == [] and len(builds[0].tables) == 0
 
 
 LADDER_TOPO = """\

@@ -150,7 +150,10 @@ def _run(scenario_text):
             1677, "0b81c33d3e6b5ddb36a41f03028845bb60b715d9e98eea2a1ed315d507082c0d",
         ),
         (
-            INVALID_IN_MIDDLE, 15, "72833c31c0ea474c21e62d9a4f23de2950ed5c9eab1045871de5bdae379694eb",
+            # the CSV digest was re-recorded when a refused duplicate id
+            # stopped taking the real request's arrival, which moved the CO
+            # a.1 rows after c; the trace digest is the original
+            INVALID_IN_MIDDLE, 15, "a5eb5abb843a2e3e0ce28c094f37f09252ddc65f1186cbe919aacaa138896e0c",
             214, "3a7b7dfddb97c6b63ee62473ff3db3ce59a8c5c1ebfad10eb957be982c0ed35c",
         ),
     ],
@@ -161,6 +164,17 @@ def test_csv_and_trace_are_frozen(scenario_text, lines, digest, trace_lines, tra
     assert (data.count(b"\n"), trace.count(b"\n")) == (lines, trace_lines)
     assert hashlib.sha256(data).hexdigest() == digest
     assert hashlib.sha256(trace).hexdigest() == trace_digest
+
+
+def test_a_refused_duplicate_id_keeps_the_real_requests_arrival():
+    rows = run_experiment(parse_topology(GRID), parse_scenario(INVALID_IN_MIDDLE))
+    for trial in (0, 1):
+        order = [(r["request_id"], r["model"], r["arrival"])
+                 for r in rows if r["trial"] == trial]
+        # the CO a.1 arrived at 0.0011, after c; the refused CL a.1 row
+        # keeps its own 0.0009
+        assert order[-3:] == [("a.1", "cl", 0.0009), ("c", "co", 0.0010),
+                              ("a.1", "co", 0.0011)]
 
 
 def _req(rid, src, dst, model, **kw):

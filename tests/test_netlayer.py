@@ -228,8 +228,11 @@ def test_memoized_paths_match_fresh_searches(topo, data):
         # lists as a NetworkService shares it across requests, against a
         # fresh one per query
         routes = RouteState(topo, cost)
-        build_routing_tables(routes)
+        tables = build_routing_tables(routes)
         for i, src in enumerate(names):
+            if i % 2:
+                # half the sources' trees are first searched for their table
+                tables[src]
             for j, dst in enumerate(names):
                 if src == dst:
                     continue
@@ -370,8 +373,24 @@ def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
         return dict(zip(order, [None, *order]))
 
     monkeypatch.setattr(netlayer, "_shortest_paths", cycling_search)
+    tables = build_routing_tables(RouteState(topo))
+    # filling a table walks nothing; v3's walk toward v0 is one clean hop
+    assert tables["v1"][topo.address_of("v0")] == "e1"
+    assert [edge.edge_id for edge, _ in tables.walk("v3", "v0")] == ["e3"]
+    # the first read that walks the bounce raises, and again on a rerun
+    for _ in range(2):
+        with pytest.raises(ValueError, match="routing tables loop"):
+            tables.walk("v2", "v0")
+    # a connectionless request raises before any frame takes the loop
+    forwarded = []
+    monkeypatch.setattr(netlayer, "forward_frame",
+                        lambda *args: forwarded.append(args))
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim, routes=RouteState(topo))
+    service.submit(_cl_request("loop", "v1", "v0"))
     with pytest.raises(ValueError, match="routing tables loop"):
-        build_routing_tables(RouteState(topo))
+        sim.run_until()
+    assert forwarded == []
 
 
 def test_ten_channel_line_walks_in_order():
@@ -437,7 +456,11 @@ def test_co_deadline_zero_times_out_clean():
     assert out.setup_latency_s == 0.0
 
 
-def test_co_contention_is_fifo_and_restores_slots():
+def test_co_contention_is_fifo_and_restores_slots(monkeypatch):
+    plans = []
+    plan = netlayer.memory_plan
+    monkeypatch.setattr(netlayer, "memory_plan",
+                        lambda path, cls: plans.append(path) or plan(path, cls))
     topo = Topology()
     for nid in ("a", "b", "c", "d"):
         topo.add_node(NodeSpec(nid, role=Role.END,
@@ -459,6 +482,9 @@ def test_co_contention_is_fifo_and_restores_slots():
     assert first.request.request_id == "q1"
     assert second.finished_at > first.finished_at
     assert sim.memory.available("r") == 2
+    # each request's plan is made once, when it is routed, however often
+    # the blocked q2 is tried again
+    assert plans == [["a", "r", "b"], ["c", "r", "d"]]
 
 
 def test_co_reports_capability_violation():
