@@ -2,7 +2,10 @@
 
 Two protocols are provided.  The simultaneous protocol fires heralded
 generation on every fiber segment of the path at once, then merges
-neighbouring pairs by entanglement swapping according to a swap policy.
+neighbouring pairs by entanglement swapping according to a swap policy:
+the pair spanning path[a]..path[c] is swapped at whichever of the two
+nodes comes first in ``swap_schedule``'s order, and the path's ends, which
+never swap, hold the channel.
 The one-by-one protocol extends a frontier pair hop by hop from the source,
 swapping at each intermediate node as the next segment comes up; for third
 class hardware the "channel" is instead a logically encoded qubit hopping
@@ -52,6 +55,7 @@ from .capability import (
 )
 from .engine import EventKind, Simulator
 from .model import (
+    EdgeSpec,
     RepeaterClass,
     WernerLink,
     fidelity_of,
@@ -122,10 +126,9 @@ class _Segment:
         self.index = index
         self.node_a = session.path[index]
         self.node_b = session.path[index + 1]
-        topo = session.engine.topology
-        self.edge = topo.edge_between(self.node_a, self.node_b)
-        self.spec_a = topo.nodes[self.node_a]
-        self.spec_b = topo.nodes[self.node_b]
+        self.edge = session.edges[index]
+        self.spec_a = session._spec(index)
+        self.spec_b = session._spec(index + 1)
         self.link: WernerLink | None = None
         self.rounds = 0
         self.started = False
@@ -319,10 +322,16 @@ class _Segment:
             )
 
     def _mark_ready(self, node_id: str) -> None:
-        if self.session.finished or node_id in self.ready:
+        session = self.session
+        if session.finished or node_id in self.ready:
             return
         self.ready.add(node_id)
-        self.session._flow.segment_ready(self, node_id)
+        if len(session.segments) > 1:
+            session._flow.segment_ready(self, node_id)
+        elif len(self.ready) == 2:
+            # a lone segment is the channel once both ends know, under
+            # either protocol
+            session._complete(self.link)
 
 
 class LinkSession:
@@ -391,7 +400,7 @@ class LinkSession:
         self.cls = cls
         self.protocol = protocol
         self.params = engine.params
-        self.policy = policy if protocol is LinkProtocol.SIMULTANEOUS else SwapPolicy.LEFT_TO_RIGHT
+        self.policy = policy
         self.pipelining = pipelining
         self.options = options
         self.manage_memory = manage_memory
@@ -412,11 +421,13 @@ class LinkSession:
         self.finished = False
         self.result: ChannelResult | Failure | None = None
         self.segments: list[_Segment] = []
+        # the path's edges, looked up once; edges[i] joins path[i], path[i + 1]
+        self.edges: list[EdgeSpec] = []
         self._prefix_km = [0.0]
         for a, b in zip(path, path[1:]):
-            self._prefix_km.append(
-                self._prefix_km[-1] + topo.edge_between(a, b).length_km
-            )
+            edge = topo.edge_between(a, b)
+            self.edges.append(edge)
+            self._prefix_km.append(self._prefix_km[-1] + edge.length_km)
 
     # -- helpers --------------------------------------------------------
 
@@ -437,12 +448,14 @@ class LinkSession:
         if self.manage_memory:
             for node_id, slots in memory_plan(self.path, self.cls).items():
                 self.engine.memory.acquire(node_id, slots, self.tag, self.engine.now)
-        if self.protocol is LinkProtocol.SIMULTANEOUS:
-            self._flow = _SimultaneousFlow(self)
-        elif self.third_class:
+        if self.third_class:
             self._flow = _LogicalHopFlow(self)
         else:
-            self._flow = _OneByOneFlow(self)
+            self.segments = [_Segment(self, i) for i in range(len(self.path) - 1)]
+            if self.protocol is LinkProtocol.SIMULTANEOUS:
+                self._flow = _SimultaneousFlow(self)
+            else:
+                self._flow = _OneByOneFlow(self)
         self._flow.begin()
 
     @property
@@ -454,7 +467,8 @@ class LinkSession:
         """Begin an ``untouched`` session again at now, as a fresh one would."""
         self.stats = SessionStats(started_at=self.engine.now)
         for segment in self.segments:
-            segment.restart()
+            if segment.started:
+                segment.restart()
 
     def _swap(
         self, k: int, a: int, c: int, ab: WernerLink, bc: WernerLink
@@ -524,39 +538,31 @@ class LinkSession:
 
 
 class _SimultaneousFlow:
-    """All segments generate at once; swaps merge them per the policy."""
+    """All segments generate at once; swaps merge them per the policy.
+
+    The pair spanning path[a]..path[c] is swapped at whichever of a and c
+    comes first in ``swap_schedule``'s order, once the pairs on both sides
+    of that node are known there.  The path's two ends rank last and never
+    swap, so the pair spanning the whole path is the channel.
+    """
 
     def __init__(self, session: LinkSession):
         self.session = session
         path = session.path
-        session.segments = [_Segment(session, i) for i in range(len(path) - 1)]
-        self.merges = self._plan(path, session.policy)
-        # interval -> produced link; merge index -> inputs seen
-        self.links: dict[tuple[int, int], WernerLink] = {}
-        self.known: dict[int, set[tuple[int, int]]] = {i: set() for i in range(len(self.merges))}
-        self.consumer: dict[tuple[int, int], int | None] = {}
-        for m_idx, (left, right, _) in enumerate(self.merges):
-            self.consumer[left] = self.consumer[right] = m_idx
-        root = (0, len(path) - 1)
-        self.consumer[root] = None
+        position = {node_id: i for i, node_id in enumerate(path)}
+        # path position -> place in the swap order, the ends last
+        self.rank = [len(path)] * len(path)
+        order = (node_id for rnd in swap_schedule(path, session.policy) for node_id in rnd)
+        for place, node_id in enumerate(order):
+            self.rank[position[node_id]] = place
+        # swapping position -> the first of its two pairs known there
+        self._held: dict[int, tuple[int, int, WernerLink]] = {}
         self._end_heralds: set[str] = set()
         self._final_link: WernerLink | None = None
 
-    @staticmethod
-    def _plan(path, policy):
-        rounds = swap_schedule(path, policy)
-        intervals = [(i, i + 1) for i in range(len(path) - 1)]
-        merges = []
-        for rnd in rounds:
-            for node_id in rnd:
-                m = path.index(node_id)
-                left = next(iv for iv in intervals if iv[1] == m)
-                right = next(iv for iv in intervals if iv[0] == m)
-                intervals.remove(left)
-                intervals.remove(right)
-                intervals.append((left[0], right[1]))
-                merges.append((left, right, m))
-        return merges
+    def _swapper(self, a: int, c: int) -> int:
+        """The path position that swaps the pair path[a]..path[c]."""
+        return a if self.rank[a] < self.rank[c] else c
 
     def begin(self) -> None:
         for segment in self.session.segments:
@@ -566,51 +572,39 @@ class _SimultaneousFlow:
         pass
 
     def segment_ready(self, segment, node_id) -> None:
-        session = self.session
-        interval = (segment.index, segment.index + 1)
-        if len(session.path) == 2:
-            if len(segment.ready) == 2:
-                session._complete(segment.link)
-            return
-        m_idx = self.consumer[interval]
-        merge_node = session.path[self.merges[m_idx][2]]
-        if node_id == merge_node:
-            self.links[interval] = segment.link
-            self._input_known(m_idx, interval)
+        a = segment.index
+        k = self._swapper(a, a + 1)
+        if node_id == self.session.path[k]:
+            self._pair_known(k, a, a + 1, segment.link)
 
-    def _input_known(self, m_idx: int, interval) -> None:
-        seen = self.known[m_idx]
-        seen.add(interval)
-        left, right, m = self.merges[m_idx]
-        if left in seen and right in seen:
-            self._fire_merge(m_idx)
-
-    def _fire_merge(self, m_idx: int) -> None:
+    def _pair_known(self, k: int, a: int, c: int, link: WernerLink) -> None:
+        """path[k], which swaps the pair path[a]..path[c], now knows of it."""
         session = self.session
         if session.finished:
             return
-        left, right, m = self.merges[m_idx]
-        merged = session._swap(
-            m, left[0], right[1], self.links.pop(left), self.links.pop(right)
-        )
-        out_interval = (left[0], right[1])
-        self.links[out_interval] = merged
-        next_idx = self.consumer[out_interval]
-        if next_idx is None:
-            self._announce_completion(out_interval, m)
+        pair = (a, c, link)
+        held = self._held.pop(k, None)
+        if held is None:
+            self._held[k] = pair
             return
-        next_node = self.merges[next_idx][2]
+        # one of the two pairs ends at path[k], the other starts there
+        (a, _, ab), (_, c, bc) = (pair, held) if c == k else (held, pair)
+        merged = session._swap(k, a, c, ab, bc)
+        nxt = self._swapper(a, c)
+        if self.rank[nxt] == len(session.path):
+            self._announce_completion(merged, k)
+            return
         session.engine.send_classical(
-            session.path[m],
-            session.path[next_node],
-            session._dist_km(m, next_node),
-            lambda: self._input_known(next_idx, out_interval),
-            f"swap herald {session.path[m]} -> {session.path[next_node]}",
+            session.path[k],
+            session.path[nxt],
+            session._dist_km(k, nxt),
+            lambda: self._pair_known(nxt, a, c, merged),
+            f"swap herald {session.path[k]} -> {session.path[nxt]}",
         )
 
-    def _announce_completion(self, root_interval, producer_index: int) -> None:
+    def _announce_completion(self, link: WernerLink, producer_index: int) -> None:
         session = self.session
-        self._final_link = self.links[root_interval]
+        self._final_link = link
         for end_index in (0, len(session.path) - 1):
             end = session.path[end_index]
             session.engine.send_classical(
@@ -641,15 +635,9 @@ class _OneByOneFlow:
     def begin(self) -> None:
         self._start_segment(0)
 
-    def _segment(self, index: int) -> _Segment:
-        session = self.session
-        while len(session.segments) <= index:
-            session.segments.append(_Segment(session, len(session.segments)))
-        return session.segments[index]
-
     def _start_segment(self, index: int) -> None:
-        if index < len(self.session.path) - 1:
-            self._segment(index).start()
+        if index < len(self.session.segments):
+            self.session.segments[index].start()
 
     def segment_base_known(self, segment, node_id) -> None:
         # pipelined mode: the next segment may generate while this one pumps
@@ -658,12 +646,7 @@ class _OneByOneFlow:
 
     def segment_ready(self, segment, node_id) -> None:
         session = self.session
-        n_segments = len(session.path) - 1
         if segment.index == 0:
-            if n_segments == 1:
-                if len(segment.ready) == 2:
-                    session._complete(segment.link)
-                return
             if node_id == session.path[1]:
                 self.frontier = segment.link
                 self.frontier_at = 1
@@ -679,7 +662,7 @@ class _OneByOneFlow:
         session = self.session
         if session.finished or self.frontier_at != k:
             return
-        segment = self._segment(k)
+        segment = session.segments[k]
         if session.path[k] not in segment.ready or segment.link is None:
             return
         self.frontier = session._swap(k, 0, k + 1, self.frontier, segment.link)
@@ -742,9 +725,7 @@ class _LogicalHopFlow:
         # the source still runs at its repetition rate; encoding the first
         # transfer costs one attempt slot on the outgoing edge
         session = self.session
-        edge = session.engine.topology.edge_between(
-            session.path[0], session.path[1]
-        )
+        edge = session.edges[0]
         session.engine.after(
             1.0 / edge.attempt_rate_hz,
             EventKind.ATTEMPT_TICK,
@@ -755,9 +736,7 @@ class _LogicalHopFlow:
     def _depart(self) -> None:
         session = self.session
         i = self.position
-        edge = session.engine.topology.edge_between(
-            session.path[i], session.path[i + 1]
-        )
+        edge = session.edges[i]
         session.engine.send_classical(
             session.path[i],
             session.path[i + 1],

@@ -533,7 +533,6 @@ class ConnectionRequest:
     retry_limit: int = 3
     waypoints: tuple[str, ...] = ()
     alternate_mode: bool = False
-    options: AllPhotonicOptions | None = None
 
     def __post_init__(self):
         if self.src == self.dst:
@@ -958,9 +957,15 @@ class _ClLeg:
 
 
 class _RequestState:
-    def __init__(self, request: ConnectionRequest, emission: float):
+    def __init__(
+        self,
+        request: ConnectionRequest,
+        emission: float,
+        on_outcome: Callable[[ConnectionOutcome], None],
+    ):
         self.request = request
         self.emission = emission
+        self.on_outcome = on_outcome
         self.tag = f"req:{request.request_id}"
         self.stats = SessionStats()
         self.drops: dict[str, int] = {}
@@ -972,7 +977,6 @@ class _RequestState:
         self.legs: list[_ClLeg] = []
         self.leg_results: dict[int, WernerLink] = {}
         self.watchdog = None
-        self.on_outcome: Callable[[ConnectionOutcome], None] | None = None
 
 
 class NetworkService:
@@ -1087,10 +1091,7 @@ class NetworkService:
             detail=detail,
             finished_at=now,
         )
-        if state.on_outcome is not None:
-            state.on_outcome(record)
-        else:
-            self.outcomes.append(record)
+        state.on_outcome(record)
         self._try_admit()
 
     def _deliver(self, state: _RequestState, link: WernerLink) -> None:
@@ -1154,6 +1155,7 @@ class NetworkService:
 
         Its fate goes to ``on_outcome`` when given, else to ``outcomes``.
         """
+        on_outcome = on_outcome or self.outcomes.append
         if request.model is ConnectionModel.HYBRID and not request.waypoints:
             raise ValueError("hybrid requests need at least one waypoint")
         if request.request_id in self._active:
@@ -1177,8 +1179,7 @@ class NetworkService:
     def _push(self, key: tuple[float, int], request, on_outcome, *, feeds: bool) -> None:
         """Schedule a request's events on the seqs ``submit`` reserved."""
         emission, seq = key
-        state = _RequestState(request, emission)
-        state.on_outcome = on_outcome
+        state = _RequestState(request, emission, on_outcome)
         if request.deadline is not None:
             state.watchdog = self.engine.schedule(
                 emission + request.deadline,

@@ -19,7 +19,7 @@ from qrnet import (
     parse_topology,
     run_experiment,
 )
-from qrnet import harness, netlayer
+from qrnet import harness, netlayer, physics
 from qrnet.engine import Simulator
 from qrnet.linklayer import LinkSession
 from qrnet.harness import CSV_HEADER, splitmix64
@@ -575,6 +575,82 @@ def test_paper_paths_csv_is_frozen(topology_text, scenario_text, lines, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# A nine-node first-class chain with a distinct length per edge: simultaneous
+# links of eight and six hops under both swap orders, with and without
+# pumping, beside a one-by-one link on three hops. The digests pin which
+# node swaps which pair, and when.
+CHAIN9_TOPO = "".join(
+    f"node n{i} role={'end' if i in (0, 8) else 'repeater'} class=first"
+    " memories=4 t_coh=0.02 eps_op=0.01\n"
+    for i in range(9)
+) + "".join(
+    f"edge n{i} n{i + 1} length_km={5 + 3 * i} alpha=0.2 p_src=0.7 rate_hz=2e4\n"
+    for i in range(8)
+)
+
+
+def _chain9_scenario(swap, pump):
+    return (
+        "seed=11\n"
+        "trials=3\n"
+        "controller=n4\n"
+        f"policy swap={swap}\n"
+        + ("physics w0=0.95 f_target=0.97 r_max=2\n" if pump else "")
+        + "request id=long src=n0 dst=n8 model=co class=first protocol=sl"
+        " arrivals=fixed:0,0.001,0.002 deadline=0.2\n"
+        "request id=mid src=n1 dst=n7 model=co class=first protocol=sl"
+        " arrivals=fixed:0.0005 deadline=0.2\n"
+        "request id=ol src=n2 dst=n5 model=co class=first protocol=ol"
+        " arrivals=fixed:0.0001\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "swap, pump, digest, trace_lines, trace_digest",
+    [
+        (
+            "hierarchical",
+            False,
+            "c9a7a4136943795437fcc9600986dee2a630e0b16dd777bf01e6c08ef7fdc04a",
+            748,
+            "e6030a59e64a00125406ee5309cd88508dd7a099f31a03238d3ba5fd67a4883b",
+        ),
+        (
+            "hierarchical",
+            True,
+            "488391cf9b0f175d45ee07fe88023e7f10c5a9a734a9d8f93f840915d1a7aef4",
+            2320,
+            "424559ce13d004f298a0a0dfd86b50f78dca595a7f790b0400ce0b0719e170b9",
+        ),
+        (
+            "left_to_right",
+            False,
+            "46b81fbace70d8a45c04b6e7745be6aa15ec78925cc1fcb9c03018e4f36da005",
+            748,
+            "361ea6b7774776ceec0142bfacb36a921ca51eb51256ec2f85fb46abfc3dadc9",
+        ),
+        (
+            "left_to_right",
+            True,
+            "e7c2539438b3c0965f9030b8b7950fb12da7997130a99e71ea5eb9e3427427a4",
+            2303,
+            "7bc083a55f5a77b43dc2944fcc049441a46923a3f7448c764feb5f71d1d1ff31",
+        ),
+    ],
+    ids=["hierarchical", "hierarchical-pump", "left-to-right", "left-to-right-pump"],
+)
+def test_long_simultaneous_chain_csv_and_trace_are_frozen(
+    swap, pump, digest, trace_lines, trace_digest
+):
+    trace = io.StringIO()
+    data = _csv_bytes(CHAIN9_TOPO, _chain9_scenario(swap, pump), trace)
+    assert data.count(b"\n") == 16
+    assert hashlib.sha256(data).hexdigest() == digest
+    traced = trace.getvalue().encode()
+    assert traced.count(b"\n") == trace_lines
+    assert hashlib.sha256(traced).hexdigest() == trace_digest
+
+
 def test_simultaneous_cl_arrivals_rerun_to_the_same_bytes():
     scenario = _crossing_cl_scenario("true", lambda k: 0.0)
     runs = []
@@ -759,6 +835,53 @@ def test_a_request_on_a_node_disjoint_path_leaves_existing_rows_unchanged(top, b
            if r["request_id"].startswith("top")]
     assert len(want) == 12
     assert got == want
+
+
+LOSSY_CHAIN_TOPO = """\
+node a role=end class=first memories=2
+node r role=repeater class=first memories=2
+node b role=end class=first memories=2
+edge a r length_km=20 alpha=0.2 p_src=0.5 rate_hz=1e4
+edge r b length_km=20 alpha=0.2 p_src=0.5 rate_hz=1e4
+"""
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        "co",
+        pytest.param(
+            "cl",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="a CL leg counts a hop session's attempts only when the "
+                "hop completes, so hops aborted by a try timeout or restarted "
+                "drop theirs",
+            ),
+        ),
+    ],
+)
+def test_csv_attempts_equal_the_attempts_drawn(monkeypatch, model):
+    # short try timeouts abort CL hop sessions mid-generation
+    scenario = (
+        "seed=3\n"
+        "trials=4\n"
+        "controller=r\n"
+        "policy cl_timeout=0.002 retry_limit=5\n"
+        f"request id=x src=a dst=b model={model} class=first protocol=ol"
+        " arrivals=fixed:0,0.05,0.1\n"
+    )
+    drawn = []
+    attempt = physics.attempt_generation
+
+    def counted(*args, **kwargs):
+        drawn.append(1)
+        return attempt(*args, **kwargs)
+
+    monkeypatch.setattr(physics, "attempt_generation", counted)
+    rows = run_experiment(parse_topology(LOSSY_CHAIN_TOPO), parse_scenario(scenario))
+    assert len(rows) == 12
+    assert sum(row["attempts_total"] for row in rows) == len(drawn)
 
 
 def test_run_experiment_capability_failure_row():

@@ -189,3 +189,47 @@ def test_session_rejects_malformed_paths():
     with pytest.raises(CapabilityViolation, match="n2 is second"):
         LinkSession(sim, ["n0", "n1", "n2", "n3"], RepeaterClass.FIRST,
                     LinkProtocol.ONE_BY_ONE)
+
+
+def _interval_merges(path, policy):
+    """Reference: replay swap_schedule's rounds over the live pair spans.
+
+    Each swap at path[m] merges the span ending at m with the span starting
+    at m. Returns (a, m, c) per swap, the merged pair spanning path[a]..path[c].
+    """
+    spans = [(i, i + 1) for i in range(len(path) - 1)]
+    merges = []
+    for rnd in swap_schedule(path, policy):
+        for node_id in rnd:
+            m = path.index(node_id)
+            left = next(s for s in spans if s[1] == m)
+            right = next(s for s in spans if s[0] == m)
+            spans.remove(left)
+            spans.remove(right)
+            spans.append((left[0], right[1]))
+            merges.append((left[0], m, right[1]))
+    assert spans == [(0, len(path) - 1)]
+    return merges
+
+
+@pytest.mark.parametrize("policy", list(SwapPolicy))
+@pytest.mark.parametrize("n_nodes", range(2, 13))
+def test_simultaneous_swaps_match_the_schedules_interval_merges(
+    monkeypatch, policy, n_nodes
+):
+    swaps = []
+    swap = LinkSession._swap
+
+    def recorded(session, k, a, c, ab, bc):
+        swaps.append((a, k, c))
+        return swap(session, k, a, c, ab, bc)
+
+    monkeypatch.setattr(LinkSession, "_swap", recorded)
+    # unequal arms, so the pairs meeting at a node arrive in either order
+    topo = chain_topology([5.0 + 7.0 * (i * 3 % 5) for i in range(n_nodes - 1)])
+    sim = Simulator(topo, PARAMS, seed=5)
+    path = [f"n{i}" for i in range(n_nodes)]
+    res = simultaneous_link(sim, path, policy=policy)
+    assert isinstance(res, ChannelResult)
+    assert res.stats.swaps == n_nodes - 2
+    assert sorted(swaps) == sorted(_interval_merges(path, policy))
