@@ -59,6 +59,8 @@ def _cmd_run(args) -> int:
         return 1
     try:
         scenario = parse_scenario(_read(args.scenario))
+        if scenario.controller is not None and scenario.controller not in topology.nodes:
+            raise ParseError(0, f"controller {scenario.controller} not in topology")
     except ParseError as err:
         print(f"{args.scenario}: {err}", file=sys.stderr)
         return 1

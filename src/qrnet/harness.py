@@ -46,18 +46,8 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _pairs(tokens: list[str], lineno: int) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for token in tokens:
-        if "=" not in token:
-            raise ParseError(lineno, f"expected key=value, got {token!r}")
-        key, value = token.split("=", 1)
-        if not key or not value:
-            raise ParseError(lineno, f"empty key or value in {token!r}")
-        if key in out:
-            raise ParseError(lineno, f"duplicate key {key!r}")
-        out[key] = value
-    return out
+def _as_str(value: str, lineno: int, key: str) -> str:
+    return value
 
 
 def _as_float(value: str, lineno: int, key: str) -> float:
@@ -83,21 +73,83 @@ def _as_bool(value: str, lineno: int, key: str) -> bool:
     raise ParseError(lineno, f"{key} needs true or false, got {value!r}")
 
 
-def _as_enum(enum_cls, value: str, lineno: int, key: str):
-    try:
-        return enum_cls(value)
-    except ValueError:
-        choices = ", ".join(m.value for m in enum_cls)
-        raise ParseError(
-            lineno, f"{key} must be one of {choices}, got {value!r}"
-        ) from None
+def _as_enum(enum_cls):
+    def parse(value: str, lineno: int, key: str):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            choices = ", ".join(m.value for m in enum_cls)
+            raise ParseError(
+                lineno, f"{key} must be one of {choices}, got {value!r}"
+            ) from None
+
+    return parse
+
+
+def _checked(parse, ok, rule: str):
+    """Wrap ``parse`` so that a value ``ok`` refuses fails as "<key> <rule>"."""
+
+    def checked(value: str, lineno: int, key: str):
+        number = parse(value, lineno, key)
+        # NaN fails every comparison, so each check rejects it
+        if not ok(number):
+            raise ParseError(lineno, f"{key} {rule}")
+        return number
+
+    return checked
+
+
+_positive = _checked(_as_float, lambda x: x > 0, "must be positive")
+_nonnegative = _checked(_as_float, lambda x: x >= 0, "must be nonnegative")
+_nonnegative_int = _checked(_as_int, lambda n: n >= 0, "must be nonnegative")
+_unit = _checked(_as_float, lambda x: 0 <= x <= 1, "must be in [0, 1]")
+
+
+def _fields(tokens: list[str], table: dict, lineno: int, what: str) -> dict:
+    """Parse ``key=value`` tokens by ``table`` (key -> (field, parse)).
+
+    Returns field -> value for the keys present, in token order, so the
+    directive's dataclass supplies every default.
+    """
+    pairs: dict[str, str] = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise ParseError(lineno, f"expected key=value, got {token!r}")
+        if not key or not value:
+            raise ParseError(lineno, f"empty key or value in {token!r}")
+        if key in pairs:
+            raise ParseError(lineno, f"duplicate key {key!r}")
+        pairs[key] = value
+    unknown = pairs.keys() - table.keys()
+    if unknown:
+        raise ParseError(lineno, f"unknown {what} keys: {sorted(unknown)}")
+    out = {}
+    for key, value in pairs.items():
+        name, parse = table[key]
+        out[name] = parse(value, lineno, key)
+    return out
 
 
 # --------------------------------------------------------------------------
 # topology files
 
-_NODE_KEYS = {"role", "class", "memories", "t_coh", "eps_op", "eps_res", "proc_delay"}
-_EDGE_KEYS = {"length_km", "alpha", "p_src", "eta_det", "rate_hz"}
+_NODE_KEYS = {
+    "role": ("role", _as_enum(Role)),
+    "class": ("repeater_class", _as_enum(RepeaterClass)),
+    "memories": ("memory_count", _as_int),
+    "t_coh": ("t_coh", _as_float),
+    "eps_op": ("eps_op", _as_float),
+    "eps_res": ("eps_res", _as_float),
+    "proc_delay": ("proc_delay", _as_float),
+}
+_EDGE_KEYS = {
+    "length_km": ("length_km", _as_float),
+    "alpha": ("alpha_db_per_km", _as_float),
+    "p_src": ("p_src", _as_float),
+    "eta_det": ("eta_det", _as_float),
+    "rate_hz": ("attempt_rate_hz", _as_float),
+}
 
 
 def parse_topology(text: str, *, check: bool = True) -> Topology:
@@ -118,24 +170,7 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
         if kind == "node":
             if len(tokens) < 2:
                 raise ParseError(lineno, "node needs an id")
-            keys = _pairs(tokens[2:], lineno)
-            unknown = set(keys) - _NODE_KEYS
-            if unknown:
-                raise ParseError(lineno, f"unknown node keys: {sorted(unknown)}")
-            spec = NodeSpec(
-                tokens[1],
-                role=_as_enum(Role, keys.get("role", "repeater"), lineno, "role"),
-                repeater_class=_as_enum(
-                    RepeaterClass, keys.get("class", "first"), lineno, "class"
-                ),
-                memory_count=_as_int(keys.get("memories", "2"), lineno, "memories"),
-                t_coh=_as_float(keys.get("t_coh", "inf"), lineno, "t_coh"),
-                eps_op=_as_float(keys.get("eps_op", "0"), lineno, "eps_op"),
-                eps_res=_as_float(keys.get("eps_res", "0"), lineno, "eps_res"),
-                proc_delay=_as_float(
-                    keys.get("proc_delay", "0"), lineno, "proc_delay"
-                ),
-            )
+            spec = NodeSpec(tokens[1], **_fields(tokens[2:], _NODE_KEYS, lineno, "node"))
             try:
                 topo.add_node(spec)
             except ValueError as err:
@@ -144,23 +179,9 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
         elif kind == "edge":
             if len(tokens) < 3:
                 raise ParseError(lineno, "edge needs two node ids")
-            keys = _pairs(tokens[3:], lineno)
-            unknown = set(keys) - _EDGE_KEYS
-            if unknown:
-                raise ParseError(lineno, f"unknown edge keys: {sorted(unknown)}")
+            fields = _fields(tokens[3:], _EDGE_KEYS, lineno, "edge")
             edge_seq += 1
-            spec = EdgeSpec(
-                str(edge_seq),
-                tokens[1],
-                tokens[2],
-                length_km=_as_float(keys.get("length_km", "1"), lineno, "length_km"),
-                alpha_db_per_km=_as_float(keys.get("alpha", "0.2"), lineno, "alpha"),
-                p_src=_as_float(keys.get("p_src", "1"), lineno, "p_src"),
-                eta_det=_as_float(keys.get("eta_det", "1"), lineno, "eta_det"),
-                attempt_rate_hz=_as_float(
-                    keys.get("rate_hz", "1e6"), lineno, "rate_hz"
-                ),
-            )
+            spec = EdgeSpec(str(edge_seq), tokens[1], tokens[2], **fields)
             try:
                 topo.add_edge(spec)
             except (KeyError, ValueError) as err:
@@ -189,9 +210,10 @@ class RequestTemplate:
     src: str
     dst: str
     model: ConnectionModel
-    repeater_class: RepeaterClass
-    protocol: LinkProtocol
-    arrivals: tuple  # ("fixed", [t, ...]) or ("poisson", rate)
+    repeater_class: RepeaterClass = RepeaterClass.FIRST
+    protocol: LinkProtocol = LinkProtocol.SIMULTANEOUS
+    # ("fixed", [t, ...]) or ("poisson", rate)
+    arrivals: tuple = field(default_factory=lambda: ("fixed", [0.0]))
     f_min: float | None = None
     deadline: float | None = None
     waypoints: tuple[str, ...] = ()
@@ -216,25 +238,7 @@ class Scenario:
     requests: list[RequestTemplate] = field(default_factory=list)
 
 
-_SCALAR_KEYS = {"seed", "trials", "duration", "controller", "cost", "frame_loss", "ttl"}
-_PHYSICS_KEYS = {"c_fiber", "w0", "f_target", "r_max", "cluster_overhead", "p_hop"}
-_POLICY_KEYS = {"swap", "pipelining", "cl_timeout", "retry_limit"}
-_REQUEST_KEYS = {
-    "id",
-    "src",
-    "dst",
-    "model",
-    "class",
-    "protocol",
-    "f_min",
-    "deadline",
-    "arrivals",
-    "waypoints",
-    "alternate",
-}
-
-
-def _parse_arrivals(value: str, lineno: int) -> tuple:
+def _parse_arrivals(value: str, lineno: int, key: str) -> tuple:
     if ":" not in value:
         raise ParseError(lineno, f"arrivals needs poisson:RATE or fixed:T,..., got {value!r}")
     scheme, arg = value.split(":", 1)
@@ -253,9 +257,55 @@ def _parse_arrivals(value: str, lineno: int) -> tuple:
     raise ParseError(lineno, f"unknown arrival scheme {scheme!r}")
 
 
+def _parse_waypoints(value: str, lineno: int, key: str) -> tuple[str, ...]:
+    return tuple(w for w in value.split(",") if w)
+
+
+_SCALAR_KEYS = {
+    "seed": ("seed", _as_int),
+    "trials": ("trials", _checked(_as_int, lambda n: n >= 1, "must be at least 1")),
+    "duration": (
+        "duration",
+        _checked(_as_float, lambda x: 0 < x < math.inf, "must be positive and finite"),
+    ),
+    "controller": ("controller", _as_str),
+    "cost": ("cost", _as_enum(PathCost)),
+    "frame_loss": ("frame_loss", _unit),
+    # the frame header holds the ttl in one byte
+    "ttl": ("ttl", _checked(_as_int, lambda n: 1 <= n <= 255, "must be in [1, 255]")),
+}
+_PHYSICS_KEYS = {
+    "c_fiber": ("c_fiber", _positive),
+    "w0": ("w0", _unit),
+    "f_target": ("f_target", _unit),
+    "r_max": ("r_max", _nonnegative_int),
+    "cluster_overhead": ("cluster_overhead", _nonnegative),
+    "p_hop": ("p_hop", _unit),
+}
+_ALLPHOTONIC_KEYS = {key: (key, _as_bool) for key in ("hep", "ecc", "fgo")}
+_POLICY_KEYS = {
+    "swap": ("swap_policy", _as_enum(SwapPolicy)),
+    "pipelining": ("pipelining", _as_bool),
+    "cl_timeout": ("cl_timeout", _positive),
+    "retry_limit": ("retry_limit", _nonnegative_int),
+}
+_REQUEST_KEYS = {
+    "id": ("request_id", _as_str),
+    "src": ("src", _as_str),
+    "dst": ("dst", _as_str),
+    "model": ("model", _as_enum(ConnectionModel)),
+    "class": ("repeater_class", _as_enum(RepeaterClass)),
+    "protocol": ("protocol", _as_enum(LinkProtocol)),
+    "f_min": ("f_min", _as_float),
+    "deadline": ("deadline", _as_float),
+    "arrivals": ("arrivals", _parse_arrivals),
+    "waypoints": ("waypoints", _parse_waypoints),
+    "alternate": ("alternate", _as_bool),
+}
+
+
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
-    physics_kw: dict[str, float] = {}
     seen_ids: set[str] = set()
     auto_id = 0
     for lineno, line in _lines(text):
@@ -268,122 +318,30 @@ def parse_scenario(text: str) -> Scenario:
                 raise ParseError(lineno, f"unknown setting {key!r}")
             if len(tokens) != 1 or not value:
                 raise ParseError(lineno, f"{key} takes exactly one value")
-            kind = key
-            if kind == "seed":
-                scenario.seed = _as_int(value, lineno, "seed")
-            elif kind == "trials":
-                scenario.trials = _as_int(value, lineno, "trials")
-                if scenario.trials < 1:
-                    raise ParseError(lineno, "trials must be at least 1")
-            elif kind == "duration":
-                scenario.duration = _as_float(value, lineno, "duration")
-                if not 0 < scenario.duration < math.inf:
-                    raise ParseError(lineno, "duration must be positive and finite")
-            elif kind == "controller":
-                scenario.controller = value
-            elif kind == "cost":
-                scenario.cost = _as_enum(PathCost, value, lineno, "cost")
-            elif kind == "frame_loss":
-                scenario.frame_loss = _as_float(value, lineno, "frame_loss")
-                if not 0.0 <= scenario.frame_loss <= 1.0:
-                    raise ParseError(lineno, "frame_loss must be in [0, 1]")
-            elif kind == "ttl":
-                scenario.ttl = _as_int(value, lineno, "ttl")
-                if scenario.ttl < 1:
-                    raise ParseError(lineno, "ttl must be at least 1")
+            name, parse = _SCALAR_KEYS[key]
+            setattr(scenario, name, parse(value, lineno, key))
         elif kind == "physics":
-            keys = _pairs(tokens[1:], lineno)
-            unknown = set(keys) - _PHYSICS_KEYS
-            if unknown:
-                raise ParseError(lineno, f"unknown physics keys: {sorted(unknown)}")
-            for key, value in keys.items():
-                if key == "r_max":
-                    physics_kw[key] = _as_int(value, lineno, key)
-                else:
-                    physics_kw[key] = _as_float(value, lineno, key)
-                number = physics_kw[key]
-                # NaN fails every comparison, so each check rejects it
-                if key in ("w0", "f_target", "p_hop") and not 0 <= number <= 1:
-                    raise ParseError(lineno, f"{key} must be in [0, 1]")
-                if key == "c_fiber" and not number > 0:
-                    raise ParseError(lineno, "c_fiber must be positive")
-                if not number >= 0:
-                    raise ParseError(lineno, f"{key} must be nonnegative")
+            fields = _fields(tokens[1:], _PHYSICS_KEYS, lineno, "physics")
+            scenario.physics = replace(scenario.physics, **fields)
         elif kind == "allphotonic":
-            keys = _pairs(tokens[1:], lineno)
-            unknown = set(keys) - {"hep", "ecc", "fgo"}
-            if unknown:
-                raise ParseError(lineno, f"unknown allphotonic keys: {sorted(unknown)}")
-            scenario.options = AllPhotonicOptions(
-                hep=_as_bool(keys.get("hep", "false"), lineno, "hep"),
-                ecc=_as_bool(keys.get("ecc", "false"), lineno, "ecc"),
-                fgo=_as_bool(keys.get("fgo", "false"), lineno, "fgo"),
-            )
+            fields = _fields(tokens[1:], _ALLPHOTONIC_KEYS, lineno, "allphotonic")
+            scenario.options = AllPhotonicOptions(**fields)
         elif kind == "policy":
-            keys = _pairs(tokens[1:], lineno)
-            unknown = set(keys) - _POLICY_KEYS
-            if unknown:
-                raise ParseError(lineno, f"unknown policy keys: {sorted(unknown)}")
-            if "swap" in keys:
-                scenario.swap_policy = _as_enum(
-                    SwapPolicy, keys["swap"], lineno, "swap"
-                )
-            if "pipelining" in keys:
-                scenario.pipelining = _as_bool(keys["pipelining"], lineno, "pipelining")
-            if "cl_timeout" in keys:
-                scenario.cl_timeout = _as_float(keys["cl_timeout"], lineno, "cl_timeout")
-                if not scenario.cl_timeout > 0:
-                    raise ParseError(lineno, "cl_timeout must be positive")
-            if "retry_limit" in keys:
-                scenario.retry_limit = _as_int(keys["retry_limit"], lineno, "retry_limit")
-                if scenario.retry_limit < 0:
-                    raise ParseError(lineno, "retry_limit must be nonnegative")
+            for name, value in _fields(tokens[1:], _POLICY_KEYS, lineno, "policy").items():
+                setattr(scenario, name, value)
         elif kind == "request":
-            keys = _pairs(tokens[1:], lineno)
-            unknown = set(keys) - _REQUEST_KEYS
-            if unknown:
-                raise ParseError(lineno, f"unknown request keys: {sorted(unknown)}")
+            fields = _fields(tokens[1:], _REQUEST_KEYS, lineno, "request")
             for required in ("src", "dst", "model"):
-                if required not in keys:
+                if required not in fields:
                     raise ParseError(lineno, f"request needs {required}=")
             auto_id += 1
-            request_id = keys.get("id", f"r{auto_id}")
+            request_id = fields.setdefault("request_id", f"r{auto_id}")
             if request_id in seen_ids:
                 raise ParseError(lineno, f"duplicate request id {request_id!r}")
             seen_ids.add(request_id)
-            waypoints = tuple(
-                w for w in keys.get("waypoints", "").split(",") if w
-            )
-            template = RequestTemplate(
-                request_id=request_id,
-                src=keys["src"],
-                dst=keys["dst"],
-                model=_as_enum(ConnectionModel, keys["model"], lineno, "model"),
-                repeater_class=_as_enum(
-                    RepeaterClass, keys.get("class", "first"), lineno, "class"
-                ),
-                protocol=_as_enum(
-                    LinkProtocol, keys.get("protocol", "sl"), lineno, "protocol"
-                ),
-                arrivals=_parse_arrivals(keys.get("arrivals", "fixed:0"), lineno),
-                f_min=(
-                    _as_float(keys["f_min"], lineno, "f_min")
-                    if "f_min" in keys
-                    else None
-                ),
-                deadline=(
-                    _as_float(keys["deadline"], lineno, "deadline")
-                    if "deadline" in keys
-                    else None
-                ),
-                waypoints=waypoints,
-                alternate=_as_bool(keys.get("alternate", "false"), lineno, "alternate"),
-            )
-            scenario.requests.append(template)
+            scenario.requests.append(RequestTemplate(**fields))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
-    if physics_kw:
-        scenario.physics = replace(PhysicsParams(), **physics_kw)
     if scenario.duration is None and any(
         t.arrivals[0] == "poisson" for t in scenario.requests
     ):

@@ -1,19 +1,27 @@
+import dataclasses
 import functools
 import hashlib
 import io
+import math
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from qrnet import (
+    AllPhotonicOptions,
     ConnectionModel,
+    EdgeSpec,
     LinkProtocol,
+    NodeSpec,
     ParseError,
     PathCost,
+    PhysicsParams,
     RepeaterClass,
     Role,
+    Scenario,
     SwapPolicy,
+    Topology,
     emit_metrics,
     parse_scenario,
     parse_topology,
@@ -22,7 +30,7 @@ from qrnet import (
 from qrnet import harness, netlayer, physics
 from qrnet.engine import Simulator
 from qrnet.linklayer import LinkSession
-from qrnet.harness import CSV_HEADER, splitmix64
+from qrnet.harness import CSV_HEADER, RequestTemplate, splitmix64
 
 CHAIN_TOPO = """\
 # three node line
@@ -54,41 +62,37 @@ def test_parse_topology_minimal():
 
 
 def test_parse_topology_reports_offending_line():
-    bad = "node a role=end\nnode b role=end\nedge a b length_km=-1\n"
-    with pytest.raises(ParseError) as err:
-        parse_topology(bad)
-    assert err.value.line == 3
-    dup = "node a role=end\nnode a role=end\n"
-    with pytest.raises(ParseError) as err:
-        parse_topology(dup)
-    assert err.value.line == 2
-    unknown = "node a role=end\nedge a ghost\n"
-    with pytest.raises(ParseError) as err:
-        parse_topology(unknown)
-    assert err.value.line == 2
-    # node "2" shares its id with the second edge; the node's line is reported
-    clash = "node 1 role=end\nnode 2 role=end eps_op=2\nedge 1 2\nedge 2 1\n"
-    with pytest.raises(ParseError) as err:
-        parse_topology(clash)
-    assert err.value.line == 2
-    assert "BadProbability" in str(err.value)
+    for text, line, message in [
+        ("node a role=end\nnode b role=end\nedge a b length_km=-1\n", 3,
+         "line 3: BadLength: length_km must be positive and finite"),
+        ("node a role=end\nnode a role=end\n", 2, "line 2: duplicate node id: a"),
+        ("node a role=end\nedge a ghost\n", 2,
+         "line 2: UnknownEndpoint: unknown node ghost"),
+        # node "2" shares its id with the second edge; the node's line is reported
+        ("node 1 role=end\nnode 2 role=end eps_op=2\nedge 1 2\nedge 2 1\n", 2,
+         "line 2: BadProbability: eps_op out of [0,1]"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_topology(text)
+        assert err.value.line == line, text
+        assert str(err.value) == message, text
     # NaN fails every range check, as does an infinite length or rate, at
     # the line that set it
-    for lineno, key, value, kind in [
-        (2, "t_coh", "nan", "BadCoherence"),
-        (2, "proc_delay", "nan", "BadDelay"),
-        (3, "length_km", "nan", "BadLength"),
-        (3, "length_km", "inf", "BadLength"),
-        (3, "alpha", "nan", "BadLoss"),
-        (3, "rate_hz", "nan", "BadRate"),
-        (3, "rate_hz", "inf", "BadRate"),
+    for lineno, key, value, reason in [
+        (2, "t_coh", "nan", "BadCoherence: t_coh must be positive"),
+        (2, "proc_delay", "nan", "BadDelay: proc_delay must be >= 0"),
+        (3, "length_km", "nan", "BadLength: length_km must be positive and finite"),
+        (3, "length_km", "inf", "BadLength: length_km must be positive and finite"),
+        (3, "alpha", "nan", "BadLoss: alpha must be >= 0"),
+        (3, "rate_hz", "nan", "BadRate: attempt_rate_hz must be positive and finite"),
+        (3, "rate_hz", "inf", "BadRate: attempt_rate_hz must be positive and finite"),
     ]:
         lines = ["node a role=end", "node b role=end", "edge a b"]
         lines[lineno - 1] += f" {key}={value}"
         with pytest.raises(ParseError) as err:
             parse_topology("\n".join(lines) + "\n")
         assert err.value.line == lineno, key
-        assert kind in str(err.value), key
+        assert str(err.value) == f"line {lineno}: {reason}", key
 
 
 def test_parse_topology_check_flag():
@@ -102,20 +106,28 @@ def test_parse_topology_check_flag():
 
 
 def test_parse_topology_rejects_bad_tokens():
-    with pytest.raises(ParseError) as err:
-        parse_topology("node a role=end\nnode b role=end\nedge a b length_km=fast\n")
-    assert err.value.line == 3
-    for bad in (
-        "node", "node c bogus=1", "node c role=bogus", "node c class=bogus",
-        "node c memories", "node c memories=two", "edge a", "edge a b bogus=1",
-        "edge a b p_src=1 p_src=1", "edge a ghost",
-    ):
+    for bad, reason in [
+        ("edge a b length_km=fast", "length_km needs a number, got 'fast'"),
+        ("node", "node needs an id"),
+        ("node c bogus=1", "unknown node keys: ['bogus']"),
+        ("node c role=bogus", "role must be one of end, repeater, switch, got 'bogus'"),
+        ("node c class=bogus",
+         "class must be one of first, second, third, all_photonic, got 'bogus'"),
+        ("node c memories", "expected key=value, got 'memories'"),
+        ("node c memories=two", "memories needs an integer, got 'two'"),
+        ("edge a", "edge needs two node ids"),
+        ("edge a b bogus=1", "unknown edge keys: ['bogus']"),
+        ("edge a b p_src=1 p_src=1", "duplicate key 'p_src'"),
+        ("edge a ghost", "UnknownEndpoint: unknown node ghost"),
+    ]:
         with pytest.raises(ParseError) as err:
             parse_topology(f"node a role=end\nnode b role=end\n{bad}\n")
         assert err.value.line == 3, bad
+        assert str(err.value) == f"line 3: {reason}", bad
     with pytest.raises(ParseError) as err:
         parse_topology("frobnicate a b\n")
     assert err.value.line == 1
+    assert str(err.value) == "line 1: unknown directive 'frobnicate'"
 
 
 def test_parse_scenario_scalars_and_requests():
@@ -159,59 +171,89 @@ def test_parse_scenario_directives():
 
 def test_parse_scenario_rejects_malformed_lines():
     cases = [
-        ("seed 42\n", 1),                       # scalars are key=value
-        ("bogus=1\n", 1),
-        ("seed=ten\n", 1),
-        ("request src=a dst=b\n", 1),           # missing required keys
+        # scalars are key=value
+        ("seed 42\n", 1, "line 1: unknown directive 'seed'"),
+        ("bogus=1\n", 1, "line 1: unknown setting 'bogus'"),
+        ("seed=ten\n", 1, "line 1: seed needs an integer, got 'ten'"),
+        ("request src=a dst=b\n", 1, "line 1: request needs model="),  # missing key
         ("request id=x src=a dst=b model=co class=first protocol=sl"
          " arrivals=fixed:0\n"
          "request id=x src=a dst=b model=co class=first protocol=sl"
-         " arrivals=fixed:0\n", 2),             # duplicate id
+         " arrivals=fixed:0\n", 2, "line 2: duplicate request id 'x'"),
         ("request id=x src=a dst=b model=co class=first protocol=sl"
-         " arrivals=poisson:2\n", 0),           # poisson needs duration
+         " arrivals=poisson:2\n", 0, "poisson arrivals need a duration"),
         # out-of-range values, NaN included, fail at their own line
-        ("seed=1\npolicy cl_timeout=0\n", 2),
-        ("policy cl_timeout=-1\n", 1),
-        ("duration=nan\n", 1),
-        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:nan\n", 2),
-        ("request src=a dst=b model=co arrivals=fixed:0,nan\n", 1),
+        ("seed=1\npolicy cl_timeout=0\n", 2, "line 2: cl_timeout must be positive"),
+        ("policy cl_timeout=-1\n", 1, "line 1: cl_timeout must be positive"),
+        ("duration=nan\n", 1, "line 1: duration must be positive and finite"),
+        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:nan\n", 2,
+         "line 2: poisson rate must be positive and finite"),
+        ("request src=a dst=b model=co arrivals=fixed:0,nan\n", 1,
+         "line 1: arrival times must be nonnegative and finite"),
         # so do infinities: an infinite arrival never happens, and an
         # infinite rate or duration would expand arrivals forever
-        ("duration=inf\n", 1),
-        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:inf\n", 2),
-        ("request src=a dst=b model=co arrivals=fixed:inf\n", 1),
-        ("request src=a dst=b model=co arrivals=fixed:0,inf\n", 1),
-        ("policy cl_timeout=nan\n", 1),
-        ("physics c_fiber=0\n", 1),
-        ("physics c_fiber=-1\n", 1),
-        ("physics w0=1.5\n", 1),
-        ("physics w0=-0.1\n", 1),
-        ("physics w0=nan\n", 1),
-        ("physics f_target=2\n", 1),
-        ("physics p_hop=2\n", 1),
-        ("physics p_hop=nan\n", 1),
-        ("physics r_max=-1\n", 1),
-        ("physics cluster_overhead=-0.5\n", 1),
-        ("physics cluster_overhead=nan\n", 1),
+        ("duration=inf\n", 1, "line 1: duration must be positive and finite"),
+        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:inf\n", 2,
+         "line 2: poisson rate must be positive and finite"),
+        ("request src=a dst=b model=co arrivals=fixed:inf\n", 1,
+         "line 1: arrival times must be nonnegative and finite"),
+        ("request src=a dst=b model=co arrivals=fixed:0,inf\n", 1,
+         "line 1: arrival times must be nonnegative and finite"),
+        ("policy cl_timeout=nan\n", 1, "line 1: cl_timeout must be positive"),
+        ("physics c_fiber=0\n", 1, "line 1: c_fiber must be positive"),
+        ("physics c_fiber=-1\n", 1, "line 1: c_fiber must be positive"),
+        ("physics w0=1.5\n", 1, "line 1: w0 must be in [0, 1]"),
+        ("physics w0=-0.1\n", 1, "line 1: w0 must be in [0, 1]"),
+        ("physics w0=nan\n", 1, "line 1: w0 must be in [0, 1]"),
+        ("physics f_target=2\n", 1, "line 1: f_target must be in [0, 1]"),
+        ("physics p_hop=2\n", 1, "line 1: p_hop must be in [0, 1]"),
+        ("physics p_hop=nan\n", 1, "line 1: p_hop must be in [0, 1]"),
+        ("physics r_max=-1\n", 1, "line 1: r_max must be nonnegative"),
+        ("physics cluster_overhead=-0.5\n", 1,
+         "line 1: cluster_overhead must be nonnegative"),
+        ("physics cluster_overhead=nan\n", 1,
+         "line 1: cluster_overhead must be nonnegative"),
         # after a good first line, every malformed token fails at its own
-        *[(f"seed=1\n{bad}\n", 2) for bad in (
-            "ttl=0", "trials=0", "frame_loss=1.5", "policy retry_limit=-1",
-            "cost=bogus", "policy swap=bogus", "policy pipelining=maybe",
-            "request src=a dst=b model=bogus", "request src=a dst=b model=co class=bogus",
-            "request src=a dst=b model=co protocol=bogus",
-            "request src=a dst=b model=co alternate=maybe",
-            "allphotonic ecc=maybe", "physics w0", "physics =1", "physics w0=",
-            "physics w0=1 w0=1", "physics bogus=1", "allphotonic bogus=true",
-            "policy bogus=1", "request src=a dst=b model=co bogus=1",
-            "request src=a dst=b model=co arrivals=bogus:1",
-            "request src=a dst=b model=co arrivals=fixed:",
-            "request src=a dst=b model=co arrivals=poisson",
+        *[(f"seed=1\n{bad}\n", 2, f"line 2: {reason}") for bad, reason in (
+            ("ttl=0", "ttl must be in [1, 255]"),
+            ("trials=0", "trials must be at least 1"),
+            ("frame_loss=1.5", "frame_loss must be in [0, 1]"),
+            ("policy retry_limit=-1", "retry_limit must be nonnegative"),
+            ("cost=bogus",
+             "cost must be one of hop_count, latency, loss_weighted, got 'bogus'"),
+            ("policy swap=bogus",
+             "swap must be one of hierarchical, left_to_right, got 'bogus'"),
+            ("policy pipelining=maybe", "pipelining needs true or false, got 'maybe'"),
+            ("request src=a dst=b model=bogus",
+             "model must be one of co, cl, hybrid, got 'bogus'"),
+            ("request src=a dst=b model=co class=bogus",
+             "class must be one of first, second, third, all_photonic, got 'bogus'"),
+            ("request src=a dst=b model=co protocol=bogus",
+             "protocol must be one of sl, ol, got 'bogus'"),
+            ("request src=a dst=b model=co alternate=maybe",
+             "alternate needs true or false, got 'maybe'"),
+            ("allphotonic ecc=maybe", "ecc needs true or false, got 'maybe'"),
+            ("physics w0", "expected key=value, got 'w0'"),
+            ("physics =1", "empty key or value in '=1'"),
+            ("physics w0=", "empty key or value in 'w0='"),
+            ("physics w0=1 w0=1", "duplicate key 'w0'"),
+            ("physics bogus=1", "unknown physics keys: ['bogus']"),
+            ("allphotonic bogus=true", "unknown allphotonic keys: ['bogus']"),
+            ("policy bogus=1", "unknown policy keys: ['bogus']"),
+            ("request src=a dst=b model=co bogus=1", "unknown request keys: ['bogus']"),
+            ("request src=a dst=b model=co arrivals=bogus:1",
+             "unknown arrival scheme 'bogus'"),
+            ("request src=a dst=b model=co arrivals=fixed:",
+             "fixed arrivals need at least one time"),
+            ("request src=a dst=b model=co arrivals=poisson",
+             "arrivals needs poisson:RATE or fixed:T,..., got 'poisson'"),
         )],
     ]
-    for text, line in cases:
+    for text, line, message in cases:
         with pytest.raises(ParseError) as err:
             parse_scenario(text)
         assert err.value.line == line, text
+        assert str(err.value) == message, text
     # the closed ends of each range are accepted
     scn = parse_scenario(
         "physics w0=0 f_target=1 p_hop=0 r_max=0 cluster_overhead=0\n"
@@ -219,6 +261,119 @@ def test_parse_scenario_rejects_malformed_lines():
     )
     assert (scn.physics.w0, scn.physics.f_target, scn.physics.p_hop) == (0, 1, 0)
     assert scn.cl_timeout == 1e-9
+
+
+EVERY_KEY_TOPO = """\
+node a role=end class=second memories=3 t_coh=0.25 eps_op=0.02 eps_res=0.01 proc_delay=1e-6
+node b role=switch class=all_photonic memories=5 t_coh=inf eps_op=0 eps_res=0 proc_delay=0
+edge a b length_km=12.5 alpha=0.3 p_src=0.8 eta_det=0.9 rate_hz=2e4
+"""
+
+EVERY_KEY_SCENARIO = """\
+seed=9
+trials=4
+duration=0.5
+controller=b
+cost=loss_weighted
+frame_loss=0.125
+ttl=7
+physics c_fiber=1.5e5 w0=0.95 f_target=0.9 r_max=2 cluster_overhead=0.5 p_hop=0.75
+allphotonic hep=true ecc=yes fgo=1
+policy swap=left_to_right pipelining=false cl_timeout=0.004 retry_limit=5
+request id=q src=a dst=b model=hybrid class=second protocol=ol f_min=0.8 deadline=0.03 \
+arrivals=fixed:0.2,0.1 waypoints=r,,s alternate=true
+request src=b dst=a model=cl arrivals=poisson:50
+"""
+
+
+def test_every_key_of_every_directive_parses_to_its_field():
+    topo = Topology()
+    topo.add_node(NodeSpec("a", Role.END, RepeaterClass.SECOND, 3, 0.25, 0.02, 0.01, 1e-6))
+    topo.add_node(NodeSpec("b", Role.SWITCH, RepeaterClass.ALL_PHOTONIC, 5, math.inf, 0.0, 0.0, 0.0))
+    topo.add_edge(EdgeSpec("1", "a", "b", 12.5, 0.3, 0.8, 0.9, 2e4))
+    assert parse_topology(EVERY_KEY_TOPO) == topo
+    expected = Scenario(
+        seed=9,
+        trials=4,
+        duration=0.5,
+        controller="b",
+        cost=PathCost.LOSS_WEIGHTED,
+        frame_loss=0.125,
+        ttl=7,
+        physics=PhysicsParams(1.5e5, 0.95, 0.9, 2, 0.5, 0.75),
+        options=AllPhotonicOptions(hep=True, ecc=True, fgo=True),
+        swap_policy=SwapPolicy.LEFT_TO_RIGHT,
+        pipelining=False,
+        cl_timeout=0.004,
+        retry_limit=5,
+        requests=[
+            RequestTemplate(
+                "q", "a", "b", ConnectionModel.HYBRID, RepeaterClass.SECOND,
+                LinkProtocol.ONE_BY_ONE, ("fixed", [0.1, 0.2]), f_min=0.8,
+                deadline=0.03, waypoints=("r", "s"), alternate=True,
+            ),
+            RequestTemplate(
+                "r2", "b", "a", ConnectionModel.CONNECTIONLESS, RepeaterClass.FIRST,
+                LinkProtocol.SIMULTANEOUS, ("poisson", 50.0),
+            ),
+        ],
+    )
+    scenario = parse_scenario(EVERY_KEY_SCENARIO)
+    assert scenario == expected
+    assert repr(scenario) == repr(expected)
+    # physics and policy lines add to what earlier lines set; a later
+    # allphotonic line replaces the earlier one whole
+    merged = parse_scenario(
+        "physics w0=0.9\nphysics r_max=1\npolicy swap=left_to_right\n"
+        "policy retry_limit=0\nallphotonic hep=true\nallphotonic fgo=true\n"
+    )
+    assert merged == Scenario(
+        physics=PhysicsParams(w0=0.9, r_max=1),
+        swap_policy=SwapPolicy.LEFT_TO_RIGHT,
+        retry_limit=0,
+        options=AllPhotonicOptions(fgo=True),
+    )
+
+
+def test_ttl_is_checked_against_its_one_byte_header_field():
+    with pytest.raises(ParseError) as err:
+        parse_scenario("seed=1\nttl=256\n")
+    assert str(err.value) == "line 2: ttl must be in [1, 255]"
+    topo = parse_topology(
+        "node a role=end memories=4\nnode r memories=4\nnode b role=end memories=4\n"
+        "edge a r\nedge r b\n"
+    )
+    scenario = parse_scenario("ttl=255\nrequest src=a dst=b model=cl protocol=ol\n")
+    assert [row["outcome"] for row in run_experiment(topo, scenario)] == ["success"]
+
+
+_TABLE_CLASSES = {
+    "_NODE_KEYS": NodeSpec,
+    "_EDGE_KEYS": EdgeSpec,
+    "_SCALAR_KEYS": Scenario,
+    "_PHYSICS_KEYS": PhysicsParams,
+    "_ALLPHOTONIC_KEYS": AllPhotonicOptions,
+    "_POLICY_KEYS": Scenario,
+    "_REQUEST_KEYS": RequestTemplate,
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLE_CLASSES))
+def test_every_key_names_a_field_of_its_directives_class(table):
+    names = {f.name for f in dataclasses.fields(_TABLE_CLASSES[table])}
+    fields = [name for name, _ in getattr(harness, table).values()]
+    assert set(fields) <= names, table
+    assert len(set(fields)) == len(fields), table
+
+
+def test_a_directive_with_no_keys_gives_its_class_defaults():
+    topo = parse_topology("node a\nnode b\nedge a b\n")
+    assert (topo.nodes["a"], topo.edges["1"]) == (NodeSpec("a"), EdgeSpec("1", "a", "b"))
+    scenario = parse_scenario("physics\nallphotonic\npolicy\nrequest src=a dst=b model=co\n")
+    assert scenario == Scenario(
+        options=AllPhotonicOptions(),
+        requests=[RequestTemplate("r1", "a", "b", ConnectionModel.CONNECTION_ORIENTED)],
+    )
 
 
 def test_parse_scenario_zero_requests_is_legal():
@@ -1079,9 +1234,21 @@ def test_emit_metrics_format():
 
 @pytest.mark.parametrize("key_set", [
     "_NODE_KEYS", "_EDGE_KEYS", "_SCALAR_KEYS",
-    "_PHYSICS_KEYS", "_POLICY_KEYS", "_REQUEST_KEYS",
+    "_PHYSICS_KEYS", "_POLICY_KEYS", "_REQUEST_KEYS", "_ALLPHOTONIC_KEYS",
 ])
 def test_readme_documents_every_key_the_parser_accepts(key_set):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     missing = sorted(k for k in getattr(harness, key_set) if f"`{k}`" not in readme)
     assert not missing, f"{key_set} keys missing from README.md: {missing}"
+
+
+def test_readme_example_topology_and_scenario_parse_and_run():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def example(heading):
+        # the first fenced block under the heading
+        return readme.split(heading, 1)[1].split("```\n", 2)[1]
+
+    topo = parse_topology(example("### Topology files"))
+    rows = run_experiment(topo, parse_scenario(example("### Scenario files")))
+    assert Counter(row["outcome"] for row in rows) == {"success": 26}
