@@ -387,7 +387,9 @@ def run_experiment(
 
     Requests that are structurally invalid for this topology become
     failure rows rather than raising, so one bad template never hides the
-    rest of a sweep.
+    rest of a sweep. Every accepted request closes before its trial's
+    events run out; one that does not is a program fault, so it raises
+    RuntimeError naming the open ids rather than leaving their rows out.
     """
     base_seed = scenario.seed if seed is None else seed
     # routes and classical distances depend only on the topology and cost
@@ -464,6 +466,8 @@ def run_experiment(
                 except ValueError as err:
                     invalid.append((rid, str(err), template, at))
         sim.run_until()
+        if arrival_of:
+            raise RuntimeError(f"requests never closed: {', '.join(arrival_of)}")
         for rid, reason, template, at in invalid:
             rows.append(
                 {

@@ -254,7 +254,7 @@ class RouteState:
     * the classical-distance rows, each source's filled on its first query;
     * the node pairs, both ways, whose edge never heralds, found once per
       scale on the channel success;
-    * the forwarding ``tables``, None until :func:`build_routing_tables` runs.
+    * the forwarding ``tables``, whose node tables fill on first read.
 
     Everything is built on its first use, so set-up costs what the requests
     read: a connection-oriented request searches only its source's tree, and
@@ -284,7 +284,7 @@ class RouteState:
         }
         self._cdist: dict[str, dict[str, float]] = {}
         self._dark: dict[float, set[tuple[str, str]]] = {}
-        self.tables: RoutingTables | None = None
+        self.tables = RoutingTables(self)
 
     def tree(
         self, src: str, repeater_class: RepeaterClass | None = None
@@ -398,8 +398,6 @@ class RoutingTables(dict):
     def __init__(self, routes: RouteState):
         super().__init__()
         self.routes = routes
-        # per destination address, the nodes whose walk toward it is checked
-        self._proven: dict[int, set[str]] = {}
 
     def __missing__(self, src: str) -> dict[int, str]:
         topology = self.routes.topology
@@ -425,20 +423,22 @@ class RoutingTables(dict):
     def walk(self, src: str, dst: str) -> list[tuple]:
         """The hops a frame from src takes to dst, as (edge, receiving node).
 
-        The first walk toward dst from a node not yet proven to reach it is
-        loop-checked before it is taken, and its nodes are then proven, so
-        every frame follows a checked walk or a suffix of one.
+        The walk is loop-checked in the pass that takes it: it raises
+        NoPathError when src has no entry for dst, and ValueError when it
+        meets a node twice or a node with no entry. A leg walks its route
+        before it starts, so every frame follows a checked walk.
         """
         topology = self.routes.topology
         addr = topology.address_of(dst)
-        proven = self._proven.setdefault(addr, {dst})
-        if src not in proven:
-            if addr not in self[src]:
-                raise NoPathError(f"no table route {src} -> {dst}")
-            _check_loop_free(self, src, addr, proven)
-        node, hops = src, []
+        node, hops, seen = src, [], set()
         while node != dst:
-            edge = topology.edges[self[node][addr]]
+            edge_id = self[node].get(addr)
+            if edge_id is None and not hops:
+                raise NoPathError(f"no table route {src} -> {dst}")
+            if edge_id is None or node in seen:
+                raise ValueError(f"routing tables loop for {src} -> {addr}")
+            seen.add(node)
+            edge = topology.edges[edge_id]
             node = edge.other(node)
             hops.append((edge, topology.nodes[node]))
         return hops
@@ -447,31 +447,9 @@ class RoutingTables(dict):
 def build_routing_tables(routes: RouteState) -> RoutingTables:
     """The forwarding tables of ``routes``, each node's filled on first read.
 
-    They are made once per ``routes`` and kept in ``routes.tables``; later
-    calls return that same object.
+    ``routes`` makes them once, so every call returns that same object.
     """
-    if routes.tables is None:
-        routes.tables = RoutingTables(routes)
     return routes.tables
-
-
-def _check_loop_free(
-    tables: RoutingTables, src: str, addr: int, proven: set[str]
-) -> None:
-    """Raise unless src's table walk toward addr reaches a proven node.
-
-    The walk's nodes join ``proven``, so no node is walked twice per
-    destination.
-    """
-    edges = tables.routes.topology.edges
-    node, walk = src, set()
-    while node not in proven:
-        edge_id = tables[node].get(addr)
-        if edge_id is None or node in walk:
-            raise ValueError(f"routing tables loop for {src} -> {addr}")
-        walk.add(node)
-        node = edges[edge_id].other(node)
-    proven.update(walk)
 
 
 class ForwardAction(Enum):
@@ -986,7 +964,7 @@ class NetworkService:
     the routing tables, so concurrent requests contend realistically.
     It routes by hop count unless given ``routes`` for the engine's topology.
     Its tables fill on first read, and a connectionless leg's table walk is
-    loop-checked the first time it is used, before any frame takes it.
+    loop-checked when the leg starts, before any frame takes it.
     Each arrival and close is reported to the engine as progress, which
     resets its livelock ceiling.
 
@@ -1015,8 +993,10 @@ class NetworkService:
         self.engine = engine
         self.topology = engine.topology
         if controller is None:
-            controller = next(iter(engine.topology.nodes))
-        if controller not in engine.topology.nodes:
+            # a topology with no nodes has no controller, and no request
+            # reaches one
+            controller = next(iter(engine.topology.nodes), None)
+        elif controller not in engine.topology.nodes:
             raise KeyError(f"controller {controller} not in topology")
         self.controller = controller
         self.default_ttl = default_ttl
@@ -1274,15 +1254,27 @@ class NetworkService:
     def _try_admit(self) -> None:
         # strict FIFO: only the head may claim resources, so one starved
         # request holds back everything behind it; a request closed while
-        # queued leaves the queue when it reaches the head
+        # queued leaves the queue when it reaches the head, and so does one
+        # that needs more slots than some node of its path has
+        ledger = self.engine.memory
         while self._queue:
             state = self._queue[0]
             if state.closed:
                 self._queue.popleft()
                 continue
-            ledger = self.engine.memory
             if any(ledger.available(n) < k for n, k in state.plan.items()):
-                return
+                short = next(
+                    (n for n, k in state.plan.items() if ledger.capacity[n] < k), None
+                )
+                if short is None:
+                    return
+                self._queue.popleft()
+                self._co_reject(
+                    state,
+                    "ResourceExhausted",
+                    f"{short}: need {state.plan[short]} slots, has {ledger.capacity[short]}",
+                )
+                continue
             self._queue.popleft()
             now = self.engine.now
             for node_id, slots in state.plan.items():

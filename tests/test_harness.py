@@ -886,35 +886,35 @@ def test_trials_share_one_set_of_routing_tables(monkeypatch):
         "request id=cl src=g0_0 dst=g2_2 model=cl class=first protocol=ol"
         " arrivals=fixed:0 deadline=0.004\n"
     )
-    services, checks, searches, seen_at_start = [], [], [], []
-    check = netlayer._check_loop_free
+    services, fills, searches, seen_at_start = [], [], [], []
+    fill = netlayer.RoutingTables.__missing__
     search = netlayer._shortest_paths
 
     def recorded_service(*args, **kw):
-        seen_at_start.append((len(searches), len(checks)))
+        seen_at_start.append((len(searches), len(fills)))
         services.append(netlayer.NetworkService(*args, **kw))
         return services[-1]
 
-    def counted_check(*args):
-        checks.append(args[1:3])
-        return check(*args)
+    def counted_fill(tables, src):
+        fills.append(src)
+        return fill(tables, src)
 
     def counted_search(routes, src, repeater_class=None):
         searches.append(src)
         return search(routes, src, repeater_class)
 
     monkeypatch.setattr(harness, "NetworkService", recorded_service)
-    monkeypatch.setattr(netlayer, "_check_loop_free", counted_check)
+    monkeypatch.setattr(netlayer.RoutingTables, "__missing__", counted_fill)
     monkeypatch.setattr(netlayer, "_shortest_paths", counted_search)
     run_experiment(parse_topology(_grid_text(3)), scenario)
     assert len(services) == 2
     assert services[0].tables is services[1].tables is services[0].routes.tables
-    # the first trial walks g0_0 -> g2_2 once, checked once; the second
-    # reads what the first filled and searches and checks nothing
-    address = services[0].topology.address_of("g2_2")
-    assert checks == [("g0_0", address)]
-    assert seen_at_start[1] == (len(searches), len(checks))
-    assert set(searches) == set(services[0].tables)
+    # the first trial fills the table of each node its walk leaves, once;
+    # the second reads what the first filled and fills and searches nothing
+    walked = [node.node_id for _, node in services[0].tables.walk("g0_0", "g2_2")]
+    assert fills == ["g0_0", *walked[:-1]]
+    assert seen_at_start[1] == (len(searches), len(fills))
+    assert set(searches) == set(fills) == set(services[0].tables)
 
 
 def test_a_connection_oriented_run_searches_only_its_sources(monkeypatch):
@@ -1070,6 +1070,22 @@ def test_run_experiment_invalid_request_row():
         )
         rows = run_experiment(topo, scn)
         assert [r["outcome"] for r in rows] == ["InvalidRequest"], deadline
+
+
+def test_run_experiment_raises_for_a_request_that_never_closes(monkeypatch):
+    # a CO request the controller never hears of stays open when the events
+    # run out; its row must not silently go missing
+    monkeypatch.setattr(netlayer.NetworkService, "_co_request_arrived",
+                        lambda self, state: None)
+    scn = parse_scenario(
+        "seed=1\n"
+        "request id=co src=alice dst=bob model=co class=first protocol=sl"
+        " arrivals=fixed:0,0.001\n"
+        "request id=cl src=alice dst=bob model=cl class=first protocol=ol"
+        " arrivals=fixed:0\n"
+    )
+    with pytest.raises(RuntimeError, match=r"requests never closed: co\.0, co\.1$"):
+        run_experiment(parse_topology(CHAIN_TOPO), scn)
 
 
 def test_loss_weighted_routes_over_lossless_edges():

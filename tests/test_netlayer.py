@@ -393,6 +393,22 @@ def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
     assert forwarded == []
 
 
+def test_table_walk_checks_every_node_it_leaves():
+    topo = chain_topology([5.0, 5.0, 5.0])
+    tables = build_routing_tables(RouteState(topo))
+    assert tables is tables.routes.tables
+    assert tables.walk("n1", "n1") == []
+    assert [node.node_id for _, node in tables.walk("n0", "n3")] == ["n1", "n2", "n3"]
+    # an interior node with no entry stops the walk as a loop, on every
+    # rerun; a source with no entry has no route
+    tables["n2"] = {}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="routing tables loop for n0 -> "):
+            tables.walk("n0", "n3")
+    with pytest.raises(NoPathError, match="no table route n2 -> n3"):
+        tables.walk("n2", "n3")
+
+
 def test_ten_channel_line_walks_in_order():
     # nine channels in a row plus one spur that routing must ignore
     topo = Topology()
@@ -485,6 +501,25 @@ def test_co_contention_is_fifo_and_restores_slots(monkeypatch):
     # each request's plan is made once, when it is routed, however often
     # the blocked q2 is tried again
     assert plans == [["a", "r", "b"], ["c", "r", "d"]]
+
+
+def test_co_request_that_can_never_fit_leaves_the_fifo_queue():
+    # n0 has no memory at all, so x can never be admitted; z queues behind it
+    topo = chain_topology([5.0, 5.0])
+    topo.nodes["n0"].memory_count = 0
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim)
+    service.submit(_co_request("x", "n0", "n2"), at=0.0)
+    service.submit(_cl_request("y", "n0", "n2"), at=0.0)
+    service.submit(_co_request("z", "n1", "n2"), at=0.001)
+    sim.run_until()
+    outcomes = {o.request.request_id: o for o in service.outcomes}
+    assert {rid: o.outcome for rid, o in outcomes.items()} == {
+        "x": "ResourceExhausted", "y": "RetriesExhausted", "z": "Completed"
+    }
+    assert outcomes["x"].detail == "n0: need 1 slots, has 0"
+    for n in ("n1", "n2"):
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
 def test_co_reports_capability_violation():
