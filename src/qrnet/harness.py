@@ -41,7 +41,7 @@ class ParseError(ValueError):
 
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if line:
             yield lineno, line
 
@@ -74,14 +74,14 @@ def _as_bool(value: str, lineno: int, key: str) -> bool:
 
 
 def _as_enum(enum_cls):
+    members = {m.value: m for m in enum_cls}
+    choices = ", ".join(members)
+
     def parse(value: str, lineno: int, key: str):
-        try:
-            return enum_cls(value)
-        except ValueError:
-            choices = ", ".join(m.value for m in enum_cls)
-            raise ParseError(
-                lineno, f"{key} must be one of {choices}, got {value!r}"
-            ) from None
+        member = members.get(value)
+        if member is None:
+            raise ParseError(lineno, f"{key} must be one of {choices}, got {value!r}")
+        return member
 
     return parse
 
@@ -108,22 +108,27 @@ _unit = _checked(_as_float, lambda x: 0 <= x <= 1, "must be in [0, 1]")
 def _fields(tokens: list[str], table: dict, lineno: int, what: str) -> dict:
     """Parse ``key=value`` tokens by ``table`` (key -> (field, parse)).
 
-    Returns field -> value for the keys present, in token order, so the
-    directive's dataclass supplies every default.
+    One pass checks each token's form and that its key is new and known,
+    then values convert in token order. The first fault is reported: a
+    malformed token or a repeated key, whichever comes first, then every
+    unknown key, then the first bad value. Returns field -> value for the
+    keys present, so the directive's dataclass supplies every default.
     """
     pairs: dict[str, str] = {}
+    known = True
     for token in tokens:
         key, eq, value = token.partition("=")
-        if not eq:
-            raise ParseError(lineno, f"expected key=value, got {token!r}")
-        if not key or not value:
+        if not (key and value):
+            if not eq:
+                raise ParseError(lineno, f"expected key=value, got {token!r}")
             raise ParseError(lineno, f"empty key or value in {token!r}")
         if key in pairs:
             raise ParseError(lineno, f"duplicate key {key!r}")
+        if key not in table:
+            known = False
         pairs[key] = value
-    unknown = pairs.keys() - table.keys()
-    if unknown:
-        raise ParseError(lineno, f"unknown {what} keys: {sorted(unknown)}")
+    if not known:
+        raise ParseError(lineno, f"unknown {what} keys: {sorted(pairs.keys() - table.keys())}")
     out = {}
     for key, value in pairs.items():
         name, parse = table[key]
@@ -239,19 +244,23 @@ class Scenario:
 
 
 def _parse_arrivals(value: str, lineno: int, key: str) -> tuple:
-    if ":" not in value:
+    scheme, colon, arg = value.partition(":")
+    if not colon:
         raise ParseError(lineno, f"arrivals needs poisson:RATE or fixed:T,..., got {value!r}")
-    scheme, arg = value.split(":", 1)
     if scheme == "poisson":
         rate = _as_float(arg, lineno, "arrivals rate")
         if not 0 < rate < math.inf:
             raise ParseError(lineno, "poisson rate must be positive and finite")
         return ("poisson", rate)
     if scheme == "fixed":
-        times = [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t]
+        # every time is read as a number before a range fault is reported
+        times, finite = [], True
+        for t in filter(None, arg.split(",")):
+            times.append(time := _as_float(t, lineno, "arrival time"))
+            finite = finite and 0 <= time < math.inf
         if not times:
             raise ParseError(lineno, "fixed arrivals need at least one time")
-        if not all(0 <= t < math.inf for t in times):
+        if not finite:
             raise ParseError(lineno, "arrival times must be nonnegative and finite")
         return ("fixed", sorted(times))
     raise ParseError(lineno, f"unknown arrival scheme {scheme!r}")
@@ -307,7 +316,6 @@ _REQUEST_KEYS = {
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     seen_ids: set[str] = set()
-    auto_id = 0
     for lineno, line in _lines(text):
         tokens = line.split()
         kind = tokens[0]
@@ -334,8 +342,9 @@ def parse_scenario(text: str) -> Scenario:
             for required in ("src", "dst", "model"):
                 if required not in fields:
                     raise ParseError(lineno, f"request needs {required}=")
-            auto_id += 1
-            request_id = fields.setdefault("request_id", f"r{auto_id}")
+            if "request_id" not in fields:
+                fields["request_id"] = f"r{len(scenario.requests) + 1}"
+            request_id = fields["request_id"]
             if request_id in seen_ids:
                 raise ParseError(lineno, f"duplicate request id {request_id!r}")
             seen_ids.add(request_id)

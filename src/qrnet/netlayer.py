@@ -1251,6 +1251,14 @@ class NetworkService:
             f"reject {state.request.request_id}",
         )
 
+    def _shortfall(self, plan: dict[str, int]) -> str | None:
+        """The first node of ``plan`` with fewer slots than it needs, as a detail."""
+        capacity = self.engine.memory.capacity
+        for n, k in plan.items():
+            if capacity[n] < k:
+                return f"{n}: need {k} slots, has {capacity[n]}"
+        return None
+
     def _try_admit(self) -> None:
         # strict FIFO: only the head may claim resources, so one starved
         # request holds back everything behind it; a request closed while
@@ -1263,17 +1271,11 @@ class NetworkService:
                 self._queue.popleft()
                 continue
             if any(ledger.available(n) < k for n, k in state.plan.items()):
-                short = next(
-                    (n for n, k in state.plan.items() if ledger.capacity[n] < k), None
-                )
+                short = self._shortfall(state.plan)
                 if short is None:
                     return
                 self._queue.popleft()
-                self._co_reject(
-                    state,
-                    "ResourceExhausted",
-                    f"{short}: need {state.plan[short]} slots, has {ledger.capacity[short]}",
-                )
+                self._co_reject(state, "ResourceExhausted", short)
                 continue
             self._queue.popleft()
             now = self.engine.now
@@ -1336,9 +1338,8 @@ class NetworkService:
 
     # -- connectionless -------------------------------------------------------
 
-    def _zero_load_estimate(self, src: str, dst: str, cls: RepeaterClass) -> float:
-        """Expected unloaded establishment time along the table route."""
-        hops = self.tables.walk(src, dst)
+    def _zero_load_estimate(self, hops: list, src: str, dst: str, cls: RepeaterClass) -> float:
+        """Expected unloaded establishment time along the table route ``hops``."""
         c = self.engine.params.c_fiber
         total = 0.0
         for edge, receiver in hops:
@@ -1380,9 +1381,14 @@ class NetworkService:
     ) -> _ClLeg:
         request = state.request
         cls = request.repeater_class
-        # the estimate also rejects a route with no table entry or a hop
-        # that never heralds, whichever timeout the leg gets
-        estimate = self._zero_load_estimate(src, dst, cls)
+        # the walk and the estimate reject a route with no table entry or a
+        # hop that never heralds, whichever timeout the leg gets, and a node
+        # with fewer slots than the leg needs fails it as it would a CO plan
+        hops = self.tables.walk(src, dst)
+        estimate = self._zero_load_estimate(hops, src, dst, cls)
+        short = self._shortfall(memory_plan([src, *(n.node_id for _, n in hops)], cls))
+        if short is not None:
+            raise ResourceExhausted(short)
         timeout = 3.0 * estimate if self.cl_timeout is None else self.cl_timeout
         return _ClLeg(
             self,
@@ -1424,6 +1430,9 @@ class NetworkService:
             )
         except NoPathError as err:
             self._finish(state, "NoRoute", detail=str(err))
+            return
+        except ResourceExhausted as err:
+            self._finish(state, "ResourceExhausted", detail=str(err))
             return
         state.legs.append(leg)
         leg.start()
@@ -1544,6 +1553,9 @@ class NetworkService:
                 )
             except NoPathError as err:
                 self._finish(state, "NoRoute", detail=str(err))
+                return
+            except ResourceExhausted as err:
+                self._finish(state, "ResourceExhausted", detail=str(err))
                 return
             state.legs.append(leg)
         for leg in list(state.legs):

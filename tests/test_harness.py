@@ -1,8 +1,10 @@
 import dataclasses
+import enum
 import functools
 import hashlib
 import io
 import math
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -374,6 +376,145 @@ def test_a_directive_with_no_keys_gives_its_class_defaults():
         options=AllPhotonicOptions(),
         requests=[RequestTemplate("r1", "a", "b", ConnectionModel.CONNECTION_ORIENTED)],
     )
+
+
+@pytest.mark.parametrize("parse, text, line, message", [
+    # a token without "=" is reported before an unknown key, wherever it is
+    (parse_scenario, "seed=1\nrequest src=a model bogus=1\n", 2,
+     "expected key=value, got 'model'"),
+    (parse_scenario, "seed=1\nrequest src=a bogus=1 model\n", 2,
+     "expected key=value, got 'model'"),
+    (parse_topology, "node a\nnode b\nedge a b zz=1 length_km\n", 3,
+     "expected key=value, got 'length_km'"),
+    # malformed and duplicate tokens are reported in token order
+    (parse_scenario, "request src=a =1 b=2 bogus\n", 1, "empty key or value in '=1'"),
+    (parse_scenario, "request src=a src=b c\n", 1, "duplicate key 'src'"),
+    # a duplicate is reported before an unknown key, wherever it is
+    (parse_scenario, "seed=1\nrequest src=a src=b bogus=1\n", 2, "duplicate key 'src'"),
+    (parse_scenario, "seed=1\nrequest bogus=1 src=a src=b\n", 2, "duplicate key 'src'"),
+    # every unknown key is named, sorted, before any value is read
+    (parse_scenario, "seed=1\nrequest bogus=1 model=xx\n", 2,
+     "unknown request keys: ['bogus']"),
+    (parse_scenario, "seed=1\nrequest model=xx bogus=1\n", 2,
+     "unknown request keys: ['bogus']"),
+    (parse_scenario, "physics zz=2 w0=nan bogus=1\n", 1,
+     "unknown physics keys: ['bogus', 'zz']"),
+    (parse_topology, "node a\nnode b\nnode c bogus=1 role=xx\n", 3,
+     "unknown node keys: ['bogus']"),
+    # of two bad values the first in token order is reported
+    (parse_scenario, "seed=1\nrequest src=a model=xx class=yy\n", 2,
+     "model must be one of co, cl, hybrid, got 'xx'"),
+    (parse_scenario, "seed=1\nrequest class=yy model=xx src=a\n", 2,
+     "class must be one of first, second, third, all_photonic, got 'yy'"),
+    (parse_topology, "node a\nnode b\nnode c role=xx memories=yy\n", 3,
+     "role must be one of end, repeater, switch, got 'xx'"),
+    (parse_topology, "node a\nnode b\nnode c memories=yy role=xx\n", 3,
+     "memories needs an integer, got 'yy'"),
+    # a bad value is reported before a missing src=
+    (parse_scenario, "seed=1\nrequest dst=b model=xx\n", 2,
+     "model must be one of co, cl, hybrid, got 'xx'"),
+    (parse_scenario, "seed=1\nrequest dst=b model=co\n", 2, "request needs src="),
+    # every fixed time is read as a number before any is range-checked
+    (parse_scenario, "request src=a dst=b model=co arrivals=fixed:inf,bogus\n", 1,
+     "arrival time needs a number, got 'bogus'"),
+    (parse_scenario, "request src=a dst=b model=co arrivals=fixed:-1,nan\n", 1,
+     "arrival times must be nonnegative and finite"),
+])
+def test_a_line_with_two_faults_reports_the_first_in_precedence_order(
+    parse, text, line, message
+):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.reason) == (line, message)
+
+
+def _labelled_grid_text(n: int, k: int) -> tuple[str, str]:
+    """A grid-K style topology and scenario, built without any random stream."""
+    ids = [f"g{r}_{c}" for r in range(n) for c in range(n)]
+    roles, classes = ("switch", "repeater"), ("first", "second")
+    lines = [
+        f"node {v} role={roles[i % 2]} class={classes[i // 3 % 2]} memories={2 + i % 3}"
+        f" t_coh={0.05 + i / 1000!r}"
+        for i, v in enumerate(ids)
+    ]
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < n and c + dc < n:
+                    lines.append(
+                        f"edge g{r}_{c} g{r + dr}_{c + dc} length_km={5 + r / 8!r}"
+                        f" alpha=0 p_src=0.5 rate_hz=1e4"
+                    )
+    topology = "\n".join(lines) + "\n"
+    lines = ["seed=7", "trials=1", "controller=g1_1", "policy pipelining=true retry_limit=20"]
+    for j in range(k):
+        src = j * 7 % len(ids)
+        dst = (src + 1 + j * 5 % (len(ids) - 1)) % len(ids)
+        lines.append(
+            f"request id=r{j} src={ids[src]} dst={ids[dst]} model={('co', 'cl')[j % 2]}"
+            f" class=first protocol={('sl', 'ol')[j % 2]} arrivals=fixed:{j / 7919!r}"
+            f" deadline=0.03  # request {j}"
+        )
+    return topology, "\n".join(lines) + "\n"
+
+
+def test_parse_results_of_a_grid_are_pinned():
+    topology_text, scenario_text = _labelled_grid_text(4, 300)
+    topo = parse_topology(topology_text)
+    scenario = parse_scenario(scenario_text)
+    assert (len(topo.nodes), len(topo.edges), len(scenario.requests)) == (16, 24, 300)
+    nodes_and_edges = repr((list(topo.nodes.values()), list(topo.edges.values())))
+    assert hashlib.sha256(nodes_and_edges.encode()).hexdigest() == (
+        "93043432a55c8c07dd9188c804366005f07d7be1e94d0c91800ba6f9910e95f7"
+    )
+    assert hashlib.sha256(repr(scenario).encode()).hexdigest() == (
+        "fdfe253681014db92565db721684b4d4023f844bd7e434afc71413a5db53feb4"
+    )
+
+
+def _enum_keys():
+    hints = {table: typing.get_type_hints(cls) for table, cls in _TABLE_CLASSES.items()}
+    return [
+        (table, key, name, hints[table][name])
+        for table in ("_NODE_KEYS", "_SCALAR_KEYS", "_POLICY_KEYS", "_REQUEST_KEYS")
+        for key, (name, _) in getattr(harness, table).items()
+        if isinstance(hints[table][name], type) and issubclass(hints[table][name], enum.Enum)
+    ]
+
+
+def _parse_one(table: str, key: str, value: str):
+    """Parse one ``key=value`` in a minimal line of ``table``'s directive."""
+    if table == "_NODE_KEYS":
+        return parse_topology(f"node a {key}={value}\n", check=False).nodes["a"]
+    if table == "_SCALAR_KEYS":
+        return parse_scenario(f"{key}={value}\n")
+    if table == "_POLICY_KEYS":
+        return parse_scenario(f"policy {key}={value}\n")
+    tokens = {"src": "a", "dst": "b", "model": "co", key: value}
+    line = " ".join(f"{k}={v}" for k, v in tokens.items())
+    return parse_scenario(f"request {line}\n").requests[0]
+
+
+def test_seven_keys_are_enum_typed():
+    assert [(table, key) for table, key, _, _ in _enum_keys()] == [
+        ("_NODE_KEYS", "role"), ("_NODE_KEYS", "class"), ("_SCALAR_KEYS", "cost"),
+        ("_POLICY_KEYS", "swap"), ("_REQUEST_KEYS", "model"),
+        ("_REQUEST_KEYS", "class"), ("_REQUEST_KEYS", "protocol"),
+    ]
+
+
+@pytest.mark.parametrize("table, key, name, enum_cls", _enum_keys(),
+                         ids=lambda p: p if isinstance(p, str) else p.__name__)
+def test_an_enum_key_accepts_exactly_its_values(table, key, name, enum_cls):
+    for member in enum_cls:
+        parsed = getattr(_parse_one(table, key, member.value), name)
+        assert parsed is member and parsed is enum_cls(member.value)
+    choices = ", ".join(m.value for m in enum_cls)
+    for member in enum_cls:
+        for bad in (member.value.upper(), member.value.capitalize(), "''", member.name):
+            with pytest.raises(ParseError) as err:
+                _parse_one(table, key, bad)
+            assert err.value.reason == f"{key} must be one of {choices}, got {bad!r}"
 
 
 def test_parse_scenario_zero_requests_is_legal():

@@ -515,10 +515,36 @@ def test_co_request_that_can_never_fit_leaves_the_fifo_queue():
     sim.run_until()
     outcomes = {o.request.request_id: o for o in service.outcomes}
     assert {rid: o.outcome for rid, o in outcomes.items()} == {
-        "x": "ResourceExhausted", "y": "RetriesExhausted", "z": "Completed"
+        "x": "ResourceExhausted", "y": "ResourceExhausted", "z": "Completed"
     }
     assert outcomes["x"].detail == "n0: need 1 slots, has 0"
     for n in ("n1", "n2"):
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
+
+
+def _hybrid_request(rid, src, dst, **kw):
+    return ConnectionRequest(rid, src, dst, RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
+                             ConnectionModel.HYBRID, **kw)
+
+
+@pytest.mark.parametrize("short, req, detail", [
+    ("n0", _cl_request("y", "n0", "n2"), "n0: need 1 slots, has 0"),
+    ("n2", _cl_request("y", "n0", "n2"), "n2: need 1 slots, has 0"),
+    ("n0", _hybrid_request("h", "n0", "n2", waypoints=("n1",)), "n0: need 1 slots, has 0"),
+    # the second area is short; the first, already made, never starts
+    ("n2", _hybrid_request("h", "n0", "n2", waypoints=("n1",)), "n2: need 1 slots, has 0"),
+], ids=["cl-source", "cl-target", "hybrid-first-area", "hybrid-second-area"])
+def test_connectionless_leg_that_can_never_fit_fails_at_once(short, req, detail):
+    topo = chain_topology([5.0, 5.0])
+    topo.nodes[short].memory_count = 0
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim)
+    service.submit(req, at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert (outcome.outcome, outcome.detail) == ("ResourceExhausted", detail)
+    assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
+    for n in topo.nodes:
         assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
@@ -827,7 +853,8 @@ def test_cl_timeout_estimate_charges_the_node_each_hop_enters():
             topo.add_edge(EdgeSpec(eid, u, v, length_km=20.0,
                                    alpha_db_per_km=0.0, attempt_rate_hz=1e3))
         service = NetworkService(Simulator(topo, PARAMS))
-        estimate = service._zero_load_estimate("a", "c", RepeaterClass.FIRST)
+        hops = service.tables.walk("a", "c")
+        estimate = service._zero_load_estimate(hops, "a", "c", RepeaterClass.FIRST)
         assert math.isclose(estimate, expect), first_edge
 
 
