@@ -948,8 +948,10 @@ class _RequestState:
         self.stats = SessionStats()
         self.drops: dict[str, int] = {}
         self.closed = False
+        # what admission routed: a session's path, or each leg's
+        # (src, dst, table walk); and the slots per node they need
         self.path: list[str] | None = None
-        # a CO request's slots per node, fixed when its path is
+        self.areas: list[tuple[str, str, list]] = []
         self.plan: dict[str, int] = {}
         self.session: LinkSession | None = None
         self.legs: list[_ClLeg] = []
@@ -964,7 +966,7 @@ class NetworkService:
     the routing tables, so concurrent requests contend realistically.
     It routes by hop count unless given ``routes`` for the engine's topology.
     Its tables fill on first read, and a connectionless leg's table walk is
-    loop-checked when the leg starts, before any frame takes it.
+    loop-checked at admission, before any frame takes it.
     Each arrival and close is reported to the engine as progress, which
     resets its livelock ceiling.
 
@@ -1102,26 +1104,112 @@ class NetworkService:
             for n in nodes
         )
 
-    def _route(self, request: ConnectionRequest) -> list[str]:
-        """The path an anchored request's session runs over (CO, alternate).
+    def _admission(self, state: _RequestState) -> tuple[str, str] | None:
+        """The first reason ``state``'s request can never run, as (outcome, detail).
 
-        No path crosses a hop whose pairs never herald; third class makes none.
+        Every model runs this one check once, before its first attempt and
+        before it holds a slot, and closes the request with the row it
+        returns. It routes the request as its model runs it: one session over
+        ``state.path`` (CO, hybrid alternate mode) or legs over the table
+        walks in ``state.areas`` (CL, hybrid areas). Then it checks, in order:
+        the class rules of ``capability.py`` and of each route's nodes, which
+        ``LinkSession`` and ``physics`` raise on only as program faults; each
+        node's capacity against ``state.plan``, the slots of every route
+        summed; and each hop for an edge that never heralds.
         """
+        request = state.request
         cls = request.repeater_class
-        path = compute_path(
-            self.routes,
-            request.src,
-            request.dst,
-            repeater_class=cls,
-            waypoints=request.waypoints,
+        third = cls is RepeaterClass.THIRD
+        nodes = self.topology.nodes
+        hybrid = request.model is ConnectionModel.HYBRID
+        one_session = request.model is ConnectionModel.CONNECTION_ORIENTED or (
+            hybrid and request.alternate_mode
         )
-        if cls is not RepeaterClass.THIRD:
-            # all-photonic generation scales the channel success
-            ap = cls is RepeaterClass.ALL_PHOTONIC
-            dark = self.routes.dark(self.engine.params.cluster_overhead if ap else 1.0)
-            if dark and any(hop in dark for hop in zip(path, path[1:])):
-                raise NoPathError(f"a hop of {'-'.join(path)} never heralds")
-        return path
+        no_path = "NoPath"  # the row a missing route gives; a table walk's is NoRoute
+        try:
+            if hybrid:
+                if request.link_protocol is not LinkProtocol.ONE_BY_ONE:
+                    raise CapabilityViolation(
+                        "hybrid areas extend entanglement hop by hop; use one-by-one"
+                    )
+                seen = {request.src, request.dst}
+                for w in request.waypoints:
+                    if w in seen:
+                        raise NoPathError(f"waypoint {w} repeats an endpoint or itself")
+                    seen.add(w)
+            model = ConnectionModel.CONNECTIONLESS
+            if one_session:
+                model = ConnectionModel.CONNECTION_ORIENTED
+            validate_request(cls, request.link_protocol, model, self.options)
+            if one_session:
+                state.path = compute_path(
+                    self.routes,
+                    request.src,
+                    request.dst,
+                    repeater_class=cls,
+                    waypoints=request.waypoints,
+                )
+                routes = [state.path]
+            else:
+                ends = [(request.src, request.dst)]
+                if hybrid:
+                    if third:
+                        raise CapabilityViolation(
+                            "third-class areas relay logical payloads, which "
+                            "anchors cannot swap; use alternate mode"
+                        )
+                    for w in request.waypoints:
+                        if not can_swap(nodes[w].repeater_class):
+                            raise CapabilityViolation(f"anchor {w} cannot swap")
+                    stops = [request.src, *request.waypoints, request.dst]
+                    # areas grow toward their anchors: the last runs from the
+                    # far end back to its adjoining waypoint
+                    ends = [*zip(stops, stops[1:-1]), (stops[-1], stops[-2])]
+                no_path = "NoRoute"
+                state.areas = [(a, b, self.tables.walk(a, b)) for a, b in ends]
+                routes = [[a, *(n.node_id for _, n in hops)] for a, _, hops in state.areas]
+            for route in routes:
+                for n in route[1:-1]:
+                    node_cls = nodes[n].repeater_class
+                    if one_session and node_cls is not cls:
+                        raise CapabilityViolation(
+                            f"path node {n} is {node_cls.value}, session needs {cls.value}"
+                        )
+                    if not (one_session or third or can_swap(node_cls)):
+                        raise CapabilityViolation(f"{node_cls.value} node {n} cannot swap")
+                for n in route[1:] if third else ():
+                    spec = nodes[n]
+                    if spec.role is not Role.END and spec.repeater_class is not cls:
+                        raise CapabilityViolation(
+                            f"{spec.repeater_class.value} node {n} "
+                            "cannot relay one-way encoded qubits"
+                        )
+            state.plan = plan = memory_plan(routes[0], cls)
+            for route in routes[1:]:
+                for n, k in memory_plan(route, cls).items():
+                    plan[n] = plan.get(n, 0) + k
+            capacity = self.engine.memory.capacity
+            for n, k in plan.items():
+                if capacity[n] < k:
+                    raise ResourceExhausted(f"{n}: need {k} slots, has {capacity[n]}")
+            if not third:
+                # all-photonic generation scales the channel success
+                ap = cls is RepeaterClass.ALL_PHOTONIC
+                dark = self.routes.dark(self.engine.params.cluster_overhead if ap else 1.0)
+                for route in routes if dark else ():
+                    for hop in zip(route, route[1:]):
+                        if hop in dark:
+                            raise NoPathError(
+                                f"a hop of {'-'.join(route)} never heralds"
+                                if one_session
+                                else f"edge {self.topology.edge_between(*hop).edge_id} "
+                                "never heralds"
+                            )
+        except (CapabilityViolation, ResourceExhausted) as err:
+            return type(err).__name__, str(err)
+        except NoPathError as err:
+            return no_path, str(err)
+        return None
 
     # -- submission ---------------------------------------------------------
 
@@ -1200,11 +1288,17 @@ class NetworkService:
             self._finish(state, "NoPath", detail=str(err))
             return
         if request.model is ConnectionModel.CONNECTION_ORIENTED:
+            # the controller routes the request, so it checks admission there
             self._to_controller(state, lambda: self._co_request_arrived(state))
+            return
+        refusal = self._admission(state)
+        if refusal is not None:
+            outcome, detail = refusal
+            self._finish(state, outcome, detail=detail)
         elif request.model is ConnectionModel.CONNECTIONLESS:
             self._cl_submit(state)
         else:
-            self._hybrid_submit(state)
+            self._to_controller(state, lambda: self._hybrid_orders(state))
 
     # -- connection oriented -------------------------------------------------
 
@@ -1222,23 +1316,10 @@ class NetworkService:
     def _co_request_arrived(self, state: _RequestState) -> None:
         if state.closed:
             return
-        request = state.request
-        try:
-            validate_request(
-                request.repeater_class,
-                request.link_protocol,
-                ConnectionModel.CONNECTION_ORIENTED,
-                self.options,
-            )
-        except CapabilityViolation as err:
-            self._co_reject(state, "CapabilityViolation", str(err))
+        refusal = self._admission(state)
+        if refusal is not None:
+            self._co_reject(state, *refusal)
             return
-        try:
-            state.path = self._route(request)
-        except NoPathError as err:
-            self._co_reject(state, "NoPath", str(err))
-            return
-        state.plan = memory_plan(state.path, request.repeater_class)
         self._queue.append(state)
         self._try_admit()
 
@@ -1251,19 +1332,12 @@ class NetworkService:
             f"reject {state.request.request_id}",
         )
 
-    def _shortfall(self, plan: dict[str, int]) -> str | None:
-        """The first node of ``plan`` with fewer slots than it needs, as a detail."""
-        capacity = self.engine.memory.capacity
-        for n, k in plan.items():
-            if capacity[n] < k:
-                return f"{n}: need {k} slots, has {capacity[n]}"
-        return None
-
     def _try_admit(self) -> None:
         # strict FIFO: only the head may claim resources, so one starved
         # request holds back everything behind it; a request closed while
-        # queued leaves the queue when it reaches the head, and so does one
-        # that needs more slots than some node of its path has
+        # queued leaves the queue when it reaches the head. Admission let in
+        # only plans that fit each node's capacity, so every head fits once
+        # the slots it waits for are released
         ledger = self.engine.memory
         while self._queue:
             state = self._queue[0]
@@ -1271,12 +1345,7 @@ class NetworkService:
                 self._queue.popleft()
                 continue
             if any(ledger.available(n) < k for n, k in state.plan.items()):
-                short = self._shortfall(state.plan)
-                if short is None:
-                    return
-                self._queue.popleft()
-                self._co_reject(state, "ResourceExhausted", short)
-                continue
+                return
             self._queue.popleft()
             now = self.engine.now
             for node_id, slots in state.plan.items():
@@ -1346,11 +1415,8 @@ class NetworkService:
             if cls is RepeaterClass.THIRD:
                 total += edge.length_km / c + receiver.proc_delay
             else:
-                p = channel_success_prob(edge)
-                if p == 0.0:
-                    raise NoPathError(f"edge {edge.edge_id} never heralds")
                 total += (
-                    1.0 / p / edge.attempt_rate_hz
+                    1.0 / channel_success_prob(edge) / edge.attempt_rate_hz
                     + 2.0 * edge.length_km / c
                     + receiver.proc_delay
                 )
@@ -1374,22 +1440,18 @@ class NetworkService:
         self,
         state: _RequestState,
         tag: str,
-        src: str,
-        dst: str,
+        area: tuple[str, str, list],
         on_success: Callable[[WernerLink], None],
         on_failure: Callable[[str, str], None],
     ) -> _ClLeg:
+        """A leg over an ``area`` admission walked, as (src, dst, hops)."""
         request = state.request
         cls = request.repeater_class
-        # the walk and the estimate reject a route with no table entry or a
-        # hop that never heralds, whichever timeout the leg gets, and a node
-        # with fewer slots than the leg needs fails it as it would a CO plan
-        hops = self.tables.walk(src, dst)
-        estimate = self._zero_load_estimate(hops, src, dst, cls)
-        short = self._shortfall(memory_plan([src, *(n.node_id for _, n in hops)], cls))
-        if short is not None:
-            raise ResourceExhausted(short)
-        timeout = 3.0 * estimate if self.cl_timeout is None else self.cl_timeout
+        src, dst, hops = area
+        if self.cl_timeout is None:
+            timeout = 3.0 * self._zero_load_estimate(hops, src, dst, cls)
+        else:
+            timeout = self.cl_timeout
         return _ClLeg(
             self,
             tag,
@@ -1406,83 +1468,17 @@ class NetworkService:
         )
 
     def _cl_submit(self, state: _RequestState) -> None:
-        request = state.request
-        try:
-            validate_request(
-                request.repeater_class,
-                request.link_protocol,
-                ConnectionModel.CONNECTIONLESS,
-                self.options,
-            )
-        except CapabilityViolation as err:
-            self._finish(state, "CapabilityViolation", detail=str(err))
-            return
-        try:
-            leg = self._make_leg(
-                state,
-                state.tag,
-                request.src,
-                request.dst,
-                on_success=lambda link: self._deliver(state, link),
-                on_failure=lambda reason, detail: self._finish(
-                    state, reason, detail=detail
-                ),
-            )
-        except NoPathError as err:
-            self._finish(state, "NoRoute", detail=str(err))
-            return
-        except ResourceExhausted as err:
-            self._finish(state, "ResourceExhausted", detail=str(err))
-            return
+        leg = self._make_leg(
+            state,
+            state.tag,
+            state.areas[0],
+            on_success=lambda link: self._deliver(state, link),
+            on_failure=lambda reason, detail: self._finish(state, reason, detail=detail),
+        )
         state.legs.append(leg)
         leg.start()
 
     # -- hybrid ---------------------------------------------------------------
-
-    def _hybrid_submit(self, state: _RequestState) -> None:
-        request = state.request
-        try:
-            self._hybrid_validate(request)
-        except CapabilityViolation as err:
-            self._finish(state, "CapabilityViolation", detail=str(err))
-            return
-        except NoPathError as err:
-            self._finish(state, "NoPath", detail=str(err))
-            return
-        self._to_controller(state, lambda: self._hybrid_orders(state))
-
-    def _hybrid_validate(self, request: ConnectionRequest) -> None:
-        if request.link_protocol is not LinkProtocol.ONE_BY_ONE:
-            raise CapabilityViolation(
-                "hybrid areas extend entanglement hop by hop; use one-by-one"
-            )
-        seen = set()
-        for w in request.waypoints:
-            if w in (request.src, request.dst) or w in seen:
-                raise NoPathError(f"waypoint {w} repeats an endpoint or itself")
-            seen.add(w)
-        if request.alternate_mode:
-            validate_request(
-                request.repeater_class,
-                request.link_protocol,
-                ConnectionModel.CONNECTION_ORIENTED,
-                self.options,
-            )
-            return
-        validate_request(
-            request.repeater_class,
-            request.link_protocol,
-            ConnectionModel.CONNECTIONLESS,
-            self.options,
-        )
-        if request.repeater_class is RepeaterClass.THIRD:
-            raise CapabilityViolation(
-                "third-class areas relay logical payloads, which anchors "
-                "cannot swap; use alternate mode"
-            )
-        for w in request.waypoints:
-            if not can_swap(self.topology.nodes[w].repeater_class):
-                raise CapabilityViolation(f"anchor {w} cannot swap")
 
     def _hybrid_orders(self, state: _RequestState) -> None:
         if state.closed:
@@ -1505,14 +1501,9 @@ class NetworkService:
 
     def _hybrid_alternate(self, state: _RequestState) -> None:
         request = state.request
-        try:
-            path = self._route(request)
-        except NoPathError as err:
-            self._finish(state, "NoPath", detail=str(err))
-            return
         session = LinkSession(
             self.engine,
-            path,
+            state.path,
             request.repeater_class,
             LinkProtocol.ONE_BY_ONE,
             options=self.options,
@@ -1527,36 +1518,16 @@ class NetworkService:
             self._finish(state, "ResourceExhausted", detail=str(err))
 
     def _hybrid_fast(self, state: _RequestState) -> None:
-        request = state.request
-        stops = [request.src, *request.waypoints, request.dst]
-        n_legs = len(stops) - 1
-        for i in range(n_legs):
-            # areas grow toward their anchors: the last leg runs from the
-            # far end back to its adjoining waypoint
-            if i == n_legs - 1 and n_legs > 1:
-                leg_src, leg_dst = stops[i + 1], stops[i]
-            else:
-                leg_src, leg_dst = stops[i], stops[i + 1]
-            tag = f"{state.tag}:leg{i}"
-            try:
-                leg = self._make_leg(
-                    state,
-                    tag,
-                    leg_src,
-                    leg_dst,
-                    on_success=lambda link, idx=i: self._hybrid_leg_done(
-                        state, idx, link
-                    ),
-                    on_failure=lambda reason, detail, idx=i: self._finish(
-                        state, reason, detail=f"area {idx}: {detail}"
-                    ),
-                )
-            except NoPathError as err:
-                self._finish(state, "NoRoute", detail=str(err))
-                return
-            except ResourceExhausted as err:
-                self._finish(state, "ResourceExhausted", detail=str(err))
-                return
+        for i, area in enumerate(state.areas):
+            leg = self._make_leg(
+                state,
+                f"{state.tag}:leg{i}",
+                area,
+                on_success=lambda link, idx=i: self._hybrid_leg_done(state, idx, link),
+                on_failure=lambda reason, detail, idx=i: self._finish(
+                    state, reason, detail=f"area {idx}: {detail}"
+                ),
+            )
             state.legs.append(leg)
         for leg in list(state.legs):
             leg.start()

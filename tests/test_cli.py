@@ -32,3 +32,24 @@ def test_an_empty_topology_runs(tmp_path, capsys, requests, rows):
     lines = out.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert [",".join(line.split(",")[:6]) for line in lines[1:]] == rows
+
+
+def test_a_relay_that_cannot_serve_the_request_gives_a_row_not_an_abort(tmp_path, capsys):
+    # a first-class connectionless request must swap at r, which a third-class
+    # relay cannot do; the request is refused before it starts
+    topo, scen, out = tmp_path / "net.topo", tmp_path / "load.scen", tmp_path / "out.csv"
+    topo.write_text(
+        "node a role=end memories=2\n"
+        "node r role=repeater class=third memories=2\n"
+        "node b role=end memories=2\n"
+        "edge a r length_km=5 alpha=0 rate_hz=1e4\n"
+        "edge r b length_km=5 alpha=0 rate_hz=1e4\n"
+    )
+    scen.write_text("seed=1\nrequest id=q src=a dst=b model=cl class=first protocol=ol\n")
+    code = cli.main([
+        "run", "--topology", str(topo), "--scenario", str(scen), "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text().splitlines() == [
+        CSV_HEADER, "q,0,cl,first,ol,CapabilityViolation,0,,0,0,0,0",
+    ]

@@ -3,6 +3,7 @@ import enum
 import functools
 import hashlib
 import io
+import itertools
 import math
 import typing
 from collections import Counter
@@ -1178,6 +1179,71 @@ def test_csv_attempts_equal_the_attempts_drawn(monkeypatch, model):
     rows = run_experiment(parse_topology(LOSSY_CHAIN_TOPO), parse_scenario(scenario))
     assert len(rows) == 12
     assert sum(row["attempts_total"] for row in rows) == len(drawn)
+
+
+_CLASSES = [cls.value for cls in RepeaterClass]
+_REFUSALS = ("CapabilityViolation", "ResourceExhausted", "NoPath", "NoRoute")
+_SWEEP_MODELS = {
+    "co": "model=co",
+    "cl": "model=cl",
+    "fast": "model=hybrid waypoints=r",
+    "alternate": "model=hybrid waypoints=r alternate=true",
+}
+
+
+def _class_sweep_case(relay, ends, cls, protocol, model):
+    topo = (
+        f"node a role=end class={ends} memories=2\n"
+        f"node r role=repeater class={relay} memories=2\n"
+        f"node b role=end class={ends} memories=2\n"
+        "edge a r length_km=5 alpha=0 rate_hz=1e4\n"
+        "edge r b length_km=5 alpha=0 rate_hz=1e4\n"
+    )
+    scenario = (
+        "seed=1\ncontroller=a\n"
+        f"request id=q src=a dst=b class={cls} protocol={protocol}"
+        f" {_SWEEP_MODELS[model]} arrivals=fixed:0 deadline=0.05\n"
+    )
+    return parse_topology(topo), parse_scenario(scenario)
+
+
+def test_every_class_model_and_protocol_on_every_relay_class_gives_one_row(monkeypatch):
+    # one a - r - b request for each relay class, end class (the relay's,
+    # then first), request class, link protocol and model, 256 in all: a
+    # request that can never run is refused before it starts, and none
+    # raises mid-run
+    made = []
+
+    class Recorded(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Simulator", Recorded)
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    outcomes = Counter()
+    for relay in _CLASSES:
+        for ends in (relay, "first"):
+            for cls, protocol, model in itertools.product(
+                _CLASSES, ("sl", "ol"), _SWEEP_MODELS
+            ):
+                rows = run_experiment(*_class_sweep_case(relay, ends, cls, protocol, model))
+                [row] = rows
+                outcomes[row["outcome"]] += 1
+                if row["outcome"] in _REFUSALS:
+                    assert (row["attempts_total"], row["node_occupancy_s"]) == (0, 0.0), row
+                buf = io.StringIO()
+                emit_metrics(rows, buf)
+                out.write(buf.getvalue().split("\n", 1)[1])
+                sim = made[-1]
+                assert sim.memory._by_tag == {}
+                for node, spec in sim.topology.nodes.items():
+                    assert sim.memory.available(node) == spec.memory_count
+    assert outcomes == {"CapabilityViolation": 176, "NoPath": 36, "success": 44}
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "b5d190c8991a14592fbe53f2e90e5784bfbded493071bbf95d98fb9e8a9aede3"
+    )
 
 
 def test_run_experiment_capability_failure_row():

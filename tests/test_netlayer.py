@@ -548,6 +548,81 @@ def test_connectionless_leg_that_can_never_fit_fails_at_once(short, req, detail)
         assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
+@pytest.mark.parametrize("alternate", [False, True], ids=["fast", "alternate"])
+def test_an_anchor_that_ends_two_areas_is_checked_for_both_areas_slots(alternate):
+    # n2 ends both areas, so it holds a half of each: one slot is too few
+    topo = chain_topology([5.0] * 4)
+    topo.nodes["n2"].memory_count = 1
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim)
+    service.submit(_hybrid_request("h", "n0", "n4", waypoints=("n2",),
+                                   alternate_mode=alternate), at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert (outcome.outcome, outcome.detail) == ("ResourceExhausted", "n2: need 2 slots, has 1")
+    assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
+    assert sim.memory._by_tag == {}
+    for n in topo.nodes:
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
+
+
+@pytest.mark.parametrize("req, deadline", [
+    (_co_request("co", "n0", "n2"), 0.002),
+    # closes before it reaches the controller, so no orders go out
+    (_hybrid_request("fast", "n0", "n2", waypoints=("n1",)), 0.002),
+    # closes after the controller sends its orders, before they land
+    (_hybrid_request("alt", "n0", "n2", waypoints=("n1",), alternate_mode=True), 0.007),
+], ids=["co", "hybrid-fast", "hybrid-alternate"])
+def test_a_request_whose_deadline_passes_before_its_orders_times_out(req, deadline):
+    # the controller n3 is 1,000 km past n2: about 5 ms each way
+    topo = chain_topology([5.0, 5.0, 1000.0])
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim, controller="n3")
+    req.deadline = deadline
+    service.submit(req, at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert (outcome.outcome, outcome.setup_latency_s) == ("Timeout", deadline)
+    assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
+    assert sim.memory._by_tag == {}
+    for n in topo.nodes:
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
+
+
+@pytest.mark.parametrize("cls, model, waypoints, alternate, detail", [
+    # a third-class payload cannot be handed to the first-class relay s
+    (RepeaterClass.THIRD, ConnectionModel.CONNECTION_ORIENTED, (), False,
+     "first node s cannot relay one-way encoded qubits"),
+    (RepeaterClass.THIRD, ConnectionModel.CONNECTIONLESS, (), False,
+     "first node s cannot relay one-way encoded qubits"),
+    (RepeaterClass.THIRD, ConnectionModel.HYBRID, ("r",), True,
+     "first node s cannot relay one-way encoded qubits"),
+    # a waypoint is never filtered by class, so the session's check finds r
+    (RepeaterClass.FIRST, ConnectionModel.CONNECTION_ORIENTED, ("r",), False,
+     "path node r is third, session needs first"),
+], ids=["co-third", "cl-third", "alternate-third", "co-waypoint"])
+def test_a_route_node_that_cannot_serve_the_class_is_refused_before_it_starts(
+    cls, model, waypoints, alternate, detail
+):
+    topo = Topology()
+    for nid, role, node_cls in (("a", Role.END, RepeaterClass.THIRD),
+                                ("r", Role.REPEATER, RepeaterClass.THIRD),
+                                ("s", Role.REPEATER, RepeaterClass.FIRST)):
+        topo.add_node(NodeSpec(nid, role=role, repeater_class=node_cls, memory_count=2))
+    for eid, (u, v) in (("ar", ("a", "r")), ("rs", ("r", "s"))):
+        topo.add_edge(EdgeSpec(eid, u, v, length_km=5.0, alpha_db_per_km=0.0,
+                               attempt_rate_hz=1e4))
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim)
+    service.submit(ConnectionRequest("q", "a", "s", cls, LinkProtocol.ONE_BY_ONE, model,
+                                     waypoints=waypoints, alternate_mode=alternate), at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert (outcome.outcome, outcome.detail) == ("CapabilityViolation", detail)
+    assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
+    assert sim.memory._by_tag == {}
+
+
 def test_co_reports_capability_violation():
     topo = chain_topology([10.0, 10.0], cls=RepeaterClass.THIRD, memories=0)
     sim = Simulator(topo, PARAMS, seed=1)
