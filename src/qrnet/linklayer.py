@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .capability import (
     AllPhotonicOptions,
@@ -56,6 +56,7 @@ from .capability import (
 from .engine import EventKind, Simulator
 from .model import (
     EdgeSpec,
+    NodeSpec,
     RepeaterClass,
     WernerLink,
     fidelity_of,
@@ -96,6 +97,133 @@ def memory_plan(path: list[str], cls: RepeaterClass) -> dict[str, int]:
     return {path[0]: 1, path[-1]: 1, **dict.fromkeys(path[1:-1], 2)}
 
 
+def segment_decay_rate(cls: RepeaterClass, spec_a: NodeSpec, spec_b: NodeSpec) -> float:
+    """Decay rate of a ``cls`` pair held at spec_a and spec_b.
+
+    Third class and all-photonic sessions store no pair, so theirs is 0.
+    """
+    if cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
+        return 0.0
+    return link_decay_rate(spec_a, spec_b)
+
+
+def pumping(
+    cls: RepeaterClass, params, options: AllPhotonicOptions | None = None
+) -> bool:
+    """Whether a ``cls`` session pumps at all.
+
+    It does when f_target and r_max are set and its class purifies.
+    """
+    return (
+        params.r_max > 0
+        and params.f_target > 0.0
+        and cls is not RepeaterClass.THIRD
+        and can_purify(cls, options)
+    )
+
+
+def pumps(
+    edge: EdgeSpec,
+    spec_a: NodeSpec,
+    spec_b: NodeSpec,
+    cls: RepeaterClass,
+    params,
+    options: AllPhotonicOptions | None = None,
+) -> bool:
+    """Whether a ``cls`` segment over ``edge`` between spec_a and spec_b pumps.
+
+    Pairs are born at w0 and age one fiber transit before both heralds
+    land; a segment of a :func:`pumping` session pumps when that pair still
+    falls short of f_target. This is a static property of the edge, so both
+    ends decide it without talking, and admission refuses a route that
+    would pump at a node that cannot purify.
+    """
+    if not pumping(cls, params, options):
+        return False
+    herald_age = edge.length_km / params.c_fiber
+    decay_rate = segment_decay_rate(cls, spec_a, spec_b)
+    return fidelity_of(params.w0 * math.exp(-decay_rate * herald_age)) < params.f_target
+
+
+class SessionLayout(NamedTuple):
+    """What a session derives from its path, class, protocol and policy.
+
+    ``specs[i]`` is path[i]'s node, ``edges[i]`` joins path[i] and
+    path[i + 1], and ``prefix_km[i]`` is the fiber length from path[0] to
+    path[i]. Segment i's pair decay rate, whether it pumps (:func:`pumps`)
+    and its trace summary are ``decay_rates[i]``, ``pump_modes[i]`` and
+    ``summaries[i]``; third class builds no segment, so those are empty.
+    ``rank`` maps each path position to its place in the swap order, the
+    ends last, and is empty unless the protocol is simultaneous. Everything
+    is a tuple, so one layout serves every session that asks for it.
+    """
+
+    cls: RepeaterClass
+    specs: tuple[NodeSpec, ...]
+    edges: tuple[EdgeSpec, ...]
+    prefix_km: tuple[float, ...]
+    decay_rates: tuple[float, ...]
+    pump_modes: tuple[bool, ...]
+    summaries: tuple[str, ...]
+    rank: tuple[int, ...]
+
+
+def session_layout(
+    engine: Simulator,
+    path: list[str],
+    cls: RepeaterClass | None,
+    protocol: LinkProtocol,
+    policy: SwapPolicy,
+    options: AllPhotonicOptions | None = None,
+) -> SessionLayout:
+    """Check a session's path and class, then lay the session out.
+
+    With ``cls`` None the class is the first interior node's, or the
+    source's on a one-hop path. Raises ValueError for a path shorter than
+    two nodes or one that repeats a node, and CapabilityViolation when the
+    class cannot run ``protocol`` or an interior node has another class.
+    """
+    if len(path) < 2:
+        raise ValueError("a path needs at least two nodes")
+    if len(set(path)) != len(path):
+        raise ValueError("path must not repeat nodes")
+    nodes = engine.topology.nodes
+    if cls is None:
+        cls = nodes[path[1] if len(path) > 2 else path[0]].repeater_class
+    support = supports_link(cls, protocol)
+    if support is not Support.ALLOWED:
+        raise CapabilityViolation(
+            f"{cls.value} cannot run {protocol.value} ({support.value})"
+        )
+    specs = tuple(nodes[node_id] for node_id in path)
+    for spec in specs[1:-1]:
+        if spec.repeater_class is not cls:
+            raise CapabilityViolation(
+                f"path node {spec.node_id} is {spec.repeater_class.value}, "
+                f"session needs {cls.value}"
+            )
+    edges = tuple(engine.topology.edge_between(a, b) for a, b in zip(path, path[1:]))
+    prefix_km = [0.0]
+    for edge in edges:
+        prefix_km.append(prefix_km[-1] + edge.length_km)
+    hops = range(len(edges) if cls is not RepeaterClass.THIRD else 0)
+    decay_rates = tuple(segment_decay_rate(cls, specs[i], specs[i + 1]) for i in hops)
+    pump_modes = tuple(
+        pumps(edges[i], specs[i], specs[i + 1], cls, engine.params, options) for i in hops
+    )
+    summaries = tuple(f"gen {edges[i].edge_id} seg{i}" for i in hops)
+    rank = []
+    if protocol is LinkProtocol.SIMULTANEOUS:
+        rank = [len(path)] * len(path)
+        position = {node_id: i for i, node_id in enumerate(path)}
+        order = (node_id for rnd in swap_schedule(path, policy) for node_id in rnd)
+        for place, node_id in enumerate(order):
+            rank[position[node_id]] = place
+    return SessionLayout(
+        cls, specs, edges, tuple(prefix_km), decay_rates, pump_modes, summaries, tuple(rank)
+    )
+
+
 @dataclass
 class SessionStats:
     attempts_total: int = 0
@@ -127,8 +255,12 @@ class _Segment:
         self.node_a = session.path[index]
         self.node_b = session.path[index + 1]
         self.edge = session.edges[index]
-        self.spec_a = session._spec(index)
-        self.spec_b = session._spec(index + 1)
+        layout = session.layout
+        self.spec_a = layout.specs[index]
+        self.spec_b = layout.specs[index + 1]
+        self.decay_rate = layout.decay_rates[index]
+        self.pump_mode = layout.pump_modes[index]
+        self._summary = layout.summaries[index]
         self.link: WernerLink | None = None
         self.rounds = 0
         self.started = False
@@ -139,20 +271,9 @@ class _Segment:
         self.ready: set[str] = set()
         self._base_confirmed = False
         self._known: dict[int, set[str]] = {}
-        self._summary = f"gen {self.edge.edge_id} seg{index}"
         self._next_tick = 0.0
         self._tick_event = None
         self.parked_at: str | None = None
-        # pairs are born at w0 and age one fiber transit before both heralds
-        # land; whether that still clears f_target is a static property of
-        # the edge, so both ends decide it without talking.
-        params = session.params
-        self.decay_rate = session.link_decay_rate(self.spec_a, self.spec_b)
-        herald_age = self.edge.length_km / params.c_fiber
-        w_at_herald = params.w0 * math.exp(-self.decay_rate * herald_age)
-        self.pump_mode = (
-            session.pump_enabled and fidelity_of(w_at_herald) < params.f_target
-        )
         self.rounds_exhausted = False
 
     # -- generation ---------------------------------------------------
@@ -356,6 +477,12 @@ class LinkSession:
     fresh one on its path would not, so its owner may ``restart`` it
     instead of building one.  Once ``on_done`` has run, the session drops
     its callbacks, flow and segments.
+
+    ``layouts``, when given, is a memo of :class:`SessionLayout` by
+    ``(path, cls, protocol, policy)`` that its owner keeps for one engine
+    and one ``options``: the first session with a key runs the checks of
+    :func:`session_layout` and lays the path out, and every later one with
+    that key reuses the layout, so each distinct session is laid out once.
     """
 
     def __init__(
@@ -374,33 +501,20 @@ class LinkSession:
         on_node_free: Callable[[str], None] | None = None,
         blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
         on_pair_stored: Callable[[_Segment, WernerLink], None] | None = None,
+        layouts: dict | None = None,
     ):
-        if len(path) < 2:
-            raise ValueError("a path needs at least two nodes")
-        if len(set(path)) != len(path):
-            raise ValueError("path must not repeat nodes")
-        if cls is None:
-            anchor = path[1] if len(path) > 2 else path[0]
-            cls = engine.topology.nodes[anchor].repeater_class
-        support = supports_link(cls, protocol)
-        if support is not Support.ALLOWED:
-            raise CapabilityViolation(
-                f"{cls.value} cannot run {protocol.value} ({support.value})"
-            )
-        topo = engine.topology
-        for node_id in path[1:-1]:
-            spec = topo.nodes[node_id]
-            if spec.repeater_class is not cls:
-                raise CapabilityViolation(
-                    f"path node {node_id} is {spec.repeater_class.value}, "
-                    f"session needs {cls.value}"
-                )
+        layouts = {} if layouts is None else layouts
+        key = (tuple(path), cls, protocol, policy)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = session_layout(engine, path, cls, protocol, policy, options)
+            layouts[key] = layout
+        self.layout = layout
         self.engine = engine
         self.path = list(path)
-        self.cls = cls
+        self.cls = cls = layout.cls
         self.protocol = protocol
         self.params = engine.params
-        self.policy = policy
         self.pipelining = pipelining
         self.options = options
         self.manage_memory = manage_memory
@@ -411,34 +525,20 @@ class LinkSession:
         self.on_pair_stored = on_pair_stored
         self.ap_mode = cls is RepeaterClass.ALL_PHOTONIC
         self.third_class = cls is RepeaterClass.THIRD
-        self.pump_enabled = (
-            not self.third_class
-            and can_purify(cls, options)
-            and self.params.r_max > 0
-            and self.params.f_target > 0.0
-        )
         self.stats = SessionStats()
         self.finished = False
         self.result: ChannelResult | Failure | None = None
         self.segments: list[_Segment] = []
-        # the path's edges, looked up once; edges[i] joins path[i], path[i + 1]
-        self.edges: list[EdgeSpec] = []
-        self._prefix_km = [0.0]
-        for a, b in zip(path, path[1:]):
-            edge = topo.edge_between(a, b)
-            self.edges.append(edge)
-            self._prefix_km.append(self._prefix_km[-1] + edge.length_km)
+        self.edges = layout.edges
+        self._prefix_km = layout.prefix_km
 
     # -- helpers --------------------------------------------------------
-
-    def link_decay_rate(self, spec_a, spec_b) -> float:
-        return 0.0 if self.third_class or self.ap_mode else link_decay_rate(spec_a, spec_b)
 
     def _dist_km(self, i: int, j: int) -> float:
         return abs(self._prefix_km[j] - self._prefix_km[i])
 
     def _spec(self, index: int):
-        return self.engine.topology.nodes[self.path[index]]
+        return self.layout.specs[index]
 
     # -- lifecycle ------------------------------------------------------
 
@@ -483,7 +583,7 @@ class LinkSession:
             self._spec(k),
             now=self.engine.now,
             link_id=self.engine.next_link_id(),
-            decay_rate=self.link_decay_rate(self._spec(a), self._spec(c)),
+            decay_rate=segment_decay_rate(self.cls, self._spec(a), self._spec(c)),
             options=self.options,
         )
         self.stats.swaps += 1
@@ -548,13 +648,8 @@ class _SimultaneousFlow:
 
     def __init__(self, session: LinkSession):
         self.session = session
-        path = session.path
-        position = {node_id: i for i, node_id in enumerate(path)}
         # path position -> place in the swap order, the ends last
-        self.rank = [len(path)] * len(path)
-        order = (node_id for rnd in swap_schedule(path, session.policy) for node_id in rnd)
-        for place, node_id in enumerate(order):
-            self.rank[position[node_id]] = place
+        self.rank = session.layout.rank
         # swapping position -> the first of its two pairs known there
         self._held: dict[int, tuple[int, int, WernerLink]] = {}
         self._end_heralds: set[str] = set()

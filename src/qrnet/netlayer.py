@@ -26,7 +26,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import physics
 from .capability import (
@@ -43,9 +43,12 @@ from .linklayer import (
     ChannelResult,
     Failure,
     LinkSession,
+    SessionLayout,
     SessionStats,
     SwapPolicy,
     memory_plan,
+    pumping,
+    pumps,
 )
 from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of, link_decay_rate
 from .physics import channel_success_prob
@@ -799,6 +802,7 @@ class _ClLeg:
             blocked_at=self._blocked_at,
             on_pair_stored=self._claim,
             on_done=self._segment_done,
+            layouts=self.service._layouts,
         )
         self._sessions.append(session)
         session.start()
@@ -934,6 +938,23 @@ class _ClLeg:
 # the service
 
 
+class _Route(NamedTuple):
+    """What admission works out for one request signature.
+
+    ``refusal`` is the ``(outcome, detail)`` row of a request that can never
+    run, and None otherwise. An admitted request runs one session over
+    ``path`` (CO, hybrid alternate mode) or one leg per ``areas`` entry,
+    ``(src, dst, try timeout)`` (CL, hybrid areas), and needs ``plan``'s
+    ``(node, slots)``, the slots of every route summed. Every request with
+    the signature shares this one value, so each part is a tuple.
+    """
+
+    refusal: tuple[str, str] | None
+    path: tuple[str, ...] = ()
+    areas: tuple[tuple[str, str, float], ...] = ()
+    plan: tuple[tuple[str, int], ...] = ()
+
+
 class _RequestState:
     def __init__(
         self,
@@ -948,11 +969,7 @@ class _RequestState:
         self.stats = SessionStats()
         self.drops: dict[str, int] = {}
         self.closed = False
-        # what admission routed: a session's path, or each leg's
-        # (src, dst, table walk); and the slots per node they need
-        self.path: list[str] | None = None
-        self.areas: list[tuple[str, str, list]] = []
-        self.plan: dict[str, int] = {}
+        self.route: _Route | None = None
         self.session: LinkSession | None = None
         self.legs: list[_ClLeg] = []
         self.leg_results: dict[int, WernerLink] = {}
@@ -969,6 +986,15 @@ class NetworkService:
     loop-checked at admission, before any frame takes it.
     Each arrival and close is reported to the engine as progress, which
     resets its livelock ceiling.
+
+    Admission is a function of a request's signature: its model, alternate
+    mode, ends, waypoints, class and protocol, and not its deadline, f_min
+    or retry limit. The service works each distinct signature out once, on
+    its first request, and keeps the route, the memory plan, each leg's try
+    timeout, or the refusal row for the rest of its life; likewise it lays
+    out each distinct link session once (:class:`SessionLayout`). Both
+    memos belong to the service, which is built per trial, and both
+    assume, like ``routes``, that the topology is not edited meanwhile.
 
     ``submit`` takes a request's sequence numbers at the call (its deadline
     watchdog's, then its arrival's) and files the request by arrival; the
@@ -1020,6 +1046,10 @@ class NetworkService:
         self._filed: list[tuple] = []
         self._feeder: tuple[float, int] | None = None
         self._frame_seq = 0
+        # admission by request signature, and session layouts by
+        # (path, class, protocol, policy); see the class docstring
+        self._admitted: dict[tuple, _Route] = {}
+        self._layouts: dict[tuple, SessionLayout] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -1104,20 +1134,36 @@ class NetworkService:
             for n in nodes
         )
 
-    def _admission(self, state: _RequestState) -> tuple[str, str] | None:
-        """The first reason ``state``'s request can never run, as (outcome, detail).
+    def _admission(self, request: ConnectionRequest) -> _Route:
+        """``request``'s route, worked out on the first request with its signature."""
+        key = (
+            request.model,
+            request.alternate_mode,
+            request.src,
+            request.dst,
+            request.waypoints,
+            request.repeater_class,
+            request.link_protocol,
+        )
+        route = self._admitted.get(key)
+        if route is None:
+            route = self._admitted[key] = self._route(request)
+        return route
 
-        Every model runs this one check once, before its first attempt and
-        before it holds a slot, and closes the request with the row it
-        returns. It routes the request as its model runs it: one session over
-        ``state.path`` (CO, hybrid alternate mode) or legs over the table
-        walks in ``state.areas`` (CL, hybrid areas). Then it checks, in order:
-        the class rules of ``capability.py`` and of each route's nodes, which
-        ``LinkSession`` and ``physics`` raise on only as program faults; each
-        node's capacity against ``state.plan``, the slots of every route
-        summed; and each hop for an edge that never heralds.
+    def _route(self, request: ConnectionRequest) -> _Route:
+        """Route ``request`` as its model runs it, or find why it can never run.
+
+        Every model runs this one check, through :meth:`_admission`, before
+        its first attempt and before it holds a slot, and closes a refused
+        request with the row ``refusal`` gives. It routes the request: one
+        session over ``path`` (CO, hybrid alternate mode) or legs over the
+        table walks between the ``areas`` ends (CL, hybrid areas). Then it
+        checks, in order: the class rules of ``capability.py`` and of each
+        route's nodes, which ``LinkSession`` and ``physics`` raise on only as
+        program faults; each hop that pumps (:func:`pumps`) for an end that
+        cannot purify; each node's capacity against ``plan``, the slots of
+        every route summed; and each hop for an edge that never heralds.
         """
-        request = state.request
         cls = request.repeater_class
         third = cls is RepeaterClass.THIRD
         nodes = self.topology.nodes
@@ -1126,6 +1172,8 @@ class NetworkService:
             hybrid and request.alternate_mode
         )
         no_path = "NoPath"  # the row a missing route gives; a table walk's is NoRoute
+        path: tuple[str, ...] = ()
+        walks: list[tuple[str, str, list]] = []
         try:
             if hybrid:
                 if request.link_protocol is not LinkProtocol.ONE_BY_ONE:
@@ -1142,14 +1190,14 @@ class NetworkService:
                 model = ConnectionModel.CONNECTION_ORIENTED
             validate_request(cls, request.link_protocol, model, self.options)
             if one_session:
-                state.path = compute_path(
+                routes = [compute_path(
                     self.routes,
                     request.src,
                     request.dst,
                     repeater_class=cls,
                     waypoints=request.waypoints,
-                )
-                routes = [state.path]
+                )]
+                path = tuple(routes[0])
             else:
                 ends = [(request.src, request.dst)]
                 if hybrid:
@@ -1166,8 +1214,9 @@ class NetworkService:
                     # far end back to its adjoining waypoint
                     ends = [*zip(stops, stops[1:-1]), (stops[-1], stops[-2])]
                 no_path = "NoRoute"
-                state.areas = [(a, b, self.tables.walk(a, b)) for a, b in ends]
-                routes = [[a, *(n.node_id for _, n in hops)] for a, _, hops in state.areas]
+                walks = [(a, b, self.tables.walk(a, b)) for a, b in ends]
+                routes = [[a, *(n.node_id for _, n in hops)] for a, _, hops in walks]
+            params = self.engine.params
             for route in routes:
                 for n in route[1:-1]:
                     node_cls = nodes[n].repeater_class
@@ -1184,7 +1233,19 @@ class NetworkService:
                             f"{spec.repeater_class.value} node {n} "
                             "cannot relay one-way encoded qubits"
                         )
-            state.plan = plan = memory_plan(routes[0], cls)
+            for route in routes if pumping(cls, params, self.options) else ():
+                for u, v in zip(route, route[1:]):
+                    specs = (nodes[u], nodes[v])
+                    edge = self.topology.edge_between(u, v)
+                    if not pumps(edge, *specs, cls, params, self.options):
+                        continue
+                    for spec in specs:
+                        if not can_purify(spec.repeater_class, self.options):
+                            raise CapabilityViolation(
+                                f"{spec.repeater_class.value} node {spec.node_id} "
+                                "cannot purify"
+                            )
+            plan = memory_plan(routes[0], cls)
             for route in routes[1:]:
                 for n, k in memory_plan(route, cls).items():
                     plan[n] = plan.get(n, 0) + k
@@ -1195,7 +1256,7 @@ class NetworkService:
             if not third:
                 # all-photonic generation scales the channel success
                 ap = cls is RepeaterClass.ALL_PHOTONIC
-                dark = self.routes.dark(self.engine.params.cluster_overhead if ap else 1.0)
+                dark = self.routes.dark(params.cluster_overhead if ap else 1.0)
                 for route in routes if dark else ():
                     for hop in zip(route, route[1:]):
                         if hop in dark:
@@ -1206,10 +1267,15 @@ class NetworkService:
                                 "never heralds"
                             )
         except (CapabilityViolation, ResourceExhausted) as err:
-            return type(err).__name__, str(err)
+            return _Route((type(err).__name__, str(err)))
         except NoPathError as err:
-            return no_path, str(err)
-        return None
+            return _Route((no_path, str(err)))
+        areas = tuple(
+            (a, b, self.cl_timeout if self.cl_timeout is not None
+             else 3.0 * self._zero_load_estimate(hops, a, b, cls))
+            for a, b, hops in walks
+        )
+        return _Route(None, path, areas, tuple(plan.items()))
 
     # -- submission ---------------------------------------------------------
 
@@ -1291,9 +1357,9 @@ class NetworkService:
             # the controller routes the request, so it checks admission there
             self._to_controller(state, lambda: self._co_request_arrived(state))
             return
-        refusal = self._admission(state)
-        if refusal is not None:
-            outcome, detail = refusal
+        state.route = self._admission(request)
+        if state.route.refusal is not None:
+            outcome, detail = state.route.refusal
             self._finish(state, outcome, detail=detail)
         elif request.model is ConnectionModel.CONNECTIONLESS:
             self._cl_submit(state)
@@ -1316,9 +1382,9 @@ class NetworkService:
     def _co_request_arrived(self, state: _RequestState) -> None:
         if state.closed:
             return
-        refusal = self._admission(state)
-        if refusal is not None:
-            self._co_reject(state, *refusal)
+        state.route = self._admission(state.request)
+        if state.route.refusal is not None:
+            self._co_reject(state, *state.route.refusal)
             return
         self._queue.append(state)
         self._try_admit()
@@ -1344,14 +1410,15 @@ class NetworkService:
             if state.closed:
                 self._queue.popleft()
                 continue
-            if any(ledger.available(n) < k for n, k in state.plan.items()):
+            plan = state.route.plan
+            if any(ledger.available(n) < k for n, k in plan):
                 return
             self._queue.popleft()
             now = self.engine.now
-            for node_id, slots in state.plan.items():
+            for node_id, slots in plan:
                 ledger.acquire(node_id, slots, state.tag, now)
             self.engine.schedule(
-                self._orders_at(state.path),
+                self._orders_at(state.route.path),
                 EventKind.PROTOCOL_STEP,
                 lambda s=state: self._co_start_session(s),
                 f"orders {state.request.request_id}",
@@ -1363,7 +1430,7 @@ class NetworkService:
         request = state.request
         session = LinkSession(
             self.engine,
-            state.path,
+            state.route.path,
             request.repeater_class,
             request.link_protocol,
             policy=self.swap_policy,
@@ -1373,6 +1440,7 @@ class NetworkService:
             tag=state.tag,
             on_done=lambda s: self._co_session_done(state, s),
             on_node_free=lambda n: self._co_node_freed(state, n),
+            layouts=self._layouts,
         )
         state.session = session
         session.start()
@@ -1440,18 +1508,14 @@ class NetworkService:
         self,
         state: _RequestState,
         tag: str,
-        area: tuple[str, str, list],
+        area: tuple[str, str, float],
         on_success: Callable[[WernerLink], None],
         on_failure: Callable[[str, str], None],
     ) -> _ClLeg:
-        """A leg over an ``area`` admission walked, as (src, dst, hops)."""
+        """A leg over an ``area`` admission routed, as (src, dst, try timeout)."""
         request = state.request
         cls = request.repeater_class
-        src, dst, hops = area
-        if self.cl_timeout is None:
-            timeout = 3.0 * self._zero_load_estimate(hops, src, dst, cls)
-        else:
-            timeout = self.cl_timeout
+        src, dst, timeout = area
         return _ClLeg(
             self,
             tag,
@@ -1471,7 +1535,7 @@ class NetworkService:
         leg = self._make_leg(
             state,
             state.tag,
-            state.areas[0],
+            state.route.areas[0],
             on_success=lambda link: self._deliver(state, link),
             on_failure=lambda reason, detail: self._finish(state, reason, detail=detail),
         )
@@ -1503,13 +1567,14 @@ class NetworkService:
         request = state.request
         session = LinkSession(
             self.engine,
-            state.path,
+            state.route.path,
             request.repeater_class,
             LinkProtocol.ONE_BY_ONE,
             options=self.options,
             manage_memory=True,
             tag=state.tag,
             on_done=lambda s: self._co_session_done(state, s),
+            layouts=self._layouts,
         )
         state.session = session
         try:
@@ -1518,7 +1583,7 @@ class NetworkService:
             self._finish(state, "ResourceExhausted", detail=str(err))
 
     def _hybrid_fast(self, state: _RequestState) -> None:
-        for i, area in enumerate(state.areas):
+        for i, area in enumerate(state.route.areas):
             leg = self._make_leg(
                 state,
                 f"{state.tag}:leg{i}",

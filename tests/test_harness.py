@@ -1021,6 +1021,35 @@ def test_trials_share_one_route_state(monkeypatch):
     assert run_experiment(parse_topology(topology_text), scenario) == shared
 
 
+def test_each_trial_routes_each_distinct_signature_once(monkeypatch):
+    # three signatures over five requests: the repeats differ only in
+    # deadline and f_min, which admission does not read
+    scenario = parse_scenario(
+        CHAIN_SCENARIO
+        + "request id=r2 src=alice dst=bob model=co class=first protocol=sl"
+        " arrivals=fixed:0.001 deadline=0.5\n"
+        "request id=r3 src=alice dst=bob model=co class=first protocol=sl"
+        " arrivals=fixed:0.002 f_min=0.5\n"
+        "request id=r4 src=bob dst=alice model=co class=first protocol=sl"
+        " arrivals=fixed:0.003\n"
+        "request id=r5 src=alice dst=bob model=co class=first protocol=ol"
+        " arrivals=fixed:0.004\n"
+    )
+    assert scenario.trials == 2
+    calls = []
+    compute_path = netlayer.compute_path
+
+    def counted(routes, src, dst, **kw):
+        calls.append((src, dst))
+        return compute_path(routes, src, dst, **kw)
+
+    monkeypatch.setattr(netlayer, "compute_path", counted)
+    rows = run_experiment(parse_topology(CHAIN_TOPO), scenario)
+    assert [row["outcome"] for row in rows] == ["success"] * 10
+    # alice -> bob is routed for sl and for ol, in each of the two trials
+    assert Counter(calls) == {("alice", "bob"): 4, ("bob", "alice"): 2}
+
+
 def test_trials_share_one_set_of_routing_tables(monkeypatch):
     scenario = parse_scenario(
         "seed=5\n"

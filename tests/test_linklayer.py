@@ -191,6 +191,38 @@ def test_session_rejects_malformed_paths():
                     LinkProtocol.ONE_BY_ONE)
 
 
+def test_sessions_that_share_a_layouts_memo_share_one_checked_layout():
+    topo = chain_topology([10.0, 20.0, 30.0], t_coh=5e-3)
+    params = PhysicsParams(w0=0.9, f_target=0.93, r_max=3)
+    path = ["n0", "n1", "n2", "n3"]
+    layouts = {}
+    results = []
+    for memo in (None, layouts, layouts):
+        sim = Simulator(topo, params, seed=13)
+        res = simultaneous_link(sim, path, RepeaterClass.FIRST, layouts=memo)
+        assert isinstance(res, ChannelResult)
+        results.append((res.link.w, res.setup_latency_s, res.stats))
+    assert results[0] == results[1] == results[2]
+    [(key, layout)] = layouts.items()
+    assert key == (tuple(path), RepeaterClass.FIRST, LinkProtocol.SIMULTANEOUS,
+                   SwapPolicy.HIERARCHICAL)
+    assert layout.prefix_km == (0.0, 10.0, 30.0, 60.0)
+    assert layout.rank == (4, 0, 1, 4)
+    assert layout.pump_modes == (True,) * 3
+    assert layout.summaries == ("gen e0 seg0", "gen e1 seg1", "gen e2 seg2")
+    sim = Simulator(topo, params, seed=13)
+    session = LinkSession(sim, path, RepeaterClass.FIRST, LinkProtocol.SIMULTANEOUS,
+                          layouts=layouts)
+    assert session.layout is layout
+    # a path that fails its checks raises on every try and leaves no layout
+    topo.nodes["n2"].repeater_class = RepeaterClass.SECOND
+    for _ in range(2):
+        with pytest.raises(CapabilityViolation, match="n2 is second"):
+            LinkSession(sim, path, RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
+                        layouts=layouts)
+    assert list(layouts) == [key]
+
+
 def _interval_merges(path, policy):
     """Reference: replay swap_schedule's rounds over the live pair spans.
 

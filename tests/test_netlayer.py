@@ -409,6 +409,24 @@ def test_table_walk_checks_every_node_it_leaves():
         tables.walk("n2", "n3")
 
 
+def test_routing_refuses_a_node_the_topology_lacks():
+    topo = chain_topology([5.0])
+    routes = RouteState(topo)
+    for src, dst in (("ghost", "n1"), ("n0", "ghost")):
+        with pytest.raises(NoPathError, match="unknown node ghost"):
+            compute_path(routes, src, dst)
+    with pytest.raises(NoPathError, match="unknown node ghost"):
+        compute_path(routes, "n0", "n1", waypoints=("ghost",))
+    # a node with no table raises KeyError when indexed, and get's default
+    # stands in for it; neither leaves a table behind
+    with pytest.raises(KeyError, match="ghost"):
+        routes.tables["ghost"]
+    assert routes.tables.get("ghost") is None
+    assert routes.tables.get("ghost", "none") == "none"
+    assert "ghost" not in routes.tables
+    assert routes.tables.get("n0") == {topo.address_of("n1"): "e0"}
+
+
 def test_ten_channel_line_walks_in_order():
     # nine channels in a row plus one spur that routing must ignore
     topo = Topology()
@@ -621,6 +639,63 @@ def test_a_route_node_that_cannot_serve_the_class_is_refused_before_it_starts(
     assert (outcome.outcome, outcome.detail) == ("CapabilityViolation", detail)
     assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
     assert sim.memory._by_tag == {}
+
+
+def _second_class_ends_topology():
+    # a - r - b: second-class END nodes, which cannot purify, around a
+    # first-class repeater
+    topo = Topology()
+    for nid, role, node_cls in (("a", Role.END, RepeaterClass.SECOND),
+                                ("r", Role.REPEATER, RepeaterClass.FIRST),
+                                ("b", Role.END, RepeaterClass.SECOND)):
+        topo.add_node(NodeSpec(nid, role=role, repeater_class=node_cls, memory_count=2))
+    for eid, (u, v) in (("ar", ("a", "r")), ("rb", ("r", "b"))):
+        topo.add_edge(EdgeSpec(eid, u, v, length_km=5.0, alpha_db_per_km=0.0,
+                               attempt_rate_hz=1e4))
+    return topo
+
+
+_EVERY_MODEL = pytest.mark.parametrize("model, waypoints, alternate", [
+    (ConnectionModel.CONNECTION_ORIENTED, (), False),
+    (ConnectionModel.CONNECTIONLESS, (), False),
+    (ConnectionModel.HYBRID, ("r",), False),
+    (ConnectionModel.HYBRID, ("r",), True),
+], ids=["co", "cl", "hybrid-fast", "hybrid-alternate"])
+
+
+@_EVERY_MODEL
+def test_a_route_that_would_pump_at_a_node_that_cannot_purify_is_refused(
+    model, waypoints, alternate
+):
+    # w0 = 0.9 gives F = 0.925 < f_target, so every hop pumps
+    params = PhysicsParams(w0=0.9, f_target=0.99, r_max=5)
+    sim = Simulator(_second_class_ends_topology(), params, seed=1)
+    service = NetworkService(sim, controller="r")
+    service.submit(ConnectionRequest("q", "a", "b", RepeaterClass.FIRST,
+                                     LinkProtocol.ONE_BY_ONE, model,
+                                     waypoints=waypoints, alternate_mode=alternate), at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert (outcome.outcome, outcome.detail) == (
+        "CapabilityViolation", "second node a cannot purify")
+    assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
+    assert sim.memory._by_tag == {}
+
+
+@_EVERY_MODEL
+def test_a_route_whose_pairs_meet_f_target_runs_between_nodes_that_cannot_purify(
+    model, waypoints, alternate
+):
+    params = PhysicsParams(w0=0.9, f_target=0.9, r_max=5)
+    sim = Simulator(_second_class_ends_topology(), params, seed=1)
+    service = NetworkService(sim, controller="r")
+    service.submit(ConnectionRequest("q", "a", "b", RepeaterClass.FIRST,
+                                     LinkProtocol.ONE_BY_ONE, model,
+                                     waypoints=waypoints, alternate_mode=alternate), at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert outcome.outcome == "Completed", outcome.detail
+    assert outcome.stats.purification_rounds == 0
 
 
 def test_co_reports_capability_violation():
@@ -1108,3 +1183,75 @@ def test_request_validation():
     # a zero deadline is legal: the request times out at its emission
     ConnectionRequest("x", "a", "b", RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
                       ConnectionModel.CONNECTIONLESS, deadline=0.0)
+
+
+# --------------------------------------------------------------------------
+# admission by request signature
+
+
+def test_requests_that_share_a_signature_keep_their_own_deadline_and_f_min():
+    # w0 = 0.9 delivers F below 0.95 over two hops
+    params = PhysicsParams(w0=0.9)
+    sim = Simulator(chain_topology([5.0, 5.0]), params, seed=3)
+    service = NetworkService(sim)
+    service.submit(_co_request("plain", "n0", "n2"), at=0.0)
+    service.submit(_co_request("late", "n0", "n2", deadline=0.0), at=0.01)
+    service.submit(_co_request("picky", "n0", "n2", f_min=0.95), at=0.02)
+    service.submit(_co_request("easy", "n0", "n2", f_min=0.5), at=0.03)
+    sim.run_until()
+    outcomes = {o.request.request_id: o.outcome for o in service.outcomes}
+    assert outcomes == {"plain": "Completed", "late": "Timeout",
+                        "picky": "FidelityBelowMinimum", "easy": "Completed"}
+    assert len(service._admitted) == 1
+
+
+def test_requests_that_share_a_signature_keep_their_own_retry_limit():
+    # every frame is lost, so each try times out and a leg retries to its limit
+    sim = Simulator(chain_topology([5.0, 5.0]), PARAMS, seed=3)
+    service = NetworkService(sim, frame_loss_prob=1.0)
+    for rid, limit in (("none", 0), ("two", 2), ("five", 5)):
+        service.submit(_cl_request(rid, "n0", "n2", retry_limit=limit), at=0.0)
+    sim.run_until()
+    rows = {o.request.request_id: (o.outcome, o.retries) for o in service.outcomes}
+    assert rows == {"none": ("RetriesExhausted", 0), "two": ("RetriesExhausted", 2),
+                    "five": ("RetriesExhausted", 5)}
+    assert len(service._admitted) == 1
+
+
+@pytest.mark.parametrize("make", [_co_request, _cl_request], ids=["co", "cl"])
+def test_identical_refused_requests_give_identical_rows(make):
+    topo = chain_topology([5.0, 5.0])
+    topo.nodes["n0"].memory_count = 0
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim)
+    service.submit(make("x", "n0", "n2"), at=0.0)
+    service.submit(make("y", "n0", "n2", deadline=1.0), at=0.0)
+    sim.run_until()
+    x, y = service.outcomes
+    row = ("ResourceExhausted", "n0: need 1 slots, has 0", 0, 0.0)
+    for o in (x, y):
+        assert (o.outcome, o.detail, o.stats.attempts_total, o.node_occupancy_s) == row
+    assert x.setup_latency_s == y.setup_latency_s
+
+
+def test_a_shared_route_cannot_be_changed_through_one_request(monkeypatch):
+    states = []
+    start = NetworkService._co_start_session
+    monkeypatch.setattr(NetworkService, "_co_start_session",
+                        lambda self, state: states.append(state) or start(self, state))
+    sim = Simulator(chain_topology([5.0, 5.0]), PARAMS, seed=1)
+    service = NetworkService(sim)
+    service.submit(_co_request("p", "n0", "n2"), at=0.0)
+    service.submit(_co_request("q", "n0", "n2", retry_limit=0), at=0.01)
+    sim.run_until()
+    assert [o.outcome for o in service.outcomes] == ["Completed", "Completed"]
+    p, q = states
+    assert p.route is q.route
+    assert p.route.plan == (("n0", 1), ("n2", 1), ("n1", 2))
+    with pytest.raises(TypeError):
+        p.route.plan[2] = ("n1", 0)
+    with pytest.raises(TypeError):
+        p.route.path[0] = "n1"
+    with pytest.raises(AttributeError):
+        p.route.plan = {}
+    assert q.route.path == ("n0", "n1", "n2")
