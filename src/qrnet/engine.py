@@ -42,11 +42,15 @@ class ResourceExhausted(Exception):
 
 @dataclass
 class SimEvent:
+    """A queued action; the engine drops it unrun once its ``owner``, any
+    object with a ``finished`` flag, has finished."""
+
     time: float
     seq: int
     kind: EventKind
     summary: str
     action: Callable[[], None] = field(repr=False)
+    owner: object = field(default=None, repr=False)
     cancelled: bool = field(default=False, repr=False)
 
     def cancel(self) -> None:
@@ -184,7 +188,10 @@ class Simulator:
 
     With a ``trace_fp``, each executed event is written to it as one
     tab-separated line the moment it runs; without one, nothing about
-    executed events is kept.
+    executed events is kept. A cancelled event, or one whose owner has
+    finished, is dropped unrun: it is not traced, does not move ``now``
+    and does not count toward the livelock ceiling. So after a drained
+    run ``now`` is the time of the last event that ran.
 
     ``livelock_ceiling`` bounds stalled work, not all work: ``run_until``
     raises when a window of that many events runs with no ``progress``
@@ -246,6 +253,7 @@ class Simulator:
         kind: EventKind,
         action: Callable[[], None],
         summary: str = "",
+        owner=None,
         seq: int | None = None,
     ) -> SimEvent:
         """Queue ``action`` at ``time``, on a fresh or a reserved ``seq``.
@@ -259,14 +267,19 @@ class Simulator:
             self._seq += 1
         elif time == self.now and seq < self._running:
             raise PastEventError(f"seq {seq} at {time} is behind the running event")
-        event = SimEvent(time, seq, kind, summary, action)
+        event = SimEvent(time, seq, kind, summary, action, owner)
         heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def after(
-        self, delay: float, kind: EventKind, action: Callable[[], None], summary: str = ""
+        self,
+        delay: float,
+        kind: EventKind,
+        action: Callable[[], None],
+        summary: str = "",
+        owner=None,
     ) -> SimEvent:
-        return self.schedule(self.now + delay, kind, action, summary)
+        return self.schedule(self.now + delay, kind, action, summary, owner)
 
     def send_classical(
         self,
@@ -275,16 +288,18 @@ class Simulator:
         length_km: float,
         action: Callable[[], None],
         summary: str = "",
+        owner=None,
     ) -> SimEvent:
         """Deliver a classical message after propagation plus receiver processing."""
         delay = length_km / self.params.c_fiber + self.topology.nodes[dst].proc_delay
         return self.after(
-            delay, EventKind.CLASSICAL_DELIVERY, action, summary or f"{src}->{dst}"
+            delay, EventKind.CLASSICAL_DELIVERY, action, summary or f"{src}->{dst}", owner
         )
 
     def run_until(self, stop: Callable[[], bool] | None = None) -> None:
         """Process events until the stop predicate holds or the queue drains.
 
+        Cancelled events and events of a finished owner are dropped unrun.
         Raises LivelockError if a window of ``livelock_ceiling`` events runs
         with no ``progress`` call, so within two windows of a stall; a
         finished simulation should always exhaust its work or satisfy its stop.
@@ -297,7 +312,8 @@ class Simulator:
             if stop is not None and stop():
                 return
             _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
+            owner = event.owner
+            if event.cancelled or (owner is not None and owner.finished):
                 continue
             processed += 1
             if processed > limit:

@@ -187,10 +187,7 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
             fields = _fields(tokens[3:], _EDGE_KEYS, lineno, "edge")
             edge_seq += 1
             spec = EdgeSpec(str(edge_seq), tokens[1], tokens[2], **fields)
-            try:
-                topo.add_edge(spec)
-            except (KeyError, ValueError) as err:
-                raise ParseError(lineno, str(err)) from None
+            topo.add_edge(spec)
             edge_lines[spec.edge_id] = lineno
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
@@ -511,8 +508,6 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
         return format(value, ".9g")
     return str(value)
 

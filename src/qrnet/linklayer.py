@@ -290,15 +290,13 @@ class _Segment:
             EventKind.ATTEMPT_TICK,
             self._tick,
             self._summary,
+            self.session,
         )
 
     def _tick(self) -> None:
-        # the event holds this segment through its action; dropping it here
-        # keeps a finished session free of cycles, so refcounting frees it
-        self._tick_event = None
-        session = self.session
-        if session.finished or self.done:
+        if self.done:
             return
+        session = self.session
         blocked = None if session.blocked_at is None else session.blocked_at(self)
         if blocked is not None:
             # wait at the blocking node until it can serve us instead of
@@ -342,6 +340,7 @@ class _Segment:
                 self.edge.length_km,
                 lambda r=receiver, p=pair: self._herald(r, p),
                 f"herald {self.edge.edge_id} -> {receiver}",
+                session,
             )
         if self.pump_mode and not self.rounds_exhausted:
             self._schedule_tick()
@@ -362,7 +361,7 @@ class _Segment:
         while t <= engine.now:
             t += period
         self._tick_event = engine.schedule(
-            t, EventKind.ATTEMPT_TICK, self._tick, self._summary
+            t, EventKind.ATTEMPT_TICK, self._tick, self._summary, self.session
         )
 
     def restart(self) -> None:
@@ -378,8 +377,6 @@ class _Segment:
 
     def _herald(self, node_id: str, pair: WernerLink) -> None:
         session = self.session
-        if session.finished:
-            return
         known = self._known[pair.link_id]
         known.add(node_id)
         session._flow.segment_base_known(self, node_id)
@@ -440,12 +437,13 @@ class _Segment:
                 self.edge.length_km,
                 lambda r=receiver: self._mark_ready(r),
                 f"pump done {self.edge.edge_id} -> {receiver}",
+                session,
             )
 
     def _mark_ready(self, node_id: str) -> None:
-        session = self.session
-        if session.finished or node_id in self.ready:
+        if node_id in self.ready:
             return
+        session = self.session
         self.ready.add(node_id)
         if len(session.segments) > 1:
             session._flow.segment_ready(self, node_id)
@@ -461,9 +459,10 @@ class LinkSession:
     Drives segment generation and swapping inside the owning simulator.
     The caller supplies the path, hardware class, and protocol; progress
     is event-driven and the outcome lands in ``result`` (ChannelResult or
-    Failure) when ``finished`` turns true.  ``on_done`` and
-    ``on_node_free`` let a network layer react to completion and to
-    interior nodes being released after their swap.
+    Failure) when ``finished`` turns true.  The session owns every event it
+    schedules, so the engine drops those still pending once it finishes.
+    ``on_done`` and ``on_node_free`` let a network layer react to completion
+    and to interior nodes being released after their swap.
 
     ``blocked_at(segment)`` gates memory: ``None`` lets the segment
     attempt, ``(node, need)`` names the first of its nodes that cannot
@@ -607,7 +606,7 @@ class LinkSession:
         self._report()
 
     def abort(self, reason: str, detail: str = "") -> None:
-        """End the session with a Failure; pending events become no-ops."""
+        """End the session with a Failure; the engine drops its pending events."""
         if self.finished:
             return
         self.finished = True
@@ -617,6 +616,9 @@ class LinkSession:
 
     def _cleanup(self) -> None:
         for segment in self.segments:
+            # the last tick holds its segment through its action; dropping
+            # it keeps a finished session free of cycles, so refcounting frees it
+            segment._tick_event = None
             if segment.parked_at is not None:
                 self.engine.memory.unpark(segment, segment.parked_at)
         if self.manage_memory:
@@ -626,8 +628,8 @@ class LinkSession:
         """Hand the result to ``on_done``, then drop every link back here.
 
         Segments, flow and callbacks all lead back to this session, so once
-        they are gone the pending events that still name it free it by
-        reference counting.
+        they are gone it is freed by reference counting when the engine
+        drops the last of its pending events.
         """
         if self.on_done is not None:
             self.on_done(self)
@@ -675,8 +677,6 @@ class _SimultaneousFlow:
     def _pair_known(self, k: int, a: int, c: int, link: WernerLink) -> None:
         """path[k], which swaps the pair path[a]..path[c], now knows of it."""
         session = self.session
-        if session.finished:
-            return
         pair = (a, c, link)
         held = self._held.pop(k, None)
         if held is None:
@@ -695,6 +695,7 @@ class _SimultaneousFlow:
             session._dist_km(k, nxt),
             lambda: self._pair_known(nxt, a, c, merged),
             f"swap herald {session.path[k]} -> {session.path[nxt]}",
+            session,
         )
 
     def _announce_completion(self, link: WernerLink, producer_index: int) -> None:
@@ -708,11 +709,10 @@ class _SimultaneousFlow:
                 session._dist_km(producer_index, end_index),
                 lambda e=end: self._end_done(e),
                 f"channel done -> {end}",
+                session,
             )
 
     def _end_done(self, end: str) -> None:
-        if self.session.finished:
-            return
         self._end_heralds.add(end)
         if len(self._end_heralds) == 2:
             self.session._complete(self._final_link)
@@ -755,7 +755,7 @@ class _OneByOneFlow:
     def _try_swap(self, k: int) -> None:
         """Swap at path[k] merges the frontier with segment k."""
         session = self.session
-        if session.finished or self.frontier_at != k:
+        if self.frontier_at != k:
             return
         segment = session.segments[k]
         if session.path[k] not in segment.ready or segment.link is None:
@@ -771,6 +771,7 @@ class _OneByOneFlow:
                 edge_km,
                 self._far_end_knows,
                 f"frontier done -> {session.path[last]}",
+                session,
             )
         else:
             session.engine.send_classical(
@@ -779,12 +780,11 @@ class _OneByOneFlow:
                 session._dist_km(k, k + 1),
                 lambda idx=k + 1: self._frontier_arrived(idx),
                 f"frontier -> {session.path[k + 1]}",
+                session,
             )
 
     def _frontier_arrived(self, idx: int) -> None:
         session = self.session
-        if session.finished:
-            return
         self.frontier_at = idx
         if not session.pipelining:
             self._start_segment(idx)
@@ -793,19 +793,17 @@ class _OneByOneFlow:
     def _far_end_knows(self) -> None:
         """Far end confirms back to the source over the whole path."""
         session = self.session
-        if session.finished:
-            return
         session.engine.send_classical(
             session.path[-1],
             session.path[0],
             session._dist_km(0, len(session.path) - 1),
             self._source_confirmed,
             f"confirm -> {session.path[0]}",
+            session,
         )
 
     def _source_confirmed(self) -> None:
-        if not self.session.finished:
-            self.session._complete(self.frontier)
+        self.session._complete(self.frontier)
 
 
 class _LogicalHopFlow:
@@ -826,6 +824,7 @@ class _LogicalHopFlow:
             EventKind.ATTEMPT_TICK,
             self._depart,
             f"encode {edge.edge_id}",
+            session,
         )
 
     def _depart(self) -> None:
@@ -838,12 +837,11 @@ class _LogicalHopFlow:
             edge.length_km,
             lambda e=edge: self._arrive(e),
             f"logical hop {session.path[i]} -> {session.path[i + 1]}",
+            session,
         )
 
     def _arrive(self, edge) -> None:
         session = self.session
-        if session.finished:
-            return
         self.position += 1
         receiver = session._spec(self.position)
         rng = session.engine.stream(f"hop:{edge.edge_id}")
@@ -866,14 +864,13 @@ class _LogicalHopFlow:
                 session._dist_km(0, len(session.path) - 1),
                 self._confirmed,
                 f"confirm -> {session.path[0]}",
+                session,
             )
         else:
             self._depart()
 
     def _confirmed(self) -> None:
         session = self.session
-        if session.finished:
-            return
         link = WernerLink(
             link_id=session.engine.next_link_id(),
             node_a=session.path[0],

@@ -557,6 +557,13 @@ def _merge_stats(into: SessionStats, part: SessionStats) -> None:
 # connectionless machinery, shared by plain CL requests and hybrid areas
 
 
+@dataclass(slots=True)
+class _Try:
+    """One try of a leg, owner of its events; ends when it aborts or the leg closes."""
+
+    finished: bool = False
+
+
 class _ClLeg:
     """One source-to-target connectionless establishment with retries.
 
@@ -570,7 +577,8 @@ class _ClLeg:
     its hop's pair exists, and encodes the frame only when it leaves.  The
     source decides once, on the first try.  A try that times out is
     aborted, and the retry sends that decision's frame again under a new
-    frame id, restarting the source hop if it never stored a pair.
+    frame id, restarting the source hop if it never stored a pair.  Each
+    try owns its events, so the engine drops them once the try has ended.
     """
 
     def __init__(
@@ -603,13 +611,13 @@ class _ClLeg:
         self.on_success = on_success
         self.on_failure = on_failure
         self.third = cls is RepeaterClass.THIRD
-        self.gen = -1
+        self.retries = 0
         self.finished = False
-        self._timeout_event = None
         self._sessions: list[LinkSession] = []
         self._reset_try_state()
 
     def _reset_try_state(self) -> None:
+        self._try = _Try()
         self.chain: WernerLink | None = None
         self.chain_end: str | None = self.src
         self.pairs: dict[str, tuple[str, WernerLink]] = {}
@@ -624,7 +632,6 @@ class _ClLeg:
         # a hybrid request may close while its earlier legs start
         if self.finished:
             return
-        self.gen = 0
         frame = QuantumFrame(
             frame_id=self.service.next_frame_id(),
             src_addr=self.service.topology.address_of(self.src),
@@ -634,26 +641,27 @@ class _ClLeg:
             ttl=self.service.default_ttl,
         )
         self._schedule_timeout()
-        self._at_node(0, self.src, encode_frame(frame))
+        self._at_node(self.src, encode_frame(frame))
 
     def _schedule_timeout(self) -> None:
         if math.isfinite(self.timeout):
-            self._timeout_event = self.engine.after(
+            self.engine.after(
                 self.timeout,
                 EventKind.TIMEOUT,
                 self._timed_out,
                 f"cl timeout {self.tag}",
+                self._try,
             )
 
     def _timed_out(self) -> None:
-        if self.gen >= self.retry_limit:
+        if self.retries >= self.retry_limit:
             self._abort_try()
             self._close(
                 self.on_failure, "RetriesExhausted", "no confirmation from target"
             )
             return
         self._abort_try(retrying=True)
-        self.gen += 1
+        self.retries += 1
         self._reset_try_state()
         # the source's forwarding decision reads only the tables, the
         # addresses and the ttl, so the first try's holds for every retry;
@@ -661,29 +669,26 @@ class _ClLeg:
         nxt, edge, frame = self._source_decision
         frame.frame_id = self.service.next_frame_id()
         self._schedule_timeout()
-        self._depart(self.gen, self.src, nxt, edge, frame)
+        self._depart(self.src, nxt, edge, frame)
 
     def _abort_try(self, retrying: bool = False) -> None:
         # synchronized cutoff: the source's timeout also frees the stale
         # halves parked at downstream nodes.  A retry's frame leaves the
         # source over the same table edge, so the retry restarts the source
         # hop, always the try's first session, if it never stored a pair.
+        self._try.finished = True
         sessions = self._sessions
         keep = retrying and bool(sessions) and sessions[0].untouched
         self._sessions = sessions[:1] if keep else []
         for session in sessions[len(self._sessions):]:
-            if not session.finished:
-                session.abort("Superseded", "source timed out this attempt")
+            session.abort("Superseded", "source timed out this attempt")
         if self._node_held:  # the tag holds slots only where _claim put them
             self.engine.memory.release_all(self.tag, self.engine.now)
 
     def _close(self, notify: Callable, *args) -> None:
         if self.finished:
             return
-        self.finished = True
-        if self._timeout_event is not None:
-            self._timeout_event.cancel()
-            self._timeout_event = None
+        self.finished = self._try.finished = True
         notify(*args)
         # both callbacks close over the request state, which lists this leg
         self.on_success = self.on_failure = None
@@ -693,13 +698,11 @@ class _ClLeg:
 
     # -- frame movement -------------------------------------------------
 
-    def _at_node(self, gen: int, node: str, buf: bytes) -> None:
-        if self.finished or gen != self.gen:
-            return
+    def _at_node(self, node: str, buf: bytes) -> None:
         service = self.service
         decision = forward_frame(service.topology, service.tables, node, buf)
         if decision.action is ForwardAction.DELIVERED:
-            self._frame_delivered(gen)
+            self._frame_delivered()
             return
         if decision.action is ForwardAction.DROPPED:
             self.drops[decision.reason] = self.drops.get(decision.reason, 0) + 1
@@ -714,23 +717,21 @@ class _ClLeg:
         nxt = edge.other(node)
         if node == self.src:
             self._source_decision = (nxt, edge, decision.frame)
-        self._depart(gen, node, nxt, edge, decision.frame)
+        self._depart(node, nxt, edge, decision.frame)
 
-    def _depart(self, gen: int, node: str, nxt: str, edge, frame: QuantumFrame) -> None:
+    def _depart(self, node: str, nxt: str, edge, frame: QuantumFrame) -> None:
         if self.third:
-            self._third_hop(gen, node, nxt, edge, encode_frame(frame))
+            self._third_hop(node, nxt, edge, encode_frame(frame))
             return
         self._launch_segment(node, nxt)
         if self.service.pipelining:
-            self._transit(gen, node, nxt, edge, frame)
+            self._transit(node, nxt, edge, frame)
         else:
             # store and forward: the frame leaves with the swap herald,
             # so only the chain head ever holds memory for this flow
             self.held_frames[node] = (nxt, edge, frame)
 
-    def _transit(
-        self, gen: int, node: str, nxt: str, edge, frame: QuantumFrame
-    ) -> None:
+    def _transit(self, node: str, nxt: str, edge, frame: QuantumFrame) -> None:
         rng = self.engine.stream(f"frame:{edge.edge_id}")
         if rng.uniform() < self.service.frame_loss_prob:
             self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
@@ -739,11 +740,12 @@ class _ClLeg:
             node,
             nxt,
             edge.length_km,
-            lambda g=gen, n=nxt, b=encode_frame(frame): self._at_node(g, n, b),
+            lambda n=nxt, b=encode_frame(frame): self._at_node(n, b),
             f"frame {self.tag} -> {nxt}",
+            self._try,
         )
 
-    def _third_hop(self, gen: int, node: str, nxt: str, edge, buf: bytes) -> None:
+    def _third_hop(self, node: str, nxt: str, edge, buf: bytes) -> None:
         # payload and header travel together; encoding the first transfer
         # costs one attempt slot at the source
         lead = 1.0 / edge.attempt_rate_hz if node == self.src else 0.0
@@ -754,24 +756,22 @@ class _ClLeg:
         self.engine.after(
             lead,
             EventKind.PROTOCOL_STEP,
-            lambda g=gen, n=node, x=nxt, e=edge, b=buf: self._third_send(g, n, x, e, b),
+            lambda n=node, x=nxt, e=edge, b=buf: self._third_send(n, x, e, b),
             f"encode {self.tag}" if lead else f"relay {self.tag}",
+            self._try,
         )
 
-    def _third_send(self, gen: int, node: str, nxt: str, edge, buf: bytes) -> None:
-        if self.finished or gen != self.gen:
-            return
+    def _third_send(self, node: str, nxt: str, edge, buf: bytes) -> None:
         self.engine.send_classical(
             node,
             nxt,
             edge.length_km,
-            lambda g=gen, x=nxt, e=edge, b=buf: self._third_arrive(g, x, e, b),
+            lambda x=nxt, e=edge, b=buf: self._third_arrive(x, e, b),
             f"payload {self.tag} -> {nxt}",
+            self._try,
         )
 
-    def _third_arrive(self, gen: int, node: str, edge, buf: bytes) -> None:
-        if self.finished or gen != self.gen:
-            return
+    def _third_arrive(self, node: str, edge, buf: bytes) -> None:
         receiver = self.service.topology.nodes[node]
         rng = self.engine.stream(f"hop:{edge.edge_id}")
         self.stats.attempts_total += 1
@@ -782,7 +782,7 @@ class _ClLeg:
             self.drops["HopLoss"] = self.drops.get("HopLoss", 0) + 1
             return
         self.payload_w = w_next
-        self._at_node(gen, node, buf)
+        self._at_node(node, buf)
 
     # -- entanglement extension (first and second class) -----------------
 
@@ -845,17 +845,15 @@ class _ClLeg:
         _merge_stats(self.stats, result.stats)
         u, v = session.path
         self.pairs[u] = (v, result.link)
-        self._advance(self.gen)
+        self._advance()
 
-    def _chain_known(self, gen: int, node: str, link: WernerLink) -> None:
-        if self.finished or gen != self.gen:
-            return
+    def _chain_known(self, node: str, link: WernerLink) -> None:
         self.chain = link
         self.chain_end = node
-        self._advance(gen)
-        self._maybe_confirm(gen)
+        self._advance()
+        self._maybe_confirm()
 
-    def _advance(self, gen: int) -> None:
+    def _advance(self) -> None:
         engine = self.engine
         while self.chain_end is not None and self.chain_end in self.pairs:
             u = self.chain_end
@@ -864,7 +862,7 @@ class _ClLeg:
                 # first link: session completion means both ends know
                 self.chain = pair
                 self.chain_end = v
-                self._dispatch_held(gen, u)
+                self._dispatch_held(u)
                 continue
             nodes = self.service.topology.nodes
             merged = physics.swap(
@@ -880,26 +878,27 @@ class _ClLeg:
             engine.memory.release(u, 2, self.tag, engine.now)
             self.chain = merged
             self.chain_end = None
-            self._dispatch_held(gen, u)
+            self._dispatch_held(u)
             edge = self.service.topology.edge_between(u, v)
             engine.send_classical(
                 u,
                 v,
                 edge.length_km,
-                lambda g=gen, n=v, l=merged: self._chain_known(g, n, l),
+                lambda n=v, l=merged: self._chain_known(n, l),
                 f"swap herald {self.tag} -> {v}",
+                self._try,
             )
             return
-        self._maybe_confirm(gen)
+        self._maybe_confirm()
 
-    def _dispatch_held(self, gen: int, node: str) -> None:
+    def _dispatch_held(self, node: str) -> None:
         held = self.held_frames.pop(node, None)
         if held is not None:
-            self._transit(gen, node, *held)
+            self._transit(node, *held)
 
     # -- completion -------------------------------------------------------
 
-    def _frame_delivered(self, gen: int) -> None:
+    def _frame_delivered(self) -> None:
         self.delivered = True
         if self.third:
             link = WernerLink(
@@ -912,9 +911,9 @@ class _ClLeg:
             )
             self.chain = link
             self.chain_end = self.dst
-        self._maybe_confirm(gen)
+        self._maybe_confirm()
 
-    def _maybe_confirm(self, gen: int) -> None:
+    def _maybe_confirm(self) -> None:
         if not self.delivered or self.chain_end != self.dst or self.chain is None:
             return
         link = self.chain
@@ -923,13 +922,12 @@ class _ClLeg:
             self.dst,
             self.src,
             self.service.routes.classical_distance(self.dst, self.src),
-            lambda g=gen, l=link: self._confirmed(g, l),
+            lambda l=link: self._confirmed(l),
             f"confirm {self.tag} -> {self.src}",
+            self._try,
         )
 
-    def _confirmed(self, gen: int, link: WernerLink) -> None:
-        if self.finished or gen != self.gen:
-            return
+    def _confirmed(self, link: WernerLink) -> None:
         link.materialize(self.engine.now)
         self._close(self.on_success, link)
 
@@ -956,6 +954,9 @@ class _Route(NamedTuple):
 
 
 class _RequestState:
+    """A request from just before its arrival until it is ``finished``; owner
+    of its deadline, its controller traffic and its nodes' release notices."""
+
     def __init__(
         self,
         request: ConnectionRequest,
@@ -968,12 +969,11 @@ class _RequestState:
         self.tag = f"req:{request.request_id}"
         self.stats = SessionStats()
         self.drops: dict[str, int] = {}
-        self.closed = False
+        self.finished = False
         self.route: _Route | None = None
         self.session: LinkSession | None = None
         self.legs: list[_ClLeg] = []
         self.leg_results: dict[int, WernerLink] = {}
-        self.watchdog = None
 
 
 class NetworkService:
@@ -1065,19 +1065,16 @@ class NetworkService:
         link: WernerLink | None = None,
         detail: str = "",
     ) -> None:
-        if state.closed:
+        if state.finished:
             return
-        state.closed = True
+        state.finished = True
         self.engine.progress()
         now = self.engine.now
-        if state.watchdog is not None:
-            state.watchdog.cancel()
-        if state.session is not None and not state.session.finished:
+        if state.session is not None:
             state.session.abort("Superseded", detail or outcome)
-        # the watchdog's action and the session's callbacks point back at the
-        # state; dropping these links keeps long-lived requests from holding
-        # finished sessions until a full collection
-        state.watchdog = None
+        # the session's callbacks point back at the state; dropping this link
+        # keeps long-lived requests from holding finished sessions until a
+        # full collection
         state.session = None
         for leg in state.legs:
             leg.abort()
@@ -1097,7 +1094,7 @@ class NetworkService:
             link=link,
             setup_latency_s=now - state.emission,
             stats=state.stats,
-            retries=sum(max(0, leg.gen) for leg in state.legs),
+            retries=sum(leg.retries for leg in state.legs),
             drops=dict(state.drops),
             node_occupancy_s=occupancy,
             detail=detail,
@@ -1315,12 +1312,13 @@ class NetworkService:
         emission, seq = key
         state = _RequestState(request, emission, on_outcome)
         if request.deadline is not None:
-            state.watchdog = self.engine.schedule(
+            self.engine.schedule(
                 emission + request.deadline,
                 EventKind.TIMEOUT,
                 lambda: self._finish(state, "Timeout", detail="deadline passed"),
                 f"deadline {state.tag}",
                 seq=seq - 1,
+                owner=state,
             )
         self.engine.schedule(
             emission,
@@ -1340,7 +1338,7 @@ class NetworkService:
                 emission, seq, request, on_outcome = heapq.heappop(self._filed)
                 self._feeder = (emission, seq)
                 self._push(self._feeder, request, on_outcome, feeds=True)
-        if state.closed:
+        if state.finished:
             return
         request = state.request
         for node_id in (request.src, request.dst, *request.waypoints):
@@ -1377,11 +1375,10 @@ class NetworkService:
             self.routes.classical_distance(src, self.controller),
             then,
             f"request {state.request.request_id} -> controller",
+            state,
         )
 
     def _co_request_arrived(self, state: _RequestState) -> None:
-        if state.closed:
-            return
         state.route = self._admission(state.request)
         if state.route.refusal is not None:
             self._co_reject(state, *state.route.refusal)
@@ -1396,6 +1393,7 @@ class NetworkService:
             self.routes.classical_distance(self.controller, state.request.src),
             lambda: self._finish(state, reason, detail=detail),
             f"reject {state.request.request_id}",
+            state,
         )
 
     def _try_admit(self) -> None:
@@ -1407,7 +1405,7 @@ class NetworkService:
         ledger = self.engine.memory
         while self._queue:
             state = self._queue[0]
-            if state.closed:
+            if state.finished:
                 self._queue.popleft()
                 continue
             plan = state.route.plan
@@ -1422,11 +1420,10 @@ class NetworkService:
                 EventKind.PROTOCOL_STEP,
                 lambda s=state: self._co_start_session(s),
                 f"orders {state.request.request_id}",
+                owner=state,
             )
 
     def _co_start_session(self, state: _RequestState) -> None:
-        if state.closed:
-            return
         request = state.request
         session = LinkSession(
             self.engine,
@@ -1455,11 +1452,10 @@ class NetworkService:
             self.routes.classical_distance(node_id, self.controller),
             lambda: self._co_release_notice(state, node_id),
             f"free {node_id} ({state.request.request_id})",
+            state,
         )
 
     def _co_release_notice(self, state: _RequestState, node_id: str) -> None:
-        if state.closed:
-            return
         held = self.engine.memory.held_by(state.tag, node_id)
         if held:
             self.engine.memory.release(node_id, held, state.tag, self.engine.now)
@@ -1545,19 +1541,16 @@ class NetworkService:
     # -- hybrid ---------------------------------------------------------------
 
     def _hybrid_orders(self, state: _RequestState) -> None:
-        if state.closed:
-            return
         request = state.request
         self.engine.schedule(
             self._orders_at([request.src, *request.waypoints, request.dst]),
             EventKind.PROTOCOL_STEP,
             lambda: self._hybrid_begin(state),
             f"orders {request.request_id}",
+            owner=state,
         )
 
     def _hybrid_begin(self, state: _RequestState) -> None:
-        if state.closed:
-            return
         if state.request.alternate_mode:
             self._hybrid_alternate(state)
         else:
@@ -1604,8 +1597,6 @@ class NetworkService:
 
     def _hybrid_merge_at(self, state: _RequestState, i: int, chain: WernerLink) -> None:
         """Anchor ``i`` swaps; anchors go left to right once every area is up."""
-        if state.closed:
-            return
         request = state.request
         anchors = request.waypoints
         anchor = anchors[i]
@@ -1622,7 +1613,7 @@ class NetworkService:
         )
         state.stats.swaps += 1
         ledger = self.engine.memory
-        for tag in (f"{state.tag}:leg{i}", f"{state.tag}:leg{i + 1}"):
+        for tag in (state.legs[i].tag, state.legs[i + 1].tag):
             held = ledger.held_by(tag, anchor)
             if held:
                 ledger.release(anchor, held, tag, self.engine.now)
@@ -1633,6 +1624,7 @@ class NetworkService:
                 self.routes.classical_distance(anchor, far),
                 lambda: self._hybrid_merge_at(state, i + 1, merged),
                 f"swap herald {state.tag} -> {far}",
+                state,
             )
         else:
             self._hybrid_announce(state, anchor, merged)
@@ -1644,8 +1636,6 @@ class NetworkService:
         heard: set[str] = set()
 
         def end_heard(end: str) -> None:
-            if state.closed:
-                return
             heard.add(end)
             if len(heard) == 2:
                 self._deliver(state, link)
@@ -1657,6 +1647,7 @@ class NetworkService:
                 self.routes.classical_distance(anchor, end),
                 lambda e=end: end_heard(e),
                 f"success herald {state.tag} -> {end}",
+                state,
             )
 
 

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 
 STDOUT_SHA256 = {
-    "contention_co_vs_cl.py": "408f88a968911cb98a7764ed33fa7d9cece4e511a2ebedbcc31e5b8bfaf17923",
+    "contention_co_vs_cl.py": "d85005c391a3bb92c81e3778877528b595025e6c4eca5bebfb8328a14281bfcc",
     "hybrid_areas.py": "27c3b6cf943ef9b5c66e10401cfada814fbaa7da3a62a3d3e8fdb1444a08d7b6",
     "protocol_latency.py": "70f20a958f8260f84d35d0869fb583b856e276022f963fb126de483420521727",
     "pumping.py": "9122dc1c3f63de8112f2f6edc335a2a92b9cb0524ceab12fdbf5a7ffaa65c8b7",

@@ -90,6 +90,49 @@ def test_cancelled_events_do_not_fire():
     assert fired == ["step"]
 
 
+class _Owner:
+    finished = False
+
+
+def test_events_of_a_finished_owner_are_dropped_unrun():
+    trace = io.StringIO()
+    sim = _sim(trace_fp=trace)
+    owner, live = _Owner(), _Owner()
+    fired = []
+
+    def close():
+        owner.finished = True
+        fired.append("close")
+
+    sim.schedule(1.0, EventKind.PROTOCOL_STEP, close, "close")
+    sim.schedule(1.0, EventKind.PROTOCOL_STEP, lambda: fired.append("x"), "x", owner=owner)
+    sim.schedule(2.0, EventKind.PROTOCOL_STEP, lambda: fired.append("live"), "live", owner=live)
+    sim.schedule(3.0, EventKind.PROTOCOL_STEP, lambda: fired.append("none"), "none")
+    sim.after(4.0, EventKind.ATTEMPT_TICK, lambda: fired.append("x"), "x", owner)
+    sim.send_classical("n0", "n2", 1e6, lambda: fired.append("x"), "x", owner)
+    sim.run_until()
+    # no stale action ran or was traced, and the clock stopped at the last
+    # live event
+    assert fired == ["close", "live", "none"]
+    assert [line.split("\t")[3] for line in trace.getvalue().splitlines()] == [
+        "close", "live", "none"
+    ]
+    assert sim.now == 3.0
+
+
+def test_events_of_a_finished_owner_do_not_count_toward_the_livelock_ceiling():
+    sim = _sim(livelock_ceiling=50)
+    owner = _Owner()
+    owner.finished = True
+    ran = []
+    for k in range(200):
+        sim.schedule(k * 1e-3, EventKind.ATTEMPT_TICK, lambda: ran.append("x"), owner=owner)
+    for k in range(40):
+        sim.schedule(1.0 + k, EventKind.PROTOCOL_STEP, lambda: ran.append("live"))
+    sim.run_until()
+    assert ran == ["live"] * 40
+
+
 def test_after_is_relative_to_now():
     sim = _sim()
     times = []

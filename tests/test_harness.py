@@ -178,6 +178,8 @@ def test_parse_scenario_rejects_malformed_lines():
         ("seed 42\n", 1, "line 1: unknown directive 'seed'"),
         ("bogus=1\n", 1, "line 1: unknown setting 'bogus'"),
         ("seed=ten\n", 1, "line 1: seed needs an integer, got 'ten'"),
+        ("seed=1 2\n", 1, "line 1: seed takes exactly one value"),
+        ("seed=\n", 1, "line 1: seed takes exactly one value"),
         ("request src=a dst=b\n", 1, "line 1: request needs model="),  # missing key
         ("request id=x src=a dst=b model=co class=first protocol=sl"
          " arrivals=fixed:0\n"
@@ -667,32 +669,32 @@ def test_contended_cl_csv_is_frozen(pipelining, hybrid, lines, digest):
             False,
             25,
             "a2b78d707abe21f45beadc762e9b93ad9e90a1f4090bce384bb87045294408e0",
-            1573,
-            "02decc2fcef9d45651268f68bbdbb4203fa863f29d6db618273065a0e3cf42a0",
+            1560,
+            "75ce3ab5f60ce16b1124cf212c77c4a32245872eaaee630f8eb5fc96c8e810c9",
         ),
         (
             False,
             False,
             25,
             "7bfa7f4cebd1a14dcafa37af7504675f255166e8d6205a2cbd9cb474e51b8c13",
-            971,
-            "9be6677bb5e47cd4f645c155b5a6f0258485f35e1e10bb8b77d0b7ddf8ae0a47",
+            959,
+            "cc4deb967050388eae7820b462b19e29ae3fbe44897d572cac76a3f9910b6866",
         ),
         (
             True,
             True,
             27,
             "04d1e901308a4d8ae2ab58d2f75cb7f70973e805837c48156fa6f56439cc2a96",
-            1525,
-            "261b64940b3b856d587cbb77356b11064a4f54a531cea0621567f104710cd1d7",
+            1518,
+            "87469bad992c3ab158b467b8f1a7f316def459af52694d965a035fc16b16e2b4",
         ),
         (
             False,
             True,
             27,
             "34ee2e5638c3e6b86ac90bb3317e5fc20c1376d4db46bfaf01a79efd0fd108ef",
-            927,
-            "8f7e21b547931b62bd7d703fb0237cc1a025adcc3d4e2e8f8282b92ea725a031",
+            917,
+            "57763b927dc430a622542d68d1d1df57e76aa8f9e2f382e74cbb78f81c7319f6",
         ),
     ],
     ids=["pipelined", "store-and-forward", "hybrid", "store-and-forward-hybrid"],
@@ -702,7 +704,9 @@ def test_contended_cl_csv_and_trace_are_frozen(
 ):
     # a retry reuses the source's first forwarding decision and only renames
     # the frame; the trace pins that it runs the same events, in the same
-    # order, as one that decides at the source again, in both modes
+    # order, as one that decides at the source again, in both modes. The
+    # trace digests were re-recorded when the engine stopped running, and
+    # tracing, the events of a finished owner; only those lines went
     trace = io.StringIO()
     scenario = _crossing_cl_scenario(str(pipelining).lower(), _staggered, hybrid)
     data = _csv_bytes(_grid_text(3), scenario, trace)

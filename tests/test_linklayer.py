@@ -151,6 +151,16 @@ def test_session_aborted_from_outside_fails_and_releases_memory():
         assert sim.memory.in_use[node] == 0
 
 
+def test_a_session_whose_gate_never_opens_fails_stalled():
+    # every segment parks at n1 and no release ever wakes it, so the queue
+    # drains before the protocol finishes
+    sim = Simulator(chain_topology([10.0, 10.0]), PARAMS, seed=1)
+    res = one_by_one_link(sim, ["n0", "n1", "n2"], blocked_at=lambda segment: ("n1", 1))
+    assert isinstance(res, Failure)
+    assert (res.reason, res.stats.attempts_total) == ("Stalled", 0)
+    assert sim.memory.in_use == {"n0": 0, "n1": 0, "n2": 0}
+
+
 def test_policies_agree_on_ideal_chains():
     # with no noise the delivered state cannot depend on swap ordering
     for n_seg in (2, 3, 4, 5):

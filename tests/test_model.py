@@ -64,6 +64,15 @@ def test_link_endpoints():
         link.other_end("c")
 
 
+def test_links_and_edges_reject_bad_endpoints():
+    with pytest.raises(ValueError, match="distinct"):
+        WernerLink(link_id=1, node_a="a", node_b="a", w=1.0, last_updated=0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        WernerLink(link_id=1, node_a="a", node_b="b", w=1.5, last_updated=0.0)
+    with pytest.raises(ValueError, match="not an endpoint of edge e"):
+        EdgeSpec("e", "a", "b").other("c")
+
+
 def test_link_decay_rate_combines_holders():
     fast = NodeSpec("f", t_coh=0.5)
     slow = NodeSpec("s", t_coh=2.0)
@@ -149,6 +158,15 @@ def test_validate_topology_flags():
         ("edge", "3", "BadLength"),
         ("edge", "4", "BadRate"),
     }
+
+
+def test_validate_topology_flags_memory_and_error_order_per_node():
+    topo = Topology()
+    topo.add_node(NodeSpec("a", role=Role.END, memory_count=-1))
+    topo.add_node(NodeSpec("r", role=Role.REPEATER, memory_count=1))
+    topo.add_node(NodeSpec("b", role=Role.END, eps_op=0.01, eps_res=0.05))
+    found = {(v.subject, v.kind) for v in validate_topology(topo)}
+    assert found == {("a", "BadMemory"), ("r", "BadMemory"), ("b", "EpsOrder")}
 
 
 def test_validate_topology_clean():

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 
@@ -31,7 +32,7 @@ from qrnet import (
 from qrnet import netlayer, physics
 from qrnet.linklayer import LinkSession
 
-from conftest import chain_topology
+from conftest import chain_topology, grid_topology
 
 PARAMS = PhysicsParams()
 
@@ -519,6 +520,43 @@ def test_co_contention_is_fifo_and_restores_slots(monkeypatch):
     # each request's plan is made once, when it is routed, however often
     # the blocked q2 is tried again
     assert plans == [["a", "r", "b"], ["c", "r", "d"]]
+
+
+def test_no_event_of_a_closed_co_request_runs_after_its_outcome():
+    # contended CO requests with deadlines on a grid of two-memory nodes:
+    # orders still travel when a deadline passes, and release notices when a
+    # request completes, but the engine drops them once the request closed
+    trace = io.StringIO()
+    topo = grid_topology(3, 3, memories=2, t_coh=0.05, rate=1e4, p_src=0.5)
+    sim = Simulator(topo, PARAMS, seed=3, trace_fp=trace)
+    service = NetworkService(sim, controller="g11")
+    closed_at = {}
+
+    def closed(out):
+        closed_at[out.request.request_id] = trace.getvalue().count("\n")
+        service.outcomes.append(out)
+
+    nodes = sorted(topo.nodes)
+    rng = np.random.default_rng(3)
+    for k in range(30):
+        src, dst = rng.choice(nodes, size=2, replace=False)
+        request = _co_request(f"r{k}", str(src), str(dst), deadline=0.001)
+        service.submit(request, at=k * 5e-5, on_outcome=closed)
+    sim.run_until()
+    assert {o.outcome for o in service.outcomes} == {"Completed", "Timeout"}
+    summaries = [line.split("\t")[3] for line in trace.getvalue().splitlines()]
+    for rid, at in closed_at.items():
+        for summary in summaries[at:]:
+            # a request's arrival has no owner: it files the next request
+            if summary.startswith("request ") and summary.endswith("(co)"):
+                continue
+            assert rid not in re.findall(r"\w+", summary), (rid, summary)
+
+
+def test_a_controller_the_topology_lacks_raises():
+    sim = Simulator(chain_topology([10.0]), PARAMS, seed=1)
+    with pytest.raises(KeyError, match="controller nope not in topology"):
+        NetworkService(sim, controller="nope")
 
 
 def test_co_request_that_can_never_fit_leaves_the_fifo_queue():

@@ -15,6 +15,8 @@ from qrnet import (
 )
 from qrnet import physics
 from qrnet.physics import (
+    MismatchedEndpoints,
+    NoCommonNode,
     allphotonic_generate,
     attempt_generation,
     decay_factor,
@@ -22,6 +24,7 @@ from qrnet.physics import (
     purify,
     purify_success_prob,
     swap,
+    swap_noise,
     swapped_w,
     transmit_logical_hop,
 )
@@ -97,6 +100,27 @@ def test_purify_class_gate():
                node_a=relay, node_b=relay)
 
 
+def test_purify_needs_two_pairs_between_the_same_nodes():
+    with pytest.raises(MismatchedEndpoints):
+        purify(_pair(0.8, "a", "b", link_id=1), _pair(0.8, "a", "c", link_id=2),
+               CountingRng([0.0]), now=0.0, link_id=3)
+
+
+def test_swap_needs_two_pairs_that_meet_only_at_the_swapping_node():
+    node_b = NodeSpec("b", role=Role.REPEATER)
+    # disjoint pairs, and pairs that also meet at their other ends
+    for bc in (_pair(0.9, "c", "d"), _pair(0.9, "b", "a")):
+        with pytest.raises(NoCommonNode, match="do not meet exactly at b"):
+            swap(_pair(0.9, "a", "b"), bc, node_b, now=0.0, link_id=3)
+    # a valid link cannot loop onto one node, so only corrupted ones reach
+    # the last check
+    loops = [_pair(0.9, "a", "b"), _pair(0.9, "a", "b")]
+    for link in loops:
+        link.node_a = "b"
+    with pytest.raises(NoCommonNode, match="close a loop"):
+        swap(*loops, node_b, now=0.0, link_id=3)
+
+
 def test_swap_frozen_point():
     # both inputs at F = 0.9, ideal node
     w_in = (4 * 0.9 - 1) / 3
@@ -134,6 +158,13 @@ def test_third_class_cannot_swap():
     with pytest.raises(CapabilityViolation):
         swap(_pair(1.0, "a", "b"), _pair(1.0, "b", "c"), node,
              now=0.0, link_id=1)
+    with pytest.raises(CapabilityViolation):
+        swap_noise(node)
+
+
+def test_decay_over_negative_time_raises():
+    with pytest.raises(ValueError, match="dt must be >= 0"):
+        decay_factor(-1.0, 1.0)
 
 
 def test_decohere_frozen_point():
