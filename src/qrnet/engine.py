@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -40,21 +40,12 @@ class ResourceExhausted(Exception):
     """A memory acquisition asked for more slots than a node has free."""
 
 
-@dataclass
-class SimEvent:
-    """A queued action; the engine drops it unrun once its ``owner``, any
-    object with a ``finished`` flag, has finished."""
+@dataclass(slots=True)
+class Owner:
+    """An owner of events with no other state: the engine drops its pending
+    events once ``finished`` is set."""
 
-    time: float
-    seq: int
-    kind: EventKind
-    summary: str
-    action: Callable[[], None] = field(repr=False)
-    owner: object = field(default=None, repr=False)
-    cancelled: bool = field(default=False, repr=False)
-
-    def cancel(self) -> None:
-        self.cancelled = True
+    finished: bool = False
 
 
 def stream_seed(global_seed: int, label: str) -> int:
@@ -188,10 +179,11 @@ class Simulator:
 
     With a ``trace_fp``, each executed event is written to it as one
     tab-separated line the moment it runs; without one, nothing about
-    executed events is kept. A cancelled event, or one whose owner has
-    finished, is dropped unrun: it is not traced, does not move ``now``
-    and does not count toward the livelock ceiling. So after a drained
-    run ``now`` is the time of the last event that ran.
+    executed events is kept. An event is a heap entry ``(time, seq, kind,
+    summary, action, owner)``; one whose owner, any object with a
+    ``finished`` flag, has finished is dropped unrun: it is not traced,
+    does not move ``now`` and does not count toward the livelock ceiling.
+    So after a drained run ``now`` is the time of the last event that ran.
 
     ``livelock_ceiling`` bounds stalled work, not all work: ``run_until``
     raises when a window of that many events runs with no ``progress``
@@ -213,7 +205,8 @@ class Simulator:
         self.livelock_ceiling = livelock_ceiling
         self.now = 0.0
         self.trace_fp = trace_fp
-        self._heap: list[tuple[float, int, SimEvent]] = []
+        # seqs are unique, so entries never compare past their seq
+        self._heap: list[tuple] = []
         self._seq = 0
         self._progress = 0
         # seq of the event running now, or -1 before the first
@@ -255,7 +248,7 @@ class Simulator:
         summary: str = "",
         owner=None,
         seq: int | None = None,
-    ) -> SimEvent:
+    ) -> None:
         """Queue ``action`` at ``time``, on a fresh or a reserved ``seq``.
 
         A reserved ``seq`` must still be ahead of the running event.
@@ -267,9 +260,7 @@ class Simulator:
             self._seq += 1
         elif time == self.now and seq < self._running:
             raise PastEventError(f"seq {seq} at {time} is behind the running event")
-        event = SimEvent(time, seq, kind, summary, action, owner)
-        heapq.heappush(self._heap, (time, seq, event))
-        return event
+        heapq.heappush(self._heap, (time, seq, kind, summary, action, owner))
 
     def after(
         self,
@@ -278,8 +269,8 @@ class Simulator:
         action: Callable[[], None],
         summary: str = "",
         owner=None,
-    ) -> SimEvent:
-        return self.schedule(self.now + delay, kind, action, summary, owner)
+    ) -> None:
+        self.schedule(self.now + delay, kind, action, summary, owner)
 
     def send_classical(
         self,
@@ -289,17 +280,17 @@ class Simulator:
         action: Callable[[], None],
         summary: str = "",
         owner=None,
-    ) -> SimEvent:
+    ) -> None:
         """Deliver a classical message after propagation plus receiver processing."""
         delay = length_km / self.params.c_fiber + self.topology.nodes[dst].proc_delay
-        return self.after(
+        self.after(
             delay, EventKind.CLASSICAL_DELIVERY, action, summary or f"{src}->{dst}", owner
         )
 
     def run_until(self, stop: Callable[[], bool] | None = None) -> None:
         """Process events until the stop predicate holds or the queue drains.
 
-        Cancelled events and events of a finished owner are dropped unrun.
+        Events of a finished owner are dropped unrun.
         Raises LivelockError if a window of ``livelock_ceiling`` events runs
         with no ``progress`` call, so within two windows of a stall; a
         finished simulation should always exhaust its work or satisfy its stop.
@@ -308,12 +299,12 @@ class Simulator:
         limit = self.livelock_ceiling
         progress = self._progress
         trace_fp = self.trace_fp
-        while self._heap:
+        heap = self._heap
+        while heap:
             if stop is not None and stop():
                 return
-            _, _, event = heapq.heappop(self._heap)
-            owner = event.owner
-            if event.cancelled or (owner is not None and owner.finished):
+            time, seq, kind, summary, action, owner = heapq.heappop(heap)
+            if owner is not None and owner.finished:
                 continue
             processed += 1
             if processed > limit:
@@ -324,10 +315,8 @@ class Simulator:
                     )
                 progress = self._progress
                 limit = processed + self.livelock_ceiling
-            self.now = event.time
-            self._running = event.seq
+            self.now = time
+            self._running = seq
             if trace_fp is not None:
-                trace_fp.write(
-                    f"{event.time:.9e}\t{event.seq}\t{event.kind.value}\t{event.summary}\n"
-                )
-            event.action()
+                trace_fp.write(f"{time:.9e}\t{seq}\t{kind.value}\t{summary}\n")
+            action()

@@ -53,7 +53,7 @@ from .capability import (
     can_purify,
     supports_link,
 )
-from .engine import EventKind, Simulator
+from .engine import EventKind, Owner, Simulator
 from .model import (
     EdgeSpec,
     NodeSpec,
@@ -272,7 +272,9 @@ class _Segment:
         self._base_confirmed = False
         self._known: dict[int, set[str]] = {}
         self._next_tick = 0.0
-        self._tick_event = None
+        # owns the segment's attempt ticks; retired when the segment
+        # restarts or its session finishes
+        self._clock = Owner()
         self.parked_at: str | None = None
         self.rounds_exhausted = False
 
@@ -285,12 +287,12 @@ class _Segment:
         self._schedule_tick()
 
     def _schedule_tick(self) -> None:
-        self._tick_event = self.session.engine.after(
+        self.session.engine.after(
             1.0 / self.edge.attempt_rate_hz,
             EventKind.ATTEMPT_TICK,
             self._tick,
             self._summary,
-            self.session,
+            self._clock,
         )
 
     def _tick(self) -> None:
@@ -360,8 +362,8 @@ class _Segment:
         t = self._next_tick
         while t <= engine.now:
             t += period
-        self._tick_event = engine.schedule(
-            t, EventKind.ATTEMPT_TICK, self._tick, self._summary, self.session
+        engine.schedule(
+            t, EventKind.ATTEMPT_TICK, self._tick, self._summary, self._clock
         )
 
     def restart(self) -> None:
@@ -370,7 +372,8 @@ class _Segment:
         if self.parked_at is not None:
             self._next_tick = self.session.engine.now + 1.0 / self.edge.attempt_rate_hz
         else:
-            self._tick_event.cancel()
+            self._clock.finished = True
+            self._clock = Owner()
             self._schedule_tick()
 
     # -- heralds and pumping -------------------------------------------
@@ -460,7 +463,9 @@ class LinkSession:
     The caller supplies the path, hardware class, and protocol; progress
     is event-driven and the outcome lands in ``result`` (ChannelResult or
     Failure) when ``finished`` turns true.  The session owns every event it
-    schedules, so the engine drops those still pending once it finishes.
+    schedules but attempt ticks, which each segment's attempt clock owns;
+    finishing retires those clocks too, so the engine drops every pending
+    event of a finished session.
     ``on_done`` and ``on_node_free`` let a network layer react to completion
     and to interior nodes being released after their swap.
 
@@ -587,7 +592,7 @@ class LinkSession:
         )
         self.stats.swaps += 1
         node_id = self.path[k]
-        if self.manage_memory and not self.ap_mode and not self.third_class:
+        if self.manage_memory and not self.ap_mode:
             self.engine.memory.release(node_id, 2, self.tag, self.engine.now)
         if self.on_node_free is not None:
             self.on_node_free(node_id)
@@ -616,9 +621,7 @@ class LinkSession:
 
     def _cleanup(self) -> None:
         for segment in self.segments:
-            # the last tick holds its segment through its action; dropping
-            # it keeps a finished session free of cycles, so refcounting frees it
-            segment._tick_event = None
+            segment._clock.finished = True
             if segment.parked_at is not None:
                 self.engine.memory.unpark(segment, segment.parked_at)
         if self.manage_memory:

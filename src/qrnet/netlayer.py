@@ -38,7 +38,7 @@ from .capability import (
     can_swap,
     validate_request,
 )
-from .engine import EventKind, PastEventError, ResourceExhausted, Simulator
+from .engine import EventKind, Owner, PastEventError, ResourceExhausted, Simulator
 from .linklayer import (
     ChannelResult,
     Failure,
@@ -557,13 +557,6 @@ def _merge_stats(into: SessionStats, part: SessionStats) -> None:
 # connectionless machinery, shared by plain CL requests and hybrid areas
 
 
-@dataclass(slots=True)
-class _Try:
-    """One try of a leg, owner of its events; ends when it aborts or the leg closes."""
-
-    finished: bool = False
-
-
 class _ClLeg:
     """One source-to-target connectionless establishment with retries.
 
@@ -617,7 +610,8 @@ class _ClLeg:
         self._reset_try_state()
 
     def _reset_try_state(self) -> None:
-        self._try = _Try()
+        # owns the try's events; ends when the try aborts or the leg closes
+        self._try = Owner()
         self.chain: WernerLink | None = None
         self.chain_end: str | None = self.src
         self.pairs: dict[str, tuple[str, WernerLink]] = {}

@@ -19,7 +19,7 @@ from qrnet import (
     ResourceExhausted,
     Simulator,
 )
-from qrnet.engine import stream_seed
+from qrnet.engine import Owner, stream_seed
 
 from conftest import chain_topology, grid_topology
 
@@ -80,24 +80,10 @@ def test_a_reserved_seq_behind_the_running_event_is_rejected():
     assert rejected == [1.0]
 
 
-def test_cancelled_events_do_not_fire():
-    sim = _sim()
-    fired = []
-    ev = sim.schedule(1.0, EventKind.TIMEOUT, lambda: fired.append("timeout"))
-    sim.schedule(2.0, EventKind.PROTOCOL_STEP, lambda: fired.append("step"))
-    ev.cancel()
-    sim.run_until()
-    assert fired == ["step"]
-
-
-class _Owner:
-    finished = False
-
-
 def test_events_of_a_finished_owner_are_dropped_unrun():
     trace = io.StringIO()
     sim = _sim(trace_fp=trace)
-    owner, live = _Owner(), _Owner()
+    owner, live = Owner(), Owner()
     fired = []
 
     def close():
@@ -122,7 +108,7 @@ def test_events_of_a_finished_owner_are_dropped_unrun():
 
 def test_events_of_a_finished_owner_do_not_count_toward_the_livelock_ceiling():
     sim = _sim(livelock_ceiling=50)
-    owner = _Owner()
+    owner = Owner()
     owner.finished = True
     ran = []
     for k in range(200):

@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -149,6 +150,40 @@ def test_session_aborted_from_outside_fails_and_releases_memory():
     assert (res.reason, res.detail) == ("Timeout", "owner gave up")
     for node in ("n0", "n1", "n2"):
         assert sim.memory.in_use[node] == 0
+
+
+def test_a_restarted_session_ticks_only_on_its_new_clock():
+    # restarted between its second and third slot, an untouched session
+    # drops the ticks still due on the old clock: every later tick falls on
+    # the new clock's slots, and only those ticks count as attempts
+    topo = chain_topology([10.0, 10.0], p_src=0.02)
+    trace = io.StringIO()
+    sim = Simulator(topo, PARAMS, seed=5, trace_fp=trace)
+    session = LinkSession(sim, ["n0", "n1", "n2"], None, LinkProtocol.SIMULTANEOUS)
+    session.start()
+    period, restart_at = 1e-3, 2.5e-3
+
+    def restart():
+        assert session.untouched
+        assert all(s.parked_at is None for s in session.segments)
+        session.restart()
+
+    sim.schedule(restart_at, EventKind.PROTOCOL_STEP, restart, "restart")
+    sim.run_until(stop=lambda: session.finished)
+    assert isinstance(session.result, ChannelResult)
+    ticks = [
+        float(line.split("\t")[0])
+        for line in trace.getvalue().splitlines()
+        if line.split("\t")[2] == "AttemptTick"
+    ]
+    before = [t for t in ticks if t < restart_at]
+    after = [t for t in ticks if t > restart_at]
+    assert before == pytest.approx([1e-3, 1e-3, 2e-3, 2e-3])
+    assert after
+    for t in after:
+        slots = (t - restart_at) / period
+        assert slots >= 1 and slots == pytest.approx(round(slots))
+    assert session.result.stats.attempts_total == len(after)
 
 
 def test_a_session_whose_gate_never_opens_fails_stalled():

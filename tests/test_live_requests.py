@@ -286,9 +286,8 @@ class _WatchedSimulator(Simulator):
         _WatchedSimulator.made.append(self)
 
     def schedule(self, *args, **kwargs):
-        event = super().schedule(*args, **kwargs)
+        super().schedule(*args, **kwargs)
         self.largest_heap = max(self.largest_heap, len(self._heap))
-        return event
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
+import gc
 import io
 import math
 import re
+import weakref
 
 import networkx as nx
 import numpy as np
@@ -551,6 +553,44 @@ def test_no_event_of_a_closed_co_request_runs_after_its_outcome():
             if summary.startswith("request ") and summary.endswith("(co)"):
                 continue
             assert rid not in re.findall(r"\w+", summary), (rid, summary)
+
+
+@pytest.fixture
+def no_gc():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make", [_co_request, _cl_request], ids=["co", "cl"])
+def test_reference_counting_frees_every_session_and_request(no_gc, make, monkeypatch):
+    # contended requests on two-memory nodes: CO requests time out in the
+    # FIFO and mid-session, CL tries abort and retry; once the run drains,
+    # no finished session or request may be held by a cycle waiting for the
+    # collector, which is off here
+    made = {LinkSession: [], netlayer._RequestState: []}
+    for cls, refs in made.items():
+        def record(self, *args, _init=cls.__init__, _refs=refs, **kwargs):
+            _init(self, *args, **kwargs)
+            _refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", record)
+    topo = grid_topology(3, 3, memories=2, t_coh=0.05, rate=1e4, p_src=0.5)
+    sim = Simulator(topo, PARAMS, seed=3)
+    service = NetworkService(sim, controller="g11")
+    nodes = sorted(topo.nodes)
+    rng = np.random.default_rng(3)
+    for k in range(30):
+        src, dst = rng.choice(nodes, size=2, replace=False)
+        service.submit(make(f"r{k}", str(src), str(dst), deadline=0.001), at=k * 5e-5)
+    sim.run_until()
+    assert len(service.outcomes) == 30
+    sessions, states = made.values()
+    assert len(states) == 30 and sessions
+    assert [ref() for ref in sessions + states if ref() is not None] == []
 
 
 def test_a_controller_the_topology_lacks_raises():

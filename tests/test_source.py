@@ -116,3 +116,51 @@ def test_every_dataclass_field_is_read_outside_the_tests():
         if stmt.target.id not in read
     ]
     assert unread == []
+
+
+# positional index of ``owner`` in each Simulator scheduling call
+_OWNER_ARG = {"schedule": 4, "after": 4, "send_classical": 5}
+
+
+def _scheduling_calls(tree: ast.Module):
+    """Yield (enclosing qualname, call) for each engine scheduling call."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _OWNER_ARG
+            ):
+                yield scope, child
+            yield from visit(child, inner)
+
+    yield from visit(tree, "")
+
+
+def _owner_of(call: ast.Call):
+    for kw in call.keywords:
+        if kw.arg == "owner":
+            return kw.value
+    index = _OWNER_ARG[call.func.attr]
+    return call.args[index] if len(call.args) > index else None
+
+
+def test_every_protocol_event_names_its_owner():
+    # the engine retires an event only through its owner, so an event with
+    # none outlives whatever sent it; a request's arrival alone has no owner
+    # yet, since the arrival is what brings it into the run
+    ownerless, owned = [], 0
+    for name in ("linklayer.py", "netlayer.py"):
+        path = ROOT / "src" / "qrnet" / name
+        for scope, call in _scheduling_calls(ast.parse(path.read_text(), str(path))):
+            owner = _owner_of(call)
+            if owner is None or (isinstance(owner, ast.Constant) and owner.value is None):
+                ownerless.append(f"{name} {scope} {call.func.attr}")
+            else:
+                owned += 1
+    assert ownerless == ["netlayer.py NetworkService._push schedule"]
+    assert owned  # the scan does see the calls
