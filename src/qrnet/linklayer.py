@@ -53,7 +53,7 @@ from .capability import (
     can_purify,
     supports_link,
 )
-from .engine import EventKind, Owner, Simulator
+from .engine import ATTEMPT_TICK, Owner, Simulator
 from .model import (
     EdgeSpec,
     NodeSpec,
@@ -255,6 +255,8 @@ class _Segment:
         self.node_a = session.path[index]
         self.node_b = session.path[index + 1]
         self.edge = session.edges[index]
+        # one attempt slot; every tick, park, wake and restart steps by it
+        self.period = 1.0 / self.edge.attempt_rate_hz
         layout = session.layout
         self.spec_a = layout.specs[index]
         self.spec_b = layout.specs[index + 1]
@@ -288,8 +290,8 @@ class _Segment:
 
     def _schedule_tick(self) -> None:
         self.session.engine.after(
-            1.0 / self.edge.attempt_rate_hz,
-            EventKind.ATTEMPT_TICK,
+            self.period,
+            ATTEMPT_TICK,
             self._tick,
             self._summary,
             self._clock,
@@ -299,13 +301,14 @@ class _Segment:
         if self.done:
             return
         session = self.session
-        blocked = None if session.blocked_at is None else session.blocked_at(self)
+        gate = session.blocked_at
+        blocked = None if gate is None else gate(self)
         if blocked is not None:
             # wait at the blocking node until it can serve us instead of
             # polling; the attempt clock keeps running from the next slot
             node_id, need = blocked
             engine = session.engine
-            self._next_tick = engine.now + 1.0 / self.edge.attempt_rate_hz
+            self._next_tick = engine.now + self.period
             self.parked_at = node_id
             engine.memory.park(self, node_id, need, session.tag)
             return
@@ -354,23 +357,24 @@ class _Segment:
 
         The slots are replayed with the float steps ``Simulator.after``
         takes from tick to tick, so attempt times, and every random draw,
-        are the ones a segment polling at each slot would have made.
+        are the ones a segment polling at each slot would have made. A
+        retry that restarts a parked segment only moves the slot it
+        replays from (``restart``); it stays parked, and this is still the
+        only way it ticks again.
         """
         self.parked_at = None
         engine = self.session.engine
-        period = 1.0 / self.edge.attempt_rate_hz
+        now, period = engine.now, self.period
         t = self._next_tick
-        while t <= engine.now:
+        while t <= now:
             t += period
-        engine.schedule(
-            t, EventKind.ATTEMPT_TICK, self._tick, self._summary, self._clock
-        )
+        engine.schedule(t, ATTEMPT_TICK, self._tick, self._summary, self._clock)
 
     def restart(self) -> None:
         # a parked segment stays parked on its new clock: nothing has woken
         # it, so a fresh segment's first tick would find the gate shut too
         if self.parked_at is not None:
-            self._next_tick = self.session.engine.now + 1.0 / self.edge.attempt_rate_hz
+            self._next_tick = self.session.engine.now + self.period
         else:
             self._clock.finished = True
             self._clock = Owner()
@@ -568,7 +572,14 @@ class LinkSession:
         return not self.finished and not any(s.stored for s in self.segments)
 
     def restart(self) -> None:
-        """Begin an ``untouched`` session again at now, as a fresh one would."""
+        """Begin an ``untouched`` session again at now, as a fresh one would.
+
+        It touches only the session's stats and its segments' clocks. A
+        segment parked at a shut gate stays parked, and its clock restarts
+        at now. Any other segment retires its clock, with the tick pending
+        on it, and ticks one slot from now on a new one. Nothing is built,
+        released or woken.
+        """
         self.stats = SessionStats(started_at=self.engine.now)
         for segment in self.segments:
             if segment.started:
@@ -824,7 +835,7 @@ class _LogicalHopFlow:
         edge = session.edges[0]
         session.engine.after(
             1.0 / edge.attempt_rate_hz,
-            EventKind.ATTEMPT_TICK,
+            ATTEMPT_TICK,
             self._depart,
             f"encode {edge.edge_id}",
             session,

@@ -38,7 +38,14 @@ from .capability import (
     can_swap,
     validate_request,
 )
-from .engine import EventKind, Owner, PastEventError, ResourceExhausted, Simulator
+from .engine import (
+    PROTOCOL_STEP,
+    TIMEOUT,
+    Owner,
+    PastEventError,
+    ResourceExhausted,
+    Simulator,
+)
 from .linklayer import (
     ChannelResult,
     Failure,
@@ -572,6 +579,13 @@ class _ClLeg:
     aborted, and the retry sends that decision's frame again under a new
     frame id, restarting the source hop if it never stored a pair.  Each
     try owns its events, so the engine drops them once the try has ended.
+
+    A retry costs what the try touched. An idle try, one whose frame still
+    waits at the source for a source hop that has stored nothing, such as
+    a hop parked at a shut gate, wrote no state but its owner. Its retry
+    ends that owner, counts the retry, renames the held frame, queues the
+    next timeout and restarts the hop (``LinkSession.restart``). It builds,
+    aborts, frees and decides nothing.
     """
 
     def __init__(
@@ -607,11 +621,13 @@ class _ClLeg:
         self.retries = 0
         self.finished = False
         self._sessions: list[LinkSession] = []
+        self._timeout_summary = f"cl timeout {tag}"
+        # owns the try's events; ends when the try aborts or the leg closes
+        self._try = Owner()
         self._reset_try_state()
 
     def _reset_try_state(self) -> None:
-        # owns the try's events; ends when the try aborts or the leg closes
-        self._try = Owner()
+        # what a try writes; an idle try wrote none of it (see _abort_try)
         self.chain: WernerLink | None = None
         self.chain_end: str | None = self.src
         self.pairs: dict[str, tuple[str, WernerLink]] = {}
@@ -641,9 +657,9 @@ class _ClLeg:
         if math.isfinite(self.timeout):
             self.engine.after(
                 self.timeout,
-                EventKind.TIMEOUT,
+                TIMEOUT,
                 self._timed_out,
-                f"cl timeout {self.tag}",
+                self._timeout_summary,
                 self._try,
             )
 
@@ -656,7 +672,6 @@ class _ClLeg:
             return
         self._abort_try(retrying=True)
         self.retries += 1
-        self._reset_try_state()
         # the source's forwarding decision reads only the tables, the
         # addresses and the ttl, so the first try's holds for every retry;
         # only the frame id is new
@@ -670,7 +685,13 @@ class _ClLeg:
         # halves parked at downstream nodes.  A retry's frame leaves the
         # source over the same table edge, so the retry restarts the source
         # hop, always the try's first session, if it never stored a pair.
+        # An idle try (see the class docstring) touched nothing else, so
+        # its retry ends only its owner.
         self._try.finished = True
+        if retrying:
+            self._try = Owner()
+            if self.src in self.held_frames and not self._node_held:
+                return
         sessions = self._sessions
         keep = retrying and bool(sessions) and sessions[0].untouched
         self._sessions = sessions[:1] if keep else []
@@ -678,6 +699,8 @@ class _ClLeg:
             session.abort("Superseded", "source timed out this attempt")
         if self._node_held:  # the tag holds slots only where _claim put them
             self.engine.memory.release_all(self.tag, self.engine.now)
+        if retrying:
+            self._reset_try_state()
 
     def _close(self, notify: Callable, *args) -> None:
         if self.finished:
@@ -749,7 +772,7 @@ class _ClLeg:
             return
         self.engine.after(
             lead,
-            EventKind.PROTOCOL_STEP,
+            PROTOCOL_STEP,
             lambda n=node, x=nxt, e=edge, b=buf: self._third_send(n, x, e, b),
             f"encode {self.tag}" if lead else f"relay {self.tag}",
             self._try,
@@ -801,19 +824,16 @@ class _ClLeg:
         self._sessions.append(session)
         session.start()
 
-    def _width(self, v: str) -> int:
-        # an interior sees two halves of this chain (incoming pair and
-        # outgoing pair), the endpoints only one
-        return 1 if v in (self.src, self.dst) else 2
-
     def _blocked_at(self, segment) -> tuple[str, int] | None:
         # reserve an interior whole at first touch; half-filled nodes
-        # wedge every chain that converges on them
+        # wedge every chain that converges on them. An interior sees two
+        # halves of this chain (incoming pair and outgoing pair), the
+        # endpoints only one
         ledger = self.engine.memory
         for v in (segment.node_a, segment.node_b):
             if v not in self._node_held:
-                need = self._width(v)
-                if ledger.available(v) < need:
+                need = 1 if v == self.src or v == self.dst else 2
+                if ledger.capacity[v] - ledger.in_use[v] < need:
                     return v, need
         return None
 
@@ -823,7 +843,8 @@ class _ClLeg:
         ledger = self.engine.memory
         for v in (segment.node_a, segment.node_b):
             if v not in self._node_held:
-                ledger.acquire(v, self._width(v), self.tag, self.engine.now)
+                need = 1 if v == self.src or v == self.dst else 2
+                ledger.acquire(v, need, self.tag, self.engine.now)
                 self._node_held.add(v)
                 # v no longer gates this leg's other hops through it
                 ledger.wake(v, self.tag)
@@ -965,6 +986,8 @@ class _RequestState:
         self.drops: dict[str, int] = {}
         self.finished = False
         self.route: _Route | None = None
+        # the (node, slots) of its plan that last found too few slots free
+        self.short: tuple[str, int] | None = None
         self.session: LinkSession | None = None
         self.legs: list[_ClLeg] = []
         self.leg_results: dict[int, WernerLink] = {}
@@ -1308,7 +1331,7 @@ class NetworkService:
         if request.deadline is not None:
             self.engine.schedule(
                 emission + request.deadline,
-                EventKind.TIMEOUT,
+                TIMEOUT,
                 lambda: self._finish(state, "Timeout", detail="deadline passed"),
                 f"deadline {state.tag}",
                 seq=seq - 1,
@@ -1316,7 +1339,7 @@ class NetworkService:
             )
         self.engine.schedule(
             emission,
-            EventKind.PROTOCOL_STEP,
+            PROTOCOL_STEP,
             lambda: self._arrive(state, feeds),
             f"request {request.request_id} ({request.model.value})",
             seq=seq,
@@ -1395,23 +1418,30 @@ class NetworkService:
         # request holds back everything behind it; a request closed while
         # queued leaves the queue when it reaches the head. Admission let in
         # only plans that fit each node's capacity, so every head fits once
-        # the slots it waits for are released
+        # the slots it waits for are released. A head stays blocked while
+        # the node where its plan last fell short still is, so only a
+        # release there can let it in
         ledger = self.engine.memory
         while self._queue:
             state = self._queue[0]
             if state.finished:
                 self._queue.popleft()
                 continue
-            plan = state.route.plan
-            if any(ledger.available(n) < k for n, k in plan):
+            short = state.short
+            if short is not None and ledger.available(short[0]) < short[1]:
                 return
+            plan = state.route.plan
+            for entry in plan:
+                if ledger.available(entry[0]) < entry[1]:
+                    state.short = entry
+                    return
             self._queue.popleft()
             now = self.engine.now
             for node_id, slots in plan:
                 ledger.acquire(node_id, slots, state.tag, now)
             self.engine.schedule(
                 self._orders_at(state.route.path),
-                EventKind.PROTOCOL_STEP,
+                PROTOCOL_STEP,
                 lambda s=state: self._co_start_session(s),
                 f"orders {state.request.request_id}",
                 owner=state,
@@ -1538,7 +1568,7 @@ class NetworkService:
         request = state.request
         self.engine.schedule(
             self._orders_at([request.src, *request.waypoints, request.dst]),
-            EventKind.PROTOCOL_STEP,
+            PROTOCOL_STEP,
             lambda: self._hybrid_begin(state),
             f"orders {request.request_id}",
             owner=state,

@@ -22,10 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "qrnet"
 # import qrnet by this absolute path, so code objects name the files below
 sys.path.insert(0, str(SRC.parent))
 
-# (file, the line's stripped text, or None for the whole file) -> reason
+# (file, the line's stripped text) -> reason
 ALLOWED = {
-    ("cli.py", None): "runs only in the subprocesses of test_cli and the demos",
-    ("__main__.py", None): "runs only in the subprocesses of test_cli",
     (
         "netlayer.py",
         'return Failure("Stalled", "event queue drained before the request finished")',
@@ -67,14 +65,13 @@ def main(argv: list[str]) -> int:
         return 1
     failures = []
     for name, path in files.items():
-        whole = ALLOWED.get((path.name, None))
         source = path.read_text().splitlines()
         for line in sorted(expected_lines(path) - ran[name]):
             text = source[line - 1].strip()
-            if whole is None and (path.name, text) not in ALLOWED:
+            if (path.name, text) not in ALLOWED:
                 failures.append(f"{path.name}:{line}: not run: {text}")
         for (file, text) in ALLOWED:
-            if file == path.name and text is not None:
+            if file == path.name:
                 hits = [i + 1 for i, s in enumerate(source) if s.strip() == text]
                 if not hits or all(i in ran[name] for i in hits):
                     failures.append(f"{file}: allowed line runs or is gone: {text}")

@@ -1,6 +1,10 @@
+import runpy
+import sys
+
 import pytest
 
 from qrnet import cli
+from qrnet.capability import MATRIX_COLUMNS, matrix_rows
 from qrnet.harness import CSV_HEADER
 
 
@@ -53,3 +57,71 @@ def test_a_relay_that_cannot_serve_the_request_gives_a_row_not_an_abort(tmp_path
     assert out.read_text().splitlines() == [
         CSV_HEADER, "q,0,cl,first,ol,CapabilityViolation,0,,0,0,0,0",
     ]
+
+
+def test_validate_prints_ok_or_each_violation(tmp_path, capsys):
+    good, bad, broken = tmp_path / "good.topo", tmp_path / "bad.topo", tmp_path / "broken.topo"
+    good.write_text("node a role=end memories=4\nnode b role=end memories=4\nedge a b\n")
+    bad.write_text("node r role=repeater memories=1\n")
+    broken.write_text("node a memories=many\n")
+    assert cli.main(["validate", "--topology", str(good)]) == 0
+    assert capsys.readouterr().out == "ok: 2 nodes, 1 edges\n"
+    assert cli.main(["validate", "--topology", str(bad)]) == 1
+    assert capsys.readouterr().out == (
+        "BadMemory r: repeaters and switches need at least 2 memory slots"
+        " unless they are third class\n"
+    )
+    assert cli.main(["validate", "--topology", str(broken)]) == 1
+    assert capsys.readouterr().err.startswith(f"{broken}: line 1: ")
+
+
+def test_matrix_prints_one_row_per_class(capsys):
+    assert cli.main(["matrix"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == list(MATRIX_COLUMNS)
+    assert [row.split() for row in rows] == [
+        [name, *cells] for name, cells in matrix_rows()
+    ]
+
+
+def test_oracle_exits_0_within_tolerance_and_2_beyond_it(capsys, monkeypatch):
+    assert cli.main(["oracle"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("ok: worst deviation ")
+    monkeypatch.setattr(cli, "run_suite", lambda: {"pairs": 1, "swap": 1e-3})
+    assert cli.main(["oracle"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "random fidelity pairs: 1",
+        "                    swap: 1.000e-03",
+        "FAIL: worst deviation 1.000e-03 > 1e-09",
+    ]
+
+
+def test_python_dash_m_qrnet_exits_with_the_commands_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qrnet", "matrix"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("qrnet", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.split()[: len(MATRIX_COLUMNS)] == list(MATRIX_COLUMNS)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["nonsense"], "qrnet: error: argument command: invalid choice"),
+    (["validate", "--topology", "{tmp}/missing.topo"], "cannot read {tmp}/missing.topo: "),
+    (["run", "--topology", "{tmp}/broken.topo", "--scenario", "{tmp}/x.scen",
+      "--out", "{tmp}/out.csv"], "{tmp}/broken.topo: line 1: "),
+    (["run", "--topology", "{tmp}/net.topo", "--scenario", "{tmp}/x.scen",
+      "--out", "{tmp}"], "run failed: IsADirectoryError: "),
+], ids=["bad-usage", "unreadable", "bad-topology", "unwritable-out"])
+def test_bad_input_exits_1_and_a_failed_run_exits_2(tmp_path, capsys, argv, err):
+    (tmp_path / "broken.topo").write_text("node a memories=many\n")
+    (tmp_path / "net.topo").write_text(
+        "node a role=end memories=4\nnode b role=end memories=4\nedge a b\n"
+    )
+    (tmp_path / "x.scen").write_text("request src=a dst=b model=co\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exit:
+        code = exit.code
+    assert code == (2 if err.startswith("run failed") else 1)
+    assert err.format(tmp=tmp_path) in capsys.readouterr().err

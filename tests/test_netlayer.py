@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import math
 import re
@@ -32,6 +33,8 @@ from qrnet import (
     establish,
 )
 from qrnet import netlayer, physics
+from qrnet.engine import MemoryLedger
+from qrnet.harness import emit_metrics, parse_scenario, parse_topology, run_experiment
 from qrnet.linklayer import LinkSession
 
 from conftest import chain_topology, grid_topology
@@ -522,6 +525,54 @@ def test_co_contention_is_fifo_and_restores_slots(monkeypatch):
     # each request's plan is made once, when it is routed, however often
     # the blocked q2 is tried again
     assert plans == [["a", "r", "b"], ["c", "r", "d"]]
+
+
+def test_a_blocked_co_head_is_rechecked_only_where_it_fell_short(monkeypatch):
+    # b (n0 -> n1) queues behind a (n1 -> n4) for n1's one slot, the second
+    # of its plan, while a's swaps at n2 and n3 send release notices: each
+    # notice re-checks only n1, which a holds until it closes
+    topology = (
+        "node n0 role=end memories=2\n"
+        "node n1 role=end memories=1\n"
+        "node n2 role=switch memories=2\n"
+        "node n3 role=switch memories=2\n"
+        "node n4 role=end memories=2\n"
+        + "".join(
+            f"edge n{i} n{i + 1} length_km=5 alpha=0 p_src=0.5 rate_hz=1e4\n"
+            for i in range(4)
+        )
+    )
+    scenario = (
+        "seed=7\ncontroller=n2\n"
+        "request id=a src=n1 dst=n4 model=co class=first protocol=sl arrivals=fixed:0\n"
+        "request id=b src=n0 dst=n1 model=co class=first protocol=sl"
+        " arrivals=fixed:0.000001\n"
+    )
+    checks = [0]
+    blocked = []  # free-slot reads of each _try_admit that left b queued
+    available, try_admit = MemoryLedger.available, NetworkService._try_admit
+
+    def counting_available(ledger, node_id):
+        checks[0] += 1
+        return available(ledger, node_id)
+
+    def recording_try_admit(service):
+        checks[0] = 0
+        try_admit(service)
+        if service._queue:
+            blocked.append(checks[0])
+
+    monkeypatch.setattr(MemoryLedger, "available", counting_available)
+    monkeypatch.setattr(NetworkService, "_try_admit", recording_try_admit)
+    rows = run_experiment(parse_topology(topology), parse_scenario(scenario))
+    out = io.StringIO()
+    emit_metrics(rows, out)
+    # b's arrival scans its plan, n0 then n1; each of a's two notices reads n1
+    assert blocked == [2, 1, 1]
+    assert [row["outcome"] for row in rows] == ["success", "success"]
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "2b4df25aae7e2cca804cdaebf2708586b3c78fb2a549ab7290b13ae3ce19efd2"
+    )
 
 
 def test_no_event_of_a_closed_co_request_runs_after_its_outcome():
@@ -1022,6 +1073,61 @@ def test_cl_retry_of_a_try_idle_at_its_source_only_renames_its_frame(
         slot += period
     assert _ticks(executed, "e0")[-1] == slot
     assert out.stats.attempts_total == 2
+
+
+def test_cl_retry_of_a_parked_source_hop_ends_only_its_owner(monkeypatch):
+    # store and forward holds the frame at n0 while the source hop waits,
+    # parked, for n1's slots until 12.3 ms: each retry before then finds a
+    # try that touched nothing but that hop, so it builds, aborts and frees
+    # nothing and decides nothing again; it ends the try's owner, counts
+    # the retry and restarts the hop
+    release_at = 0.0123
+    built, aborted, freed, decided, tries = [], [], [], [], []
+    init, abort = LinkSession.__init__, LinkSession.abort
+    release_all, timed_out = MemoryLedger.release_all, netlayer._ClLeg._timed_out
+    forward_frame = netlayer.forward_frame
+
+    def recording_init(session, engine, path, *args, **kwargs):
+        built.append((engine.now, tuple(path)))
+        init(session, engine, path, *args, **kwargs)
+
+    def recording_abort(session, *args):
+        aborted.append(session.engine.now)
+        abort(session, *args)
+
+    def recording_release_all(ledger, tag, now):
+        freed.append((now, tag))
+        release_all(ledger, tag, now)
+
+    def recording_forward_frame(topology, tables, node, buf):
+        decided.append(node)
+        return forward_frame(topology, tables, node, buf)
+
+    def recording_timed_out(leg):
+        before = leg._try
+        timed_out(leg)
+        renewed = leg._try is not before and not leg._try.finished
+        tries.append((leg.engine.now, before.finished, renewed))
+
+    monkeypatch.setattr(LinkSession, "__init__", recording_init)
+    monkeypatch.setattr(LinkSession, "abort", recording_abort)
+    monkeypatch.setattr(MemoryLedger, "release_all", recording_release_all)
+    monkeypatch.setattr(netlayer, "forward_frame", recording_forward_frame)
+    monkeypatch.setattr(netlayer._ClLeg, "_timed_out", recording_timed_out)
+    out, _ = _blocked_chain_run(
+        release_at, cl_timeout=0.002, retry_limit=20, pipelining=False
+    )
+    assert out.outcome == "Completed"
+    assert len(tries) >= 3
+    assert tries[-1][0] < release_at
+    assert out.retries == len(tries)
+    # each retry ends the try's owner and makes the next try a new one
+    assert all(ended and renewed for _, ended, renewed in tries)
+    assert built[0] == (0.0, ("n0", "n1"))
+    assert all(now > release_at for now, _ in built[1:])
+    assert all(now > release_at for now in aborted)
+    assert decided.count("n0") == 1
+    assert [tag for now, tag in freed if now <= release_at] == ["blocker"]
 
 
 def test_cl_source_hop_whose_pumping_round_failed_is_rebuilt(built_sessions, monkeypatch):
