@@ -79,10 +79,11 @@ class MemoryLedger:
     read, so the ledger holds only the tags of live owners.
 
     A waiter blocked on memory parks at the one node that blocks it, with
-    the slots it needs there and its owner's tag, instead of polling.
-    ``release`` and ``release_all`` wake only the waiters at the freed node
-    whose need now fits; the rest stay parked.  An owner whose own claim of
-    a node unblocks its waiters there wakes them with ``wake(node, tag)``.
+    the slots it needs there, instead of polling.  ``release`` and
+    ``release_all`` wake only the waiters at the freed node whose need now
+    fits; the rest stay parked.  Only those two free slots, so every parked
+    waiter needs more slots than its node has free, and nothing else can
+    unblock it.
     """
 
     def __init__(self, topology: Topology):
@@ -91,7 +92,7 @@ class MemoryLedger:
         }
         self.in_use: dict[str, int] = {node_id: 0 for node_id in topology.nodes}
         self._by_tag: dict[str, dict[str, list]] = {}
-        # node -> {waiter: (need, tag)}, in parking order
+        # node -> {waiter: need}, in parking order
         self._waiters: dict[str, dict] = {node_id: {} for node_id in topology.nodes}
 
     def available(self, node_id: str) -> int:
@@ -139,28 +140,23 @@ class MemoryLedger:
                 entry[0] = 0
                 self.wake(node_id)
 
-    def park(self, waiter, node_id: str, need: int, tag: str) -> None:
+    def park(self, waiter, node_id: str, need: int) -> None:
         """Hold ``waiter`` until ``need`` slots are free at ``node_id``."""
-        self._waiters[node_id][waiter] = (need, tag)
+        self._waiters[node_id][waiter] = need
 
     def unpark(self, waiter, node_id: str) -> None:
         self._waiters[node_id].pop(waiter, None)
 
-    def wake(self, node_id: str, tag: str | None = None) -> None:
+    def wake(self, node_id: str) -> None:
         """Wake, in parking order, the waiters ``node_id`` can now serve.
 
-        With a ``tag``, wake that tag's waiters there instead, whatever
-        their need.  Each woken waiter leaves the list and gets one
-        ``wake()`` call.
+        Each woken waiter leaves the list and gets one ``wake()`` call.
         """
         waiting = self._waiters[node_id]
         if not waiting:
             return
-        if tag is None:
-            free = self.capacity[node_id] - self.in_use[node_id]
-            woken = [w for w, (need, _) in waiting.items() if need <= free]
-        else:
-            woken = [w for w, (_, owner) in waiting.items() if owner == tag]
+        free = self.capacity[node_id] - self.in_use[node_id]
+        woken = [w for w, need in waiting.items() if need <= free]
         for waiter in woken:
             del waiting[waiter]
             waiter.wake()

@@ -382,6 +382,29 @@ def _expand_arrivals(template: RequestTemplate, sim: Simulator, duration) -> lis
         times.append(t)
 
 
+def _row(
+    request_id, trial, model, cls, protocol, arrival, outcome,
+    latency=0.0, fidelity=None, attempts=0, rounds=0, retries=0, occupancy=0.0,
+) -> dict:
+    """One request's row: the CSV columns in order, with ``arrival`` ahead
+    of ``outcome``. The defaults are those of a request that never ran."""
+    return {
+        "request_id": request_id,
+        "trial": trial,
+        "model": model.value,
+        "class": cls.value,
+        "link_protocol": protocol.value,
+        "outcome": outcome,
+        "setup_latency_s": latency,
+        "end_fidelity": fidelity,
+        "attempts_total": attempts,
+        "purification_rounds": rounds,
+        "retries": retries,
+        "node_occupancy_s": occupancy,
+        "arrival": arrival,
+    }
+
+
 def run_experiment(
     topology: Topology,
     scenario: Scenario,
@@ -423,30 +446,21 @@ def run_experiment(
         arrival_of: dict[str, float] = {}
 
         def add_row(outcome):
-            request = outcome.request
-            rows.append(
-                {
-                    "request_id": request.request_id,
-                    "trial": trial,
-                    "model": request.model.value,
-                    "class": request.repeater_class.value,
-                    "link_protocol": request.link_protocol.value,
-                    "outcome": "success" if outcome.completed else outcome.outcome,
-                    "setup_latency_s": outcome.setup_latency_s,
-                    "end_fidelity": (
-                        fidelity_of(outcome.link.w)
-                        if outcome.completed and outcome.link is not None
-                        else None
-                    ),
-                    "attempts_total": outcome.stats.attempts_total,
-                    "purification_rounds": outcome.stats.purification_rounds,
-                    "retries": outcome.retries,
-                    "node_occupancy_s": outcome.node_occupancy_s,
-                    "arrival": arrival_of.pop(request.request_id),
-                }
-            )
+            request, stats, link = outcome.request, outcome.stats, outcome.link
+            completed = outcome.completed
+            rows.append(_row(
+                request.request_id, trial,
+                request.model, request.repeater_class, request.link_protocol,
+                arrival_of.pop(request.request_id),
+                "success" if completed else outcome.outcome,
+                outcome.setup_latency_s,
+                fidelity_of(link.w) if completed and link is not None else None,
+                stats.attempts_total, stats.purification_rounds,
+                outcome.retries, outcome.node_occupancy_s,
+            ))
 
-        invalid: list[tuple[str, str, RequestTemplate, float]] = []
+        # kept apart until the run ends, so ties sort as they always have
+        invalid: list[dict] = []
         for template in scenario.requests:
             times = _expand_arrivals(template, sim, scenario.duration)
             many = len(times) > 1
@@ -469,29 +483,15 @@ def run_experiment(
                     service.submit(request, at=at, on_outcome=add_row)
                     # a refused id may be another request's, which keeps its arrival
                     arrival_of[rid] = at
-                except ValueError as err:
-                    invalid.append((rid, str(err), template, at))
+                except ValueError:
+                    invalid.append(_row(
+                        rid, trial, template.model, template.repeater_class,
+                        template.protocol, at, "InvalidRequest",
+                    ))
         sim.run_until()
         if arrival_of:
             raise RuntimeError(f"requests never closed: {', '.join(arrival_of)}")
-        for rid, reason, template, at in invalid:
-            rows.append(
-                {
-                    "request_id": rid,
-                    "trial": trial,
-                    "model": template.model.value,
-                    "class": template.repeater_class.value,
-                    "link_protocol": template.protocol.value,
-                    "outcome": "InvalidRequest",
-                    "setup_latency_s": 0.0,
-                    "end_fidelity": None,
-                    "attempts_total": 0,
-                    "purification_rounds": 0,
-                    "retries": 0,
-                    "node_occupancy_s": 0.0,
-                    "arrival": at,
-                }
-            )
+        rows += invalid
     rows.sort(key=lambda r: (r["trial"], r["arrival"], r["request_id"]))
     return rows
 

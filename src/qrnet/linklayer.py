@@ -26,16 +26,17 @@ both its heralds land, one pumped pair at a time; only base pairs occupy
 tracked memory slots.  Round outcomes are exchanged classically before a
 segment is declared ready.
 
-A session's ``blocked_at`` gate may hold a segment back until memory frees.
+A session holds no memory slots: its owner reserves and frees them, and
+learns from ``on_node_free`` when a swap consumes a node's two halves.  A
+``blocked_at`` gate may hold a segment back until memory frees.
 Generation ticks on each segment's attempt clock, one slot per
 ``1/attempt_rate_hz``.  A tick that finds the gate shut parks the segment
 on the memory ledger at the one node that blocks it, with the slots it
-needs there.  Only a release that leaves that many slots free there, or
-the gate owner's own claim of the node, wakes it, and it ticks again at the
-first slot of its clock after the wake.  Attempt times are those of a
-segment that checked the gate at every slot, but the trace shows an
-``AttemptTick`` only at the slot that found the gate shut and at the first
-slot after each wake, not at the slots waited through.
+needs there.  Only a release that leaves that many slots free there wakes
+it, and it ticks again at the first slot of its clock after the wake.
+Attempt times are those of a segment that checked the gate at every slot,
+but the trace shows an ``AttemptTick`` only at the slot that found the
+gate shut and at the first slot after each wake.
 """
 
 from __future__ import annotations
@@ -85,16 +86,6 @@ def swap_schedule(path: list[str], policy: SwapPolicy) -> list[list[str]]:
         rounds.append([path[i] for i in boundaries[0::2]])
         boundaries = boundaries[1::2]
     return rounds
-
-
-def memory_plan(path: list[str], cls: RepeaterClass) -> dict[str, int]:
-    """One slot at each end of ``path`` and two at each interior, ends first.
-
-    Third class and all-photonic nodes hold no pair, so the plan is empty.
-    """
-    if cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
-        return {}
-    return {path[0]: 1, path[-1]: 1, **dict.fromkeys(path[1:-1], 2)}
 
 
 def segment_decay_rate(cls: RepeaterClass, spec_a: NodeSpec, spec_b: NodeSpec) -> float:
@@ -310,7 +301,7 @@ class _Segment:
             engine = session.engine
             self._next_tick = engine.now + self.period
             self.parked_at = node_id
-            engine.memory.park(self, node_id, need, session.tag)
+            engine.memory.park(self, node_id, need)
             return
         rng = session.engine.stream(f"gen:{self.edge.edge_id}")
         session.stats.attempts_total += 1
@@ -471,14 +462,14 @@ class LinkSession:
     finishing retires those clocks too, so the engine drops every pending
     event of a finished session.
     ``on_done`` and ``on_node_free`` let a network layer react to completion
-    and to interior nodes being released after their swap.
+    and to an interior node's swap, which consumes both its halves; the
+    session itself holds no slots, so the owner frees them there.
 
     ``blocked_at(segment)`` gates memory: ``None`` lets the segment
     attempt, ``(node, need)`` names the first of its nodes that cannot
-    serve it and the slots it needs there.  The segment parks there under
-    the session's tag until a ``MemoryLedger`` release leaves ``need`` slots
-    free or the owner calls ``MemoryLedger.wake(node, tag)``, so the gate
-    may open at a node only through one of those.  ``on_pair_stored`` runs
+    serve it and the slots it needs there.  The segment parks there until
+    a ``MemoryLedger`` release leaves ``need`` slots free, so the gate may
+    open at a node only through a release there.  ``on_pair_stored`` runs
     only for a base pair, one a segment generates while it holds no pair,
     and in the same tick as the ``blocked_at`` that passed, so the ledger
     cannot change in between.  An ``untouched`` session holds nothing a
@@ -503,8 +494,6 @@ class LinkSession:
         policy: SwapPolicy = SwapPolicy.HIERARCHICAL,
         pipelining: bool = True,
         options: AllPhotonicOptions | None = None,
-        manage_memory: bool = True,
-        tag: str | None = None,
         on_done: Callable[["LinkSession"], None] | None = None,
         on_node_free: Callable[[str], None] | None = None,
         blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
@@ -525,8 +514,6 @@ class LinkSession:
         self.params = engine.params
         self.pipelining = pipelining
         self.options = options
-        self.manage_memory = manage_memory
-        self.tag = tag or f"session:{id(self)}"
         self.on_done = on_done
         self.on_node_free = on_node_free
         self.blocked_at = blocked_at
@@ -551,11 +538,8 @@ class LinkSession:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        """Begin the protocol; memory is reserved up front when managed."""
+        """Begin the protocol; the owner has reserved whatever memory it needs."""
         self.stats.started_at = self.engine.now
-        if self.manage_memory:
-            for node_id, slots in memory_plan(self.path, self.cls).items():
-                self.engine.memory.acquire(node_id, slots, self.tag, self.engine.now)
         if self.third_class:
             self._flow = _LogicalHopFlow(self)
         else:
@@ -590,7 +574,8 @@ class LinkSession:
     ) -> WernerLink:
         """Swap ``ab`` and ``bc`` at path[k] into one pair path[a]-path[c].
 
-        Counts the swap and frees path[k], whose two halves are consumed.
+        Counts the swap and reports path[k], whose two halves are consumed,
+        to ``on_node_free``.
         """
         merged = physics.swap(
             ab,
@@ -602,11 +587,8 @@ class LinkSession:
             options=self.options,
         )
         self.stats.swaps += 1
-        node_id = self.path[k]
-        if self.manage_memory and not self.ap_mode:
-            self.engine.memory.release(node_id, 2, self.tag, self.engine.now)
         if self.on_node_free is not None:
-            self.on_node_free(node_id)
+            self.on_node_free(self.path[k])
         return merged
 
     def _complete(self, link: WernerLink) -> None:
@@ -635,8 +617,6 @@ class LinkSession:
             segment._clock.finished = True
             if segment.parked_at is not None:
                 self.engine.memory.unpark(segment, segment.parked_at)
-        if self.manage_memory:
-            self.engine.memory.release_all(self.tag, self.engine.now)
 
     def _report(self) -> None:
         """Hand the result to ``on_done``, then drop every link back here.

@@ -53,7 +53,6 @@ from .linklayer import (
     SessionLayout,
     SessionStats,
     SwapPolicy,
-    memory_plan,
     pumping,
     pumps,
 )
@@ -814,8 +813,6 @@ class _ClLeg:
             self.cls,
             LinkProtocol.ONE_BY_ONE,
             options=self.service.options,
-            manage_memory=False,
-            tag=self.tag,
             blocked_at=self._blocked_at,
             on_pair_stored=self._claim,
             on_done=self._segment_done,
@@ -846,8 +843,6 @@ class _ClLeg:
                 need = 1 if v == self.src or v == self.dst else 2
                 ledger.acquire(v, need, self.tag, self.engine.now)
                 self._node_held.add(v)
-                # v no longer gates this leg's other hops through it
-                ledger.wake(v, self.tag)
 
     def _segment_done(self, session: LinkSession) -> None:
         # every session of an earlier try was aborted when it ended, so a
@@ -949,6 +944,16 @@ class _ClLeg:
 
 # --------------------------------------------------------------------------
 # the service
+
+
+def memory_plan(path: list[str], cls: RepeaterClass) -> dict[str, int]:
+    """One slot at each end of ``path`` and two at each interior, ends first.
+
+    Third class and all-photonic nodes hold no pair, so the plan is empty.
+    """
+    if cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
+        return {}
+    return {path[0]: 1, path[-1]: 1, **dict.fromkeys(path[1:-1], 2)}
 
 
 class _Route(NamedTuple):
@@ -1457,8 +1462,6 @@ class NetworkService:
             policy=self.swap_policy,
             pipelining=self.pipelining,
             options=self.options,
-            manage_memory=False,
-            tag=state.tag,
             on_done=lambda s: self._co_session_done(state, s),
             on_node_free=lambda n: self._co_node_freed(state, n),
             layouts=self._layouts,
@@ -1582,22 +1585,27 @@ class NetworkService:
 
     def _hybrid_alternate(self, state: _RequestState) -> None:
         request = state.request
+        # the whole path now or a failure, whose _finish frees what was taken
+        memory = self.engine.memory
+        try:
+            for node_id, slots in state.route.plan:
+                memory.acquire(node_id, slots, state.tag, self.engine.now)
+        except ResourceExhausted as err:
+            self._finish(state, "ResourceExhausted", detail=str(err))
+            return
         session = LinkSession(
             self.engine,
             state.route.path,
             request.repeater_class,
             LinkProtocol.ONE_BY_ONE,
             options=self.options,
-            manage_memory=True,
-            tag=state.tag,
             on_done=lambda s: self._co_session_done(state, s),
+            # a swap consumes both halves at an interior node
+            on_node_free=lambda n: memory.release(n, 2, state.tag, self.engine.now),
             layouts=self._layouts,
         )
         state.session = session
-        try:
-            session.start()
-        except ResourceExhausted as err:
-            self._finish(state, "ResourceExhausted", detail=str(err))
+        session.start()
 
     def _hybrid_fast(self, state: _RequestState) -> None:
         for i, area in enumerate(state.route.areas):

@@ -77,11 +77,19 @@ def test_validate_request_happy_paths():
 
 
 def test_validate_request_rejections():
-    with pytest.raises(CapabilityViolation):
+    # the message names the protocol that was asked for
+    with pytest.raises(
+        CapabilityViolation,
+        match=r"^third repeaters cannot run the simultaneous link protocol \(disallowed\)$",
+    ):
         validate_request(
             RepeaterClass.THIRD, LinkProtocol.SIMULTANEOUS, ConnectionModel.CONNECTION_ORIENTED
         )
-    with pytest.raises(CapabilityViolation):
+    with pytest.raises(
+        CapabilityViolation,
+        match=r"^all_photonic repeaters cannot run the one-by-one link protocol"
+        r" \(not_considered\)$",
+    ):
         validate_request(
             RepeaterClass.ALL_PHOTONIC, LinkProtocol.ONE_BY_ONE, ConnectionModel.CONNECTION_ORIENTED
         )

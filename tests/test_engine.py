@@ -271,16 +271,17 @@ def test_ledger_wakes_only_the_waiters_a_node_can_serve():
         def wake(self):
             woken.append(self.name)
 
-    one, two, big, gone, mine = (
-        Waiter(name) for name in ("one", "two", "big", "gone", "mine")
+    one, two, big, gone, other = (
+        Waiter(name) for name in ("one", "two", "big", "gone", "other")
     )
     ledger.acquire("n1", 2, "a", now=0.0)
-    ledger.park(big, "n1", 2, "leg:big")
-    ledger.park(one, "n1", 1, "leg:one")
-    ledger.park(gone, "n1", 1, "leg:gone")
-    ledger.park(two, "n1", 1, "leg:two")
+    ledger.acquire("n0", 2, "b", now=0.0)
+    ledger.park(big, "n1", 2)
+    ledger.park(one, "n1", 1)
+    ledger.park(gone, "n1", 1)
+    ledger.park(two, "n1", 1)
     ledger.unpark(gone, "n1")
-    ledger.park(mine, "n0", 2, "leg:mine")
+    ledger.park(other, "n0", 1)
     ledger.acquire("n1", 0, "a", now=0.5)  # acquiring wakes nobody
     assert woken == []
     # one slot frees: the waiters needing one wake in parking order, the
@@ -289,16 +290,11 @@ def test_ledger_wakes_only_the_waiters_a_node_can_serve():
     assert woken == ["one", "two"]
     ledger.release("n1", 0, "a", now=1.5)  # a woken waiter is off the list
     assert woken == ["one", "two"]
-    # a tag wake reaches only that tag's waiters at that node, whatever
-    # their need
-    ledger.acquire("n0", 2, "b", now=2.0)
-    ledger.wake("n0", "leg:other")
-    ledger.wake("n1", "leg:mine")
-    assert woken == ["one", "two"]
-    ledger.wake("n0", "leg:mine")
-    assert woken == ["one", "two", "mine"]
+    # a release wakes only the waiters at the node it frees
     ledger.release_all("a", now=3.0)
-    assert woken == ["one", "two", "mine", "big"]
+    assert woken == ["one", "two", "big"]
+    ledger.release_all("b", now=4.0)
+    assert woken == ["one", "two", "big", "other"]
 
 
 def test_ledger_occupancy_accumulates_across_cycles():

@@ -193,6 +193,8 @@ def test_parse_scenario_rejects_malformed_lines():
         ("duration=nan\n", 1, "line 1: duration must be positive and finite"),
         ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:nan\n", 2,
          "line 2: poisson rate must be positive and finite"),
+        ("duration=1\nrequest src=a dst=b model=co arrivals=poisson:0\n", 2,
+         "line 2: poisson rate must be positive and finite"),
         ("request src=a dst=b model=co arrivals=fixed:0,nan\n", 1,
          "line 1: arrival times must be nonnegative and finite"),
         # so do infinities: an infinite arrival never happens, and an

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import weakref
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -999,6 +1000,70 @@ def test_blocked_cl_hop_released_exactly_on_a_slot_attempts_at_the_next_slot():
     assert _ticks(executed, "e0") == [first, release_at + period]
 
 
+class _CheckedLedger(MemoryLedger):
+    """A ledger that checks, after each call that can free, take or park,
+    that every parked waiter needs more slots than its node has free."""
+
+    def __init__(self, topology):
+        super().__init__(topology)
+        self.needs = {}  # waiter -> the need it last parked with
+        self.parks = self.checked = 0
+
+    def _check(self):
+        for node_id, waiting in self._waiters.items():
+            for waiter in waiting:
+                self.checked += 1
+                need, free = self.needs[waiter], self.available(node_id)
+                assert need > free, f"parked at {node_id} needing {need}, {free} free"
+
+    def acquire(self, *args):
+        super().acquire(*args)
+        self._check()
+
+    def release(self, *args):
+        super().release(*args)
+        self._check()
+
+    def release_all(self, *args):
+        super().release_all(*args)
+        self._check()
+
+    def park(self, waiter, node_id, need, *rest):
+        super().park(waiter, node_id, need, *rest)
+        self.needs[waiter] = need
+        self.parks += 1
+        self._check()
+
+
+@pytest.mark.parametrize("hybrid, pipelining", [
+    (False, True), (False, False), (True, True),
+], ids=["cl", "cl-store-and-forward", "hybrid-fast"])
+def test_a_parked_waiter_always_needs_more_slots_than_its_node_has_free(
+    hybrid, pipelining
+):
+    # only a release frees slots, and it wakes every waiter at the node whose
+    # need now fits; so no claim, by a leg of its own tag or any other, can
+    # unblock a waiter, and a release is the only wake a parked hop needs
+    topo = grid_topology(3, 3, memories=4, p_src=0.5)
+    sim = Simulator(topo, PARAMS, seed=11)
+    ledger = sim.memory = _CheckedLedger(topo)
+    service = NetworkService(sim, controller="g11", pipelining=pipelining)
+    ends = [("g00", "g22"), ("g02", "g20"), ("g01", "g21"), ("g10", "g12")]
+    for k in range(40):
+        src, dst = ends[k % len(ends)]
+        model = ConnectionModel.HYBRID if hybrid else ConnectionModel.CONNECTIONLESS
+        service.submit(ConnectionRequest(
+            f"q{k}", src, dst, RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE, model,
+            waypoints=("g11",) if hybrid else (),
+        ), at=k * 5e-4)
+    sim.run_until()
+    outcomes = Counter(o.outcome for o in service.outcomes)
+    assert sum(outcomes.values()) == 40 and outcomes["Completed"], outcomes
+    assert ledger.parks and ledger.checked, (ledger.parks, ledger.checked)
+    for n in topo.nodes:
+        assert ledger.available(n) == topo.nodes[n].memory_count
+
+
 def test_blocked_cl_source_hop_is_built_once_across_retries(built_sessions):
     # tries time out every 2 ms while n1 is full until 12.3 ms; the source
     # hop never stores a pair meanwhile, so each retry restarts it
@@ -1351,10 +1416,14 @@ def test_request_validation():
         ConnectionRequest("x", "a", "a", RepeaterClass.FIRST,
                           LinkProtocol.ONE_BY_ONE,
                           ConnectionModel.CONNECTIONLESS)
-    with pytest.raises(ValueError):
-        ConnectionRequest("x", "a", "b", RepeaterClass.FIRST,
-                          LinkProtocol.ONE_BY_ONE,
-                          ConnectionModel.CONNECTIONLESS, f_min=0.1)
+    # f_min spans [0.25, 1], the fidelities a Werner pair can have
+    ConnectionRequest("x", "a", "b", RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
+                      ConnectionModel.CONNECTIONLESS, f_min=0.25)
+    for f_min in (0.1, 0.2499):
+        with pytest.raises(ValueError, match=r"f_min .* outside \[0\.25, 1\]"):
+            ConnectionRequest("x", "a", "b", RepeaterClass.FIRST,
+                              LinkProtocol.ONE_BY_ONE,
+                              ConnectionModel.CONNECTIONLESS, f_min=f_min)
     with pytest.raises(ValueError):
         ConnectionRequest("x", "a", "b", RepeaterClass.FIRST,
                           LinkProtocol.ONE_BY_ONE,

@@ -122,8 +122,8 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 _OWNER_ARG = {"schedule": 4, "after": 4, "send_classical": 5}
 
 
-def _scheduling_calls(tree: ast.Module):
-    """Yield (enclosing qualname, call) for each engine scheduling call."""
+def _calls_to(tree: ast.Module, names):
+    """Yield (enclosing qualname, call) for each call of a method in ``names``."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
@@ -133,7 +133,7 @@ def _scheduling_calls(tree: ast.Module):
             elif (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr in _OWNER_ARG
+                and child.func.attr in names
             ):
                 yield scope, child
             yield from visit(child, inner)
@@ -156,7 +156,7 @@ def test_every_protocol_event_names_its_owner():
     ownerless, owned = [], 0
     for name in ("linklayer.py", "netlayer.py"):
         path = ROOT / "src" / "qrnet" / name
-        for scope, call in _scheduling_calls(ast.parse(path.read_text(), str(path))):
+        for scope, call in _calls_to(ast.parse(path.read_text(), str(path)), _OWNER_ARG):
             owner = _owner_of(call)
             if owner is None or (isinstance(owner, ast.Constant) and owner.value is None):
                 ownerless.append(f"{name} {scope} {call.func.attr}")
@@ -164,3 +164,17 @@ def test_every_protocol_event_names_its_owner():
                 owned += 1
     assert ownerless == ["netlayer.py NetworkService._push schedule"]
     assert owned  # the scan does see the calls
+
+
+def test_the_link_layer_takes_and_frees_no_memory():
+    # a session's owner reserves its slots and frees them, so the link layer
+    # calls the ledger only to park a segment at a shut gate and unpark it
+    path = ROOT / "src" / "qrnet" / "linklayer.py"
+    calls = [
+        f"{scope} {call.func.attr}"
+        for scope, call in _calls_to(
+            ast.parse(path.read_text(), str(path)),
+            {"acquire", "release", "release_all", "park", "unpark"},
+        )
+    ]
+    assert calls == ["_Segment._tick park", "LinkSession._cleanup unpark"]
