@@ -218,9 +218,14 @@ class Simulator:
         self.memory = MemoryLedger(topology)
 
     def stream(self, label: str) -> np.random.Generator:
+        """The stream named ``label``, built on its first use.
+
+        It is ``np.random.default_rng(stream_seed(seed, label))``, built as
+        the PCG64 generator that call returns, without its argument dispatch.
+        """
         gen = self._streams.get(label)
         if gen is None:
-            gen = np.random.default_rng(stream_seed(self.seed, label))
+            gen = np.random.Generator(np.random.PCG64(stream_seed(self.seed, label)))
             self._streams[label] = gen
         return gen
 

@@ -478,10 +478,11 @@ class LinkSession:
     its callbacks, flow and segments.
 
     ``layouts``, when given, is a memo of :class:`SessionLayout` by
-    ``(path, cls, protocol, policy)`` that its owner keeps for one engine
-    and one ``options``: the first session with a key runs the checks of
-    :func:`session_layout` and lays the path out, and every later one with
-    that key reuses the layout, so each distinct session is laid out once.
+    ``(path, cls, protocol, policy)``, each enum as its ``_value_``, that
+    its owner keeps for one topology, one physics and one ``options``: the
+    first session with a key runs the checks of :func:`session_layout` and
+    lays the path out, and every later one with that key reuses the layout,
+    so each distinct session is laid out once.
     """
 
     def __init__(
@@ -501,7 +502,13 @@ class LinkSession:
         layouts: dict | None = None,
     ):
         layouts = {} if layouts is None else layouts
-        key = (tuple(path), cls, protocol, policy)
+        # _value_ strings hash in C; an Enum member's __hash__ runs in Python
+        key = (
+            tuple(path),
+            None if cls is None else cls._value_,
+            protocol._value_,
+            policy._value_,
+        )
         layout = layouts.get(key)
         if layout is None:
             layout = session_layout(engine, path, cls, protocol, policy, options)

@@ -24,7 +24,7 @@ import math
 import struct
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -50,7 +50,6 @@ from .linklayer import (
     ChannelResult,
     Failure,
     LinkSession,
-    SessionLayout,
     SessionStats,
     SwapPolicy,
     pumping,
@@ -263,13 +262,18 @@ class RouteState:
     * the classical-distance rows, each source's filled on its first query;
     * the node pairs, both ways, whose edge never heralds, found once per
       scale on the channel success;
-    * the forwarding ``tables``, whose node tables fill on first read.
+    * the forwarding ``tables``, whose node tables fill on first read;
+    * ``memos``: the admission and session-layout memos of the services
+      that share this state, one pair per ``(physics fields, options,
+      cl_timeout)``, the only things they read beyond the topology and cost
+      (see :class:`NetworkService`).
 
     Everything is built on its first use, so set-up costs what the requests
     read: a connection-oriented request searches only its source's tree, and
     a node's table is filled only when a table walk or a frame reaches it.
     Nothing here depends on a simulator, so ``run_experiment`` builds one
-    per experiment and every trial's :class:`NetworkService` shares it; a
+    per experiment and every trial's :class:`NetworkService` shares it, so
+    each trial after the first reuses the first's admissions and layouts; a
     service given none builds its own. Everything is kept for the
     object's lifetime, which assumes the topology is not edited meanwhile.
     """
@@ -294,6 +298,7 @@ class RouteState:
         self._cdist: dict[str, dict[str, float]] = {}
         self._dark: dict[float, set[tuple[str, str]]] = {}
         self.tables = RoutingTables(self)
+        self.memos: dict[tuple, tuple[dict, dict]] = {}
 
     def tree(
         self, src: str, repeater_class: RepeaterClass | None = None
@@ -749,7 +754,7 @@ class _ClLeg:
 
     def _transit(self, node: str, nxt: str, edge, frame: QuantumFrame) -> None:
         rng = self.engine.stream(f"frame:{edge.edge_id}")
-        if rng.uniform() < self.service.frame_loss_prob:
+        if rng.random() < self.service.frame_loss_prob:
             self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
             return
         self.engine.send_classical(
@@ -766,7 +771,7 @@ class _ClLeg:
         # costs one attempt slot at the source
         lead = 1.0 / edge.attempt_rate_hz if node == self.src else 0.0
         rng = self.engine.stream(f"frame:{edge.edge_id}")
-        if rng.uniform() < self.service.frame_loss_prob:
+        if rng.random() < self.service.frame_loss_prob:
             self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
             return
         self.engine.after(
@@ -1011,12 +1016,17 @@ class NetworkService:
 
     Admission is a function of a request's signature: its model, alternate
     mode, ends, waypoints, class and protocol, and not its deadline, f_min
-    or retry limit. The service works each distinct signature out once, on
-    its first request, and keeps the route, the memory plan, each leg's try
-    timeout, or the refusal row for the rest of its life; likewise it lays
-    out each distinct link session once (:class:`SessionLayout`). Both
-    memos belong to the service, which is built per trial, and both
-    assume, like ``routes``, that the topology is not edited meanwhile.
+    or retry limit. Each distinct signature is worked out once, on its
+    first request, and its route, memory plan, each leg's try timeout, or
+    refusal row is kept; likewise each distinct link session is laid out
+    once (:class:`SessionLayout`). Beyond the topology and ``routes``, an
+    admission reads only the physics, the ``options`` and ``cl_timeout``,
+    and a layout reads the physics and the ``options``. So both memos live
+    in ``routes.memos`` under those three, and every service on one route
+    state with the same three shares them: each trial of one experiment
+    reuses the first's. Keys hold node ids and enum members' ``_value_``
+    strings, which hash in C, and both memos assume, like ``routes``, that
+    the topology is not edited meanwhile.
 
     ``submit`` takes a request's sequence numbers at the call (its deadline
     watchdog's, then its arrival's) and files the request by arrival; the
@@ -1070,8 +1080,9 @@ class NetworkService:
         self._frame_seq = 0
         # admission by request signature, and session layouts by
         # (path, class, protocol, policy); see the class docstring
-        self._admitted: dict[tuple, _Route] = {}
-        self._layouts: dict[tuple, SessionLayout] = {}
+        self._admitted, self._layouts = self.routes.memos.setdefault(
+            (astuple(engine.params), options, cl_timeout), ({}, {})
+        )
 
     # -- plumbing ---------------------------------------------------------
 
@@ -1156,13 +1167,13 @@ class NetworkService:
     def _admission(self, request: ConnectionRequest) -> _Route:
         """``request``'s route, worked out on the first request with its signature."""
         key = (
-            request.model,
+            request.model._value_,
             request.alternate_mode,
             request.src,
             request.dst,
             request.waypoints,
-            request.repeater_class,
-            request.link_protocol,
+            request.repeater_class._value_,
+            request.link_protocol._value_,
         )
         route = self._admitted.get(key)
         if route is None:

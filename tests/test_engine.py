@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -218,6 +219,24 @@ def test_streams_are_labelled_and_replayable():
     _ = [sim_c.stream("gen:e9").random() for _ in range(100)]
     draws_c = [sim_c.stream("gen:e0").random() for _ in range(5)]
     assert draws_c == draws_a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1, 2**64 - 1, 101204085])
+def test_a_stream_draws_what_default_rng_of_its_seed_draws(seed):
+    labels = ["gen:e0", "purify:e1", "hop:e0", "frame:e1", "arrivals:r0"]
+    sim = _sim(seed=seed)
+    for label in labels:
+        stream = sim.stream(label)
+        reference = np.random.default_rng(stream_seed(seed, label))
+        for scale in (1.0, 1.25e-4, 3.0):
+            assert stream.random() == reference.random()
+            assert stream.uniform() == reference.uniform()
+            assert stream.exponential(scale) == reference.exponential(scale)
+        # uniform() with its defaults is random()'s draw, so frame loss may
+        # draw through either
+        fresh = _sim(seed=seed).stream(label)
+        twin = np.random.default_rng(stream_seed(seed, label))
+        assert [fresh.uniform() for _ in range(8)] == [twin.random() for _ in range(8)]
 
 
 def test_link_ids_are_sequential():

@@ -964,7 +964,8 @@ def test_simultaneous_cl_arrivals_rerun_to_the_same_bytes():
     assert runs[0][0].count(b"\n") == 25
 
 
-def test_trials_share_one_route_state(monkeypatch):
+def _mixed_grid():
+    """A 3x3 grid and a two-trial scenario of CO, CL and hybrid requests."""
     # g1_1 is second class, so a first-class CO route needs its own search
     topology_text = _grid_text(3).replace(
         "node g1_1 role=switch class=first", "node g1_1 role=switch class=second"
@@ -982,6 +983,11 @@ def test_trials_share_one_route_state(monkeypatch):
         "request id=hy src=g2_2 dst=g0_0 model=hybrid class=first protocol=ol"
         " waypoints=g1_0 arrivals=fixed:0.001 deadline=0.004\n"
     )
+    return topology_text, scenario
+
+
+def test_trials_share_one_route_state(monkeypatch):
+    topology_text, scenario = _mixed_grid()
     searches, distance_rows, builds = Counter(), Counter(), []
     search = netlayer._shortest_paths
     distance_row = netlayer.RouteState._classical_row
@@ -1027,7 +1033,38 @@ def test_trials_share_one_route_state(monkeypatch):
     assert run_experiment(parse_topology(topology_text), scenario) == shared
 
 
-def test_each_trial_routes_each_distinct_signature_once(monkeypatch):
+def test_trials_share_admissions_and_layouts(monkeypatch):
+    topology_text, scenario = _mixed_grid()
+    services = []
+
+    def recorded_service(*args, **kw):
+        services.append(netlayer.NetworkService(*args, **kw))
+        return services[-1]
+
+    monkeypatch.setattr(harness, "NetworkService", recorded_service)
+    shared = run_experiment(parse_topology(topology_text), scenario)
+    assert {row["outcome"] for row in shared} >= {"success"}
+    first, second = services
+    assert second._admitted is first._admitted and second._layouts is first._layouts
+    # the CO, CL and hybrid signatures; the CL and hybrid legs' hop sessions
+    assert len(first._admitted) == 4 and len(first._layouts) > 4
+    # a copy that gives each trial's service fresh memos gives the same rows
+    fresh = []
+
+    def fresh_service(*args, **kw):
+        service = netlayer.NetworkService(*args, **kw)
+        service._admitted, service._layouts = {}, {}
+        fresh.append(service)
+        return service
+
+    monkeypatch.setattr(harness, "NetworkService", fresh_service)
+    assert run_experiment(parse_topology(topology_text), scenario) == shared
+    assert fresh[0]._admitted is not fresh[1]._admitted
+    assert fresh[0]._admitted == first._admitted
+    assert fresh[1]._layouts.keys() == first._layouts.keys()
+
+
+def test_each_experiment_routes_each_distinct_signature_once(monkeypatch):
     # three signatures over five requests: the repeats differ only in
     # deadline and f_min, which admission does not read
     scenario = parse_scenario(
@@ -1052,8 +1089,8 @@ def test_each_trial_routes_each_distinct_signature_once(monkeypatch):
     monkeypatch.setattr(netlayer, "compute_path", counted)
     rows = run_experiment(parse_topology(CHAIN_TOPO), scenario)
     assert [row["outcome"] for row in rows] == ["success"] * 10
-    # alice -> bob is routed for sl and for ol, in each of the two trials
-    assert Counter(calls) == {("alice", "bob"): 4, ("bob", "alice"): 2}
+    # alice -> bob is routed for sl and for ol, once for both trials
+    assert Counter(calls) == {("alice", "bob"): 2, ("bob", "alice"): 1}
 
 
 def test_trials_share_one_set_of_routing_tables(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import gc
 import hashlib
 import io
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qrnet import (
+    AllPhotonicOptions,
     ChannelResult,
     ConnectionModel,
     ConnectionRequest,
@@ -1469,6 +1471,68 @@ def test_requests_that_share_a_signature_keep_their_own_retry_limit():
     assert rows == {"none": ("RetriesExhausted", 0), "two": ("RetriesExhausted", 2),
                     "five": ("RetriesExhausted", 5)}
     assert len(service._admitted) == 1
+
+
+# pairs of service set-ups that differ in one input that admission or a layout
+# reads, and give one request different rows: (topology, request, set-ups)
+_MEMO_INPUTS = {
+    # w0 = 0.9 gives F = 0.925: under f_target 0.99 every hop pumps, which
+    # the second-class ends cannot; under 0.9 none does
+    "physics": (
+        _second_class_ends_topology,
+        ConnectionRequest("q", "a", "b", RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
+                          ConnectionModel.CONNECTION_ORIENTED),
+        [dict(params=PhysicsParams(w0=0.9, f_target=0.9, r_max=5)),
+         dict(params=PhysicsParams(w0=0.9, f_target=0.99, r_max=5))],
+    ),
+    # only an all-photonic session with HEP selected pumps its segments
+    "options": (
+        lambda: chain_topology([5.0, 5.0], cls=RepeaterClass.ALL_PHOTONIC),
+        ConnectionRequest("q", "n0", "n2", RepeaterClass.ALL_PHOTONIC,
+                          LinkProtocol.SIMULTANEOUS, ConnectionModel.CONNECTION_ORIENTED),
+        [dict(params=PhysicsParams(w0=0.9, f_target=0.95, r_max=3)),
+         dict(params=PhysicsParams(w0=0.9, f_target=0.95, r_max=3),
+              options=AllPhotonicOptions(hep=True))],
+    ),
+    # a leg's try timeout is part of its admission
+    "cl_timeout": (
+        lambda: chain_topology([5.0], memories=2, rate=1e4),
+        _cl_request("q", "n0", "n1", retry_limit=2),
+        [dict(params=PARAMS), dict(params=PARAMS, cl_timeout=1e-6)],
+    ),
+}
+
+
+@pytest.mark.parametrize("make_topology, request_, setups", _MEMO_INPUTS.values(),
+                         ids=list(_MEMO_INPUTS))
+def test_services_on_one_route_state_share_no_entry_across_differing_inputs(
+    make_topology, request_, setups
+):
+    topo = make_topology()
+
+    def serve(routes, params, **kw):
+        sim = Simulator(topo, params, seed=3)
+        service = NetworkService(sim, routes=routes, **kw)
+        service.submit(request_, at=0.0)
+        sim.run_until()
+        [o] = service.outcomes
+        row = (o.outcome, o.detail, o.retries, o.stats.attempts_total,
+               o.stats.purification_rounds)
+        return service, row
+
+    alone = [serve(RouteState(topo), **setup)[1] for setup in setups]
+    assert alone[0] != alone[1]
+    for order in (setups, setups[::-1]):
+        routes = RouteState(topo)
+        first, row_a = serve(routes, **order[0])
+        second, row_b = serve(routes, **order[1])
+        assert [row_a, row_b] == (alone if order is setups else alone[::-1])
+        assert len(routes.memos) == 2
+        assert first._admitted is not second._admitted
+        assert first._layouts is not second._layouts
+        # an equal set-up, from equal but distinct objects, shares the first's
+        again, _ = serve(routes, **{k: copy.copy(v) for k, v in order[0].items()})
+        assert again._admitted is first._admitted and again._layouts is first._layouts
 
 
 @pytest.mark.parametrize("make", [_co_request, _cl_request], ids=["co", "cl"])
