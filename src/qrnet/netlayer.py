@@ -26,6 +26,7 @@ import zlib
 from collections import deque
 from dataclasses import astuple, dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import physics
@@ -199,14 +200,29 @@ def edge_cost(edge, cost: PathCost) -> float:
     return edge.alpha_db_per_km * edge.length_km - 10.0 * math.log10(static)
 
 
+def _one_weight(adjacency: dict[str, list[tuple[str, float]]]) -> float | None:
+    """The weight every edge in ``adjacency`` has, or None when they differ.
+
+    An edgeless graph has weight 0.0. A weight that is negative, not a
+    number, or so large that a path through every node could overflow to
+    inf is None too, so the level-order searches below see only weights
+    whose sums grow, or stay 0, with the hop count.
+    """
+    weights = {step for pairs in adjacency.values() for _, step in pairs}
+    if len(weights) > 1:
+        return None
+    step = weights.pop() if weights else 0.0
+    return step if step >= 0.0 and math.isfinite(step * 2 * len(adjacency)) else None
+
+
 def _shortest_paths(
-    routes: RouteState,
+    trees: SearchTrees,
     src: str,
     repeater_class: RepeaterClass | None = None,
 ) -> dict[str, str | None]:
     """Least-cost simple paths from src, keyed (cost, hop count, node ids).
 
-    Costs are read from ``routes.adjacency`` and summed in source order.
+    Costs are read from ``trees.adjacency`` and summed in source order.
     END nodes, and nodes of another class when ``repeater_class`` is given,
     are labelled but never expanded, so they only end paths. The search
     settles every reachable node. Ranking hop count before node ids keeps
@@ -217,9 +233,25 @@ def _shortest_paths(
     settled node maps to the node before it on its path, and src to None.
     A settled path only ever extends a settled path, so walking the map
     back from a node rebuilds exactly the path the search settled.
+
+    When every edge costs the same (``trees.step``), a path's cost grows
+    with its hop count, or stays 0, so the key orders by hops and then node
+    ids: the level-order search returns the same map, item for item and in
+    order. Otherwise Dijkstra's search runs.
     """
-    nodes = routes.topology.nodes
-    adjacency = routes.adjacency
+    if trees.step is None:
+        return _weighted_tree(trees, src, repeater_class)
+    return _level_tree(trees, src, repeater_class)
+
+
+def _weighted_tree(
+    trees: SearchTrees,
+    src: str,
+    repeater_class: RepeaterClass | None = None,
+) -> dict[str, str | None]:
+    """Dijkstra's search for :func:`_shortest_paths`, for any edge costs."""
+    nodes = trees.topology.nodes
+    adjacency = trees.adjacency
     pred: dict[str, str | None] = {}
     # a path's key is stored as (cost, hops, path to its last node's
     # predecessor, last node), which orders exactly as (cost, hops, path)
@@ -250,19 +282,87 @@ def _shortest_paths(
     return pred
 
 
+def _level_tree(
+    trees: SearchTrees,
+    src: str,
+    repeater_class: RepeaterClass | None = None,
+) -> dict[str, str | None]:
+    """Level-order search for :func:`_shortest_paths` when edges cost the same.
+
+    Nodes are labelled level by level, each by the first labelled node that
+    reaches it, and neighbours are visited in node-id order. So a level
+    comes out ordered by its predecessors' order and then by node id, which
+    is the order of (hops, node-id path).
+    """
+    nodes = trees.topology.nodes
+    adjacency = trees.adjacency
+    pred: dict[str, str | None] = {src: None}
+    order = [src]
+    for node in order:  # grows as it is read, so it ends after the last level
+        spec = nodes[node]
+        if node != src and (
+            spec.role is Role.END
+            or repeater_class not in (None, spec.repeater_class)
+        ):
+            continue
+        for neighbor, _ in adjacency[node]:
+            if neighbor not in pred:
+                pred[neighbor] = node
+                order.append(neighbor)
+    return pred
+
+
+class SearchTrees(dict):
+    """Search trees of one topology under one path cost.
+
+    ``trees[src, repeater_class]``, with None for no filter, is searched
+    by :func:`_shortest_paths` on its first read and kept. When every
+    non-END node has the requested class, the filter prunes nothing, so
+    the unfiltered tree serves and is stored under the class too.
+
+    * ``adjacency``: each node's ``(neighbour, edge cost)`` pairs, sorted
+      by neighbour id, built here once;
+    * ``step``: the cost every edge has, found once, or None when edge
+      costs differ (see :func:`_one_weight`).
+    """
+
+    def __init__(self, topology: Topology, cost: PathCost):
+        super().__init__()
+        self.topology = topology
+        self.adjacency = {
+            node: sorted(
+                ((nb, edge_cost(edge, cost)) for nb, edge in topology.neighbors(node)),
+                key=itemgetter(0),
+            )
+            for node in topology.nodes
+        }
+        self.step = _one_weight(self.adjacency)
+        self._relay_classes = {
+            spec.repeater_class
+            for spec in topology.nodes.values()
+            if spec.role is not Role.END
+        }
+
+    def __missing__(self, key: tuple[str, RepeaterClass | None]) -> dict[str, str | None]:
+        src, repeater_class = key
+        if repeater_class is not None and self._relay_classes <= {repeater_class}:
+            pred = self[src, None]
+        else:
+            pred = _shortest_paths(self, src, repeater_class)
+        self[key] = pred
+        return pred
+
+
 class RouteState:
     """Everything routing derives from one topology under one path cost.
 
-    * ``adjacency``: each node's ``(neighbour, edge cost)`` pairs in edge
-      insertion order, built here once;
-    * ``trees``: the memo of search trees, keyed ``(src, class filter)``
-      with None for no filter, each searched on its first use;
-    * the classes of the nodes that can relay, so a class filter that
-      prunes no node is known at once;
-    * the classical-distance rows, each source's filled on its first query;
+    * ``trees``: the :class:`SearchTrees`, each searched on its first use;
+    * the classical-distance rows, each source's filled on its first query
+      by :meth:`_classical_row`;
     * the node pairs, both ways, whose edge never heralds, found once per
       scale on the channel success;
-    * the forwarding ``tables``, whose node tables fill on first read;
+    * the forwarding ``tables``, whose node tables fill on first read from
+      ``trees``;
     * ``memos``: the admission and session-layout memos of the services
       that share this state, one pair per ``(physics fields, options,
       cl_timeout)``, the only things they read beyond the topology and cost
@@ -271,49 +371,30 @@ class RouteState:
     Everything is built on its first use, so set-up costs what the requests
     read: a connection-oriented request searches only its source's tree, and
     a node's table is filled only when a table walk or a frame reaches it.
-    Nothing here depends on a simulator, so ``run_experiment`` builds one
-    per experiment and every trial's :class:`NetworkService` shares it, so
-    each trial after the first reuses the first's admissions and layouts; a
-    service given none builds its own. Everything is kept for the
-    object's lifetime, which assumes the topology is not edited meanwhile.
+    A graph whose edges all weigh the same, as every graph does under
+    ``hop_count``, is searched level by level, with the results Dijkstra's
+    search gives. Nothing here depends on a simulator, so ``run_experiment``
+    builds one per experiment and every trial's :class:`NetworkService`
+    shares it, so each trial after the first reuses the first's admissions
+    and layouts; a service given none builds its own. Nothing here refers
+    back to the state, so it is freed when its last user lets go.
+    Everything is kept for the object's lifetime, which assumes the
+    topology is not edited meanwhile.
     """
 
     def __init__(self, topology: Topology, cost: PathCost = PathCost.HOP_COUNT):
         self.topology = topology
         self.cost = cost
-        self.adjacency = {
-            node: [(nb, edge_cost(edge, cost)) for nb, edge in topology.neighbors(node)]
-            for node in topology.nodes
-        }
+        self.trees = SearchTrees(topology, cost)
         self._lengths = {
             node: [(nb, edge.length_km) for nb, edge in topology.neighbors(node)]
             for node in topology.nodes
         }
-        self.trees: dict[tuple[str, RepeaterClass | None], dict[str, str | None]] = {}
-        self._relay_classes = {
-            spec.repeater_class
-            for spec in topology.nodes.values()
-            if spec.role is not Role.END
-        }
+        self._length = _one_weight(self._lengths)
         self._cdist: dict[str, dict[str, float]] = {}
         self._dark: dict[float, set[tuple[str, str]]] = {}
-        self.tables = RoutingTables(self)
+        self.tables = RoutingTables(self.trees)
         self.memos: dict[tuple, tuple[dict, dict]] = {}
-
-    def tree(
-        self, src: str, repeater_class: RepeaterClass | None = None
-    ) -> dict[str, str | None]:
-        """The full search tree from src, searched and stored on first use."""
-        key = (src, repeater_class)
-        pred = self.trees.get(key)
-        if pred is None:
-            if repeater_class is not None and self._relay_classes <= {repeater_class}:
-                # the filter cannot prune a node, so the unfiltered tree serves
-                pred = self.tree(src)
-            else:
-                pred = _shortest_paths(self, src, repeater_class)
-            self.trees[key] = pred
-        return pred
 
     def dark(self, scale: float) -> set[tuple[str, str]]:
         """Hops whose edge never heralds at ``scale`` times its channel success."""
@@ -334,21 +415,51 @@ class RouteState:
             raise NoPathError(f"no classical route {a} -> {b}") from None
 
     def _classical_row(self, src: str) -> dict[str, float]:
-        # classical signals relay through any node, so this is a plain
-        # shortest-length metric with no role or class constraints
-        lengths = self._lengths
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for neighbor, length in lengths[node]:
-                cand = d + length
-                if cand < dist.get(neighbor, math.inf):
-                    dist[neighbor] = cand
-                    heapq.heappush(heap, (cand, neighbor))
-        return dist
+        """Fiber length from src to every node it reaches.
+
+        Classical signals relay through any node, so this is a plain
+        shortest-length metric with no role or class constraints. When
+        every edge has the same length, level h is at ``d(h-1) + length``
+        from ``d(0) = 0.0``, the sum Dijkstra's search makes along a
+        fewest-hop path, so the rows are the same to the bit.
+        """
+        if self._length is None:
+            return _weighted_row(self._lengths, src)
+        return _level_row(self._lengths, src, self._length)
+
+
+def _weighted_row(lengths: dict[str, list[tuple[str, float]]], src: str) -> dict[str, float]:
+    """Dijkstra's search for :meth:`RouteState._classical_row`."""
+    dist = {src: 0.0}
+    heap = [(0.0, src)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for neighbor, length in lengths[node]:
+            cand = d + length
+            if cand < dist.get(neighbor, math.inf):
+                dist[neighbor] = cand
+                heapq.heappush(heap, (cand, neighbor))
+    return dist
+
+
+def _level_row(
+    lengths: dict[str, list[tuple[str, float]]], src: str, length: float
+) -> dict[str, float]:
+    """Level-order search for :meth:`RouteState._classical_row`."""
+    dist = {src: 0.0}
+    level, d = [src], 0.0
+    while level:
+        d += length
+        reached = []
+        for node in level:
+            for neighbor, _ in lengths[node]:
+                if neighbor not in dist:
+                    dist[neighbor] = d
+                    reached.append(neighbor)
+        level = reached
+    return dist
 
 
 def compute_path(
@@ -367,10 +478,8 @@ def compute_path(
     legs are individually shortest; legs that reuse a node are rejected
     rather than re-solved.
 
-    Each leg is read from its start's search tree in ``routes``, searched
-    on first use and kept while ``routes`` lives. When every non-END node
-    has the requested class, the filter prunes nothing, so the unfiltered
-    tree serves and is stored under the class too.
+    Each leg is read from its start's search tree in ``routes.trees``,
+    searched on first use and kept while ``routes`` lives.
     """
     for node_id in (src, dst, *waypoints):
         if node_id not in routes.topology.nodes:
@@ -380,7 +489,7 @@ def compute_path(
     full: list[str] = [src]
     seen = {src}
     for leg_src, leg_dst in zip(stops, stops[1:]):
-        pred = routes.tree(leg_src, repeater_class)
+        pred = routes.trees[leg_src, repeater_class]
         if leg_dst not in pred:
             raise NoPathError(f"no {routes.cost.value} route {leg_src} -> {leg_dst}")
         leg = []
@@ -401,7 +510,7 @@ def compute_path(
 class RoutingTables(dict):
     """Per-node forwarding maps: destination address to next-hop edge id.
 
-    ``tables[node]`` is filled on its first read from ``routes.tree(node)``,
+    ``tables[node]`` is filled on its first read from ``trees[node, None]``,
     so only nodes that some frame or walk reaches get a table; ``get``
     returns the default only for a node the topology lacks. Each source's
     unfiltered search tree settles every destination it can reach, with the
@@ -409,18 +518,19 @@ class RoutingTables(dict):
     compute_path returns for that pair.
     """
 
-    def __init__(self, routes: RouteState):
+    def __init__(self, trees: SearchTrees):
         super().__init__()
-        self.routes = routes
+        self.topology = trees.topology
+        self.trees = trees
 
     def __missing__(self, src: str) -> dict[int, str]:
-        topology = self.routes.topology
+        topology = self.topology
         if src not in topology.nodes:
             raise KeyError(src)
         # nodes settle after their predecessor, so its first edge is known;
         # only src's neighbours look an edge up
         first: dict[str, str] = {}
-        for node, prev in self.routes.tree(src).items():
+        for node, prev in self.trees[src, None].items():
             if prev == src:
                 first[node] = topology.edge_between(src, node).edge_id
             elif prev is not None:
@@ -442,7 +552,7 @@ class RoutingTables(dict):
         meets a node twice or a node with no entry. A leg walks its route
         before it starts, so every frame follows a checked walk.
         """
-        topology = self.routes.topology
+        topology = self.topology
         addr = topology.address_of(dst)
         node, hops, seen = src, [], set()
         while node != dst:

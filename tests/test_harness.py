@@ -1,11 +1,13 @@
 import dataclasses
 import enum
 import functools
+import gc
 import hashlib
 import io
 import itertools
 import math
 import typing
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -1091,6 +1093,30 @@ def test_each_experiment_routes_each_distinct_signature_once(monkeypatch):
     assert [row["outcome"] for row in rows] == ["success"] * 10
     # alice -> bob is routed for sl and for ol, once for both trials
     assert Counter(calls) == {("alice", "bob"): 2, ("bob", "alice"): 1}
+
+
+def test_a_finished_experiment_frees_its_route_state_at_once(monkeypatch):
+    # nothing the route state holds refers back to it, so reference
+    # counting frees it when run_experiment returns, without the collector
+    topology_text, scenario = _mixed_grid()
+    refs = []
+
+    def recorded_routes(*args):
+        routes = netlayer.RouteState(*args)
+        refs.append(weakref.ref(routes))
+        return routes
+
+    monkeypatch.setattr(harness, "RouteState", recorded_routes)
+    topology = parse_topology(topology_text)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = run_experiment(topology, scenario)
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(rows) == 10
 
 
 def test_trials_share_one_set_of_routing_tables(monkeypatch):

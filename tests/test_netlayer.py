@@ -325,10 +325,96 @@ def test_routes_match_an_enumeration_of_simple_paths(topo):
                             assert got == want, (cost, cls, src, dst, routes is shared)
 
 
+@st.composite
+def _one_weight_topologies(draw):
+    """Mixed roles and classes, parallel edges or none, every edge alike."""
+    n = draw(st.integers(2, 12))
+    topo = Topology()
+    # ids drawn from a shuffle, so id order is not insertion order
+    # ("v10" sorts before "v2")
+    for i in draw(st.permutations(range(n))):
+        topo.add_node(NodeSpec(f"v{i}", role=draw(st.sampled_from(list(Role))),
+                               repeater_class=draw(st.sampled_from(
+                                   list(RepeaterClass)))))
+    names = list(topo.nodes)
+    # alpha=0 and p_src=1 make every loss_weighted cost exactly 0.0
+    edge = dict(length_km=draw(st.sampled_from([0.1, 1 / 3, 2.0])),
+                alpha_db_per_km=draw(st.sampled_from([0.0, 0.2])),
+                p_src=draw(st.sampled_from([0.5, 1.0])))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names))
+                          .filter(lambda p: p[0] != p[1]), max_size=3 * n))
+    for k, (a, b) in enumerate(pairs):
+        topo.add_edge(EdgeSpec(f"e{k}", a, b, **edge))
+    return topo
+
+
+@settings(max_examples=150, deadline=None)
+@given(_one_weight_topologies())
+def test_level_order_trees_equal_the_weighted_search(topo):
+    for cost in PathCost:
+        trees = RouteState(topo, cost).trees
+        assert trees.step is not None, cost
+        for cls in (None, *RepeaterClass):
+            for src in topo.nodes:
+                got = netlayer._shortest_paths(trees, src, cls)
+                want = netlayer._weighted_tree(trees, src, cls)
+                assert list(got.items()) == list(want.items()), (cost, cls, src)
+
+
+def test_uneven_or_unsafe_weights_take_the_weighted_search():
+    topo = chain_topology([5.0, 10.0])
+    assert RouteState(topo).trees.step == 1.0
+    assert RouteState(topo, PathCost.LATENCY).trees.step is None
+    assert RouteState(Topology(), PathCost.LATENCY).trees.step == 0.0
+    # a weight no path can sum without overflow, or one that never heralds
+    assert RouteState(chain_topology([1e308, 1e308]), PathCost.LATENCY).trees.step is None
+    assert RouteState(chain_topology([5.0], p_src=0.0),
+                      PathCost.LOSS_WEIGHTED).trees.step is None
+
+
+def _labelled_grid(n, length_km):
+    """n x n lattice, ids g{r}_{c}, with END and second-class nodes strewn."""
+    topo = Topology()
+    for r in range(n):
+        for c in range(n):
+            topo.add_node(NodeSpec(
+                f"g{r}_{c}",
+                role=Role.END if (r * 7 + c) % 11 == 0 else Role.SWITCH,
+                repeater_class=(RepeaterClass.SECOND if (r + 3 * c) % 13 == 0
+                                else RepeaterClass.FIRST),
+            ))
+    for r in range(n):
+        for c in range(n):
+            for dr, dc in ((0, 1), (1, 0)):
+                if r + dr < n and c + dc < n:
+                    topo.add_edge(EdgeSpec(f"e{len(topo.edges)}", f"g{r}_{c}",
+                                           f"g{r + dr}_{c + dc}", length_km=length_km))
+    return topo
+
+
+def test_level_order_searches_match_the_weighted_ones_on_a_30x30_grid():
+    topo = _labelled_grid(30, 0.1)
+    routes = RouteState(topo, PathCost.LATENCY)
+    assert routes.trees.step == routes._length == 0.1
+    for src in ("g0_0", "g0_1", "g29_29", "g15_14", "g7_22", "g22_7"):
+        for cls in (None, RepeaterClass.FIRST):
+            got = netlayer._shortest_paths(routes.trees, src, cls)
+            want = netlayer._weighted_tree(routes.trees, src, cls)
+            assert list(got.items()) == list(want.items()), (src, cls)
+        row = routes._classical_row(src)
+        assert row == netlayer._weighted_row(routes._lengths, src), src
+        assert len(row) == 900
+
+
 def test_classical_distances_equal_networkx_exactly():
     rng = np.random.default_rng(43)
-    for trial in range(200):
-        n = int(rng.integers(2, 10))
+    # random lengths take Dijkstra's search; one length per graph takes the
+    # level-order search, and sums of 0.1 or 1/3 km round
+    lengths = [None] * 200 + [one for one in (0.1, 1 / 3, 0.7, 5.0) for _ in range(50)]
+    for trial, one in enumerate(lengths):
+        # larger graphs when lengths are alike, so that some routes take the
+        # six or more hops where sums of 0.1 km part from multiples of it
+        n = int(rng.integers(2, 10 if one is None else 16))
         topo = Topology()
         graph = nx.Graph()
         for i in range(n):
@@ -337,10 +423,12 @@ def test_classical_distances_equal_networkx_exactly():
         pairs = {tuple(sorted(rng.choice(n, size=2, replace=False)))
                  for _ in range(int(rng.integers(0, 2 * n)))}
         for k, (a, b) in enumerate(sorted(pairs)):
-            length = float(rng.uniform(0.1, 50.0))
+            length = float(rng.uniform(0.1, 50.0)) if one is None else one
             topo.add_edge(EdgeSpec(f"e{k}", f"v{a}", f"v{b}", length_km=length))
             graph.add_edge(f"v{a}", f"v{b}", weight=length)
         routes = RouteState(topo, PathCost.HOP_COUNT)
+        if one is not None and pairs:
+            assert routes._length == one
         for a in topo.nodes:
             ref = nx.single_source_dijkstra_path_length(graph, a)
             for b in topo.nodes:
@@ -404,8 +492,9 @@ def test_table_walk_check_rejects_looping_first_hops(monkeypatch):
 
 def test_table_walk_checks_every_node_it_leaves():
     topo = chain_topology([5.0, 5.0, 5.0])
-    tables = build_routing_tables(RouteState(topo))
-    assert tables is tables.routes.tables
+    routes = RouteState(topo)
+    tables = build_routing_tables(routes)
+    assert tables is routes.tables is build_routing_tables(routes)
     assert tables.walk("n1", "n1") == []
     assert [node.node_id for _, node in tables.walk("n0", "n3")] == ["n1", "n2", "n3"]
     # an interior node with no entry stops the walk as a loop, on every
