@@ -14,7 +14,8 @@ Three ways to serve a request for end-to-end entanglement:
 
 Control traffic (requests, orders, confirmations) pays classical latency
 along shortest fiber paths. Frame-loss draws use the per-edge rng stream
-``frame:{edge_id}`` so runs stay reproducible.
+``frame:{edge_id}`` so runs stay reproducible; with no frame loss there is
+no draw and no such stream.
 """
 
 from __future__ import annotations
@@ -250,7 +251,7 @@ def _weighted_tree(
     repeater_class: RepeaterClass | None = None,
 ) -> dict[str, str | None]:
     """Dijkstra's search for :func:`_shortest_paths`, for any edge costs."""
-    nodes = trees.topology.nodes
+    relays = trees.relays(repeater_class)
     adjacency = trees.adjacency
     pred: dict[str, str | None] = {}
     # a path's key is stored as (cost, hops, path to its last node's
@@ -264,11 +265,7 @@ def _weighted_tree(
         if node in pred:
             continue  # a stale entry: the node settled under a smaller key
         pred[node] = via[-1] if hops else None
-        spec = nodes[node]
-        if node != src and (
-            spec.role is Role.END
-            or repeater_class not in (None, spec.repeater_class)
-        ):
+        if node not in relays and node != src:
             continue
         path = via + (node,)
         hops += 1
@@ -294,16 +291,12 @@ def _level_tree(
     comes out ordered by its predecessors' order and then by node id, which
     is the order of (hops, node-id path).
     """
-    nodes = trees.topology.nodes
+    relays = trees.relays(repeater_class)
     adjacency = trees.adjacency
     pred: dict[str, str | None] = {src: None}
     order = [src]
     for node in order:  # grows as it is read, so it ends after the last level
-        spec = nodes[node]
-        if node != src and (
-            spec.role is Role.END
-            or repeater_class not in (None, spec.repeater_class)
-        ):
+        if node not in relays and node != src:
             continue
         for neighbor, _ in adjacency[node]:
             if neighbor not in pred:
@@ -323,7 +316,10 @@ class SearchTrees(dict):
     * ``adjacency``: each node's ``(neighbour, edge cost)`` pairs, sorted
       by neighbour id, built here once;
     * ``step``: the cost every edge has, found once, or None when edge
-      costs differ (see :func:`_one_weight`).
+      costs differ (see :func:`_one_weight`);
+    * ``relays(repeater_class)``: the nodes a path may pass through, built
+      once per filter, so a search tests set membership rather than each
+      node's role and class.
     """
 
     def __init__(self, topology: Topology, cost: PathCost):
@@ -337,15 +333,23 @@ class SearchTrees(dict):
             for node in topology.nodes
         }
         self.step = _one_weight(self.adjacency)
-        self._relay_classes = {
-            spec.repeater_class
-            for spec in topology.nodes.values()
-            if spec.role is not Role.END
-        }
+        self._relays: dict[RepeaterClass | None, set[str]] = {}
+
+    def relays(self, repeater_class: RepeaterClass | None) -> set[str]:
+        """The non-END nodes, of ``repeater_class`` when one is given."""
+        relays = self._relays.get(repeater_class)
+        if relays is None:
+            relays = self._relays[repeater_class] = {
+                node
+                for node, spec in self.topology.nodes.items()
+                if spec.role is not Role.END
+                and repeater_class in (None, spec.repeater_class)
+            }
+        return relays
 
     def __missing__(self, key: tuple[str, RepeaterClass | None]) -> dict[str, str | None]:
         src, repeater_class = key
-        if repeater_class is not None and self._relay_classes <= {repeater_class}:
+        if repeater_class is not None and self.relays(repeater_class) == self.relays(None):
             pred = self[src, None]
         else:
             pred = _shortest_paths(self, src, repeater_class)
@@ -357,8 +361,9 @@ class RouteState:
     """Everything routing derives from one topology under one path cost.
 
     * ``trees``: the :class:`SearchTrees`, each searched on its first use;
-    * the classical-distance rows, each source's filled on its first query
-      by :meth:`_classical_row`;
+    * the classical-distance rows, each source's filled on its first read
+      by :meth:`_classical_row`; on one edge length, a distance is read
+      from either end's row (see :meth:`classical_distance`);
     * the node pairs, both ways, whose edge never heralds, found once per
       scale on the channel success;
     * the forwarding ``tables``, whose node tables fill on first read from
@@ -405,23 +410,42 @@ class RouteState:
         return self._dark[scale]
 
     def classical_distance(self, a: str, b: str) -> float:
-        """Fiber length of the shortest classical route, read from a's row."""
-        row = self._cdist.get(a)
+        """Fiber length of the shortest classical route from a to b.
+
+        It is read from a's row, summed from a's end. When every edge has
+        the same length, hop h is at the same chained sum from either end,
+        so b's row answers instead when it is built and a's is not. A
+        service builds its controller's row first on such a graph, so every
+        distance to the controller is read from that one row.
+        """
+        row, end = self._cdist.get(a), b
         if row is None:
-            row = self._cdist[a] = self._classical_row(a) if a in self._lengths else {}
+            if self._length is not None and b in self._cdist:
+                row, end = self._cdist[b], a
+            else:
+                row = self.classical_row(a)
         try:
-            return row[b]
+            return row[end]
         except KeyError:
             raise NoPathError(f"no classical route {a} -> {b}") from None
 
+    def classical_row(self, src: str) -> dict[str, float]:
+        """src's row, built by :meth:`_classical_row` on its first read."""
+        row = self._cdist.get(src)
+        if row is None:
+            row = self._cdist[src] = self._classical_row(src) if src in self._lengths else {}
+        return row
+
     def _classical_row(self, src: str) -> dict[str, float]:
-        """Fiber length from src to every node it reaches.
+        """Fiber length from src to every node it reaches, summed from src.
 
         Classical signals relay through any node, so this is a plain
         shortest-length metric with no role or class constraints. When
         every edge has the same length, level h is at ``d(h-1) + length``
         from ``d(0) = 0.0``, the sum Dijkstra's search makes along a
-        fewest-hop path, so the rows are the same to the bit.
+        fewest-hop path, so the rows are the same to the bit, and d(a, b)
+        is d(b, a) to the bit. Otherwise the two may differ in the last
+        bit, so a distance is read from the sender's row.
         """
         if self._length is None:
             return _weighted_row(self._lengths, src)
@@ -863,9 +887,7 @@ class _ClLeg:
             self.held_frames[node] = (nxt, edge, frame)
 
     def _transit(self, node: str, nxt: str, edge, frame: QuantumFrame) -> None:
-        rng = self.engine.stream(f"frame:{edge.edge_id}")
-        if rng.random() < self.service.frame_loss_prob:
-            self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
+        if self._frame_lost(edge):
             return
         self.engine.send_classical(
             node,
@@ -876,13 +898,19 @@ class _ClLeg:
             self._try,
         )
 
+    def _frame_lost(self, edge) -> bool:
+        """Draw whether the frame is lost on ``edge``; no draw when it never is."""
+        loss = self.service.frame_loss_prob
+        if loss and self.engine.stream(f"frame:{edge.edge_id}").random() < loss:
+            self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
+            return True
+        return False
+
     def _third_hop(self, node: str, nxt: str, edge, buf: bytes) -> None:
         # payload and header travel together; encoding the first transfer
         # costs one attempt slot at the source
         lead = 1.0 / edge.attempt_rate_hz if node == self.src else 0.0
-        rng = self.engine.stream(f"frame:{edge.edge_id}")
-        if rng.random() < self.service.frame_loss_prob:
-            self.drops["FrameLost"] = self.drops.get("FrameLost", 0) + 1
+        if self._frame_lost(edge):
             return
         self.engine.after(
             lead,
@@ -1264,15 +1292,17 @@ class NetworkService:
         self._finish(state, "Completed", link=link)
 
     def _orders_at(self, nodes) -> float:
-        """When orders the controller sends now have reached all ``nodes``."""
+        """When orders the controller sends now have reached all ``nodes``.
+
+        Each d(controller, n) is read from the controller's row, summed
+        from its end, on every graph. ``nodes`` lie on a route from a
+        source that reaches the controller, so each is in that row.
+        """
         c = self.engine.params.c_fiber
         now = self.engine.now
-        return max(
-            now
-            + self.routes.classical_distance(self.controller, n) / c
-            + self.topology.nodes[n].proc_delay
-            for n in nodes
-        )
+        row = self.routes.classical_row(self.controller)
+        specs = self.topology.nodes
+        return max(now + row[n] / c + specs[n].proc_delay for n in nodes)
 
     def _admission(self, request: ConnectionRequest) -> _Route:
         """``request``'s route, worked out on the first request with its signature."""
@@ -1488,12 +1518,16 @@ class NetworkService:
             if node_id not in self.topology.nodes:
                 self._finish(state, "NoPath", detail=f"unknown node {node_id}")
                 return
-        try:
-            self.routes.classical_distance(request.src, self.controller)
-            self.routes.classical_distance(request.src, request.dst)
-        except NoPathError as err:
-            self._finish(state, "NoPath", detail=str(err))
-            return
+        # reachability is symmetric, so a row holding src and the controller
+        # decides both checks: on one edge length the controller's, which
+        # then answers every distance to the controller too (see
+        # RouteState.classical_distance), and otherwise src's own
+        src, routes = request.src, self.routes
+        row = routes.classical_row(src if routes._length is None else self.controller)
+        for end in (self.controller, request.dst):
+            if src not in row or end not in row:
+                self._finish(state, "NoPath", detail=f"no classical route {src} -> {end}")
+                return
         if request.model is ConnectionModel.CONNECTION_ORIENTED:
             # the controller routes the request, so it checks admission there
             self._to_controller(state, lambda: self._co_request_arrived(state))

@@ -3,6 +3,7 @@ import enum
 import functools
 import gc
 import hashlib
+import importlib
 import io
 import itertools
 import math
@@ -1033,6 +1034,27 @@ def test_trials_share_one_route_state(monkeypatch):
         ),
     )
     assert run_experiment(parse_topology(topology_text), scenario) == shared
+
+
+def test_route_grid10_inputs_on_a_30x30_grid_keep_their_bytes(monkeypatch):
+    # the benchmark fingerprints its 4x4 and 10x10 grids only; this pins
+    # routing at scale, where every edge has one length, so the controller's
+    # row is the one classical row the two trials build
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    grid30 = dataclasses.replace(workloads.WORKLOADS["route-grid10"], grid=30)
+    built = Counter()
+    classical_row = netlayer.RouteState._classical_row
+    monkeypatch.setattr(netlayer.RouteState, "_classical_row",
+                        lambda routes, src: built.update([src]) or classical_row(routes, src))
+    rows = run_experiment(parse_topology(workloads.topology_text(grid30)),
+                          parse_scenario(workloads.scenario_text(grid30, 101204085)))
+    out = io.StringIO()
+    emit_metrics(rows, out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "72c5cd4754bb7df42886d677dc071db6786b8c4091ab5a690d123a024743871e"
+    )
+    assert built == {"g1_1": 1}
 
 
 def test_trials_share_admissions_and_layouts(monkeypatch):

@@ -439,6 +439,129 @@ def test_classical_distances_equal_networkx_exactly():
                         routes.classical_distance(a, b)
 
 
+def _signalling_run(monkeypatch, one):
+    """CO, CL and hybrid requests on a 4x4 grid, controller g12.
+
+    Edge lengths are ``one`` or, when it is None, random. Returns the grid
+    as a networkx graph, the topology, the network layer's messages as
+    (kind, sender, receiver, length_km), the orders as (time, sent at,
+    nodes), and the sources of the classical rows built, in order.
+    """
+    rng = np.random.default_rng(36)
+    topo = grid_topology(4, 4, rate=1e4, proc_delay=1e-6)
+    graph = nx.Graph()
+    for edge in topo.edges.values():
+        edge.length_km = float(rng.uniform(0.5, 9.0)) if one is None else one
+        graph.add_edge(edge.node_a, edge.node_b, weight=edge.length_km)
+    # so a connection-oriented route through g03 is refused at the controller
+    topo.nodes["g03"].memory_count = 0
+    sent, orders, rows = [], [], []
+    send, schedule = Simulator.send_classical, Simulator.schedule
+    classical_row = RouteState._classical_row
+
+    def spied_send(self, src, dst, length_km, action, summary="", owner=None):
+        # the network layer's own messages, not frames or link-layer heralds
+        if re.match(r"request |free |reject |confirm req:|success herald ", summary):
+            sent.append((summary.split()[0], src, dst, length_km))
+        send(self, src, dst, length_km, action, summary, owner)
+
+    def spied_schedule(self, time, kind, action, summary="", owner=None, seq=None):
+        if summary.startswith("orders "):
+            request = owner.request
+            nodes = (owner.route.path
+                     if request.model is ConnectionModel.CONNECTION_ORIENTED
+                     else [request.src, *request.waypoints, request.dst])
+            orders.append((time, self.now, nodes))
+        schedule(self, time, kind, action, summary, owner, seq)
+
+    def spied_row(routes, src):
+        rows.append(src)
+        return classical_row(routes, src)
+
+    monkeypatch.setattr(Simulator, "send_classical", spied_send)
+    monkeypatch.setattr(Simulator, "schedule", spied_schedule)
+    monkeypatch.setattr(RouteState, "_classical_row", spied_row)
+    sim = Simulator(topo, PARAMS, seed=5)
+    service = NetworkService(sim, controller="g12")
+    requests = [
+        _co_request("co1", "g00", "g33"), _co_request("co2", "g30", "g02"),
+        _co_request("co3", "g31", "g10"), _co_request("co4", "g03", "g30"),
+        _co_request("co5", "g23", "g00"),
+        _cl_request("cl1", "g01", "g32"), _cl_request("cl2", "g20", "g13"),
+        _cl_request("cl3", "g33", "g10"),
+        _hybrid_request("hy1", "g00", "g22", waypoints=("g11",)),
+        _hybrid_request("hy2", "g32", "g01", waypoints=("g21",)),
+    ]
+    for k, request in enumerate(requests):
+        request.deadline = 0.5
+        service.submit(request, at=0.002 * k)
+    sim.run_until()
+    assert {o.request.request_id for o in service.outcomes if o.completed} == {
+        "co2", "co3", "cl1", "cl2", "cl3", "hy1", "hy2"
+    }
+    return graph, topo, sent, orders, rows
+
+
+@pytest.mark.parametrize("one", [None, 0.7], ids=["uneven", "one-length"])
+def test_signalling_distances_are_summed_from_the_senders_end(monkeypatch, one):
+    # every message of the network layer pays the classical distance from its
+    # sender, and orders pay it from the controller; on uneven lengths a sum
+    # from the other end can part in the last bit, and some here do
+    graph, topo, sent, orders, _ = _signalling_run(monkeypatch, one)
+    assert {kind for kind, *_ in sent} == {"request", "free", "reject", "confirm", "success"}
+    parted = 0
+    for kind, src, dst, length in sent:
+        assert length == nx.single_source_dijkstra_path_length(graph, src)[dst], (kind, src, dst)
+        parted += length != nx.single_source_dijkstra_path_length(graph, dst)[src]
+    assert len(sent) == 27 and parted == (8 if one is None else 0)
+    c = PARAMS.c_fiber
+    from_ctrl = nx.single_source_dijkstra_path_length(graph, "g12")
+    assert len(orders) == 4
+    for time, now, nodes in orders:
+        assert time == max(now + from_ctrl[n] / c + topo.nodes[n].proc_delay for n in nodes)
+
+
+@pytest.mark.parametrize("one", [None, 0.7], ids=["uneven", "one-length"])
+def test_signalling_reads_the_controllers_row_on_one_length_only(monkeypatch, one):
+    # uneven lengths build every sender's row, as each distance is summed from
+    # its sender; on one length the controller's row answers every controller
+    # distance, and only connectionless confirms and hybrid anchors add rows
+    rows = _signalling_run(monkeypatch, one)[-1]
+    assert rows == (
+        ["g00", "g12", "g30", "g20", "g10", "g01", "g31", "g21", "g11", "g03", "g23",
+         "g32", "g13", "g33"]
+        if one is None else ["g12", "g32", "g13", "g10", "g11", "g21"]
+    )
+
+
+@pytest.mark.parametrize("lengths", [(5.0, 5.0, 5.0), (3.0, 4.5, 2.0)],
+                         ids=["one-length", "uneven"])
+def test_an_arrival_names_the_classical_route_it_lacks(lengths):
+    # n0-n1-n2 holds the controller n1; m0-m1 is another component
+    topo = chain_topology(lengths[:2])
+    for node_id in ("m0", "m1"):
+        topo.add_node(NodeSpec(node_id, role=Role.END))
+    topo.add_edge(EdgeSpec("f0", "m0", "m1", length_km=lengths[2]))
+    sim = Simulator(topo, PARAMS, seed=1)
+    service = NetworkService(sim, controller="n1")
+    assert service.routes._length == (5.0 if lengths[0] == lengths[1] else None)
+    makers = {
+        "co": _co_request,
+        "cl": _cl_request,
+        "hybrid": lambda *ends: _hybrid_request(*ends, waypoints=("n1",)),
+    }
+    for model, make in makers.items():
+        service.submit(make(f"{model}-cut", "m0", "n2"), at=0.0)
+        service.submit(make(f"{model}-apart", "n0", "m1"), at=0.0)
+    sim.run_until()
+    assert {o.request.request_id: (o.outcome, o.detail) for o in service.outcomes} == {
+        f"{model}-{case}": ("NoPath", detail)
+        for model in makers
+        for case, detail in (("cut", "no classical route m0 -> n1"),
+                             ("apart", "no classical route n0 -> m1"))
+    }
+
+
 def test_route_state_for_another_topology_or_cost_raises():
     topo = chain_topology([10.0, 10.0])
     other = chain_topology([10.0, 10.0])
@@ -984,6 +1107,42 @@ def test_cl_recovers_when_loss_clears():
     out = service.outcomes[0]
     assert out.outcome == "Completed"
     assert out.retries >= 1
+
+
+@pytest.mark.parametrize("cls, digests", [
+    ("first", {0: "039d1ff90dda4404439acc967d1585f443f8a3b00e80c898a1478dcc41fd040b",
+               0.3: "43b6c285047f828f13cd425de42b6abd150024cce42714dc6b5c304c1c3fd1b5"}),
+    ("third", {0: "2f1c9832539ac20dd842181268d5ff534e95a0d0879afe6526a7406dd452c496",
+               0.3: "93831d7c7d70102b40f8cc308994aaccbe8f79ab9c01631c6954fe9caedbe992"}),
+], ids=["first", "third"])
+def test_frame_loss_draws_only_when_frames_can_be_lost(monkeypatch, cls, digests):
+    # first-class frames draw in transit, third-class ones as they leave a
+    # node; without frame loss neither draws, nor builds a frame: stream, and
+    # the CSV keeps its bytes either way
+    labels = []
+    stream = Simulator.stream
+    monkeypatch.setattr(Simulator, "stream",
+                        lambda sim, label: labels.append(label) or stream(sim, label))
+    topology = "".join(
+        f"node n{i} role={'end' if i in (0, 4) else 'repeater'} class={cls} memories=2\n"
+        for i in range(5)
+    ) + "".join(
+        f"edge n{i} n{i + 1} length_km=5 alpha=0 p_src=0.5 rate_hz=1e4\n" for i in range(4)
+    )
+    requests = "".join(
+        f"request id=r{k} src={src} dst={dst} model=cl class={cls} protocol=ol"
+        f" arrivals=fixed:{0.001 * k} deadline=0.05\n"
+        for k, (src, dst) in enumerate([("n0", "n4"), ("n4", "n1"), ("n1", "n3"), ("n3", "n0")])
+    )
+    for loss, digest in digests.items():
+        labels.clear()
+        scenario = f"seed=9\ntrials=2\ncontroller=n2\nframe_loss={loss}\n{requests}"
+        rows = run_experiment(parse_topology(topology), parse_scenario(scenario))
+        assert any(label.startswith("frame:") for label in labels) == bool(loss)
+        assert any(row["retries"] for row in rows) == bool(loss)
+        out = io.StringIO()
+        emit_metrics(rows, out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_blocked_cl_hop_waits_for_the_release_then_attempts_on_its_slot_clock():
