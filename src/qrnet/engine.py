@@ -42,7 +42,7 @@ class PastEventError(Exception):
 
 
 class LivelockError(Exception):
-    """The run spent its event ceiling without progress or its stop condition."""
+    """The run spent its event ceiling without progress."""
 
 
 class ResourceExhausted(Exception):
@@ -294,13 +294,14 @@ class Simulator:
             delay, CLASSICAL_DELIVERY, action, summary or f"{src}->{dst}", owner
         )
 
-    def run_until(self, stop: Callable[[], bool] | None = None) -> None:
-        """Process events until the stop predicate holds or the queue drains.
+    def run_until(self) -> None:
+        """Process events until the queue drains.
 
-        Events of a finished owner are dropped unrun.
+        Events of a finished owner are dropped unrun, so a run whose every
+        event names an owner ends at the last owner's close.
         Raises LivelockError if a window of ``livelock_ceiling`` events runs
         with no ``progress`` call, so within two windows of a stall; a
-        finished simulation should always exhaust its work or satisfy its stop.
+        finished simulation should always exhaust its work.
         """
         processed = 0
         limit = self.livelock_ceiling
@@ -308,8 +309,6 @@ class Simulator:
         trace_fp = self.trace_fp
         heap = self._heap
         while heap:
-            if stop is not None and stop():
-                return
             time, seq, kind, summary, action, owner = heapq.heappop(heap)
             if owner is not None and owner.finished:
                 continue

@@ -885,7 +885,7 @@ class _LogicalHopFlow:
 
 def _run_blocking(session: LinkSession) -> ChannelResult | Failure:
     session.start()
-    session.engine.run_until(stop=lambda: session.finished)
+    session.engine.run_until()
     if session.result is None:
         session.abort(
             "Stalled", "event queue drained before the protocol finished"

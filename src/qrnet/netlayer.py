@@ -206,7 +206,7 @@ def _one_weight(adjacency: dict[str, list[tuple[str, float]]]) -> float | None:
 
     An edgeless graph has weight 0.0. A weight that is negative, not a
     number, or so large that a path through every node could overflow to
-    inf is None too, so the level-order searches below see only weights
+    inf is None too, so the level-order search below sees only weights
     whose sums grow, or stay 0, with the hop count.
     """
     weights = {step for pairs in adjacency.values() for _, step in pairs}
@@ -242,7 +242,7 @@ def _shortest_paths(
     """
     if trees.step is None:
         return _weighted_tree(trees, src, repeater_class)
-    return _level_tree(trees, src, repeater_class)
+    return _level_tree(trees.adjacency, src, trees.relays(repeater_class))
 
 
 def _weighted_tree(
@@ -280,23 +280,23 @@ def _weighted_tree(
 
 
 def _level_tree(
-    trees: SearchTrees,
+    adjacency: dict[str, list[tuple[str, float]]],
     src: str,
-    repeater_class: RepeaterClass | None = None,
+    relays: set[str] | None = None,
 ) -> dict[str, str | None]:
-    """Level-order search for :func:`_shortest_paths` when edges cost the same.
+    """Level-order search when every edge costs the same.
 
     Nodes are labelled level by level, each by the first labelled node that
-    reaches it, and neighbours are visited in node-id order. So a level
-    comes out ordered by its predecessors' order and then by node id, which
-    is the order of (hops, node-id path).
+    reaches it, with neighbours visited in ``adjacency`` order; only src
+    and ``relays`` (every node, when None) are expanded. With neighbours in
+    node-id order, as in :class:`SearchTrees`, a level comes out ordered by
+    its predecessors' order and then by node id, which is the order of
+    (hops, node-id path) that :func:`_shortest_paths` needs.
     """
-    relays = trees.relays(repeater_class)
-    adjacency = trees.adjacency
     pred: dict[str, str | None] = {src: None}
     order = [src]
     for node in order:  # grows as it is read, so it ends after the last level
-        if node not in relays and node != src:
+        if relays is not None and node not in relays and node != src:
             continue
         for neighbor, _ in adjacency[node]:
             if neighbor not in pred:
@@ -436,20 +436,36 @@ class RouteState:
             row = self._cdist[src] = self._classical_row(src) if src in self._lengths else {}
         return row
 
+    def reach_row(self, src: str, hub: str) -> dict[str, float]:
+        """The row that decides whether src reaches hub and other nodes.
+
+        Reachability is symmetric, so a row holding src and hub decides
+        both checks: on one edge length hub's, which then answers every
+        distance to hub too (see :meth:`classical_distance`), and
+        otherwise src's own.
+        """
+        return self.classical_row(src if self._length is None else hub)
+
     def _classical_row(self, src: str) -> dict[str, float]:
         """Fiber length from src to every node it reaches, summed from src.
 
         Classical signals relay through any node, so this is a plain
         shortest-length metric with no role or class constraints. When
-        every edge has the same length, level h is at ``d(h-1) + length``
-        from ``d(0) = 0.0``, the sum Dijkstra's search makes along a
-        fewest-hop path, so the rows are the same to the bit, and d(a, b)
-        is d(b, a) to the bit. Otherwise the two may differ in the last
-        bit, so a distance is read from the sender's row.
+        every edge has the same length, each node of the level-order tree
+        is at its predecessor's distance plus that length, from
+        ``d(src) = 0.0``: level h is at ``d(h-1) + length``, the sum
+        Dijkstra's search makes along a fewest-hop path, so the rows are
+        the same to the bit, and d(a, b) is d(b, a) to the bit. Otherwise
+        the two may differ in the last bit, so a distance is read from the
+        sender's row.
         """
-        if self._length is None:
+        length = self._length
+        if length is None:
             return _weighted_row(self._lengths, src)
-        return _level_row(self._lengths, src, self._length)
+        dist = {}
+        for node, prev in _level_tree(self._lengths, src).items():
+            dist[node] = 0.0 if prev is None else dist[prev] + length
+        return dist
 
 
 def _weighted_row(lengths: dict[str, list[tuple[str, float]]], src: str) -> dict[str, float]:
@@ -465,24 +481,6 @@ def _weighted_row(lengths: dict[str, list[tuple[str, float]]], src: str) -> dict
             if cand < dist.get(neighbor, math.inf):
                 dist[neighbor] = cand
                 heapq.heappush(heap, (cand, neighbor))
-    return dist
-
-
-def _level_row(
-    lengths: dict[str, list[tuple[str, float]]], src: str, length: float
-) -> dict[str, float]:
-    """Level-order search for :meth:`RouteState._classical_row`."""
-    dist = {src: 0.0}
-    level, d = [src], 0.0
-    while level:
-        d += length
-        reached = []
-        for node in level:
-            for neighbor, _ in lengths[node]:
-                if neighbor not in dist:
-                    dist[neighbor] = d
-                    reached.append(neighbor)
-        level = reached
     return dist
 
 
@@ -1518,12 +1516,8 @@ class NetworkService:
             if node_id not in self.topology.nodes:
                 self._finish(state, "NoPath", detail=f"unknown node {node_id}")
                 return
-        # reachability is symmetric, so a row holding src and the controller
-        # decides both checks: on one edge length the controller's, which
-        # then answers every distance to the controller too (see
-        # RouteState.classical_distance), and otherwise src's own
-        src, routes = request.src, self.routes
-        row = routes.classical_row(src if routes._length is None else self.controller)
+        src = request.src
+        row = self.routes.reach_row(src, self.controller)
         for end in (self.controller, request.dst):
             if src not in row or end not in row:
                 self._finish(state, "NoPath", detail=f"no classical route {src} -> {end}")
@@ -1847,14 +1841,14 @@ def establish(
 ) -> ChannelResult | Failure:
     """Run one request of any model to completion on a fresh service.
 
+    The run drains the queue; every event of the request names an owner
+    that closes with it, so the clock stops at the request's close.
     ``service_kwargs`` go to :class:`NetworkService`.
     """
     service = NetworkService(engine, **service_kwargs)
     service.submit(request, at=engine.now)
-    engine.run_until(stop=lambda: bool(service.outcomes))
-    if not service.outcomes:
-        return Failure("Stalled", "event queue drained before the request finished")
-    record = service.outcomes[0]
+    engine.run_until()
+    [record] = service.outcomes
     if record.completed:
         return ChannelResult(
             link=record.link,

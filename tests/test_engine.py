@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrnet import (
+    ChannelResult,
     ConnectionModel,
     ConnectionRequest,
     EventKind,
@@ -19,6 +20,9 @@ from qrnet import (
     RepeaterClass,
     ResourceExhausted,
     Simulator,
+    establish,
+    one_by_one_link,
+    simultaneous_link,
 )
 from qrnet.engine import Owner, stream_seed
 
@@ -130,16 +134,29 @@ def test_after_is_relative_to_now():
     assert times == [3.25]
 
 
-def test_run_until_stop_then_drain():
-    sim = _sim()
-    seen = []
-    for t in (1.0, 2.0, 3.0, 4.0):
-        sim.schedule(t, EventKind.PROTOCOL_STEP, lambda t=t: seen.append(t))
-    sim.run_until(stop=lambda: len(seen) >= 2)
-    assert seen == [1.0, 2.0]
-    assert sim.now == 2.0
-    sim.run_until()
-    assert seen == [1.0, 2.0, 3.0, 4.0]
+@pytest.mark.parametrize("call", ["co", "cl", "hybrid", "simultaneous", "one-by-one"])
+def test_a_blocking_run_ends_at_its_close(call):
+    # every event of a blocking call names an owner that closes with it, so
+    # the call leaves no event that would still run, and the clock at the
+    # close: a connectionless try's timeout is still queued then
+    sim = Simulator(chain_topology([10.0, 10.0]), PhysicsParams(), seed=3)
+    path = ["n0", "n1", "n2"]
+    if call == "simultaneous":
+        res = simultaneous_link(sim, path)
+    elif call == "one-by-one":
+        res = one_by_one_link(sim, path)
+    else:
+        model, protocol, waypoints = {
+            "co": (ConnectionModel.CONNECTION_ORIENTED, LinkProtocol.SIMULTANEOUS, ()),
+            "cl": (ConnectionModel.CONNECTIONLESS, LinkProtocol.ONE_BY_ONE, ()),
+            "hybrid": (ConnectionModel.HYBRID, LinkProtocol.ONE_BY_ONE, ("n1",)),
+        }[call]
+        request = ConnectionRequest("r", "n0", "n2", RepeaterClass.FIRST, protocol,
+                                    model, waypoints=waypoints)
+        res = establish(request, sim, controller="n1")
+    assert isinstance(res, ChannelResult)
+    assert all(owner is not None and owner.finished for *_, owner in sim._heap)
+    assert sim.now == res.setup_latency_s > 0.0
 
 
 def test_livelock_ceiling_raises():

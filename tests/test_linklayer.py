@@ -141,7 +141,7 @@ def test_session_aborted_from_outside_fails():
     sim.schedule(
         0.5, EventKind.TIMEOUT, lambda: session.abort("Timeout", "owner gave up")
     )
-    sim.run_until(stop=lambda: session.finished)
+    sim.run_until()
     assert done == [session]
     assert sim.now == 0.5
     res = session.result
@@ -166,7 +166,7 @@ def test_a_restarted_session_ticks_only_on_its_new_clock():
         session.restart()
 
     sim.schedule(restart_at, EventKind.PROTOCOL_STEP, restart, "restart")
-    sim.run_until(stop=lambda: session.finished)
+    sim.run_until()
     assert isinstance(session.result, ChannelResult)
     ticks = [
         float(line.split("\t")[0])

@@ -352,13 +352,18 @@ def _one_weight_topologies(draw):
 @given(_one_weight_topologies())
 def test_level_order_trees_equal_the_weighted_search(topo):
     for cost in PathCost:
-        trees = RouteState(topo, cost).trees
-        assert trees.step is not None, cost
+        routes = RouteState(topo, cost)
+        trees = routes.trees
+        assert trees.step is not None and routes._length is not None, cost
         for cls in (None, *RepeaterClass):
             for src in topo.nodes:
                 got = netlayer._shortest_paths(trees, src, cls)
                 want = netlayer._weighted_tree(trees, src, cls)
                 assert list(got.items()) == list(want.items()), (cost, cls, src)
+        # classical rows, which take the one edge length whatever the cost
+        for src in topo.nodes:
+            row = routes._classical_row(src)
+            assert row == netlayer._weighted_row(routes._lengths, src), (cost, src)
 
 
 def test_uneven_or_unsafe_weights_take_the_weighted_search():
