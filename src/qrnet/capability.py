@@ -79,47 +79,30 @@ _A = Support.ALLOWED
 _D = Support.DISALLOWED
 _NC = Support.NOT_CONSIDERED
 
-_FEATURES: dict[RepeaterClass, dict[Feature, Requirement]] = {
-    RepeaterClass.FIRST: {
-        Feature.HEG: _R, Feature.HEP: _R, Feature.HES: _R,
-        Feature.ECC: _N, Feature.GQM: _R, Feature.FGO: _N,
-    },
-    RepeaterClass.SECOND: {
-        Feature.HEG: _R, Feature.HEP: _N, Feature.HES: _R,
-        Feature.ECC: _R, Feature.GQM: _R, Feature.FGO: _N,
-    },
-    RepeaterClass.THIRD: {
-        Feature.HEG: _N, Feature.HEP: _N, Feature.HES: _N,
-        Feature.ECC: _R, Feature.GQM: _N, Feature.FGO: _R,
-    },
-    RepeaterClass.ALL_PHOTONIC: {
-        Feature.HEG: _R, Feature.HEP: _S, Feature.HES: _R,
-        Feature.ECC: _S, Feature.GQM: _N, Feature.FGO: _S,
-    },
+# Rows and columns are keyed by the members' ``_value_`` strings, which
+# hash in C, where a member's ``__hash__`` runs in Python; the tables are
+# read for every route admission.
+_FEATURES: dict[str, dict[str, Requirement]] = {
+    "first": {"HEG": _R, "HEP": _R, "HES": _R, "ECC": _N, "GQM": _R, "FGO": _N},
+    "second": {"HEG": _R, "HEP": _N, "HES": _R, "ECC": _R, "GQM": _R, "FGO": _N},
+    "third": {"HEG": _N, "HEP": _N, "HES": _N, "ECC": _R, "GQM": _N, "FGO": _R},
+    "all_photonic": {"HEG": _R, "HEP": _S, "HES": _R, "ECC": _S, "GQM": _N, "FGO": _S},
 }
 
-_LINKS: dict[RepeaterClass, dict[LinkProtocol, Support]] = {
-    RepeaterClass.FIRST: {LinkProtocol.SIMULTANEOUS: _A, LinkProtocol.ONE_BY_ONE: _A},
-    RepeaterClass.SECOND: {LinkProtocol.SIMULTANEOUS: _A, LinkProtocol.ONE_BY_ONE: _A},
-    RepeaterClass.THIRD: {LinkProtocol.SIMULTANEOUS: _D, LinkProtocol.ONE_BY_ONE: _A},
-    RepeaterClass.ALL_PHOTONIC: {
-        LinkProtocol.SIMULTANEOUS: _A, LinkProtocol.ONE_BY_ONE: _NC,
-    },
+# link protocols: simultaneous (sl) and one-by-one (ol)
+_LINKS: dict[str, dict[str, Support]] = {
+    "first": {"sl": _A, "ol": _A},
+    "second": {"sl": _A, "ol": _A},
+    "third": {"sl": _D, "ol": _A},
+    "all_photonic": {"sl": _A, "ol": _NC},
 }
 
-_MODELS: dict[RepeaterClass, dict[ConnectionModel, Support]] = {
-    RepeaterClass.FIRST: {
-        ConnectionModel.CONNECTION_ORIENTED: _A, ConnectionModel.CONNECTIONLESS: _A,
-    },
-    RepeaterClass.SECOND: {
-        ConnectionModel.CONNECTION_ORIENTED: _A, ConnectionModel.CONNECTIONLESS: _A,
-    },
-    RepeaterClass.THIRD: {
-        ConnectionModel.CONNECTION_ORIENTED: _A, ConnectionModel.CONNECTIONLESS: _A,
-    },
-    RepeaterClass.ALL_PHOTONIC: {
-        ConnectionModel.CONNECTION_ORIENTED: _A, ConnectionModel.CONNECTIONLESS: _NC,
-    },
+# connection models: connection-oriented (co) and connectionless (cl)
+_MODELS: dict[str, dict[str, Support]] = {
+    "first": {"co": _A, "cl": _A},
+    "second": {"co": _A, "cl": _A},
+    "third": {"co": _A, "cl": _A},
+    "all_photonic": {"co": _A, "cl": _NC},
 }
 
 
@@ -129,7 +112,7 @@ def supports_feature(
     options: AllPhotonicOptions | None = None,
 ) -> Requirement:
     """Requirement entry for (class, feature); SELECTABLE resolves via options."""
-    entry = _FEATURES[cls][feature]
+    entry = _FEATURES[cls._value_][feature._value_]
     if entry is Requirement.SELECTABLE and options is not None:
         selected = getattr(options, feature.value.lower())
         return Requirement.REQUIRED if selected else Requirement.NOT_REQUIRED
@@ -137,13 +120,13 @@ def supports_feature(
 
 
 def supports_link(cls: RepeaterClass, protocol: LinkProtocol) -> Support:
-    return _LINKS[cls][protocol]
+    return _LINKS[cls._value_][protocol._value_]
 
 
 def supports_model(cls: RepeaterClass, model: ConnectionModel) -> Support:
     if model is ConnectionModel.HYBRID:
         raise ValueError("hybrid decomposes into per-area models; query those")
-    return _MODELS[cls][model]
+    return _MODELS[cls._value_][model._value_]
 
 
 def can_purify(cls: RepeaterClass, options: AllPhotonicOptions | None = None) -> bool:
@@ -151,7 +134,7 @@ def can_purify(cls: RepeaterClass, options: AllPhotonicOptions | None = None) ->
 
 
 def can_swap(cls: RepeaterClass) -> bool:
-    return _FEATURES[cls][Feature.HES] is Requirement.REQUIRED
+    return _FEATURES[cls._value_]["HES"] is Requirement.REQUIRED
 
 
 def validate_request(
@@ -198,11 +181,11 @@ def matrix_rows() -> list[tuple[str, list[str]]]:
     sup_sym = {_A: "A", _D: "D", _NC: "NC"}
     rows = []
     for cls in RepeaterClass:
-        cells = [req_sym[_FEATURES[cls][f]] for f in Feature]
-        cells.append(sup_sym[_LINKS[cls][LinkProtocol.SIMULTANEOUS]])
-        cells.append(sup_sym[_LINKS[cls][LinkProtocol.ONE_BY_ONE]])
-        cells.append(sup_sym[_MODELS[cls][ConnectionModel.CONNECTION_ORIENTED]])
-        cells.append(sup_sym[_MODELS[cls][ConnectionModel.CONNECTIONLESS]])
+        cells = [req_sym[supports_feature(cls, f)] for f in Feature]
+        cells.append(sup_sym[supports_link(cls, LinkProtocol.SIMULTANEOUS)])
+        cells.append(sup_sym[supports_link(cls, LinkProtocol.ONE_BY_ONE)])
+        cells.append(sup_sym[supports_model(cls, ConnectionModel.CONNECTION_ORIENTED)])
+        cells.append(sup_sym[supports_model(cls, ConnectionModel.CONNECTIONLESS)])
         rows.append((cls.value, cells))
     return rows
 

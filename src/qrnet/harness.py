@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .capability import (
     AllPhotonicOptions,
@@ -40,14 +41,11 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
+    """Each line's number and its tokens, for every line with any outside a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _as_str(value: str, lineno: int, key: str) -> str:
-    return value
+        tokens = raw.partition("#")[0].split()
+        if tokens:
+            yield lineno, tokens
 
 
 def _as_float(value: str, lineno: int, key: str) -> float:
@@ -108,31 +106,43 @@ _unit = _checked(_as_float, lambda x: 0 <= x <= 1, "must be in [0, 1]")
 def _fields(tokens: list[str], table: dict, lineno: int, what: str) -> dict:
     """Parse ``key=value`` tokens by ``table`` (key -> (field, parse)).
 
-    One pass checks each token's form and that its key is new and known,
-    then values convert in token order. The first fault is reported: a
-    malformed token or a repeated key, whichever comes first, then every
-    unknown key, then the first bad value. Returns field -> value for the
-    keys present, so the directive's dataclass supplies every default.
+    The first fault is reported: a malformed token or a repeated key,
+    whichever comes first, then every unknown key, then the first bad
+    value in token order. One pass checks each token and converts its
+    value, holding a bad value's error until the line has no fault that
+    ranks above it. A ``parse`` of None keeps the value as written.
+    Returns field -> value for the keys present, so the directive's
+    dataclass supplies every default.
     """
-    pairs: dict[str, str] = {}
-    known = True
+    out = {}
+    unknown: list[str] = []
+    bad = None
     for token in tokens:
         key, eq, value = token.partition("=")
         if not (key and value):
             if not eq:
                 raise ParseError(lineno, f"expected key=value, got {token!r}")
             raise ParseError(lineno, f"empty key or value in {token!r}")
-        if key in pairs:
+        entry = table.get(key)
+        if entry is None:
+            if key in unknown:
+                raise ParseError(lineno, f"duplicate key {key!r}")
+            unknown.append(key)
+            continue
+        name, parse = entry
+        # each key names its own field, so a field seen twice is a key seen twice
+        if name in out:
             raise ParseError(lineno, f"duplicate key {key!r}")
-        if key not in table:
-            known = False
-        pairs[key] = value
-    if not known:
-        raise ParseError(lineno, f"unknown {what} keys: {sorted(pairs.keys() - table.keys())}")
-    out = {}
-    for key, value in pairs.items():
-        name, parse = table[key]
-        out[name] = parse(value, lineno, key)
+        try:
+            out[name] = value if parse is None else parse(value, lineno, key)
+        except ParseError as err:
+            out[name] = None  # so a repeat of the key is still a duplicate
+            if bad is None:
+                bad = err
+    if unknown:
+        raise ParseError(lineno, f"unknown {what} keys: {sorted(unknown)}")
+    if bad is not None:
+        raise bad
     return out
 
 
@@ -169,8 +179,7 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
     edge_seq = 0
     node_lines: dict[str, int] = {}
     edge_lines: dict[str, int] = {}
-    for lineno, line in _lines(text):
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         kind = tokens[0]
         if kind == "node":
             if len(tokens) < 2:
@@ -244,22 +253,21 @@ def _parse_arrivals(value: str, lineno: int, key: str) -> tuple:
     scheme, colon, arg = value.partition(":")
     if not colon:
         raise ParseError(lineno, f"arrivals needs poisson:RATE or fixed:T,..., got {value!r}")
+    if scheme == "fixed":
+        # every time is read as a number before a range fault is reported
+        times = [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t]
+        if not times:
+            raise ParseError(lineno, "fixed arrivals need at least one time")
+        for time in times:
+            if not 0 <= time < math.inf:
+                raise ParseError(lineno, "arrival times must be nonnegative and finite")
+        times.sort()
+        return ("fixed", times)
     if scheme == "poisson":
         rate = _as_float(arg, lineno, "arrivals rate")
         if not 0 < rate < math.inf:
             raise ParseError(lineno, "poisson rate must be positive and finite")
         return ("poisson", rate)
-    if scheme == "fixed":
-        # every time is read as a number before a range fault is reported
-        times, finite = [], True
-        for t in filter(None, arg.split(",")):
-            times.append(time := _as_float(t, lineno, "arrival time"))
-            finite = finite and 0 <= time < math.inf
-        if not times:
-            raise ParseError(lineno, "fixed arrivals need at least one time")
-        if not finite:
-            raise ParseError(lineno, "arrival times must be nonnegative and finite")
-        return ("fixed", sorted(times))
     raise ParseError(lineno, f"unknown arrival scheme {scheme!r}")
 
 
@@ -274,7 +282,7 @@ _SCALAR_KEYS = {
         "duration",
         _checked(_as_float, lambda x: 0 < x < math.inf, "must be positive and finite"),
     ),
-    "controller": ("controller", _as_str),
+    "controller": ("controller", None),
     "cost": ("cost", _as_enum(PathCost)),
     "frame_loss": ("frame_loss", _unit),
     # the frame header holds the ttl in one byte
@@ -296,9 +304,9 @@ _POLICY_KEYS = {
     "retry_limit": ("retry_limit", _nonnegative_int),
 }
 _REQUEST_KEYS = {
-    "id": ("request_id", _as_str),
-    "src": ("src", _as_str),
-    "dst": ("dst", _as_str),
+    "id": ("request_id", None),
+    "src": ("src", None),
+    "dst": ("dst", None),
     "model": ("model", _as_enum(ConnectionModel)),
     "class": ("repeater_class", _as_enum(RepeaterClass)),
     "protocol": ("protocol", _as_enum(LinkProtocol)),
@@ -312,11 +320,26 @@ _REQUEST_KEYS = {
 
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
+    requests = scenario.requests
     seen_ids: set[str] = set()
-    for lineno, line in _lines(text):
-        tokens = line.split()
+    for lineno, tokens in _lines(text):
         kind = tokens[0]
-        if "=" in kind:
+        if kind == "request":
+            fields = _fields(tokens[1:], _REQUEST_KEYS, lineno, "request")
+            for required in ("src", "dst", "model"):
+                if required not in fields:
+                    raise ParseError(lineno, f"request needs {required}=")
+            request_id = fields.get("request_id")
+            if request_id is None:
+                request_id = fields["request_id"] = f"r{len(requests) + 1}"
+            elif "," in request_id or '"' in request_id:
+                # the CSV writes the id as it stands, so it may not split or quote a cell
+                raise ParseError(lineno, f"id cannot hold ',' or '\"', got {request_id!r}")
+            if request_id in seen_ids:
+                raise ParseError(lineno, f"duplicate request id {request_id!r}")
+            seen_ids.add(request_id)
+            requests.append(RequestTemplate(**fields))
+        elif "=" in kind:
             # top-level scalar, e.g. "seed=42"
             key, value = kind.split("=", 1)
             if key not in _SCALAR_KEYS:
@@ -324,7 +347,7 @@ def parse_scenario(text: str) -> Scenario:
             if len(tokens) != 1 or not value:
                 raise ParseError(lineno, f"{key} takes exactly one value")
             name, parse = _SCALAR_KEYS[key]
-            setattr(scenario, name, parse(value, lineno, key))
+            setattr(scenario, name, value if parse is None else parse(value, lineno, key))
         elif kind == "physics":
             fields = _fields(tokens[1:], _PHYSICS_KEYS, lineno, "physics")
             scenario.physics = replace(scenario.physics, **fields)
@@ -334,23 +357,9 @@ def parse_scenario(text: str) -> Scenario:
         elif kind == "policy":
             for name, value in _fields(tokens[1:], _POLICY_KEYS, lineno, "policy").items():
                 setattr(scenario, name, value)
-        elif kind == "request":
-            fields = _fields(tokens[1:], _REQUEST_KEYS, lineno, "request")
-            for required in ("src", "dst", "model"):
-                if required not in fields:
-                    raise ParseError(lineno, f"request needs {required}=")
-            if "request_id" not in fields:
-                fields["request_id"] = f"r{len(scenario.requests) + 1}"
-            request_id = fields["request_id"]
-            if request_id in seen_ids:
-                raise ParseError(lineno, f"duplicate request id {request_id!r}")
-            seen_ids.add(request_id)
-            scenario.requests.append(RequestTemplate(**fields))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
-    if scenario.duration is None and any(
-        t.arrivals[0] == "poisson" for t in scenario.requests
-    ):
+    if scenario.duration is None and any(t.arrivals[0] == "poisson" for t in requests):
         raise ParseError(0, "poisson arrivals need a duration")
     return scenario
 
@@ -371,7 +380,7 @@ def splitmix64(seed: int, trial: int) -> int:
 def _expand_arrivals(template: RequestTemplate, sim: Simulator, duration) -> list[float]:
     scheme = template.arrivals[0]
     if scheme == "fixed":
-        return list(template.arrivals[1])
+        return template.arrivals[1]
     rate = template.arrivals[1]
     rng = sim.stream(f"arrivals:{template.request_id}")
     times, t = [], 0.0
@@ -391,9 +400,9 @@ def _row(
     return {
         "request_id": request_id,
         "trial": trial,
-        "model": model.value,
-        "class": cls.value,
-        "link_protocol": protocol.value,
+        "model": model._value_,
+        "class": cls._value_,
+        "link_protocol": protocol._value_,
         "outcome": outcome,
         "setup_latency_s": latency,
         "end_fidelity": fidelity,
@@ -414,11 +423,12 @@ def run_experiment(
 ) -> list[dict]:
     """Run every trial of a scenario and return one row dict per request.
 
-    Requests that are structurally invalid for this topology become
-    failure rows rather than raising, so one bad template never hides the
-    rest of a sweep. Every accepted request closes before its trial's
-    events run out; one that does not is a program fault, so it raises
-    RuntimeError naming the open ids rather than leaving their rows out.
+    Rows are ordered by trial, then arrival, then request id. Requests
+    that are structurally invalid for this topology become failure rows
+    rather than raising, so one bad template never hides the rest of a
+    sweep. Every accepted request closes before its trial's events run
+    out; one that does not is a program fault, so it raises RuntimeError
+    naming the open ids rather than leaving their rows out.
     """
     base_seed = scenario.seed if seed is None else seed
     # routes and classical distances depend only on the topology and cost
@@ -467,20 +477,14 @@ def run_experiment(
             for k, at in enumerate(times):
                 rid = f"{template.request_id}.{k}" if many else template.request_id
                 try:
+                    # positional, in field order: keywords make the call cost twice as much
                     request = ConnectionRequest(
-                        rid,
-                        template.src,
-                        template.dst,
-                        template.repeater_class,
-                        template.protocol,
-                        template.model,
-                        f_min=template.f_min,
-                        deadline=template.deadline,
-                        retry_limit=scenario.retry_limit,
-                        waypoints=template.waypoints,
-                        alternate_mode=template.alternate,
+                        rid, template.src, template.dst,
+                        template.repeater_class, template.protocol, template.model,
+                        template.f_min, template.deadline, scenario.retry_limit,
+                        template.waypoints, template.alternate,
                     )
-                    service.submit(request, at=at, on_outcome=add_row)
+                    service.submit(request, at, add_row)
                     # a refused id may be another request's, which keeps its arrival
                     arrival_of[rid] = at
                 except ValueError:
@@ -492,7 +496,7 @@ def run_experiment(
         if arrival_of:
             raise RuntimeError(f"requests never closed: {', '.join(arrival_of)}")
         rows += invalid
-    rows.sort(key=lambda r: (r["trial"], r["arrival"], r["request_id"]))
+    rows.sort(key=itemgetter("trial", "arrival", "request_id"))
     return rows
 
 
@@ -500,8 +504,6 @@ CSV_HEADER = (
     "request_id,trial,model,class,link_protocol,outcome,setup_latency_s,"
     "end_fidelity,attempts_total,purification_rounds,retries,node_occupancy_s"
 )
-
-_CSV_FIELDS = CSV_HEADER.split(",")
 
 
 def _cell(value) -> str:
@@ -513,7 +515,15 @@ def _cell(value) -> str:
 
 
 def emit_metrics(rows: list[dict], fp) -> None:
-    """Write rows as CSV with a fixed header and 9-significant-digit floats."""
+    """Write rows as CSV under the fixed header. In the three float columns
+    a float takes 9 significant digits and None an empty cell (``_cell``);
+    every other value is written as ``str`` gives it."""
     fp.write(CSV_HEADER + "\n")
-    for row in rows:
-        fp.write(",".join(_cell(row[name]) for name in _CSV_FIELDS) + "\n")
+    cell = _cell
+    fp.writelines(
+        f"{row['request_id']},{row['trial']},{row['model']},{row['class']},"
+        f"{row['link_protocol']},{row['outcome']},{cell(row['setup_latency_s'])},"
+        f"{cell(row['end_fidelity'])},{row['attempts_total']},"
+        f"{row['purification_rounds']},{row['retries']},{cell(row['node_occupancy_s'])}\n"
+        for row in rows
+    )

@@ -79,13 +79,10 @@ OP_PURIFY = 0x01
 OP_ECC = 0x02
 OP_PIPELINING = 0x04
 
-_CLASS_CODES = {
-    RepeaterClass.FIRST: 1,
-    RepeaterClass.SECOND: 2,
-    RepeaterClass.THIRD: 3,
-    RepeaterClass.ALL_PHOTONIC: 4,
-}
-_CODE_CLASSES = {code: cls for cls, code in _CLASS_CODES.items()}
+# keyed by each class's _value_ string, which hashes in C where a member's
+# __hash__ runs in Python
+_CLASS_CODES = {"first": 1, "second": 2, "third": 3, "all_photonic": 4}
+_CODE_CLASSES = {code: RepeaterClass(value) for value, code in _CLASS_CODES.items()}
 
 
 class FrameError(ValueError):
@@ -122,7 +119,7 @@ def encode_frame(frame: QuantumFrame) -> bytes:
         frame.frame_id,
         frame.src_addr,
         frame.dst_addr,
-        _CLASS_CODES[frame.qr_class],
+        _CLASS_CODES[frame.qr_class._value_],
         frame.op_flags,
         frame.hop_count,
         frame.ttl,
@@ -308,10 +305,12 @@ def _level_tree(
 class SearchTrees(dict):
     """Search trees of one topology under one path cost.
 
-    ``trees[src, repeater_class]``, with None for no filter, is searched
-    by :func:`_shortest_paths` on its first read and kept. When every
-    non-END node has the requested class, the filter prunes nothing, so
-    the unfiltered tree serves and is stored under the class too.
+    ``trees[src, value]``, with the filter class's ``_value_`` string or
+    None for no filter, is searched by :func:`_shortest_paths` on its first
+    read and kept; a string key hashes in C, where a member's ``__hash__``
+    runs in Python. When every non-END node has the requested class, the
+    filter prunes nothing, so the unfiltered tree serves and is stored
+    under the class too.
 
     * ``adjacency``: each node's ``(neighbour, edge cost)`` pairs, sorted
       by neighbour id, built here once;
@@ -333,13 +332,14 @@ class SearchTrees(dict):
             for node in topology.nodes
         }
         self.step = _one_weight(self.adjacency)
-        self._relays: dict[RepeaterClass | None, set[str]] = {}
+        self._relays: dict[str | None, set[str]] = {}
 
     def relays(self, repeater_class: RepeaterClass | None) -> set[str]:
         """The non-END nodes, of ``repeater_class`` when one is given."""
-        relays = self._relays.get(repeater_class)
+        key = repeater_class and repeater_class._value_
+        relays = self._relays.get(key)
         if relays is None:
-            relays = self._relays[repeater_class] = {
+            relays = self._relays[key] = {
                 node
                 for node, spec in self.topology.nodes.items()
                 if spec.role is not Role.END
@@ -347,8 +347,9 @@ class SearchTrees(dict):
             }
         return relays
 
-    def __missing__(self, key: tuple[str, RepeaterClass | None]) -> dict[str, str | None]:
-        src, repeater_class = key
+    def __missing__(self, key: tuple[str, str | None]) -> dict[str, str | None]:
+        src, value = key
+        repeater_class = value and RepeaterClass(value)
         if repeater_class is not None and self.relays(repeater_class) == self.relays(None):
             pred = self[src, None]
         else:
@@ -510,8 +511,9 @@ def compute_path(
     stops = [src, *waypoints, dst]
     full: list[str] = [src]
     seen = {src}
+    value = repeater_class and repeater_class._value_
     for leg_src, leg_dst in zip(stops, stops[1:]):
-        pred = routes.trees[leg_src, repeater_class]
+        pred = routes.trees[leg_src, value]
         if leg_dst not in pred:
             raise NoPathError(f"no {routes.cost.value} route {leg_src} -> {leg_dst}")
         leg = []
@@ -1248,28 +1250,23 @@ class NetworkService:
         for leg in state.legs:
             leg.abort()
         occupancy = 0.0
-        ends = (state.request.src, state.request.dst)
+        request = state.request
+        ends = (request.src, request.dst)
         ledger = self.engine.memory
-        tags = [state.tag] + [leg.tag for leg in state.legs]
+        legs = state.legs
+        tags = [state.tag] + [leg.tag for leg in legs] if legs else (state.tag,)
         for tag in tags:
             occupancy += ledger.occupancy_s(tag, now, ends)
             ledger.release_all(tag, now)
         for tag in tags:
             ledger.forget(tag)
-        self._active.discard(state.request.request_id)
-        record = ConnectionOutcome(
-            request=state.request,
-            outcome=outcome,
-            link=link,
-            setup_latency_s=now - state.emission,
-            stats=state.stats,
-            retries=sum(leg.retries for leg in state.legs),
-            drops=dict(state.drops),
-            node_occupancy_s=occupancy,
-            detail=detail,
-            finished_at=now,
-        )
-        state.on_outcome(record)
+        self._active.discard(request.request_id)
+        # positional, in field order: keywords make the call cost twice as much
+        state.on_outcome(ConnectionOutcome(
+            request, outcome, link, now - state.emission, state.stats,
+            sum(leg.retries for leg in legs) if legs else 0, dict(state.drops),
+            occupancy, detail, now,
+        ))
         self._try_admit()
 
     def _deliver(self, state: _RequestState, link: WernerLink) -> None:
@@ -1495,7 +1492,7 @@ class NetworkService:
             emission,
             PROTOCOL_STEP,
             lambda: self._arrive(state, feeds),
-            f"request {request.request_id} ({request.model.value})",
+            f"request {request.request_id} ({request.model._value_})",
             seq=seq,
         )
 

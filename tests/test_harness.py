@@ -190,6 +190,11 @@ def test_parse_scenario_rejects_malformed_lines():
          " arrivals=fixed:0\n", 2, "line 2: duplicate request id 'x'"),
         ("request id=x src=a dst=b model=co class=first protocol=sl"
          " arrivals=poisson:2\n", 0, "poisson arrivals need a duration"),
+        # the id is a CSV cell as written, so it may not split or quote one
+        ("request id=x,1 src=a dst=b model=co\n", 1,
+         "line 1: id cannot hold ',' or '\"', got 'x,1'"),
+        ('request id=x"1 src=a dst=b model=co\n', 1,
+         "line 1: id cannot hold ',' or '\"', got 'x\"1'"),
         # out-of-range values, NaN included, fail at their own line
         ("seed=1\npolicy cl_timeout=0\n", 2, "line 2: cl_timeout must be positive"),
         ("policy cl_timeout=-1\n", 1, "line 1: cl_timeout must be positive"),
@@ -386,7 +391,53 @@ def test_a_directive_with_no_keys_gives_its_class_defaults():
     )
 
 
+# per directive: the text ahead of its line, the line's head, and two keys
+# with a bad value each, as (key, value, message)
+_TWO_BAD_VALUES = {
+    "request": (parse_scenario, "seed=1\n", "request",
+                ("model", "xx", "model must be one of co, cl, hybrid, got 'xx'"),
+                ("class", "yy",
+                 "class must be one of first, second, third, all_photonic, got 'yy'")),
+    "node": (parse_topology, "node a\nnode b\n", "node c",
+             ("role", "xx", "role must be one of end, repeater, switch, got 'xx'"),
+             ("memories", "yy", "memories needs an integer, got 'yy'")),
+    "edge": (parse_topology, "node a\nnode b\n", "edge a b",
+             ("length_km", "far", "length_km needs a number, got 'far'"),
+             ("p_src", "most", "p_src needs a number, got 'most'")),
+    "policy": (parse_scenario, "seed=1\n", "policy",
+               ("swap", "xx", "swap must be one of hierarchical, left_to_right, got 'xx'"),
+               ("retry_limit", "-1", "retry_limit must be nonnegative")),
+}
+
+
+def _lines_with_several_faults():
+    for what, (parse, ahead, head, (k1, v1, m1), (k2, v2, m2)) in _TWO_BAD_VALUES.items():
+        line = ahead.count("\n") + 1
+        for tokens, message in (
+            # a malformed token after an unknown key
+            (f"bogus=1 {k1}", f"expected key=value, got '{k1}'"),
+            (f"{k1}={v1} bogus=1 ={v2}", f"empty key or value in '={v2}'"),
+            (f"{k1}={v1} bogus=1 {k2}=", f"empty key or value in '{k2}='"),
+            # a duplicate key after an unknown key
+            (f"bogus=1 {k1}={v1} {k1}={v1}", f"duplicate key '{k1}'"),
+            (f"{k2}={v2} zz=1 {k1}={v1} zz=2", "duplicate key 'zz'"),
+            # an unknown key after a bad value
+            (f"{k1}={v1} bogus=1", f"unknown {what} keys: ['bogus']"),
+            (f"{k1}={v1} zz=1 {k2}={v2} bogus=2", f"unknown {what} keys: ['bogus', 'zz']"),
+            # two bad values: the first in token order
+            (f"{k1}={v1} {k2}={v2}", m1),
+            (f"{k2}={v2} {k1}={v1}", m2),
+            # all four: whichever of the duplicate and the malformed token
+            # comes first
+            (f"{k1}={v1} bogus=1 {k2}={v2} {k2}={v2} {k1}", f"duplicate key '{k2}'"),
+            (f"{k1}={v1} bogus=1 {k2} {k2}={v2} {k2}={v2}", f"expected key=value, got '{k2}'"),
+        ):
+            yield pytest.param(parse, f"{ahead}{head} {tokens}\n", line, message,
+                               id=f"{what} {tokens}")
+
+
 @pytest.mark.parametrize("parse, text, line, message", [
+    *_lines_with_several_faults(),
     # a token without "=" is reported before an unknown key, wherever it is
     (parse_scenario, "seed=1\nrequest src=a model bogus=1\n", 2,
      "expected key=value, got 'model'"),
@@ -433,7 +484,7 @@ def test_a_line_with_two_faults_reports_the_first_in_precedence_order(
 ):
     with pytest.raises(ParseError) as err:
         parse(text)
-    assert (err.value.line, err.value.reason) == (line, message)
+    assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
 def _labelled_grid_text(n: int, k: int) -> tuple[str, str]:
@@ -1573,6 +1624,20 @@ def test_emit_metrics_format():
     buf2 = io.StringIO()
     emit_metrics(rows, buf2)
     assert buf2.getvalue() == text
+
+
+def test_emit_metrics_writes_rows_it_did_not_make_by_the_same_rule():
+    # emit_metrics takes any row dicts: in the three float columns a float
+    # takes 9 significant digits, None an empty cell, anything else str()
+    row = {
+        "request_id": "q", "trial": 3, "model": "cl", "class": "second",
+        "link_protocol": "ol", "outcome": "Timeout", "setup_latency_s": 1 / 3,
+        "end_fidelity": None, "attempts_total": 12, "purification_rounds": 0,
+        "retries": 2, "node_occupancy_s": 7,
+    }
+    buf = io.StringIO()
+    emit_metrics([row], buf)
+    assert buf.getvalue() == f"{CSV_HEADER}\nq,3,cl,second,ol,Timeout,0.333333333,,12,0,2,7\n"
 
 
 @pytest.mark.parametrize("key_set", [

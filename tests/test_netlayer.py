@@ -10,7 +10,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrnet import (
     AllPhotonicOptions,
@@ -350,6 +350,9 @@ def _one_weight_topologies(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_one_weight_topologies())
+# on 0.1 km edges hop 6 is the first whose chained sum differs from 6 * 0.1,
+# so a row that multiplies hops by the length fails here
+@example(chain_topology([0.1] * 7))
 def test_level_order_trees_equal_the_weighted_search(topo):
     for cost in PathCost:
         routes = RouteState(topo, cost)
