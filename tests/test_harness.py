@@ -916,20 +916,50 @@ request id=ap src=a dst=b model=co class=all_photonic protocol=sl arrivals=poiss
 """
 
 
+# The only frozen runs with third-class CO, CL and hybrid-alternate
+# requests, first-class pumping under f_min and an all-photonic SL chain;
+# their traces pin the encoded hops' confirmations and every protocol's
+# completion heralds.
 @pytest.mark.parametrize(
-    "topology_text, scenario_text, lines, digest",
+    "topology_text, scenario_text, lines, digest, trace_lines, trace_digest",
     [
-        (THIRD_TOPO, THIRD_SCN, 178, "bef56cd2ae4127a6ffd0db3ec13b7da44fb27c34d5afdb22760a09a803ced4c4"),
-        (FIRST_TOPO, FIRST_SCN, 93, "96dfc850a9ae2da4c45ab276eacf48612a4ec99bfb2714caf45201dc792c2c31"),
-        (FIRST_TOPO, FIRST_NOPIPE_SCN, 93, "bf79f7aa739bb019c6f997edbda58cd1aa2c174e3c93e5dd8ead88c1084dcf5d"),
-        (AP_TOPO, AP_SCN, 25, "904105934f8f3d65b955f8b5672d5e9f71f8ed782e183895b5e0c12673696492"),
+        (
+            THIRD_TOPO, THIRD_SCN, 178,
+            "bef56cd2ae4127a6ffd0db3ec13b7da44fb27c34d5afdb22760a09a803ced4c4",
+            1539,
+            "8297879c0b34a147d83320df53914b4c8fbd70e308dbd960bd4adf0294884c16",
+        ),
+        (
+            FIRST_TOPO, FIRST_SCN, 93,
+            "96dfc850a9ae2da4c45ab276eacf48612a4ec99bfb2714caf45201dc792c2c31",
+            5628,
+            "e47b8d8ac37e32c9d1e3b5bb6fe3f77dcdec91ea2c1b626e701e85d3f221adb1",
+        ),
+        (
+            FIRST_TOPO, FIRST_NOPIPE_SCN, 93,
+            "bf79f7aa739bb019c6f997edbda58cd1aa2c174e3c93e5dd8ead88c1084dcf5d",
+            4329,
+            "1d4d38bd261be41e9170b640be5cd97453dca8569456c857eb37029714fe0562",
+        ),
+        (
+            AP_TOPO, AP_SCN, 25,
+            "904105934f8f3d65b955f8b5672d5e9f71f8ed782e183895b5e0c12673696492",
+            1668,
+            "35ef7d3ca50f40a3d3f865dbc313e6a0ce98a87c66e8dfe5d7c3a4a2b480c80a",
+        ),
     ],
     ids=["third", "first-pump-fmin", "first-pump-fmin-nopipe", "allphotonic"],
 )
-def test_paper_paths_csv_is_frozen(topology_text, scenario_text, lines, digest):
-    data = _csv_bytes(topology_text, scenario_text)
+def test_paper_paths_csv_is_frozen(
+    topology_text, scenario_text, lines, digest, trace_lines, trace_digest
+):
+    trace = io.StringIO()
+    data = _csv_bytes(topology_text, scenario_text, trace)
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+    traced = trace.getvalue().encode()
+    assert traced.count(b"\n") == trace_lines
+    assert hashlib.sha256(traced).hexdigest() == trace_digest
 
 
 # A nine-node first-class chain with a distinct length per edge: simultaneous

@@ -39,6 +39,7 @@ from qrnet import netlayer, physics
 from qrnet.engine import MemoryLedger
 from qrnet.harness import emit_metrics, parse_scenario, parse_topology, run_experiment
 from qrnet.linklayer import LinkSession
+from qrnet.model import link_decay_rate
 
 from conftest import chain_topology, grid_topology
 
@@ -1048,6 +1049,47 @@ def test_a_route_whose_pairs_meet_f_target_runs_between_nodes_that_cannot_purify
     [outcome] = service.outcomes
     assert outcome.outcome == "Completed", outcome.detail
     assert outcome.stats.purification_rounds == 0
+
+
+_CO = ConnectionModel.CONNECTION_ORIENTED
+
+
+@pytest.mark.parametrize("model, protocol, waypoints, alternate", [
+    (_CO, LinkProtocol.SIMULTANEOUS, (), False),
+    (_CO, LinkProtocol.ONE_BY_ONE, (), False),
+    (ConnectionModel.CONNECTIONLESS, LinkProtocol.ONE_BY_ONE, (), False),
+    (ConnectionModel.HYBRID, LinkProtocol.ONE_BY_ONE, ("n2",), False),
+    (ConnectionModel.HYBRID, LinkProtocol.ONE_BY_ONE, ("n2",), True),
+], ids=["co-sl", "co-ol", "cl", "hybrid-fast", "hybrid-alternate"])
+def test_every_swap_is_counted_and_decays_at_its_holders_rate(
+    monkeypatch, model, protocol, waypoints, alternate
+):
+    # each node has its own coherence time, so a merged pair given any
+    # node's rate but its two holders' shows
+    topo = chain_topology([5.0, 7.0, 6.0, 8.0], rate=1e4)
+    for i, spec in enumerate(topo.nodes.values()):
+        spec.t_coh = 0.05 + 0.02 * i * i
+    merged_pairs = []
+    swap = physics.swap
+
+    def recorded(*args, **kwargs):
+        merged = swap(*args, **kwargs)
+        merged_pairs.append(merged)
+        return merged
+
+    monkeypatch.setattr(physics, "swap", recorded)
+    sim = Simulator(topo, PARAMS, seed=3)
+    service = NetworkService(sim, controller="n2")
+    service.submit(ConnectionRequest("q", "n0", "n4", RepeaterClass.FIRST, protocol, model,
+                                     waypoints=waypoints, alternate_mode=alternate), at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert outcome.outcome == "Completed", outcome.detail
+    assert outcome.stats.swaps == len(merged_pairs) >= 3
+    for pair in merged_pairs:
+        assert pair.decay_rate == link_decay_rate(
+            topo.nodes[pair.node_a], topo.nodes[pair.node_b]
+        )
 
 
 def test_co_reports_capability_violation():
