@@ -237,6 +237,55 @@ class Failure:
     stats: SessionStats | None = None
 
 
+def swap_pairs(
+    engine: Simulator,
+    stats: SessionStats,
+    cls: RepeaterClass,
+    node_id: str,
+    ab: WernerLink,
+    bc: WernerLink,
+    options: AllPhotonicOptions | None = None,
+) -> WernerLink:
+    """Swap ``ab`` and ``bc`` at ``node_id`` now: every protocol's swap.
+
+    The merged pair joins the two pairs' far ends and decays at the
+    combined rate of those two nodes. The swap counts in ``stats``; the
+    caller frees node_id's two slots and heralds the pair.
+    """
+    nodes = engine.topology.nodes
+    end_a = ab.node_b if ab.node_a == node_id else ab.node_a
+    end_c = bc.node_b if bc.node_a == node_id else bc.node_a
+    merged = physics.swap(
+        ab, bc, nodes[node_id], now=engine.now, link_id=engine.next_link_id(),
+        decay_rate=segment_decay_rate(cls, nodes[end_a], nodes[end_c]), options=options,
+    )
+    stats.swaps += 1
+    return merged
+
+
+def herald_ends(
+    engine: Simulator,
+    node_id: str,
+    ends: list[tuple[str, float]],
+    summary: str,
+    owner,
+    then: Callable[[], None],
+) -> None:
+    """Herald from ``node_id`` to both ``(end, km)`` of ``ends``.
+
+    ``then()`` runs as the second herald lands, once both ends know.
+    """
+    landed = []
+
+    def heard() -> None:
+        landed.append(None)
+        if len(landed) == 2:
+            then()
+
+    for end, km in ends:
+        engine.send_classical(node_id, end, km, heard, f"{summary} -> {end}", owner)
+
+
 class _Segment:
     """Heralded generation (plus optional pumping) on one path edge."""
 
@@ -539,9 +588,6 @@ class LinkSession:
     def _dist_km(self, i: int, j: int) -> float:
         return abs(self._prefix_km[j] - self._prefix_km[i])
 
-    def _spec(self, index: int):
-        return self.layout.specs[index]
-
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
@@ -581,22 +627,19 @@ class LinkSession:
     ) -> WernerLink:
         """Swap ``ab`` and ``bc`` at path[k] into one pair path[a]-path[c].
 
-        Counts the swap and reports path[k], whose two halves are consumed,
-        to ``on_node_free``.
+        Reports path[k], whose two halves are consumed, to ``on_node_free``.
         """
-        merged = physics.swap(
-            ab,
-            bc,
-            self._spec(k),
-            now=self.engine.now,
-            link_id=self.engine.next_link_id(),
-            decay_rate=segment_decay_rate(self.cls, self._spec(a), self._spec(c)),
-            options=self.options,
-        )
-        self.stats.swaps += 1
+        node_id = self.path[k]
+        merged = swap_pairs(self.engine, self.stats, self.cls, node_id, ab, bc, self.options)
         if self.on_node_free is not None:
-            self.on_node_free(self.path[k])
+            self.on_node_free(node_id)
         return merged
+
+    def _confirm_to_source(self, then: Callable[[], None]) -> None:
+        """The far end confirms to the source over the path; ``then()`` runs there."""
+        src, far = self.path[0], self.path[-1]
+        km = self._dist_km(0, len(self.path) - 1)
+        self.engine.send_classical(far, src, km, then, f"confirm -> {src}", self)
 
     def _complete(self, link: WernerLink) -> None:
         now = self.engine.now
@@ -655,8 +698,6 @@ class _SimultaneousFlow:
         self.rank = session.layout.rank
         # swapping position -> the first of its two pairs known there
         self._held: dict[int, tuple[int, int, WernerLink]] = {}
-        self._end_heralds: set[str] = set()
-        self._final_link: WernerLink | None = None
 
     def _swapper(self, a: int, c: int) -> int:
         """The path position that swaps the pair path[a]..path[c]."""
@@ -688,7 +729,10 @@ class _SimultaneousFlow:
         merged = session._swap(k, a, c, ab, bc)
         nxt = self._swapper(a, c)
         if self.rank[nxt] == len(session.path):
-            self._announce_completion(merged, k)
+            path = session.path
+            ends = [(path[i], session._dist_km(k, i)) for i in (0, len(path) - 1)]
+            herald_ends(session.engine, path[k], ends, "channel done", session,
+                        lambda: session._complete(merged))
             return
         session.engine.send_classical(
             session.path[k],
@@ -698,25 +742,6 @@ class _SimultaneousFlow:
             f"swap herald {session.path[k]} -> {session.path[nxt]}",
             session,
         )
-
-    def _announce_completion(self, link: WernerLink, producer_index: int) -> None:
-        session = self.session
-        self._final_link = link
-        for end_index in (0, len(session.path) - 1):
-            end = session.path[end_index]
-            session.engine.send_classical(
-                session.path[producer_index],
-                end,
-                session._dist_km(producer_index, end_index),
-                lambda e=end: self._end_done(e),
-                f"channel done -> {end}",
-                session,
-            )
-
-    def _end_done(self, end: str) -> None:
-        self._end_heralds.add(end)
-        if len(self._end_heralds) == 2:
-            self.session._complete(self._final_link)
 
 
 class _OneByOneFlow:
@@ -761,16 +786,15 @@ class _OneByOneFlow:
         segment = session.segments[k]
         if session.path[k] not in segment.ready or segment.link is None:
             return
-        self.frontier = session._swap(k, 0, k + 1, self.frontier, segment.link)
+        self.frontier = link = session._swap(k, 0, k + 1, self.frontier, segment.link)
         self.frontier_at = None
         last = len(session.path) - 1
         if k + 1 == last:
-            edge_km = session._dist_km(k, last)
             session.engine.send_classical(
                 session.path[k],
                 session.path[last],
-                edge_km,
-                self._far_end_knows,
+                session._dist_km(k, last),
+                lambda: session._confirm_to_source(lambda: session._complete(link)),
                 f"frontier done -> {session.path[last]}",
                 session,
             )
@@ -790,21 +814,6 @@ class _OneByOneFlow:
         if not session.pipelining:
             self._start_segment(idx)
         self._try_swap(idx)
-
-    def _far_end_knows(self) -> None:
-        """Far end confirms back to the source over the whole path."""
-        session = self.session
-        session.engine.send_classical(
-            session.path[-1],
-            session.path[0],
-            session._dist_km(0, len(session.path) - 1),
-            self._source_confirmed,
-            f"confirm -> {session.path[0]}",
-            session,
-        )
-
-    def _source_confirmed(self) -> None:
-        self.session._complete(self.frontier)
 
 
 class _LogicalHopFlow:
@@ -844,7 +853,7 @@ class _LogicalHopFlow:
     def _arrive(self, edge) -> None:
         session = self.session
         self.position += 1
-        receiver = session._spec(self.position)
+        receiver = session.layout.specs[self.position]
         rng = session.engine.stream(f"hop:{edge.edge_id}")
         session.stats.attempts_total += 1
         w_next = physics.transmit_logical_hop(
@@ -858,15 +867,8 @@ class _LogicalHopFlow:
             return
         self.w = w_next
         if self.position == len(session.path) - 1:
-            # arrival is only known at the far end; confirm to the source
-            session.engine.send_classical(
-                session.path[-1],
-                session.path[0],
-                session._dist_km(0, len(session.path) - 1),
-                self._confirmed,
-                f"confirm -> {session.path[0]}",
-                session,
-            )
+            # arrival is only known at the far end
+            session._confirm_to_source(self._confirmed)
         else:
             self._depart()
 

@@ -54,10 +54,12 @@ from .linklayer import (
     LinkSession,
     SessionStats,
     SwapPolicy,
+    herald_ends,
     pumping,
     pumps,
+    swap_pairs,
 )
-from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of, link_decay_rate
+from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
 from .physics import channel_success_prob
 
 
@@ -1017,17 +1019,9 @@ class _ClLeg:
                 self.chain_end = v
                 self._dispatch_held(u)
                 continue
-            nodes = self.service.topology.nodes
-            merged = physics.swap(
-                self.chain,
-                pair,
-                nodes[u],
-                now=engine.now,
-                link_id=engine.next_link_id(),
-                decay_rate=link_decay_rate(nodes[self.src], nodes[v]),
-                options=self.service.options,
+            merged = swap_pairs(
+                engine, self.stats, self.cls, u, self.chain, pair, self.service.options
             )
-            self.stats.swaps += 1
             engine.memory.release(u, 2, self.tag, engine.now)
             self.chain = merged
             self.chain_end = None
@@ -1778,24 +1772,17 @@ class NetworkService:
         request = state.request
         anchors = request.waypoints
         anchor = anchors[i]
-        far = anchors[i + 1] if i + 1 < len(anchors) else request.dst
-        nodes = self.topology.nodes
-        merged = physics.swap(
-            chain,
-            state.leg_results[i + 1],
-            nodes[anchor],
-            now=self.engine.now,
-            link_id=self.engine.next_link_id(),
-            decay_rate=link_decay_rate(nodes[request.src], nodes[far]),
-            options=self.options,
+        merged = swap_pairs(
+            self.engine, state.stats, request.repeater_class, anchor, chain,
+            state.leg_results[i + 1], self.options,
         )
-        state.stats.swaps += 1
         ledger = self.engine.memory
         for tag in (state.legs[i].tag, state.legs[i + 1].tag):
             held = ledger.held_by(tag, anchor)
             if held:
                 ledger.release(anchor, held, tag, self.engine.now)
         if i + 1 < len(anchors):
+            far = anchors[i + 1]
             self.engine.send_classical(
                 anchor,
                 far,
@@ -1805,28 +1792,10 @@ class NetworkService:
                 state,
             )
         else:
-            self._hybrid_announce(state, anchor, merged)
-
-    def _hybrid_announce(
-        self, state: _RequestState, anchor: str, link: WernerLink
-    ) -> None:
-        request = state.request
-        heard: set[str] = set()
-
-        def end_heard(end: str) -> None:
-            heard.add(end)
-            if len(heard) == 2:
-                self._deliver(state, link)
-
-        for end in (request.src, request.dst):
-            self.engine.send_classical(
-                anchor,
-                end,
-                self.routes.classical_distance(anchor, end),
-                lambda e=end: end_heard(e),
-                f"success herald {state.tag} -> {end}",
-                state,
-            )
+            ends = [(end, self.routes.classical_distance(anchor, end))
+                    for end in (request.src, request.dst)]
+            herald_ends(self.engine, anchor, ends, f"success herald {state.tag}", state,
+                        lambda: self._deliver(state, merged))
 
 
 # --------------------------------------------------------------------------

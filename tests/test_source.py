@@ -122,23 +122,29 @@ def test_every_dataclass_field_is_read_outside_the_tests():
 _OWNER_ARG = {"schedule": 4, "after": 4, "send_classical": 5}
 
 
-def _calls_to(tree: ast.Module, names):
-    """Yield (enclosing qualname, call) for each call of a method in ``names``."""
+def _scoped_nodes(tree: ast.Module):
+    """Yield (enclosing qualname, node) for every node below ``tree``."""
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            inner = scope
+            yield scope, child
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = f"{scope}.{child.name}" if scope else child.name
-            elif (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Attribute)
-                and child.func.attr in names
-            ):
-                yield scope, child
-            yield from visit(child, inner)
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                yield from visit(child, scope)
 
     yield from visit(tree, "")
+
+
+def _calls_to(tree: ast.Module, names):
+    """Yield (enclosing qualname, call) for each call of a method in ``names``."""
+    for scope, node in _scoped_nodes(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names
+        ):
+            yield scope, node
 
 
 def _owner_of(call: ast.Call):
@@ -178,3 +184,27 @@ def test_the_link_layer_takes_and_frees_no_memory():
         )
     ]
     assert calls == ["_Segment._tick park", "LinkSession._cleanup unpark"]
+
+
+def test_every_protocol_swaps_and_counts_through_one_step():
+    # SL, OL, CL legs and hybrid anchors all swap through
+    # linklayer.swap_pairs, so one place gives a merged pair its decay
+    # rate and counts it; a hop session's count is only summed into its
+    # leg's
+    swaps, counts = [], []
+    for path in SOURCES:
+        for scope, node in _scoped_nodes(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "swap" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                swaps.append(f"{path.name} {scope}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign)) and any(
+                getattr(target, "attr", None) == "swaps"
+                for target in getattr(node, "targets", [getattr(node, "target", None)])
+            ):
+                counts.append(f"{path.name} {scope} {ast.unparse(node)}")
+    assert swaps == ["linklayer.py swap_pairs"]
+    assert counts == [
+        "linklayer.py swap_pairs stats.swaps += 1",
+        "netlayer.py _merge_stats into.swaps += part.swaps",
+    ]
