@@ -1051,12 +1051,9 @@ def test_a_route_whose_pairs_meet_f_target_runs_between_nodes_that_cannot_purify
     assert outcome.stats.purification_rounds == 0
 
 
-_CO = ConnectionModel.CONNECTION_ORIENTED
-
-
 @pytest.mark.parametrize("model, protocol, waypoints, alternate", [
-    (_CO, LinkProtocol.SIMULTANEOUS, (), False),
-    (_CO, LinkProtocol.ONE_BY_ONE, (), False),
+    (ConnectionModel.CONNECTION_ORIENTED, LinkProtocol.SIMULTANEOUS, (), False),
+    (ConnectionModel.CONNECTION_ORIENTED, LinkProtocol.ONE_BY_ONE, (), False),
     (ConnectionModel.CONNECTIONLESS, LinkProtocol.ONE_BY_ONE, (), False),
     (ConnectionModel.HYBRID, LinkProtocol.ONE_BY_ONE, ("n2",), False),
     (ConnectionModel.HYBRID, LinkProtocol.ONE_BY_ONE, ("n2",), True),

@@ -198,10 +198,7 @@ def test_every_protocol_swaps_and_counts_through_one_step():
                 getattr(node.func, "attr", None), getattr(node.func, "id", None)
             ):
                 swaps.append(f"{path.name} {scope}")
-            elif isinstance(node, (ast.Assign, ast.AugAssign)) and any(
-                getattr(target, "attr", None) == "swaps"
-                for target in getattr(node, "targets", [getattr(node, "target", None)])
-            ):
+            elif isinstance(node, ast.AugAssign) and getattr(node.target, "attr", None) == "swaps":
                 counts.append(f"{path.name} {scope} {ast.unparse(node)}")
     assert swaps == ["linklayer.py swap_pairs"]
     assert counts == [
