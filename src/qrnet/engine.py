@@ -98,9 +98,6 @@ class MemoryLedger:
     def available(self, node_id: str) -> int:
         return self.capacity[node_id] - self.in_use[node_id]
 
-    def _entry(self, tag: str, node_id: str, now: float) -> list:
-        return self._by_tag.setdefault(tag, {}).setdefault(node_id, [0, now, 0.0])
-
     @staticmethod
     def _settle(entry: list, now: float) -> None:
         held, since, slot = entry
@@ -112,20 +109,19 @@ class MemoryLedger:
         return 0 if entry is None else entry[0]
 
     def acquire(self, node_id: str, count: int, tag: str, now: float) -> None:
-        if count > self.available(node_id):
-            raise ResourceExhausted(
-                f"{node_id}: need {count} slots, {self.available(node_id)} free"
-            )
-        entry = self._entry(tag, node_id, now)
-        self._settle(entry, now)
+        free = self.capacity[node_id] - self.in_use[node_id]
+        if count > free:
+            raise ResourceExhausted(f"{node_id}: need {count} slots, {free} free")
+        entry = self._by_tag.setdefault(tag, {}).setdefault(node_id, [0, now, 0.0])
+        held, since, slot = entry  # settled here as _settle would
+        entry[:] = held + count, now, slot + held * (now - since)
         self.in_use[node_id] += count
-        entry[0] += count
 
     def release(self, node_id: str, count: int, tag: str, now: float) -> None:
         held = self.held_by(tag, node_id)
         if count > held:
             raise ValueError(f"{tag} releases {count} at {node_id} but holds {held}")
-        entry = self._entry(tag, node_id, now)
+        entry = self._by_tag.setdefault(tag, {}).setdefault(node_id, [0, now, 0.0])
         self._settle(entry, now)
         entry[0] = held - count
         self.in_use[node_id] -= count
@@ -186,6 +182,8 @@ class Simulator:
     ``finished`` flag, has finished is dropped unrun: it is not traced,
     does not move ``now`` and does not count toward the livelock ceiling.
     So after a drained run ``now`` is the time of the last event that ran.
+    ``after`` and ``send_classical`` push what ``schedule`` would push on a
+    fresh seq themselves, so a protocol reaches the heap in one frame.
 
     ``livelock_ceiling`` bounds stalled work, not all work: ``run_until``
     raises when a window of that many events runs with no ``progress``
@@ -277,7 +275,12 @@ class Simulator:
         summary: str = "",
         owner=None,
     ) -> None:
-        self.schedule(self.now + delay, kind, action, summary, owner)
+        """``schedule(now + delay, ...)`` on a fresh seq, pushed in this one frame."""
+        time = self.now + delay
+        if time < self.now:
+            raise PastEventError(f"cannot schedule at {time}, clock is at {self.now}")
+        heapq.heappush(self._heap, (time, self._seq, kind, summary, action, owner))
+        self._seq += 1
 
     def send_classical(
         self,
@@ -289,10 +292,12 @@ class Simulator:
         owner=None,
     ) -> None:
         """Deliver a classical message after propagation plus receiver processing."""
-        delay = length_km / self.params.c_fiber + self.topology.nodes[dst].proc_delay
-        self.after(
-            delay, CLASSICAL_DELIVERY, action, summary or f"{src}->{dst}", owner
-        )
+        time = self.now + (length_km / self.params.c_fiber + self.topology.nodes[dst].proc_delay)
+        if time < self.now:
+            raise PastEventError(f"cannot schedule at {time}, clock is at {self.now}")
+        summary = summary or f"{src}->{dst}"
+        heapq.heappush(self._heap, (time, self._seq, CLASSICAL_DELIVERY, summary, action, owner))
+        self._seq += 1
 
     def run_until(self) -> None:
         """Process events until the queue drains.

@@ -103,7 +103,7 @@ _nonnegative_int = _checked(_as_int, lambda n: n >= 0, "must be nonnegative")
 _unit = _checked(_as_float, lambda x: 0 <= x <= 1, "must be in [0, 1]")
 
 
-def _fields(tokens: list[str], table: dict, lineno: int, what: str) -> dict:
+def _fields(tokens: list[str], table: dict, lineno: int, what: str, memos: dict) -> dict:
     """Parse ``key=value`` tokens by ``table`` (key -> (field, parse)).
 
     The first fault is reported: a malformed token or a repeated key,
@@ -113,11 +113,23 @@ def _fields(tokens: list[str], table: dict, lineno: int, what: str) -> dict:
     ranks above it. A ``parse`` of None keeps the value as written.
     Returns field -> value for the keys present, so the directive's
     dataclass supplies every default.
+
+    ``memos``, which lives for one parse, keeps per directive each token
+    that converted to other than a tuple, which arrivals are (each template
+    owns its list of times), so that such a token is converted only once.
     """
     out = {}
     unknown: list[str] = []
     bad = None
+    memo = memos.setdefault(what, {})
     for token in tokens:
+        hit = memo.get(token)
+        if hit is not None:
+            key, name, converted = hit
+            if name in out:
+                raise ParseError(lineno, f"duplicate key {key!r}")
+            out[name] = converted
+            continue
         key, eq, value = token.partition("=")
         if not (key and value):
             if not eq:
@@ -134,11 +146,14 @@ def _fields(tokens: list[str], table: dict, lineno: int, what: str) -> dict:
         if name in out:
             raise ParseError(lineno, f"duplicate key {key!r}")
         try:
-            out[name] = value if parse is None else parse(value, lineno, key)
+            out[name] = converted = value if parse is None else parse(value, lineno, key)
         except ParseError as err:
             out[name] = None  # so a repeat of the key is still a duplicate
             if bad is None:
                 bad = err
+            continue
+        if parse is not None and type(converted) is not tuple:
+            memo[token] = (key, name, converted)
     if unknown:
         raise ParseError(lineno, f"unknown {what} keys: {sorted(unknown)}")
     if bad is not None:
@@ -179,12 +194,13 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
     edge_seq = 0
     node_lines: dict[str, int] = {}
     edge_lines: dict[str, int] = {}
+    memos: dict[str, dict] = {}
     for lineno, tokens in _lines(text):
         kind = tokens[0]
         if kind == "node":
             if len(tokens) < 2:
                 raise ParseError(lineno, "node needs an id")
-            spec = NodeSpec(tokens[1], **_fields(tokens[2:], _NODE_KEYS, lineno, "node"))
+            spec = NodeSpec(tokens[1], **_fields(tokens[2:], _NODE_KEYS, lineno, "node", memos))
             try:
                 topo.add_node(spec)
             except ValueError as err:
@@ -193,7 +209,7 @@ def parse_topology(text: str, *, check: bool = True) -> Topology:
         elif kind == "edge":
             if len(tokens) < 3:
                 raise ParseError(lineno, "edge needs two node ids")
-            fields = _fields(tokens[3:], _EDGE_KEYS, lineno, "edge")
+            fields = _fields(tokens[3:], _EDGE_KEYS, lineno, "edge", memos)
             edge_seq += 1
             spec = EdgeSpec(str(edge_seq), tokens[1], tokens[2], **fields)
             topo.add_edge(spec)
@@ -322,10 +338,11 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     requests = scenario.requests
     seen_ids: set[str] = set()
+    memos: dict[str, dict] = {}
     for lineno, tokens in _lines(text):
         kind = tokens[0]
         if kind == "request":
-            fields = _fields(tokens[1:], _REQUEST_KEYS, lineno, "request")
+            fields = _fields(tokens[1:], _REQUEST_KEYS, lineno, "request", memos)
             for required in ("src", "dst", "model"):
                 if required not in fields:
                     raise ParseError(lineno, f"request needs {required}=")
@@ -349,13 +366,14 @@ def parse_scenario(text: str) -> Scenario:
             name, parse = _SCALAR_KEYS[key]
             setattr(scenario, name, value if parse is None else parse(value, lineno, key))
         elif kind == "physics":
-            fields = _fields(tokens[1:], _PHYSICS_KEYS, lineno, "physics")
+            fields = _fields(tokens[1:], _PHYSICS_KEYS, lineno, "physics", memos)
             scenario.physics = replace(scenario.physics, **fields)
         elif kind == "allphotonic":
-            fields = _fields(tokens[1:], _ALLPHOTONIC_KEYS, lineno, "allphotonic")
+            fields = _fields(tokens[1:], _ALLPHOTONIC_KEYS, lineno, "allphotonic", memos)
             scenario.options = AllPhotonicOptions(**fields)
         elif kind == "policy":
-            for name, value in _fields(tokens[1:], _POLICY_KEYS, lineno, "policy").items():
+            fields = _fields(tokens[1:], _POLICY_KEYS, lineno, "policy", memos)
+            for name, value in fields.items():
                 setattr(scenario, name, value)
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")

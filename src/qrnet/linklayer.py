@@ -42,6 +42,7 @@ gate shut and at the first slot after each wake.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -141,9 +142,10 @@ class SessionLayout(NamedTuple):
 
     ``specs[i]`` is path[i]'s node, ``edges[i]`` joins path[i] and
     path[i + 1], and ``prefix_km[i]`` is the fiber length from path[0] to
-    path[i]. Segment i's pair decay rate, whether it pumps (:func:`pumps`)
-    and its trace summary are ``decay_rates[i]``, ``pump_modes[i]`` and
-    ``summaries[i]``; third class builds no segment, so those are empty.
+    path[i]. ``segments[i]`` is the row segment i unpacks: its two nodes,
+    edge, attempt period and node specs; its pair decay rate and whether it
+    pumps (:func:`pumps`); the summaries of its ticks and of its heralds to
+    either end, and its channel success. Third class builds no segment.
     ``rank`` maps each path position to its place in the swap order, the
     ends last, and is empty unless the protocol is simultaneous. Everything
     is a tuple, so one layout serves every session that asks for it.
@@ -153,9 +155,7 @@ class SessionLayout(NamedTuple):
     specs: tuple[NodeSpec, ...]
     edges: tuple[EdgeSpec, ...]
     prefix_km: tuple[float, ...]
-    decay_rates: tuple[float, ...]
-    pump_modes: tuple[bool, ...]
-    summaries: tuple[str, ...]
+    segments: tuple[tuple, ...]
     rank: tuple[int, ...]
 
 
@@ -197,12 +197,18 @@ def session_layout(
     prefix_km = [0.0]
     for edge in edges:
         prefix_km.append(prefix_km[-1] + edge.length_km)
-    hops = range(len(edges) if cls is not RepeaterClass.THIRD else 0)
-    decay_rates = tuple(segment_decay_rate(cls, specs[i], specs[i + 1]) for i in hops)
-    pump_modes = tuple(
-        pumps(edges[i], specs[i], specs[i + 1], cls, engine.params, options) for i in hops
-    )
-    summaries = tuple(f"gen {edges[i].edge_id} seg{i}" for i in hops)
+    rows = []
+    for i in range(len(edges) if cls is not RepeaterClass.THIRD else 0):
+        a, b, edge, spec_a, spec_b = path[i], path[i + 1], edges[i], specs[i], specs[i + 1]
+        e = edge.edge_id
+        rows.append((
+            a, b, edge, 1.0 / edge.attempt_rate_hz, spec_a, spec_b,
+            segment_decay_rate(cls, spec_a, spec_b),
+            pumps(edge, spec_a, spec_b, cls, engine.params, options),
+            sys.intern(f"gen {e} seg{i}"), sys.intern(f"herald {e} -> {a}"),
+            sys.intern(f"herald {e} -> {b}"),
+            physics.channel_success_prob(edge),
+        ))
     rank = []
     if protocol is LinkProtocol.SIMULTANEOUS:
         rank = [len(path)] * len(path)
@@ -210,9 +216,7 @@ def session_layout(
         order = (node_id for rnd in swap_schedule(path, policy) for node_id in rnd)
         for place, node_id in enumerate(order):
             rank[position[node_id]] = place
-    return SessionLayout(
-        cls, specs, edges, tuple(prefix_km), decay_rates, pump_modes, summaries, tuple(rank)
-    )
+    return SessionLayout(cls, specs, edges, tuple(prefix_km), tuple(rows), tuple(rank))
 
 
 @dataclass
@@ -287,22 +291,22 @@ def herald_ends(
 
 
 class _Segment:
-    """Heralded generation (plus optional pumping) on one path edge."""
+    """Heralded generation (plus optional pumping) on one path edge, as its
+    layout row sets it up; its edge's stream is looked up on its first attempt."""
 
-    def __init__(self, session: "LinkSession", index: int):
+    __slots__ = ("session", "index", "node_a", "node_b", "edge", "period", "spec_a", "spec_b",
+                 "decay_rate", "pump_mode", "_summary", "_to_a", "_to_b", "_success", "_rng",
+                 "link", "rounds", "started", "stored", "done", "ready", "_base_confirmed",
+                 "_known", "_next_tick", "_clock", "parked_at", "rounds_exhausted", "__weakref__")
+
+    def __init__(self, session: "LinkSession", index: int, row: tuple):
         self.session = session
         self.index = index
-        self.node_a = session.path[index]
-        self.node_b = session.path[index + 1]
-        self.edge = session.edges[index]
-        # one attempt slot; every tick, park, wake and restart steps by it
-        self.period = 1.0 / self.edge.attempt_rate_hz
-        layout = session.layout
-        self.spec_a = layout.specs[index]
-        self.spec_b = layout.specs[index + 1]
-        self.decay_rate = layout.decay_rates[index]
-        self.pump_mode = layout.pump_modes[index]
-        self._summary = layout.summaries[index]
+        # ``period``, one attempt slot, is what each tick, park, wake and restart steps by
+        (self.node_a, self.node_b, self.edge, self.period, self.spec_a, self.spec_b,
+         self.decay_rate, self.pump_mode, self._summary, self._to_a, self._to_b,
+         self._success) = row
+        self._rng = None
         self.link: WernerLink | None = None
         self.rounds = 0
         self.started = False
@@ -326,36 +330,31 @@ class _Segment:
         if self.started:
             return
         self.started = True
-        self._schedule_tick()
-
-    def _schedule_tick(self) -> None:
         self.session.engine.after(
-            self.period,
-            ATTEMPT_TICK,
-            self._tick,
-            self._summary,
-            self._clock,
+            self.period, ATTEMPT_TICK, self._tick, self._summary, self._clock
         )
 
     def _tick(self) -> None:
         if self.done:
             return
         session = self.session
+        engine = session.engine
         gate = session.blocked_at
         blocked = None if gate is None else gate(self)
         if blocked is not None:
             # wait at the blocking node until it can serve us instead of
             # polling; the attempt clock keeps running from the next slot
             node_id, need = blocked
-            engine = session.engine
             self._next_tick = engine.now + self.period
             self.parked_at = node_id
             engine.memory.park(self, node_id, need)
             return
-        rng = session.engine.stream(f"gen:{self.edge.edge_id}")
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = engine.stream(f"gen:{self.edge.edge_id}")
         session.stats.attempts_total += 1
-        now = session.engine.now
-        link_id = session.engine.next_link_id()
+        now = engine.now
+        link_id = engine.next_link_id()
         if session.ap_mode:
             pair = physics.allphotonic_generate(
                 self.edge, session.params, rng, now=now, link_id=link_id
@@ -368,27 +367,21 @@ class _Segment:
                 now=now,
                 link_id=link_id,
                 decay_rate=self.decay_rate,
+                success_prob=self._success,
             )
         if pair is None:
-            self._schedule_tick()
+            engine.after(self.period, ATTEMPT_TICK, self._tick, self._summary, self._clock)
             return
         self.stored = True
         is_base = self.link is None and not self._base_confirmed
         if is_base and session.on_pair_stored is not None:
             session.on_pair_stored(self, pair)
         self._known[pair.link_id] = set()
-        for receiver in (self.node_a, self.node_b):
-            sender = self.node_b if receiver == self.node_a else self.node_a
-            session.engine.send_classical(
-                sender,
-                receiver,
-                self.edge.length_km,
-                lambda r=receiver, p=pair: self._herald(r, p),
-                f"herald {self.edge.edge_id} -> {receiver}",
-                session,
-            )
+        a, b, km = self.node_a, self.node_b, self.edge.length_km
+        engine.send_classical(b, a, km, lambda: self._herald(a, pair), self._to_a, session)
+        engine.send_classical(a, b, km, lambda: self._herald(b, pair), self._to_b, session)
         if self.pump_mode and not self.rounds_exhausted:
-            self._schedule_tick()
+            engine.after(self.period, ATTEMPT_TICK, self._tick, self._summary, self._clock)
         else:
             self.done = True
 
@@ -418,7 +411,9 @@ class _Segment:
         else:
             self._clock.finished = True
             self._clock = Owner()
-            self._schedule_tick()
+            self.session.engine.after(
+                self.period, ATTEMPT_TICK, self._tick, self._summary, self._clock
+            )
 
     # -- heralds and pumping -------------------------------------------
 
@@ -426,7 +421,8 @@ class _Segment:
         session = self.session
         known = self._known[pair.link_id]
         known.add(node_id)
-        session._flow.segment_base_known(self, node_id)
+        if session._base_known is not None:
+            session._base_known(self, node_id)
         if not self.pump_mode or self.rounds_exhausted:
             # single-pair mode: this pair is the deliverable itself
             if self.link is None:
@@ -531,8 +527,12 @@ class LinkSession:
     its owner keeps for one topology, one physics and one ``options``: the
     first session with a key runs the checks of :func:`session_layout` and
     lays the path out, and every later one with that key reuses the layout,
-    so each distinct session is laid out once.
+    so each distinct session is laid out once. An owner that keeps the
+    layout itself passes it as ``layout``, and no key is built.
     """
+
+    # the flow's hook for a pair one end has heard of, if it has one
+    _base_known = None
 
     def __init__(
         self,
@@ -549,19 +549,15 @@ class LinkSession:
         blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
         on_pair_stored: Callable[[_Segment, WernerLink], None] | None = None,
         layouts: dict | None = None,
+        layout: SessionLayout | None = None,
     ):
-        layouts = {} if layouts is None else layouts
-        # _value_ strings hash in C; an Enum member's __hash__ runs in Python
-        key = (
-            tuple(path),
-            None if cls is None else cls._value_,
-            protocol._value_,
-            policy._value_,
-        )
-        layout = layouts.get(key)
         if layout is None:
-            layout = session_layout(engine, path, cls, protocol, policy, options)
-            layouts[key] = layout
+            layouts = {} if layouts is None else layouts
+            # _value_ strings hash in C; an Enum member's __hash__ runs in Python
+            key = (tuple(path), cls and cls._value_, protocol._value_, policy._value_)
+            layout = layouts.get(key) or layouts.setdefault(
+                key, session_layout(engine, path, cls, protocol, policy, options)
+            )
         self.layout = layout
         self.engine = engine
         self.path = list(path)
@@ -596,11 +592,13 @@ class LinkSession:
         if self.third_class:
             self._flow = _LogicalHopFlow(self)
         else:
-            self.segments = [_Segment(self, i) for i in range(len(self.path) - 1)]
+            self.segments = [_Segment(self, i, row) for i, row in enumerate(self.layout.segments)]
             if self.protocol is LinkProtocol.SIMULTANEOUS:
                 self._flow = _SimultaneousFlow(self)
             else:
                 self._flow = _OneByOneFlow(self)
+                if self.pipelining:
+                    self._base_known = self._flow.segment_base_known
         self._flow.begin()
 
     @property
@@ -622,10 +620,8 @@ class LinkSession:
             if segment.started:
                 segment.restart()
 
-    def _swap(
-        self, k: int, a: int, c: int, ab: WernerLink, bc: WernerLink
-    ) -> WernerLink:
-        """Swap ``ab`` and ``bc`` at path[k] into one pair path[a]-path[c].
+    def _swap(self, k: int, ab: WernerLink, bc: WernerLink) -> WernerLink:
+        """Swap ``ab`` and ``bc`` at path[k] into one pair joining their far ends.
 
         Reports path[k], whose two halves are consumed, to ``on_node_free``.
         """
@@ -679,7 +675,7 @@ class LinkSession:
             self.on_done(self)
         self.on_done = self.on_node_free = None
         self.blocked_at = self.on_pair_stored = None
-        self._flow = None
+        self._flow = self._base_known = None
         self.segments = []
 
 
@@ -707,9 +703,6 @@ class _SimultaneousFlow:
         for segment in self.session.segments:
             segment.start()
 
-    def segment_base_known(self, segment, node_id) -> None:
-        pass
-
     def segment_ready(self, segment, node_id) -> None:
         a = segment.index
         k = self._swapper(a, a + 1)
@@ -726,7 +719,7 @@ class _SimultaneousFlow:
             return
         # one of the two pairs ends at path[k], the other starts there
         (a, _, ab), (_, c, bc) = (pair, held) if c == k else (held, pair)
-        merged = session._swap(k, a, c, ab, bc)
+        merged = session._swap(k, ab, bc)
         nxt = self._swapper(a, c)
         if self.rank[nxt] == len(session.path):
             path = session.path
@@ -761,8 +754,8 @@ class _OneByOneFlow:
             self.session.segments[index].start()
 
     def segment_base_known(self, segment, node_id) -> None:
-        # pipelined mode: the next segment may generate while this one pumps
-        if self.session.pipelining and node_id == segment.node_b:
+        # pipelined mode only: the next segment may generate while this one pumps
+        if node_id == segment.node_b:
             self._start_segment(segment.index + 1)
 
     def segment_ready(self, segment, node_id) -> None:
@@ -786,7 +779,7 @@ class _OneByOneFlow:
         segment = session.segments[k]
         if session.path[k] not in segment.ready or segment.link is None:
             return
-        self.frontier = link = session._swap(k, 0, k + 1, self.frontier, segment.link)
+        self.frontier = link = session._swap(k, self.frontier, segment.link)
         self.frontier_at = None
         last = len(session.path) - 1
         if k + 1 == last:

@@ -52,11 +52,13 @@ from .linklayer import (
     ChannelResult,
     Failure,
     LinkSession,
+    SessionLayout,
     SessionStats,
     SwapPolicy,
     herald_ends,
     pumping,
     pumps,
+    session_layout,
     swap_pairs,
 )
 from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
@@ -373,8 +375,8 @@ class RouteState:
       ``trees``;
     * ``memos``: the admission and session-layout memos of the services
       that share this state, one pair per ``(physics fields, options,
-      cl_timeout)``, the only things they read beyond the topology and cost
-      (see :class:`NetworkService`).
+      cl_timeout, controller, swap policy)``, the only things they read
+      beyond the topology and cost (see :class:`NetworkService`).
 
     Everything is built on its first use, so set-up costs what the requests
     read: a connection-oriented request searches only its source's tree, and
@@ -810,7 +812,7 @@ class _ClLeg:
                 self.on_failure, "RetriesExhausted", "no confirmation from target"
             )
             return
-        self._abort_try(retrying=True)
+        idle = self._abort_try(retrying=True)
         self.retries += 1
         # the source's forwarding decision reads only the tables, the
         # addresses and the ttl, so the first try's holds for every retry;
@@ -818,20 +820,23 @@ class _ClLeg:
         nxt, edge, frame = self._source_decision
         frame.frame_id = self.service.next_frame_id()
         self._schedule_timeout()
-        self._depart(self.src, nxt, edge, frame)
+        if idle:  # the renamed frame is still held; only its hop restarts
+            self._sessions[0].restart()
+        else:
+            self._depart(self.src, nxt, edge, frame)
 
-    def _abort_try(self, retrying: bool = False) -> None:
+    def _abort_try(self, retrying: bool = False) -> bool:
         # synchronized cutoff: the source's timeout also frees the stale
         # halves parked at downstream nodes.  A retry's frame leaves the
         # source over the same table edge, so the retry restarts the source
         # hop, always the try's first session, if it never stored a pair.
         # An idle try (see the class docstring) touched nothing else, so
-        # its retry ends only its owner.
+        # its retry ends only its owner, and this returns True.
         self._try.finished = True
         if retrying:
             self._try = Owner()
             if self.src in self.held_frames and not self._node_held:
-                return
+                return True
         sessions = self._sessions
         keep = retrying and bool(sessions) and sessions[0].untouched
         self._sessions = sessions[:1] if keep else []
@@ -841,6 +846,7 @@ class _ClLeg:
             self.engine.memory.release_all(self.tag, self.engine.now)
         if retrying:
             self._reset_try_state()
+        return False
 
     def _close(self, notify: Callable, *args) -> None:
         if self.finished:
@@ -1100,19 +1106,26 @@ class _Route(NamedTuple):
     run, and None otherwise. An admitted request runs one session over
     ``path`` (CO, hybrid alternate mode) or one leg per ``areas`` entry,
     ``(src, dst, try timeout)`` (CL, hybrid areas), and needs ``plan``'s
-    ``(node, slots)``, the slots of every route summed. Every request with
-    the signature shares this one value, so each part is a tuple.
+    ``(node, slots)``, the slots of every route summed, and the session's
+    ``layout`` over ``path``. ``orders`` holds each ordered node's delay
+    pair (:meth:`NetworkService._orders_at`). Every request with the
+    signature shares this one value, so each part is a tuple.
     """
 
     refusal: tuple[str, str] | None
     path: tuple[str, ...] = ()
     areas: tuple[tuple[str, str, float], ...] = ()
     plan: tuple[tuple[str, int], ...] = ()
+    layout: SessionLayout | None = None
+    orders: tuple[tuple[float, float], ...] = ()
 
 
 class _RequestState:
     """A request from just before its arrival until it is ``finished``; owner
     of its deadline, its controller traffic and its nodes' release notices."""
+
+    __slots__ = ("request", "emission", "on_outcome", "tag", "stats", "drops", "finished",
+                 "route", "short", "session", "legs", "leg_results", "__weakref__")
 
     def __init__(
         self,
@@ -1150,12 +1163,13 @@ class NetworkService:
     mode, ends, waypoints, class and protocol, and not its deadline, f_min
     or retry limit. Each distinct signature is worked out once, on its
     first request, and its route, memory plan, each leg's try timeout, or
-    refusal row is kept; likewise each distinct link session is laid out
-    once (:class:`SessionLayout`). Beyond the topology and ``routes``, an
-    admission reads only the physics, the ``options`` and ``cl_timeout``,
-    and a layout reads the physics and the ``options``. So both memos live
-    in ``routes.memos`` under those three, and every service on one route
-    state with the same three shares them: each trial of one experiment
+    refusal row is kept, and a session route's layout and controller
+    delays (:class:`_Route`); likewise each distinct hop session of a leg
+    is laid out once (:class:`SessionLayout`). Beyond the topology and
+    ``routes``, both read only the physics, the ``options``,
+    ``cl_timeout``, the controller and the swap policy. So both memos live
+    in ``routes.memos`` under those five, and every service on one route
+    state with the same five shares them: each trial of one experiment
     reuses the first's. Keys hold node ids and enum members' ``_value_``
     strings, which hash in C, and both memos assume, like ``routes``, that
     the topology is not edited meanwhile.
@@ -1210,10 +1224,13 @@ class NetworkService:
         self._filed: list[tuple] = []
         self._feeder: tuple[float, int] | None = None
         self._frame_seq = 0
+        # node -> (d(controller, node) / c, its proc_delay), on first admission
+        self._order_delays: dict[str, tuple[float, float]] = {}
         # admission by request signature, and session layouts by
         # (path, class, protocol, policy); see the class docstring
         self._admitted, self._layouts = self.routes.memos.setdefault(
-            (astuple(engine.params), options, cl_timeout), ({}, {})
+            (astuple(engine.params), options, cl_timeout, controller, swap_policy._value_),
+            ({}, {}),
         )
 
     # -- plumbing ---------------------------------------------------------
@@ -1280,18 +1297,11 @@ class NetworkService:
             return
         self._finish(state, "Completed", link=link)
 
-    def _orders_at(self, nodes) -> float:
-        """When orders the controller sends now have reached all ``nodes``.
-
-        Each d(controller, n) is read from the controller's row, summed
-        from its end, on every graph. ``nodes`` lie on a route from a
-        source that reaches the controller, so each is in that row.
-        """
-        c = self.engine.params.c_fiber
+    def _orders_at(self, orders: tuple[tuple[float, float], ...]) -> float:
+        """When orders sent now have reached every node n of a route's
+        ``orders``, its ``(d(controller, n) / c, n's proc_delay)`` pairs."""
         now = self.engine.now
-        row = self.routes.classical_row(self.controller)
-        specs = self.topology.nodes
-        return max(now + row[n] / c + specs[n].proc_delay for n in nodes)
+        return max([now + d + proc_delay for d, proc_delay in orders])
 
     def _admission(self, request: ConnectionRequest) -> _Route:
         """``request``'s route, worked out on the first request with its signature."""
@@ -1318,10 +1328,11 @@ class NetworkService:
         session over ``path`` (CO, hybrid alternate mode) or legs over the
         table walks between the ``areas`` ends (CL, hybrid areas). Then it
         checks, in order: the class rules of ``capability.py`` and of each
-        route's nodes, which ``LinkSession`` and ``physics`` raise on only as
-        program faults; each hop that pumps (:func:`pumps`) for an end that
-        cannot purify; each node's capacity against ``plan``, the slots of
-        every route summed; and each hop for an edge that never heralds.
+        route's nodes, a session's by laying it out (its ``layout``), which
+        ``physics`` raises on only as program faults; each hop that pumps
+        (:func:`pumps`) for an end that cannot purify; each node's capacity
+        against ``plan``, the slots of every route summed; and each hop for
+        an edge that never heralds.
         """
         cls = request.repeater_class
         third = cls is RepeaterClass.THIRD
@@ -1332,6 +1343,7 @@ class NetworkService:
         )
         no_path = "NoPath"  # the row a missing route gives; a table walk's is NoRoute
         path: tuple[str, ...] = ()
+        layout = None
         walks: list[tuple[str, str, list]] = []
         try:
             if hybrid:
@@ -1376,13 +1388,14 @@ class NetworkService:
                 walks = [(a, b, self.tables.walk(a, b)) for a, b in ends]
                 routes = [[a, *(n.node_id for _, n in hops)] for a, _, hops in walks]
             params = self.engine.params
+            if one_session:
+                # its checks refuse an interior node of another class
+                layout = session_layout(
+                    self.engine, path, cls, request.link_protocol, self.swap_policy, self.options
+                )
             for route in routes:
                 for n in route[1:-1]:
                     node_cls = nodes[n].repeater_class
-                    if one_session and node_cls is not cls:
-                        raise CapabilityViolation(
-                            f"path node {n} is {node_cls.value}, session needs {cls.value}"
-                        )
                     if not (one_session or third or can_swap(node_cls)):
                         raise CapabilityViolation(f"{node_cls.value} node {n} cannot swap")
                 for n in route[1:] if third else ():
@@ -1434,7 +1447,16 @@ class NetworkService:
              else 3.0 * self._zero_load_estimate(hops, a, b, cls))
             for a, b, hops in walks
         )
-        return _Route(None, path, areas, tuple(plan.items()))
+        delays = self._order_delays
+        if not delays and (one_session or hybrid):
+            # each d(controller, n) comes from the controller's row, summed from
+            # its end; every ordered node lies on a route from a source that
+            # reaches it, so is in the row; one pair per node serves all routes
+            row, c = self.routes.classical_row(self.controller), params.c_fiber
+            delays.update((n, (d / c, nodes[n].proc_delay)) for n, d in row.items())
+        ordered = (request.src, *request.waypoints, request.dst) if hybrid else path
+        return _Route(None, path, areas, tuple(plan.items()), layout,
+                      tuple(delays[n] for n in ordered))
 
     # -- submission ---------------------------------------------------------
 
@@ -1585,7 +1607,7 @@ class NetworkService:
             for node_id, slots in plan:
                 ledger.acquire(node_id, slots, state.tag, now)
             self.engine.schedule(
-                self._orders_at(state.route.path),
+                self._orders_at(state.route.orders),
                 PROTOCOL_STEP,
                 lambda s=state: self._co_start_session(s),
                 f"orders {state.request.request_id}",
@@ -1604,7 +1626,7 @@ class NetworkService:
             options=self.options,
             on_done=lambda s: self._co_session_done(state, s),
             on_node_free=lambda n: self._co_node_freed(state, n),
-            layouts=self._layouts,
+            layout=state.route.layout,
         )
         state.session = session
         session.start()
@@ -1710,7 +1732,7 @@ class NetworkService:
     def _hybrid_orders(self, state: _RequestState) -> None:
         request = state.request
         self.engine.schedule(
-            self._orders_at([request.src, *request.waypoints, request.dst]),
+            self._orders_at(state.route.orders),
             PROTOCOL_STEP,
             lambda: self._hybrid_begin(state),
             f"orders {request.request_id}",
@@ -1742,7 +1764,7 @@ class NetworkService:
             on_done=lambda s: self._co_session_done(state, s),
             # a swap consumes both halves at an interior node
             on_node_free=lambda n: memory.release(n, 2, state.tag, self.engine.now),
-            layouts=self._layouts,
+            layout=state.route.layout,
         )
         state.session = session
         session.start()

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -268,6 +269,55 @@ def test_classical_delay_is_propagation_plus_processing():
     sim.send_classical("n0", "n1", 10.0, lambda: arrived.append(sim.now))
     sim.run_until()
     assert math.isclose(arrived[0], 10.0 / sim.params.c_fiber + 1e-4)
+
+
+@pytest.mark.parametrize("now", [0.0, 0.37, 1e3 / 3])
+def test_after_and_send_classical_push_what_schedule_pushes_in_one_frame(now):
+    # both build their heap entry themselves, so a protocol reaches the heap
+    # in one Python frame; the entry must be the one schedule(now + delay)
+    # pushes, summary default and refusals included
+    topo = chain_topology([10.0, 10.0], proc_delay=3e-6)
+    pushed, reference = (Simulator(topo, PhysicsParams(), seed=1) for _ in range(2))
+    pushed.now = reference.now = now
+    owner, action = Owner(), lambda: None
+    c, proc = reference.params.c_fiber, topo.nodes["n1"].proc_delay
+
+    def both(push, schedule):
+        try:
+            push()
+        except PastEventError as err:
+            with pytest.raises(PastEventError) as want:
+                schedule()
+            assert str(err) == str(want.value)
+        else:
+            schedule()
+
+    for kind in (EventKind.TIMEOUT, EventKind.ATTEMPT_TICK):
+        for delay in (0.0, 1e-12, 3.3e-5, 0.1, 7.0, -1e-9, -2.5):
+            both(lambda: pushed.after(delay, kind, action, "tick", owner),
+                 lambda: reference.schedule(now + delay, kind, action, "tick", owner))
+    for km in (0.0, 5.0, 10.0, 123.456, -1.0, -1e4):
+        for summary in ("", "herald"):
+            both(lambda: pushed.send_classical("n0", "n1", km, action, summary, owner),
+                 lambda: reference.schedule(now + (km / c + proc), EventKind.CLASSICAL_DELIVERY,
+                                            action, summary or "n0->n1", owner))
+    # time, seq, kind, summary, action and owner of every entry, in heap order
+    assert pushed._heap == reference._heap and pushed._seq == reference._seq
+    assert len(pushed._heap) == 2 * 5 + 4 * 2
+
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        pushed.after(0.5, EventKind.TIMEOUT, action, "tick", owner)
+        pushed.send_classical("n0", "n1", 5.0, action, "", owner)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["after", "send_classical"]
 
 
 def test_trace_lines_are_tab_separated_scientific():

@@ -487,6 +487,66 @@ def test_a_line_with_two_faults_reports_the_first_in_precedence_order(
     assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
 
 
+_GOOD_REQUEST = "request src=a dst=b model=co class=first protocol=sl deadline=0.03\n"
+_GOOD_NODE = "node {} role=switch class=first memories=2 t_coh=0.05\n"
+
+
+@pytest.mark.parametrize("parse, ahead, text, message", [
+    # a duplicate of a memoized token, on its own and after the memoized one
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=co model=co",
+     "duplicate key 'model'"),
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b deadline=0.03 class=first"
+     " deadline=0.03", "duplicate key 'deadline'"),
+    (parse_topology, _GOOD_NODE.format("a") + _GOOD_NODE.format("b"),
+     "node c role=switch memories=2 role=switch", "duplicate key 'role'"),
+    # an unknown key beside memoized ones
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=co foo=1 class=first",
+     "unknown request keys: ['foo']"),
+    (parse_topology, _GOOD_NODE.format("a"), "node c bogus=1 class=first t_coh=0.05",
+     "unknown node keys: ['bogus']"),
+    # a bad value after the good one, on a later line and on the same line
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=xx",
+     "model must be one of co, cl, hybrid, got 'xx'"),
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=co model=xx",
+     "duplicate key 'model'"),
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=xx model=co",
+     "duplicate key 'model'"),
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=co class=yy",
+     "class must be one of first, second, third, all_photonic, got 'yy'"),
+])
+def test_a_token_seen_before_in_its_file_keeps_every_later_fault(parse, ahead, text, message):
+    # the lines ahead convert every token of the faulty line once, so the
+    # parse reads them from its memo, and reports what a first sight would
+    for before, line in ((ahead, ahead.count("\n") + 1), ("", 1)):
+        with pytest.raises(ParseError) as err:
+            parse(f"{before}{text}\n")
+        assert (err.value.line, err.value.reason) == (line, message)
+
+
+def test_a_parse_converts_each_repeated_token_once_and_keeps_nothing(monkeypatch):
+    converted = Counter()
+    table = dict(harness._REQUEST_KEYS)
+    for key, (name, parse) in harness._REQUEST_KEYS.items():
+        if parse is not None:
+            def counted(value, lineno, k, _parse=parse):
+                converted[k, value] += 1
+                return _parse(value, lineno, k)
+
+            table[key] = (name, counted)
+    monkeypatch.setattr(harness, "_REQUEST_KEYS", table)
+    line = "request src=a dst=b model=co class=first deadline=0.03 arrivals=fixed:0,1\n"
+    first = parse_scenario(line * 3)
+    # arrivals are never memoized: a template's list of times is its own
+    assert converted == {("model", "co"): 1, ("class", "first"): 1, ("deadline", "0.03"): 1,
+                         ("arrivals", "fixed:0,1"): 3}
+    second = parse_scenario(line * 2)
+    assert converted[("model", "co")] == converted[("deadline", "0.03")] == 2
+    templates = first.requests + second.requests
+    assert len({id(t.arrivals[1]) for t in templates}) == 5
+    first.requests[0].arrivals[1].append(9.0)
+    assert [t.arrivals for t in templates[1:]] == [("fixed", [0.0, 1.0])] * 4
+
+
 def _labelled_grid_text(n: int, k: int) -> tuple[str, str]:
     """A grid-K style topology and scenario, built without any random stream."""
     ids = [f"g{r}_{c}" for r in range(n) for c in range(n)]

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from qrnet import (
@@ -18,6 +19,8 @@ from qrnet import (
     simultaneous_link,
     swap_schedule,
 )
+from qrnet import physics
+from qrnet.engine import stream_seed
 
 from conftest import chain_topology
 
@@ -250,8 +253,12 @@ def test_sessions_that_share_a_layouts_memo_share_one_checked_layout():
     assert key == (tuple(path), "first", "sl", "hierarchical")
     assert layout.prefix_km == (0.0, 10.0, 30.0, 60.0)
     assert layout.rank == (4, 0, 1, 4)
-    assert layout.pump_modes == (True,) * 3
-    assert layout.summaries == ("gen e0 seg0", "gen e1 seg1", "gen e2 seg2")
+    # each segment's row: its ends, whether it pumps, and the summaries of
+    # its ticks and of its heralds to either end
+    assert [(row[:2], row[7:11]) for row in layout.segments] == [
+        ((a, b), (True, f"gen {e} seg{i}", f"herald {e} -> {a}", f"herald {e} -> {b}"))
+        for i, (a, b, e) in enumerate(zip(path, path[1:], ("e0", "e1", "e2")))
+    ]
     sim = Simulator(topo, params, seed=13)
     session = LinkSession(sim, path, RepeaterClass.FIRST, LinkProtocol.SIMULTANEOUS,
                           layouts=layouts)
@@ -293,17 +300,61 @@ def test_simultaneous_swaps_match_the_schedules_interval_merges(
 ):
     swaps = []
     swap = LinkSession._swap
+    path = [f"n{i}" for i in range(n_nodes)]
 
-    def recorded(session, k, a, c, ab, bc):
+    def recorded(session, k, ab, bc):
+        # the merged pair spans the two pairs' far ends, path[a]..path[c]
+        a, c = (path.index(p.other_end(path[k])) for p in (ab, bc))
         swaps.append((a, k, c))
-        return swap(session, k, a, c, ab, bc)
+        return swap(session, k, ab, bc)
 
     monkeypatch.setattr(LinkSession, "_swap", recorded)
     # unequal arms, so the pairs meeting at a node arrive in either order
     topo = chain_topology([5.0 + 7.0 * (i * 3 % 5) for i in range(n_nodes - 1)])
     sim = Simulator(topo, PARAMS, seed=5)
-    path = [f"n{i}" for i in range(n_nodes)]
     res = simultaneous_link(sim, path, policy=policy)
     assert isinstance(res, ChannelResult)
     assert res.stats.swaps == n_nodes - 2
     assert sorted(swaps) == sorted(_interval_merges(path, policy))
+
+
+def test_sessions_on_one_edge_draw_in_turn_from_the_simulators_one_stream(monkeypatch):
+    # each segment looks its edge's stream up once and keeps it; the kept
+    # stream is the simulator's own, so two sessions that attempt in turn on
+    # one edge take its doubles in event order, as if each attempt looked
+    # the stream up again
+    sim = Simulator(chain_topology([10.0], p_src=0.1), PARAMS, seed=1)
+    looked_up, streams, drawn = [], set(), []
+    stream = sim.stream
+
+    def counted(label):
+        looked_up.append(label)
+        return stream(label)
+
+    class Tap:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self):
+            drawn.append(self.rng.random())
+            return drawn[-1]
+
+    attempt = physics.attempt_generation
+
+    def tapped(edge, params, rng, **kw):
+        streams.add(id(rng))
+        return attempt(edge, params, Tap(rng), **kw)
+
+    monkeypatch.setattr(sim, "stream", counted)
+    monkeypatch.setattr(physics, "attempt_generation", tapped)
+    sessions = [LinkSession(sim, ["n0", "n1"], RepeaterClass.FIRST, LinkProtocol.SIMULTANEOUS)
+                for _ in range(2)]
+    for session in sessions:
+        session.start()
+    sim.run_until()
+    assert all(isinstance(s.result, ChannelResult) for s in sessions)
+    attempts = [s.stats.attempts_total for s in sessions]
+    assert min(attempts) >= 3 and sum(attempts) == len(drawn)
+    assert looked_up == ["gen:e0", "gen:e0"] and streams == {id(stream("gen:e0"))}
+    reference = np.random.Generator(np.random.PCG64(stream_seed(1, "gen:e0")))
+    assert drawn == reference.random(len(drawn)).tolist()

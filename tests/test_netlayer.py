@@ -38,7 +38,7 @@ from qrnet import (
 from qrnet import netlayer, physics
 from qrnet.engine import MemoryLedger
 from qrnet.harness import emit_metrics, parse_scenario, parse_topology, run_experiment
-from qrnet.linklayer import LinkSession
+from qrnet.linklayer import LinkSession, SwapPolicy
 from qrnet.model import link_decay_rate
 
 from conftest import chain_topology, grid_topology
@@ -1502,7 +1502,7 @@ def test_cl_source_hop_whose_pumping_round_failed_is_rebuilt(built_sessions, mon
 
     def recording_abort_try(leg, retrying=False):
         seen.append(leg._sessions[0].segments[0].link is None)
-        abort_try(leg, retrying)
+        return abort_try(leg, retrying)
 
     monkeypatch.setattr(netlayer._ClLeg, "_abort_try", recording_abort_try)
     topo = chain_topology([5.0], memories=2, rate=1e4)
@@ -1795,6 +1795,19 @@ _MEMO_INPUTS = {
         _cl_request("q", "n0", "n1", retry_limit=2),
         [dict(params=PARAMS), dict(params=PARAMS, cl_timeout=1e-6)],
     ),
+    # a session route keeps the controller's delay to each node it orders
+    "controller": (
+        lambda: chain_topology([5.0, 5.0]),
+        _co_request("q", "n0", "n2"),
+        [dict(params=PARAMS, controller="n1"), dict(params=PARAMS, controller="n2")],
+    ),
+    # and its layout, whose swap order follows the policy
+    "swap_policy": (
+        lambda: chain_topology([5.0, 30.0, 5.0, 5.0]),
+        _co_request("q", "n0", "n4"),
+        [dict(params=PARAMS, swap_policy=SwapPolicy.HIERARCHICAL),
+         dict(params=PARAMS, swap_policy=SwapPolicy.LEFT_TO_RIGHT)],
+    ),
 }
 
 
@@ -1812,7 +1825,7 @@ def test_services_on_one_route_state_share_no_entry_across_differing_inputs(
         sim.run_until()
         [o] = service.outcomes
         row = (o.outcome, o.detail, o.retries, o.stats.attempts_total,
-               o.stats.purification_rounds)
+               o.stats.purification_rounds, o.setup_latency_s)
         return service, row
 
     alone = [serve(RouteState(topo), **setup)[1] for setup in setups]
