@@ -145,7 +145,7 @@ class SessionLayout(NamedTuple):
     path[i]. ``segments[i]`` is the row segment i unpacks: its two nodes,
     edge, attempt period and node specs; its pair decay rate and whether it
     pumps (:func:`pumps`); the summaries of its ticks and of its heralds to
-    either end, and its channel success. Third class builds no segment.
+    either end. Third class builds no segment.
     ``rank`` maps each path position to its place in the swap order, the
     ends last, and is empty unless the protocol is simultaneous. Everything
     is a tuple, so one layout serves every session that asks for it.
@@ -207,7 +207,6 @@ def session_layout(
             pumps(edge, spec_a, spec_b, cls, engine.params, options),
             sys.intern(f"gen {e} seg{i}"), sys.intern(f"herald {e} -> {a}"),
             sys.intern(f"herald {e} -> {b}"),
-            physics.channel_success_prob(edge),
         ))
     rank = []
     if protocol is LinkProtocol.SIMULTANEOUS:
@@ -295,7 +294,7 @@ class _Segment:
     layout row sets it up; its edge's stream is looked up on its first attempt."""
 
     __slots__ = ("session", "index", "node_a", "node_b", "edge", "period", "spec_a", "spec_b",
-                 "decay_rate", "pump_mode", "_summary", "_to_a", "_to_b", "_success", "_rng",
+                 "decay_rate", "pump_mode", "_summary", "_to_a", "_to_b", "_rng",
                  "link", "rounds", "started", "stored", "done", "ready", "_base_confirmed",
                  "_known", "_next_tick", "_clock", "parked_at", "rounds_exhausted", "__weakref__")
 
@@ -304,8 +303,7 @@ class _Segment:
         self.index = index
         # ``period``, one attempt slot, is what each tick, park, wake and restart steps by
         (self.node_a, self.node_b, self.edge, self.period, self.spec_a, self.spec_b,
-         self.decay_rate, self.pump_mode, self._summary, self._to_a, self._to_b,
-         self._success) = row
+         self.decay_rate, self.pump_mode, self._summary, self._to_a, self._to_b) = row
         self._rng = None
         self.link: WernerLink | None = None
         self.rounds = 0
@@ -367,7 +365,6 @@ class _Segment:
                 now=now,
                 link_id=link_id,
                 decay_rate=self.decay_rate,
-                success_prob=self._success,
             )
         if pair is None:
             engine.after(self.period, ATTEMPT_TICK, self._tick, self._summary, self._clock)
@@ -527,8 +524,7 @@ class LinkSession:
     its owner keeps for one topology, one physics and one ``options``: the
     first session with a key runs the checks of :func:`session_layout` and
     lays the path out, and every later one with that key reuses the layout,
-    so each distinct session is laid out once. An owner that keeps the
-    layout itself passes it as ``layout``, and no key is built.
+    so each distinct session is laid out once.
     """
 
     # the flow's hook for a pair one end has heard of, if it has one
@@ -549,15 +545,19 @@ class LinkSession:
         blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
         on_pair_stored: Callable[[_Segment, WernerLink], None] | None = None,
         layouts: dict | None = None,
-        layout: SessionLayout | None = None,
     ):
+        layouts = {} if layouts is None else layouts
+        # _value_ strings hash in C; an Enum member's __hash__ runs in Python
+        key = (
+            tuple(path),
+            None if cls is None else cls._value_,
+            protocol._value_,
+            policy._value_,
+        )
+        layout = layouts.get(key)
         if layout is None:
-            layouts = {} if layouts is None else layouts
-            # _value_ strings hash in C; an Enum member's __hash__ runs in Python
-            key = (tuple(path), cls and cls._value_, protocol._value_, policy._value_)
-            layout = layouts.get(key) or layouts.setdefault(
-                key, session_layout(engine, path, cls, protocol, policy, options)
-            )
+            layout = session_layout(engine, path, cls, protocol, policy, options)
+            layouts[key] = layout
         self.layout = layout
         self.engine = engine
         self.path = list(path)

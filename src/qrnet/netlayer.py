@@ -52,13 +52,11 @@ from .linklayer import (
     ChannelResult,
     Failure,
     LinkSession,
-    SessionLayout,
     SessionStats,
     SwapPolicy,
     herald_ends,
     pumping,
     pumps,
-    session_layout,
     swap_pairs,
 )
 from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
@@ -375,8 +373,8 @@ class RouteState:
       ``trees``;
     * ``memos``: the admission and session-layout memos of the services
       that share this state, one pair per ``(physics fields, options,
-      cl_timeout, controller, swap policy)``, the only things they read
-      beyond the topology and cost (see :class:`NetworkService`).
+      cl_timeout, controller)``, the only things they read beyond the
+      topology and cost (see :class:`NetworkService`).
 
     Everything is built on its first use, so set-up costs what the requests
     read: a connection-oriented request searches only its source's tree, and
@@ -812,7 +810,7 @@ class _ClLeg:
                 self.on_failure, "RetriesExhausted", "no confirmation from target"
             )
             return
-        idle = self._abort_try(retrying=True)
+        self._abort_try(retrying=True)
         self.retries += 1
         # the source's forwarding decision reads only the tables, the
         # addresses and the ttl, so the first try's holds for every retry;
@@ -820,23 +818,20 @@ class _ClLeg:
         nxt, edge, frame = self._source_decision
         frame.frame_id = self.service.next_frame_id()
         self._schedule_timeout()
-        if idle:  # the renamed frame is still held; only its hop restarts
-            self._sessions[0].restart()
-        else:
-            self._depart(self.src, nxt, edge, frame)
+        self._depart(self.src, nxt, edge, frame)
 
-    def _abort_try(self, retrying: bool = False) -> bool:
+    def _abort_try(self, retrying: bool = False) -> None:
         # synchronized cutoff: the source's timeout also frees the stale
         # halves parked at downstream nodes.  A retry's frame leaves the
         # source over the same table edge, so the retry restarts the source
         # hop, always the try's first session, if it never stored a pair.
         # An idle try (see the class docstring) touched nothing else, so
-        # its retry ends only its owner, and this returns True.
+        # its retry ends only its owner.
         self._try.finished = True
         if retrying:
             self._try = Owner()
             if self.src in self.held_frames and not self._node_held:
-                return True
+                return
         sessions = self._sessions
         keep = retrying and bool(sessions) and sessions[0].untouched
         self._sessions = sessions[:1] if keep else []
@@ -846,7 +841,6 @@ class _ClLeg:
             self.engine.memory.release_all(self.tag, self.engine.now)
         if retrying:
             self._reset_try_state()
-        return False
 
     def _close(self, notify: Callable, *args) -> None:
         if self.finished:
@@ -1106,17 +1100,16 @@ class _Route(NamedTuple):
     run, and None otherwise. An admitted request runs one session over
     ``path`` (CO, hybrid alternate mode) or one leg per ``areas`` entry,
     ``(src, dst, try timeout)`` (CL, hybrid areas), and needs ``plan``'s
-    ``(node, slots)``, the slots of every route summed, and the session's
-    ``layout`` over ``path``. ``orders`` holds each ordered node's delay
-    pair (:meth:`NetworkService._orders_at`). Every request with the
-    signature shares this one value, so each part is a tuple.
+    ``(node, slots)``, the slots of every route summed. ``orders`` holds
+    each ordered node's delay pair (:meth:`NetworkService._orders_at`).
+    Every request with the signature shares this one value, so each part
+    is a tuple.
     """
 
     refusal: tuple[str, str] | None
     path: tuple[str, ...] = ()
     areas: tuple[tuple[str, str, float], ...] = ()
     plan: tuple[tuple[str, int], ...] = ()
-    layout: SessionLayout | None = None
     orders: tuple[tuple[float, float], ...] = ()
 
 
@@ -1163,16 +1156,17 @@ class NetworkService:
     mode, ends, waypoints, class and protocol, and not its deadline, f_min
     or retry limit. Each distinct signature is worked out once, on its
     first request, and its route, memory plan, each leg's try timeout, or
-    refusal row is kept, and a session route's layout and controller
-    delays (:class:`_Route`); likewise each distinct hop session of a leg
-    is laid out once (:class:`SessionLayout`). Beyond the topology and
-    ``routes``, both read only the physics, the ``options``,
-    ``cl_timeout``, the controller and the swap policy. So both memos live
-    in ``routes.memos`` under those five, and every service on one route
-    state with the same five shares them: each trial of one experiment
-    reuses the first's. Keys hold node ids and enum members' ``_value_``
-    strings, which hash in C, and both memos assume, like ``routes``, that
-    the topology is not edited meanwhile.
+    refusal row is kept, with the controller's delays to the nodes a
+    session route orders (:class:`_Route`); likewise each distinct link
+    session is laid out once (:class:`SessionLayout`). Beyond the topology
+    and ``routes``, an admission reads only the physics, the ``options``,
+    ``cl_timeout`` and the controller, and a layout reads the physics and
+    the ``options``. So both memos live in ``routes.memos`` under those
+    four, and every service on one route state with the same four shares
+    them: each trial of one experiment reuses the first's. Keys hold node
+    ids and enum members' ``_value_`` strings, which hash in C, and both
+    memos assume, like ``routes``, that the topology is not edited
+    meanwhile.
 
     ``submit`` takes a request's sequence numbers at the call (its deadline
     watchdog's, then its arrival's) and files the request by arrival; the
@@ -1224,13 +1218,13 @@ class NetworkService:
         self._filed: list[tuple] = []
         self._feeder: tuple[float, int] | None = None
         self._frame_seq = 0
-        # node -> (d(controller, node) / c, its proc_delay), on first admission
+        # node -> (d(controller, node) / c, its proc_delay), filled on the first
+        # session route's admission; every route's orders share these pairs
         self._order_delays: dict[str, tuple[float, float]] = {}
         # admission by request signature, and session layouts by
         # (path, class, protocol, policy); see the class docstring
         self._admitted, self._layouts = self.routes.memos.setdefault(
-            (astuple(engine.params), options, cl_timeout, controller, swap_policy._value_),
-            ({}, {}),
+            (astuple(engine.params), options, cl_timeout, controller), ({}, {})
         )
 
     # -- plumbing ---------------------------------------------------------
@@ -1328,11 +1322,10 @@ class NetworkService:
         session over ``path`` (CO, hybrid alternate mode) or legs over the
         table walks between the ``areas`` ends (CL, hybrid areas). Then it
         checks, in order: the class rules of ``capability.py`` and of each
-        route's nodes, a session's by laying it out (its ``layout``), which
-        ``physics`` raises on only as program faults; each hop that pumps
-        (:func:`pumps`) for an end that cannot purify; each node's capacity
-        against ``plan``, the slots of every route summed; and each hop for
-        an edge that never heralds.
+        route's nodes, which ``LinkSession`` and ``physics`` raise on only as
+        program faults; each hop that pumps (:func:`pumps`) for an end that
+        cannot purify; each node's capacity against ``plan``, the slots of
+        every route summed; and each hop for an edge that never heralds.
         """
         cls = request.repeater_class
         third = cls is RepeaterClass.THIRD
@@ -1343,7 +1336,6 @@ class NetworkService:
         )
         no_path = "NoPath"  # the row a missing route gives; a table walk's is NoRoute
         path: tuple[str, ...] = ()
-        layout = None
         walks: list[tuple[str, str, list]] = []
         try:
             if hybrid:
@@ -1388,14 +1380,13 @@ class NetworkService:
                 walks = [(a, b, self.tables.walk(a, b)) for a, b in ends]
                 routes = [[a, *(n.node_id for _, n in hops)] for a, _, hops in walks]
             params = self.engine.params
-            if one_session:
-                # its checks refuse an interior node of another class
-                layout = session_layout(
-                    self.engine, path, cls, request.link_protocol, self.swap_policy, self.options
-                )
             for route in routes:
                 for n in route[1:-1]:
                     node_cls = nodes[n].repeater_class
+                    if one_session and node_cls is not cls:
+                        raise CapabilityViolation(
+                            f"path node {n} is {node_cls.value}, session needs {cls.value}"
+                        )
                     if not (one_session or third or can_swap(node_cls)):
                         raise CapabilityViolation(f"{node_cls.value} node {n} cannot swap")
                 for n in route[1:] if third else ():
@@ -1447,16 +1438,15 @@ class NetworkService:
              else 3.0 * self._zero_load_estimate(hops, a, b, cls))
             for a, b, hops in walks
         )
+        ordered = (request.src, *request.waypoints, request.dst) if hybrid else path
         delays = self._order_delays
-        if not delays and (one_session or hybrid):
+        if ordered and not delays:
             # each d(controller, n) comes from the controller's row, summed from
             # its end; every ordered node lies on a route from a source that
-            # reaches it, so is in the row; one pair per node serves all routes
+            # reaches it, so is in the row
             row, c = self.routes.classical_row(self.controller), params.c_fiber
             delays.update((n, (d / c, nodes[n].proc_delay)) for n, d in row.items())
-        ordered = (request.src, *request.waypoints, request.dst) if hybrid else path
-        return _Route(None, path, areas, tuple(plan.items()), layout,
-                      tuple(delays[n] for n in ordered))
+        return _Route(None, path, areas, tuple(plan.items()), tuple(delays[n] for n in ordered))
 
     # -- submission ---------------------------------------------------------
 
@@ -1626,7 +1616,7 @@ class NetworkService:
             options=self.options,
             on_done=lambda s: self._co_session_done(state, s),
             on_node_free=lambda n: self._co_node_freed(state, n),
-            layout=state.route.layout,
+            layouts=self._layouts,
         )
         state.session = session
         session.start()
@@ -1764,7 +1754,7 @@ class NetworkService:
             on_done=lambda s: self._co_session_done(state, s),
             # a swap consumes both halves at an interior node
             on_node_free=lambda n: memory.release(n, 2, state.tag, self.engine.now),
-            layout=state.route.layout,
+            layouts=self._layouts,
         )
         state.session = session
         session.start()

@@ -220,16 +220,14 @@ def attempt_generation(
     now: float = 0.0,
     link_id: int = 0,
     decay_rate: float = 0.0,
-    success_prob: float | None = None,
 ) -> WernerLink | None:
     """One pulsed attempt to generate a heralded pair across ``edge``.
 
-    Exactly one uniform is drawn per attempt, against ``success_prob``, the
-    edge's :func:`channel_success_prob` when not given.  On success the
-    fresh pair starts at w = params.w0 and decays at ``decay_rate``, which
-    the caller sets from the two nodes that hold it.
+    Exactly one uniform is drawn per attempt.  On success the fresh pair
+    starts at w = params.w0 and decays at ``decay_rate``, which the caller
+    sets from the two nodes that hold it.
     """
-    if rng.random() >= (channel_success_prob(edge) if success_prob is None else success_prob):
+    if rng.random() >= channel_success_prob(edge):
         return None
     return WernerLink(
         link_id=link_id,

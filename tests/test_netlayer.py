@@ -38,7 +38,7 @@ from qrnet import (
 from qrnet import netlayer, physics
 from qrnet.engine import MemoryLedger
 from qrnet.harness import emit_metrics, parse_scenario, parse_topology, run_experiment
-from qrnet.linklayer import LinkSession, SwapPolicy
+from qrnet.linklayer import LinkSession
 from qrnet.model import link_decay_rate
 
 from conftest import chain_topology, grid_topology
@@ -1502,7 +1502,7 @@ def test_cl_source_hop_whose_pumping_round_failed_is_rebuilt(built_sessions, mon
 
     def recording_abort_try(leg, retrying=False):
         seen.append(leg._sessions[0].segments[0].link is None)
-        return abort_try(leg, retrying)
+        abort_try(leg, retrying)
 
     monkeypatch.setattr(netlayer._ClLeg, "_abort_try", recording_abort_try)
     topo = chain_topology([5.0], memories=2, rate=1e4)
@@ -1800,13 +1800,6 @@ _MEMO_INPUTS = {
         lambda: chain_topology([5.0, 5.0]),
         _co_request("q", "n0", "n2"),
         [dict(params=PARAMS, controller="n1"), dict(params=PARAMS, controller="n2")],
-    ),
-    # and its layout, whose swap order follows the policy
-    "swap_policy": (
-        lambda: chain_topology([5.0, 30.0, 5.0, 5.0]),
-        _co_request("q", "n0", "n4"),
-        [dict(params=PARAMS, swap_policy=SwapPolicy.HIERARCHICAL),
-         dict(params=PARAMS, swap_policy=SwapPolicy.LEFT_TO_RIGHT)],
     ),
 }
 
