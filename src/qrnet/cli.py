@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .capability import MATRIX_COLUMNS, matrix_rows
@@ -51,6 +53,14 @@ def _read(path: str) -> str:
         raise SystemExit(1) from None
 
 
+def _create(path: str):
+    try:
+        return open(path, "w")
+    except OSError as err:
+        print(f"cannot write {path}: {err}", file=sys.stderr)
+        raise SystemExit(1) from None
+
+
 def _cmd_run(args) -> int:
     try:
         topology = parse_topology(_read(args.topology))
@@ -64,17 +74,24 @@ def _cmd_run(args) -> int:
     except ParseError as err:
         print(f"{args.scenario}: {err}", file=sys.stderr)
         return 1
-    trace_fp = open(args.trace, "w") if args.trace else None
+    if args.trace and os.path.realpath(args.trace) == os.path.realpath(args.out):
+        print(f"cannot write {args.trace}: it is also the --out file", file=sys.stderr)
+        return 1
+    # both outputs are opened before the run, so an unwritable one costs no
+    # run; the CSV file is removed again unless the run succeeds
+    out = _create(args.out)
+    wrote = False
     try:
-        rows = run_experiment(topology, scenario, seed=args.seed, trace_fp=trace_fp)
-        with open(args.out, "w") as out:
+        with out, (_create(args.trace) if args.trace else nullcontext()) as trace_fp:
+            rows = run_experiment(topology, scenario, seed=args.seed, trace_fp=trace_fp)
             emit_metrics(rows, out)
+        wrote = True
     except Exception as err:
         print(f"run failed: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     finally:
-        if trace_fp is not None:
-            trace_fp.close()
+        if not wrote and os.path.isfile(args.out):
+            os.remove(args.out)
     done = sum(1 for r in rows if r["outcome"] == "success")
     print(f"{len(rows)} requests ({done} completed) -> {args.out}")
     return 0

@@ -62,7 +62,6 @@ from .model import (
     RepeaterClass,
     WernerLink,
     fidelity_of,
-    link_decay_rate,
 )
 from . import physics
 
@@ -89,14 +88,20 @@ def swap_schedule(path: list[str], policy: SwapPolicy) -> list[list[str]]:
     return rounds
 
 
-def segment_decay_rate(cls: RepeaterClass, spec_a: NodeSpec, spec_b: NodeSpec) -> float:
-    """Decay rate of a ``cls`` pair held at spec_a and spec_b.
+# read as one constant: each read of an Enum member costs about 0.15 us
+_NO_STORED_PAIR = (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC)
 
-    Third class and all-photonic sessions store no pair, so theirs is 0.
+
+def segment_decay_rate(cls: RepeaterClass, rate_a: float, rate_b: float) -> float:
+    """Decay rate of a ``cls`` pair held at two nodes of those decay rates.
+
+    A pair decays at the sum of its two holders' rates
+    (:meth:`NodeSpec.decay_rate`). Third class and all-photonic sessions
+    store no pair, so theirs is 0.
     """
-    if cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
+    if cls in _NO_STORED_PAIR:
         return 0.0
-    return link_decay_rate(spec_a, spec_b)
+    return rate_a + rate_b
 
 
 def pumping(
@@ -133,7 +138,7 @@ def pumps(
     if not pumping(cls, params, options):
         return False
     herald_age = edge.length_km / params.c_fiber
-    decay_rate = segment_decay_rate(cls, spec_a, spec_b)
+    decay_rate = segment_decay_rate(cls, spec_a.decay_rate(), spec_b.decay_rate())
     return fidelity_of(params.w0 * math.exp(-decay_rate * herald_age)) < params.f_target
 
 
@@ -142,13 +147,15 @@ class SessionLayout(NamedTuple):
 
     ``specs[i]`` is path[i]'s node, ``edges[i]`` joins path[i] and
     path[i + 1], and ``prefix_km[i]`` is the fiber length from path[0] to
-    path[i]. ``segments[i]`` is the row segment i unpacks: its two nodes,
-    edge, attempt period and node specs; its pair decay rate and whether it
-    pumps (:func:`pumps`); the summaries of its ticks and of its heralds to
-    either end. Third class builds no segment.
-    ``rank`` maps each path position to its place in the swap order, the
-    ends last, and is empty unless the protocol is simultaneous. Everything
-    is a tuple, so one layout serves every session that asks for it.
+    path[i]. ``segments[i]``, the row segment i unpacks, is that of the hop
+    path[i] -> path[i + 1], shared by every layout of the class that crosses
+    it: its two nodes, edge, attempt period and node specs; its pair decay
+    rate and whether it pumps (:func:`pumps`); the summaries of its heralds
+    to either end. ``ticks[i]`` is the summary of segment i's ticks. Third
+    class builds no segment. ``rank`` maps each path position to its place
+    in the swap order, the ends last, and is empty unless the protocol is
+    simultaneous. Everything is a tuple, so one layout serves every
+    session that asks for it.
     """
 
     cls: RepeaterClass
@@ -156,6 +163,7 @@ class SessionLayout(NamedTuple):
     edges: tuple[EdgeSpec, ...]
     prefix_km: tuple[float, ...]
     segments: tuple[tuple, ...]
+    ticks: tuple[str, ...]
     rank: tuple[int, ...]
 
 
@@ -165,7 +173,8 @@ def session_layout(
     cls: RepeaterClass | None,
     protocol: LinkProtocol,
     policy: SwapPolicy,
-    options: AllPhotonicOptions | None = None,
+    options: AllPhotonicOptions | None,
+    hops: dict,
 ) -> SessionLayout:
     """Check a session's path and class, then lay the session out.
 
@@ -173,12 +182,17 @@ def session_layout(
     source's on a one-hop path. Raises ValueError for a path shorter than
     two nodes or one that repeats a node, and CapabilityViolation when the
     class cannot run ``protocol`` or an interior node has another class.
+    ``hops`` keeps each hop's row by ``(a, b, cls._value_)``: a row found
+    there is read, and one not found is built and put there. Its owner
+    keeps it for one topology, one physics and one ``options``. A third
+    class layout takes only its edges from the rows.
     """
     if len(path) < 2:
         raise ValueError("a path needs at least two nodes")
     if len(set(path)) != len(path):
         raise ValueError("path must not repeat nodes")
-    nodes = engine.topology.nodes
+    topology = engine.topology
+    nodes = topology.nodes
     if cls is None:
         cls = nodes[path[1] if len(path) > 2 else path[0]].repeater_class
     support = supports_link(cls, protocol)
@@ -186,28 +200,34 @@ def session_layout(
         raise CapabilityViolation(
             f"{cls.value} cannot run {protocol.value} ({support.value})"
         )
-    specs = tuple(nodes[node_id] for node_id in path)
+    specs = tuple([nodes[node_id] for node_id in path])
     for spec in specs[1:-1]:
         if spec.repeater_class is not cls:
             raise CapabilityViolation(
                 f"path node {spec.node_id} is {spec.repeater_class.value}, "
                 f"session needs {cls.value}"
             )
-    edges = tuple(engine.topology.edge_between(a, b) for a, b in zip(path, path[1:]))
-    prefix_km = [0.0]
-    for edge in edges:
+    edges, prefix_km, rows, ticks = [], [0.0], [], []
+    for i in range(len(path) - 1):
+        a, b = path[i], path[i + 1]
+        hop = (a, b, cls._value_)
+        row = hops.get(hop)
+        if row is None:
+            edge, spec_a, spec_b = topology.edge_between(a, b), specs[i], specs[i + 1]
+            e, rates = edge.edge_id, topology.decay_rates()
+            row = hops[hop] = (
+                a, b, edge, 1.0 / edge.attempt_rate_hz, spec_a, spec_b,
+                segment_decay_rate(cls, rates[a], rates[b]),
+                pumps(edge, spec_a, spec_b, cls, engine.params, options),
+                sys.intern(f"herald {e} -> {a}"), sys.intern(f"herald {e} -> {b}"),
+            )
+        edge = row[2]
+        edges.append(edge)
         prefix_km.append(prefix_km[-1] + edge.length_km)
-    rows = []
-    for i in range(len(edges) if cls is not RepeaterClass.THIRD else 0):
-        a, b, edge, spec_a, spec_b = path[i], path[i + 1], edges[i], specs[i], specs[i + 1]
-        e = edge.edge_id
-        rows.append((
-            a, b, edge, 1.0 / edge.attempt_rate_hz, spec_a, spec_b,
-            segment_decay_rate(cls, spec_a, spec_b),
-            pumps(edge, spec_a, spec_b, cls, engine.params, options),
-            sys.intern(f"gen {e} seg{i}"), sys.intern(f"herald {e} -> {a}"),
-            sys.intern(f"herald {e} -> {b}"),
-        ))
+        rows.append(row)
+        ticks.append(sys.intern(f"gen {edge.edge_id} seg{i}"))
+    if cls is RepeaterClass.THIRD:
+        rows = ticks = []
     rank = []
     if protocol is LinkProtocol.SIMULTANEOUS:
         rank = [len(path)] * len(path)
@@ -215,7 +235,9 @@ def session_layout(
         order = (node_id for rnd in swap_schedule(path, policy) for node_id in rnd)
         for place, node_id in enumerate(order):
             rank[position[node_id]] = place
-    return SessionLayout(cls, specs, edges, tuple(prefix_km), tuple(rows), tuple(rank))
+    return SessionLayout(
+        cls, specs, tuple(edges), tuple(prefix_km), tuple(rows), tuple(ticks), tuple(rank)
+    )
 
 
 @dataclass
@@ -252,15 +274,17 @@ def swap_pairs(
     """Swap ``ab`` and ``bc`` at ``node_id`` now: every protocol's swap.
 
     The merged pair joins the two pairs' far ends and decays at the
-    combined rate of those two nodes. The swap counts in ``stats``; the
-    caller frees node_id's two slots and heralds the pair.
+    combined rate of those two nodes, read from the topology's table of
+    node rates. The swap counts in ``stats``; the caller frees node_id's
+    two slots and heralds the pair.
     """
-    nodes = engine.topology.nodes
+    topology = engine.topology
+    rates = topology.decay_rates()
     end_a = ab.node_b if ab.node_a == node_id else ab.node_a
     end_c = bc.node_b if bc.node_a == node_id else bc.node_a
     merged = physics.swap(
-        ab, bc, nodes[node_id], now=engine.now, link_id=engine.next_link_id(),
-        decay_rate=segment_decay_rate(cls, nodes[end_a], nodes[end_c]), options=options,
+        ab, bc, topology.nodes[node_id], now=engine.now, link_id=engine.next_link_id(),
+        decay_rate=segment_decay_rate(cls, rates[end_a], rates[end_c]), options=options,
     )
     stats.swaps += 1
     return merged
@@ -291,19 +315,21 @@ def herald_ends(
 
 class _Segment:
     """Heralded generation (plus optional pumping) on one path edge, as its
-    layout row sets it up; its edge's stream is looked up on its first attempt."""
+    hop's layout row and tick summary set it up; its edge's stream is looked
+    up on its first attempt."""
 
     __slots__ = ("session", "index", "node_a", "node_b", "edge", "period", "spec_a", "spec_b",
                  "decay_rate", "pump_mode", "_summary", "_to_a", "_to_b", "_rng",
                  "link", "rounds", "started", "stored", "done", "ready", "_base_confirmed",
                  "_known", "_next_tick", "_clock", "parked_at", "rounds_exhausted", "__weakref__")
 
-    def __init__(self, session: "LinkSession", index: int, row: tuple):
+    def __init__(self, session: "LinkSession", index: int, row: tuple, summary: str):
         self.session = session
         self.index = index
         # ``period``, one attempt slot, is what each tick, park, wake and restart steps by
         (self.node_a, self.node_b, self.edge, self.period, self.spec_a, self.spec_b,
-         self.decay_rate, self.pump_mode, self._summary, self._to_a, self._to_b) = row
+         self.decay_rate, self.pump_mode, self._to_a, self._to_b) = row
+        self._summary = summary
         self._rng = None
         self.link: WernerLink | None = None
         self.rounds = 0
@@ -524,7 +550,9 @@ class LinkSession:
     its owner keeps for one topology, one physics and one ``options``: the
     first session with a key runs the checks of :func:`session_layout` and
     lays the path out, and every later one with that key reuses the layout,
-    so each distinct session is laid out once.
+    so each distinct session is laid out once. The memo also keeps the hop
+    rows its layouts share, by ``(a, b, cls._value_)``, so each directed
+    hop of a class gets one row however many layouts cross it.
     """
 
     # the flow's hook for a pair one end has heard of, if it has one
@@ -556,7 +584,7 @@ class LinkSession:
         )
         layout = layouts.get(key)
         if layout is None:
-            layout = session_layout(engine, path, cls, protocol, policy, options)
+            layout = session_layout(engine, path, cls, protocol, policy, options, layouts)
             layouts[key] = layout
         self.layout = layout
         self.engine = engine
@@ -592,7 +620,9 @@ class LinkSession:
         if self.third_class:
             self._flow = _LogicalHopFlow(self)
         else:
-            self.segments = [_Segment(self, i, row) for i, row in enumerate(self.layout.segments)]
+            layout = self.layout
+            self.segments = [_Segment(self, i, row, tick) for i, (row, tick)
+                             in enumerate(zip(layout.segments, layout.ticks))]
             if self.protocol is LinkProtocol.SIMULTANEOUS:
                 self._flow = _SimultaneousFlow(self)
             else:

@@ -116,13 +116,6 @@ class WernerLink:
     def endpoints(self) -> tuple[str, str]:
         return (self.node_a, self.node_b)
 
-    def other_end(self, node_id: str) -> str:
-        if node_id == self.node_a:
-            return self.node_b
-        if node_id == self.node_b:
-            return self.node_a
-        raise ValueError(f"{node_id} does not hold link {self.link_id}")
-
     def w_at(self, now: float) -> float:
         """Werner parameter after lazy decay up to time ``now``."""
         dt = now - self.last_updated
@@ -170,11 +163,14 @@ class Topology:
     _edge_by_ends: dict[tuple[str, str], EdgeSpec] = field(
         default_factory=dict, repr=False
     )
+    # node -> its decay_rate(), built by the first decay_rates() call
+    _decay_rates: dict[str, float] | None = field(default=None, repr=False, compare=False)
 
     def add_node(self, spec: NodeSpec) -> None:
         if spec.node_id in self.nodes:
             raise ValueError(f"duplicate node id: {spec.node_id}")
         self.nodes[spec.node_id] = spec
+        self._decay_rates = None
         self._neighbors[spec.node_id] = []
         self._addresses[spec.node_id] = len(self._addresses)
 
@@ -204,10 +200,18 @@ class Topology:
     def address_of(self, node_id: str) -> int:
         return self._addresses[node_id]
 
+    def decay_rates(self) -> dict[str, float]:
+        """Each node's :meth:`NodeSpec.decay_rate`, by node id.
 
-def link_decay_rate(node_a: NodeSpec, node_b: NodeSpec) -> float:
-    """Combined memory decay rate for a pair held at two nodes."""
-    return node_a.decay_rate() + node_b.decay_rate()
+        The table is built on the first call and kept until a node is
+        added, so it assumes no node spec is edited in between; callers
+        must not modify it.
+        """
+        if self._decay_rates is None:
+            self._decay_rates = {
+                node_id: spec.decay_rate() for node_id, spec in self.nodes.items()
+            }
+        return self._decay_rates
 
 
 def validate_topology(topology: Topology) -> list[Violation]:

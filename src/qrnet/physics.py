@@ -191,25 +191,19 @@ def swap(
         raise CapabilityViolation(
             f"{node_b.repeater_class.value} node {node_b.node_id} cannot swap"
         )
-    shared = set(ab.endpoints()) & set(bc.endpoints())
-    if shared != {node_b.node_id}:
+    b = node_b.node_id
+    end_a = ab.node_b if ab.node_a == b else ab.node_a
+    end_c = bc.node_b if bc.node_a == b else bc.node_a
+    # the pairs' node sets meet exactly at b: both hold b, and their far
+    # ends are not one other node
+    if b not in (ab.node_a, ab.node_b) or b not in (bc.node_a, bc.node_b) or end_a == end_c != b:
         raise NoCommonNode(
-            f"links {ab.endpoints()} and {bc.endpoints()} do not meet "
-            f"exactly at {node_b.node_id}"
+            f"links {ab.endpoints()} and {bc.endpoints()} do not meet exactly at {b}"
         )
-    end_a = ab.other_end(node_b.node_id)
-    end_c = bc.other_end(node_b.node_id)
     if end_a == end_c:
         raise NoCommonNode("swap would close a loop onto a single node")
-
-    return WernerLink(
-        link_id=link_id,
-        node_a=end_a,
-        node_b=end_c,
-        w=swapped_w(ab.w_at(now), bc.w_at(now), swap_noise(node_b, options)),
-        last_updated=now,
-        decay_rate=decay_rate,
-    )
+    w = swapped_w(ab.w_at(now), bc.w_at(now), swap_noise(node_b, options))
+    return WernerLink(link_id, end_a, end_c, w, now, decay_rate)
 
 
 def attempt_generation(
@@ -229,14 +223,7 @@ def attempt_generation(
     """
     if rng.random() >= channel_success_prob(edge):
         return None
-    return WernerLink(
-        link_id=link_id,
-        node_a=edge.node_a,
-        node_b=edge.node_b,
-        w=params.w0,
-        last_updated=now,
-        decay_rate=decay_rate,
-    )
+    return WernerLink(link_id, edge.node_a, edge.node_b, params.w0, now, decay_rate)
 
 
 def allphotonic_generate(

@@ -5,13 +5,15 @@ Run it from the repository root:
     python tests/cost_counts.py
 
 For the first scenario of the default run seed of each workload in
-``perfbench/workloads.py`` it prints three counts, each measured in a fresh
+``perfbench/workloads.py`` it prints four counts, each measured in a fresh
 interpreter over ``run_experiment`` on the parsed inputs:
 
 - the Python calls cProfile counts;
 - the events that ran, per kind, counted from the trace lines;
 - the ``tracemalloc`` peak over ``run_experiment``, and over parse plus
-  run.
+  run;
+- the bytes that the route state's admission and layout memos hold after
+  the run (:func:`_held`).
 
 None of them depends on host speed, so the output is the same on every
 run of one commit on one Python version; it must also not depend on
@@ -28,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-MEASURES = ("calls", "events", "run-peak", "peak")
+MEASURES = ("calls", "events", "run-peak", "peak", "memos")
 
 
 class _KindCounter:
@@ -39,6 +41,25 @@ class _KindCounter:
 
     def write(self, line: str) -> None:
         self.kinds[line.split("\t", 3)[2]] += 1
+
+
+def _held(obj, seen: set) -> int:
+    """``sys.getsizeof`` summed over what ``obj`` holds, each object once.
+
+    It counts the dicts, tuples (named ones too), lists and sets reached
+    from ``obj``, and the strings and floats in them. It leaves out ints,
+    bools and None, and every other object, such as the topology's node and
+    edge specs and enum members, which a memo shares and does not hold.
+    """
+    if id(obj) in seen or not isinstance(obj, (dict, tuple, list, set, frozenset, str, float)):
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        size += sum(_held(k, seen) + _held(v, seen) for k, v in obj.items())
+    elif not isinstance(obj, (str, float)):
+        size += sum(_held(item, seen) for item in obj)
+    return size
 
 
 def _measure(name: str, measure: str) -> str:
@@ -61,6 +82,22 @@ def _measure(name: str, measure: str) -> str:
         tracemalloc.start()
         run_experiment(topology, scenario)
         return f"tracemalloc peak, run: {tracemalloc.get_traced_memory()[1]} B"
+    if measure == "memos":
+        from qrnet import harness
+
+        kept = []
+
+        class KeptRouteState(harness.RouteState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                kept.append(self)
+
+        harness.RouteState = KeptRouteState
+        run_experiment(topology, scenario)
+        [routes] = kept
+        admitted = sum(_held(memo, set()) for memo, _ in routes.memos.values())
+        layouts = sum(_held(memo, set()) for _, memo in routes.memos.values())
+        return f"memos after run: admissions {admitted} B, layouts {layouts} B"
     if measure == "events":
         sink = _KindCounter()
         run_experiment(topology, scenario, trace_fp=sink)

@@ -110,8 +110,11 @@ def test_python_dash_m_qrnet_exits_with_the_commands_code(capsys, monkeypatch):
     (["run", "--topology", "{tmp}/broken.topo", "--scenario", "{tmp}/x.scen",
       "--out", "{tmp}/out.csv"], "{tmp}/broken.topo: line 1: "),
     (["run", "--topology", "{tmp}/net.topo", "--scenario", "{tmp}/x.scen",
-      "--out", "{tmp}"], "run failed: IsADirectoryError: "),
-], ids=["bad-usage", "unreadable", "bad-topology", "unwritable-out"])
+      "--out", "{tmp}"], "cannot write {tmp}: [Errno 21] Is a directory: "),
+    (["run", "--topology", "{tmp}/net.topo", "--scenario", "{tmp}/x.scen",
+      "--out", "{tmp}/o.txt", "--trace", "{tmp}/../{tmp.name}/o.txt"],
+     "cannot write {tmp}/../{tmp.name}/o.txt: it is also the --out file\n"),
+], ids=["bad-usage", "unreadable", "bad-topology", "unwritable-out", "trace-is-out"])
 def test_bad_input_exits_1_and_a_failed_run_exits_2(tmp_path, capsys, argv, err):
     (tmp_path / "broken.topo").write_text("node a memories=many\n")
     (tmp_path / "net.topo").write_text(
@@ -125,3 +128,49 @@ def test_bad_input_exits_1_and_a_failed_run_exits_2(tmp_path, capsys, argv, err)
         code = exit.code
     assert code == (2 if err.startswith("run failed") else 1)
     assert err.format(tmp=tmp_path) in capsys.readouterr().err
+
+
+def _two_node_inputs(tmp_path):
+    topo, scen = tmp_path / "net.topo", tmp_path / "x.scen"
+    topo.write_text("node a role=end memories=4\nnode b role=end memories=4\nedge a b\n")
+    scen.write_text("seed=1\nrequest src=a dst=b model=co\n")
+    return ["run", "--topology", str(topo), "--scenario", str(scen)]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_an_output_that_cannot_be_written_exits_1_before_the_run(
+    tmp_path, capsys, monkeypatch, flag
+):
+    runs = []
+    run_experiment = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: runs.append(a) or run_experiment(*a, **k))
+    paths = {"--out": tmp_path / "out.csv", "--trace": tmp_path / "trace.txt"}
+    paths[flag] = missing = tmp_path / "missing" / "file.txt"
+    # exits as an unreadable input does
+    with pytest.raises(SystemExit) as exit:
+        cli.main(_two_node_inputs(tmp_path) + [
+            "--out", str(paths["--out"]), "--trace", str(paths["--trace"]),
+        ])
+    assert exit.value.code == 1
+    assert capsys.readouterr().err == (
+        f"cannot write {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert runs == []
+    # neither output is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.topo", "x.scen"]
+
+
+def test_a_run_that_fails_exits_2_and_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    def fails(topology, scenario, seed, trace_fp):
+        trace_fp.write("half a trace\n")
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_experiment", fails)
+    out, trace = tmp_path / "out.csv", tmp_path / "trace.txt"
+    out.write_text("an older run's rows\n")
+    code = cli.main(_two_node_inputs(tmp_path) + ["--out", str(out), "--trace", str(trace)])
+    assert code == 2
+    assert capsys.readouterr().err == "run failed: RuntimeError: boom\n"
+    assert not out.exists()
+    # the trace of what ran is kept
+    assert trace.read_text() == "half a trace\n"

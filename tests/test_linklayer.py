@@ -21,6 +21,7 @@ from qrnet import (
 )
 from qrnet import physics
 from qrnet.engine import stream_seed
+from qrnet.linklayer import SessionLayout, pumps
 
 from conftest import chain_topology
 
@@ -248,28 +249,99 @@ def test_sessions_that_share_a_layouts_memo_share_one_checked_layout():
         assert isinstance(res, ChannelResult)
         results.append((res.link.w, res.setup_latency_s, res.stats))
     assert results[0] == results[1] == results[2]
-    [(key, layout)] = layouts.items()
+    [(key, layout)] = [(k, v) for k, v in layouts.items() if isinstance(v, SessionLayout)]
     # enums enter the key as their _value_ strings, which hash in C
     assert key == (tuple(path), "first", "sl", "hierarchical")
     assert layout.prefix_km == (0.0, 10.0, 30.0, 60.0)
     assert layout.rank == (4, 0, 1, 4)
     # each segment's row: its ends, whether it pumps, and the summaries of
-    # its ticks and of its heralds to either end
-    assert [(row[:2], row[7:11]) for row in layout.segments] == [
-        ((a, b), (True, f"gen {e} seg{i}", f"herald {e} -> {a}", f"herald {e} -> {b}"))
-        for i, (a, b, e) in enumerate(zip(path, path[1:], ("e0", "e1", "e2")))
+    # its heralds to either end; the memo keeps it by its hop and class
+    hops = list(zip(path, path[1:], ("e0", "e1", "e2")))
+    assert [(row[:2], row[7:10]) for row in layout.segments] == [
+        ((a, b), (True, f"herald {e} -> {a}", f"herald {e} -> {b}")) for a, b, e in hops
     ]
+    assert layout.segments == tuple(layouts[a, b, "first"] for a, b, _ in hops)
+    assert layout.ticks == tuple(f"gen {e} seg{i}" for i, (_, _, e) in enumerate(hops))
+    assert len(layouts) == 1 + len(hops)
     sim = Simulator(topo, params, seed=13)
     session = LinkSession(sim, path, RepeaterClass.FIRST, LinkProtocol.SIMULTANEOUS,
                           layouts=layouts)
     assert session.layout is layout
     # a path that fails its checks raises on every try and leaves no layout
+    # and no hop row
+    kept = list(layouts)
     topo.nodes["n2"].repeater_class = RepeaterClass.SECOND
     for _ in range(2):
         with pytest.raises(CapabilityViolation, match="n2 is second"):
             LinkSession(sim, path, RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
                         layouts=layouts)
-    assert list(layouts) == [key]
+    assert list(layouts) == kept
+
+
+def _unshared_layout(sim, path, protocol, policy):
+    """Reference: a FIRST class layout with one fresh row per segment.
+
+    Each row is built field by field as the layouts did before hop rows
+    were shared: ends, edge, attempt period, specs, the holders' summed
+    decay rates, the pumping decision, and the tick summary between the
+    two herald summaries.
+    """
+    topo = sim.topology
+    specs = tuple(topo.nodes[n] for n in path)
+    edges = tuple(topo.edge_between(a, b) for a, b in zip(path, path[1:]))
+    prefix_km = [0.0]
+    for edge in edges:
+        prefix_km.append(prefix_km[-1] + edge.length_km)
+    rows = tuple(
+        (a, b, edge, 1.0 / edge.attempt_rate_hz, spec_a, spec_b,
+         spec_a.decay_rate() + spec_b.decay_rate(),
+         pumps(edge, spec_a, spec_b, RepeaterClass.FIRST, sim.params),
+         f"gen {edge.edge_id} seg{i}", f"herald {edge.edge_id} -> {a}",
+         f"herald {edge.edge_id} -> {b}")
+        for i, (a, b, edge, spec_a, spec_b) in enumerate(
+            zip(path, path[1:], edges, specs, specs[1:]))
+    )
+    rank = ()
+    if protocol is LinkProtocol.SIMULTANEOUS:
+        order = [n for rnd in swap_schedule(path, policy) for n in rnd]
+        rank = tuple(order.index(n) if n in order else len(path) for n in path)
+    return RepeaterClass.FIRST, specs, edges, tuple(prefix_km), rows, rank
+
+
+def test_layouts_that_cross_one_hop_share_its_row_and_keep_their_own_ticks():
+    # each node has its own coherence time and each edge its own length, so
+    # a row given another hop's rate, period or pumping decision shows; under
+    # this target the two long hops pump and the two short ones do not
+    topo = chain_topology([10.0, 20.0, 30.0, 40.0], rate=1e4)
+    for i, spec in enumerate(topo.nodes.values()):
+        spec.t_coh = 0.01 * (i + 1)
+    params = PhysicsParams(w0=0.99, f_target=0.9862, r_max=2)
+    sim = Simulator(topo, params, seed=1)
+    memo = {}
+    sessions = [
+        (["n2", "n3", "n4"], LinkProtocol.SIMULTANEOUS, SwapPolicy.HIERARCHICAL),
+        (["n0", "n1", "n2", "n3"], LinkProtocol.ONE_BY_ONE, SwapPolicy.HIERARCHICAL),
+        (["n4", "n3", "n2", "n1"], LinkProtocol.SIMULTANEOUS, SwapPolicy.LEFT_TO_RIGHT),
+    ]
+    layouts = [
+        LinkSession(sim, path, RepeaterClass.FIRST, protocol, policy=policy, layouts=memo).layout
+        for path, protocol, policy in sessions
+    ]
+    for layout, (path, protocol, policy) in zip(layouts, sessions):
+        rows = tuple(row[:8] + (tick,) + row[8:]
+                     for row, tick in zip(layout.segments, layout.ticks))
+        assert (layout.cls, layout.specs, layout.edges, layout.prefix_km, rows,
+                layout.rank) == _unshared_layout(sim, path, protocol, policy)
+    first, second, reverse = layouts
+    assert [row[7] for row in second.segments] == [False, False, True]
+    assert [row[7] for row in reverse.segments] == [True, True, False]
+    # n2 -> n3 is the first hop of one layout and the third of another
+    assert first.segments[0] is second.segments[2] is memo["n2", "n3", "first"]
+    assert (first.ticks[0], second.ticks[2]) == ("gen e2 seg0", "gen e2 seg2")
+    # the hop the other way has its own row, whose heralds run the other way
+    assert reverse.segments[1] is memo["n3", "n2", "first"] is not first.segments[0]
+    # seven directed hops, three layouts
+    assert len(memo) == 7 + 3
 
 
 def _interval_merges(path, policy):
@@ -304,7 +376,7 @@ def test_simultaneous_swaps_match_the_schedules_interval_merges(
 
     def recorded(session, k, ab, bc):
         # the merged pair spans the two pairs' far ends, path[a]..path[c]
-        a, c = (path.index(p.other_end(path[k])) for p in (ab, bc))
+        a, c = (path.index(p.node_b if p.node_a == path[k] else p.node_a) for p in (ab, bc))
         swaps.append((a, k, c))
         return swap(session, k, ab, bc)
 

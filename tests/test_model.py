@@ -14,7 +14,7 @@ from qrnet import (
     validate_topology,
     werner_from_fidelity,
 )
-from qrnet.model import link_decay_rate
+from qrnet.linklayer import segment_decay_rate
 
 from conftest import chain_topology
 
@@ -59,9 +59,6 @@ def test_link_endpoints():
         link_id=1, node_a="a", node_b="b", w=1.0, last_updated=0.0
     )
     assert link.endpoints() == ("a", "b")
-    assert link.other_end("a") == "b"
-    with pytest.raises(ValueError):
-        link.other_end("c")
 
 
 def test_links_and_edges_reject_bad_endpoints():
@@ -74,11 +71,23 @@ def test_links_and_edges_reject_bad_endpoints():
 
 
 def test_link_decay_rate_combines_holders():
-    fast = NodeSpec("f", t_coh=0.5)
-    slow = NodeSpec("s", t_coh=2.0)
-    assert math.isclose(link_decay_rate(fast, slow), 2.0 + 0.5)
-    ideal = NodeSpec("i")
-    assert link_decay_rate(ideal, ideal) == 0.0
+    # a pair decays at the sum of its holders' rates, which the topology
+    # works out once per node; a class that stores no pair does not decay
+    topo, fresh = Topology(), Topology()
+    for spec in (NodeSpec("f", t_coh=0.5), NodeSpec("s", t_coh=2.0), NodeSpec("i")):
+        topo.add_node(spec)
+        fresh.add_node(spec)
+    rates = topo.decay_rates()
+    assert rates == {"f": 2.0, "s": 0.5, "i": 0.0}
+    assert segment_decay_rate(RepeaterClass.FIRST, rates["f"], rates["s"]) == 2.0 + 0.5
+    assert segment_decay_rate(RepeaterClass.FIRST, rates["i"], rates["i"]) == 0.0
+    for cls in (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC):
+        assert segment_decay_rate(cls, rates["f"], rates["s"]) == 0.0
+    # the table is kept until a node is added, and is not part of equality
+    assert topo.decay_rates() is rates
+    assert topo == fresh
+    topo.add_node(NodeSpec("g", t_coh=0.25))
+    assert topo.decay_rates() == {**rates, "g": 4.0}
 
 
 def test_topology_addresses_dense_in_insertion_order():

@@ -39,7 +39,6 @@ from qrnet import netlayer, physics
 from qrnet.engine import MemoryLedger
 from qrnet.harness import emit_metrics, parse_scenario, parse_topology, run_experiment
 from qrnet.linklayer import LinkSession
-from qrnet.model import link_decay_rate
 
 from conftest import chain_topology, grid_topology
 
@@ -1084,8 +1083,9 @@ def test_every_swap_is_counted_and_decays_at_its_holders_rate(
     assert outcome.outcome == "Completed", outcome.detail
     assert outcome.stats.swaps == len(merged_pairs) >= 3
     for pair in merged_pairs:
-        assert pair.decay_rate == link_decay_rate(
-            topo.nodes[pair.node_a], topo.nodes[pair.node_b]
+        # the same two floats summed, in the same order
+        assert pair.decay_rate == (
+            topo.nodes[pair.node_a].decay_rate() + topo.nodes[pair.node_b].decay_rate()
         )
 
 

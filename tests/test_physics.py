@@ -108,10 +108,15 @@ def test_purify_needs_two_pairs_between_the_same_nodes():
 
 def test_swap_needs_two_pairs_that_meet_only_at_the_swapping_node():
     node_b = NodeSpec("b", role=Role.REPEATER)
-    # disjoint pairs, and pairs that also meet at their other ends
-    for bc in (_pair(0.9, "c", "d"), _pair(0.9, "b", "a")):
-        with pytest.raises(NoCommonNode, match="do not meet exactly at b"):
-            swap(_pair(0.9, "a", "b"), bc, node_b, now=0.0, link_id=3)
+    # disjoint pairs, pairs that also meet at their other ends, and pairs
+    # of which only the second holds the swapping node
+    for ab, bc in [(("a", "b"), ("c", "d")), (("a", "b"), ("b", "a")),
+                   (("a", "c"), ("b", "d"))]:
+        with pytest.raises(NoCommonNode, match=(
+            rf"^links \({ab[0]!r}, {ab[1]!r}\) and \({bc[0]!r}, {bc[1]!r}\) "
+            "do not meet exactly at b$"
+        )):
+            swap(_pair(0.9, *ab), _pair(0.9, *bc), node_b, now=0.0, link_id=3)
     # a valid link cannot loop onto one node, so only corrupted ones reach
     # the last check
     loops = [_pair(0.9, "a", "b"), _pair(0.9, "a", "b")]
