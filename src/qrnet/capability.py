@@ -134,7 +134,7 @@ def can_purify(cls: RepeaterClass, options: AllPhotonicOptions | None = None) ->
 
 
 def can_swap(cls: RepeaterClass) -> bool:
-    return _FEATURES[cls._value_]["HES"] is Requirement.REQUIRED
+    return _FEATURES[cls._value_]["HES"] is _R
 
 
 def validate_request(

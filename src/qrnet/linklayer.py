@@ -88,8 +88,12 @@ def swap_schedule(path: list[str], policy: SwapPolicy) -> list[list[str]]:
     return rounds
 
 
-# read as one constant: each read of an Enum member costs about 0.15 us
-_NO_STORED_PAIR = (RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC)
+# The members this module tests against, as plain module names: each read
+# of an Enum member costs about 0.15 us, and sessions and segments test them
+# on every build.
+_THIRD, _ALL_PHOTONIC = RepeaterClass.THIRD, RepeaterClass.ALL_PHOTONIC
+_SIMULTANEOUS = LinkProtocol.SIMULTANEOUS
+_NO_STORED_PAIR = (_THIRD, _ALL_PHOTONIC)
 
 
 def segment_decay_rate(cls: RepeaterClass, rate_a: float, rate_b: float) -> float:
@@ -114,7 +118,7 @@ def pumping(
     return (
         params.r_max > 0
         and params.f_target > 0.0
-        and cls is not RepeaterClass.THIRD
+        and cls is not _THIRD
         and can_purify(cls, options)
     )
 
@@ -226,10 +230,10 @@ def session_layout(
         prefix_km.append(prefix_km[-1] + edge.length_km)
         rows.append(row)
         ticks.append(sys.intern(f"gen {edge.edge_id} seg{i}"))
-    if cls is RepeaterClass.THIRD:
+    if cls is _THIRD:
         rows = ticks = []
     rank = []
-    if protocol is LinkProtocol.SIMULTANEOUS:
+    if protocol is _SIMULTANEOUS:
         rank = [len(path)] * len(path)
         position = {node_id: i for i, node_id in enumerate(path)}
         order = (node_id for rnd in swap_schedule(path, policy) for node_id in rnd)
@@ -598,8 +602,8 @@ class LinkSession:
         self.on_node_free = on_node_free
         self.blocked_at = blocked_at
         self.on_pair_stored = on_pair_stored
-        self.ap_mode = cls is RepeaterClass.ALL_PHOTONIC
-        self.third_class = cls is RepeaterClass.THIRD
+        self.ap_mode = cls is _ALL_PHOTONIC
+        self.third_class = cls is _THIRD
         self.stats = SessionStats()
         self.finished = False
         self.result: ChannelResult | Failure | None = None
@@ -623,7 +627,7 @@ class LinkSession:
             layout = self.layout
             self.segments = [_Segment(self, i, row, tick) for i, (row, tick)
                              in enumerate(zip(layout.segments, layout.ticks))]
-            if self.protocol is LinkProtocol.SIMULTANEOUS:
+            if self.protocol is _SIMULTANEOUS:
                 self._flow = _SimultaneousFlow(self)
             else:
                 self._flow = _OneByOneFlow(self)
@@ -639,13 +643,17 @@ class LinkSession:
     def restart(self) -> None:
         """Begin an ``untouched`` session again at now, as a fresh one would.
 
-        It touches only the session's stats and its segments' clocks. A
-        segment parked at a shut gate stays parked, and its clock restarts
-        at now. Any other segment retires its clock, with the tick pending
-        on it, and ticks one slot from now on a new one. Nothing is built,
+        It touches only the session's stats and its segments' clocks. The
+        stats are zeroed and stamped with now in place: a live session has
+        handed them to no result, so nothing else holds them. A segment
+        parked at a shut gate stays parked, and its clock restarts at now.
+        Any other segment retires its clock, with the tick pending on it,
+        and ticks one slot from now on a new one. Nothing is built,
         released or woken.
         """
-        self.stats = SessionStats(started_at=self.engine.now)
+        stats = self.stats
+        stats.attempts_total = stats.purification_rounds = stats.swaps = 0
+        stats.started_at = self.engine.now
         for segment in self.segments:
             if segment.started:
                 segment.restart()

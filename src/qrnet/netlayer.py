@@ -715,17 +715,18 @@ class _ClLeg:
 
     Without pipelining a node holds the frame's forwarding decision until
     its hop's pair exists, and encodes the frame only when it leaves.  The
-    source decides once, on the first try.  A try that times out is
-    aborted, and the retry sends that decision's frame again under a new
-    frame id, restarting the source hop if it never stored a pair.  Each
-    try owns its events, so the engine drops them once the try has ended.
+    source decides once, on the first try.  Each try owns its events, so
+    the engine drops them once the try has ended.
 
     A retry costs what the try touched. An idle try, one whose frame still
     waits at the source for a source hop that has stored nothing, such as
-    a hop parked at a shut gate, wrote no state but its owner. Its retry
-    ends that owner, counts the retry, renames the held frame, queues the
-    next timeout and restarts the hop (``LinkSession.restart``). It builds,
-    aborts, frees and decides nothing.
+    a hop parked at a shut gate, wrote no state but its owner.
+    ``_timed_out`` retries it itself: it ends that owner, counts the
+    retry, renames the held frame, queues the next timeout and restarts
+    the hop (``LinkSession.restart``). It builds, aborts, frees and
+    decides nothing. Any other try is aborted (``_abort_try``), and the
+    retry sends the source's decision again under a new frame id,
+    restarting the source hop if it never stored a pair.
     """
 
     def __init__(
@@ -767,7 +768,7 @@ class _ClLeg:
         self._reset_try_state()
 
     def _reset_try_state(self) -> None:
-        # what a try writes; an idle try wrote none of it (see _abort_try)
+        # what a try writes; an idle try wrote none of it (see _timed_out)
         self.chain: WernerLink | None = None
         self.chain_end: str | None = self.src
         self.pairs: dict[str, tuple[str, WernerLink]] = {}
@@ -790,18 +791,11 @@ class _ClLeg:
             op_flags=self.op_flags,
             ttl=self.service.default_ttl,
         )
-        self._schedule_timeout()
-        self._at_node(self.src, encode_frame(frame))
-
-    def _schedule_timeout(self) -> None:
         if math.isfinite(self.timeout):
             self.engine.after(
-                self.timeout,
-                TIMEOUT,
-                self._timed_out,
-                self._timeout_summary,
-                self._try,
+                self.timeout, TIMEOUT, self._timed_out, self._timeout_summary, self._try
             )
+        self._at_node(self.src, encode_frame(frame))
 
     def _timed_out(self) -> None:
         if self.retries >= self.retry_limit:
@@ -810,28 +804,33 @@ class _ClLeg:
                 self.on_failure, "RetriesExhausted", "no confirmation from target"
             )
             return
-        self._abort_try(retrying=True)
         self.retries += 1
         # the source's forwarding decision reads only the tables, the
         # addresses and the ttl, so the first try's holds for every retry;
         # only the frame id is new
         nxt, edge, frame = self._source_decision
         frame.frame_id = self.service.next_frame_id()
-        self._schedule_timeout()
-        self._depart(self.src, nxt, edge, frame)
+        idle = self.src in self.held_frames and not self._node_held
+        if idle:  # see the class docstring
+            self._try.finished = True
+        else:
+            self._abort_try(retrying=True)
+        self._try = Owner()
+        # this try timed out, so the timeout is finite
+        self.engine.after(
+            self.timeout, TIMEOUT, self._timed_out, self._timeout_summary, self._try
+        )
+        if idle:
+            self._sessions[0].restart()
+        else:
+            self._depart(self.src, nxt, edge, frame)
 
     def _abort_try(self, retrying: bool = False) -> None:
         # synchronized cutoff: the source's timeout also frees the stale
         # halves parked at downstream nodes.  A retry's frame leaves the
         # source over the same table edge, so the retry restarts the source
         # hop, always the try's first session, if it never stored a pair.
-        # An idle try (see the class docstring) touched nothing else, so
-        # its retry ends only its owner.
         self._try.finished = True
-        if retrying:
-            self._try = Owner()
-            if self.src in self.held_frames and not self._node_held:
-                return
         sessions = self._sessions
         keep = retrying and bool(sessions) and sessions[0].untouched
         self._sessions = sessions[:1] if keep else []

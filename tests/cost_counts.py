@@ -13,7 +13,10 @@ interpreter over ``run_experiment`` on the parsed inputs:
 - the ``tracemalloc`` peak over ``run_experiment``, and over parse plus
   run;
 - the bytes that the route state's admission and layout memos hold after
-  the run (:func:`_held`).
+  the run (:func:`_held`);
+- what connectionless waiting costs (:func:`_waits`): ticks that find the
+  gate shut, segment wakes, the float steps those wakes replay, and try
+  timeouts that retry an idle try or a try that touched more.
 
 None of them depends on host speed, so the output is the same on every
 run of one commit on one Python version; it must also not depend on
@@ -30,7 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-MEASURES = ("calls", "events", "run-peak", "peak", "memos")
+MEASURES = ("calls", "events", "run-peak", "peak", "memos", "waits")
 
 
 class _KindCounter:
@@ -60,6 +63,51 @@ def _held(obj, seen: set) -> int:
     elif not isinstance(obj, (str, float)):
         size += sum(_held(item, seen) for item in obj)
     return size
+
+
+def _waits(topology, scenario) -> str:
+    """Run once, counting what connectionless waiting costs.
+
+    Each method is wrapped at class level and reads the state it is called
+    with, so the counts do not depend on how the wrapped code does its
+    work: a shut-gate tick is a ``MemoryLedger.park`` call, a wake a
+    ``_Segment.wake`` call, and its float steps the slots it steps over
+    from its parked clock. A try timeout with retries left retries an idle
+    try when its frame still waits at the source and its leg holds no slot.
+    """
+    from qrnet.engine import MemoryLedger
+    from qrnet.harness import run_experiment
+    from qrnet.linklayer import _Segment
+    from qrnet.netlayer import _ClLeg
+
+    counts = Counter()
+    park, wake, timed_out = MemoryLedger.park, _Segment.wake, _ClLeg._timed_out
+
+    def counted_park(ledger, *args):
+        counts["shut-gate ticks"] += 1
+        park(ledger, *args)
+
+    def counted_wake(segment):
+        counts["wakes"] += 1
+        t, now, period = segment._next_tick, segment.session.engine.now, segment.period
+        while t <= now:
+            t += period
+            counts["wake steps"] += 1
+        wake(segment)
+
+    def counted_timed_out(leg):
+        if leg.retries < leg.retry_limit:
+            idle = leg.src in leg.held_frames and not leg._node_held
+            counts["idle retries" if idle else "full retries"] += 1
+        timed_out(leg)
+
+    MemoryLedger.park, _Segment.wake = counted_park, counted_wake
+    _ClLeg._timed_out = counted_timed_out
+    run_experiment(topology, scenario)
+    return "waits: " + ", ".join(
+        f"{key} {counts[key]}"
+        for key in ("shut-gate ticks", "wakes", "wake steps", "idle retries", "full retries")
+    )
 
 
 def _measure(name: str, measure: str) -> str:
@@ -98,6 +146,8 @@ def _measure(name: str, measure: str) -> str:
         admitted = sum(_held(memo, set()) for memo, _ in routes.memos.values())
         layouts = sum(_held(memo, set()) for _, memo in routes.memos.values())
         return f"memos after run: admissions {admitted} B, layouts {layouts} B"
+    if measure == "waits":
+        return _waits(topology, scenario)
     if measure == "events":
         sink = _KindCounter()
         run_experiment(topology, scenario, trace_fp=sink)

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def test_a_session_whose_gate_never_opens_fails_stalled():
     assert isinstance(res, Failure)
     assert (res.reason, res.stats.attempts_total) == ("Stalled", 0)
     assert sim.memory.in_use == {"n0": 0, "n1": 0, "n2": 0}
+
+
+@pytest.mark.parametrize("woken_at", [3.3e-4, 0.0123, 0.2])
+def test_a_wake_pushes_the_tick_schedule_would_push_in_one_engine_frame(woken_at):
+    # a segment parked at a shut gate ticks again at the first slot of its
+    # clock after the wake, stepped by the float steps a polling clock
+    # takes, and reaches the heap through schedule's one frame
+    sim = Simulator(chain_topology([5.0], rate=1e4), PARAMS, seed=1)
+    session = LinkSession(sim, ["n0", "n1"], None, LinkProtocol.ONE_BY_ONE,
+                          blocked_at=lambda segment: ("n1", 1))
+    session.start()
+    sim.run_until()
+    (segment,) = session.segments
+    assert segment.parked_at == "n1" and sim.now == 1e-4
+    sim.now = woken_at
+    slot = 1e-4
+    while slot <= woken_at:
+        slot += 1e-4
+    seq, calls = sim._seq, []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        segment.wake()
+    finally:
+        sys.setprofile(None)
+    assert calls == ["wake", "schedule"]
+    assert sim._heap == [
+        (slot, seq, EventKind.ATTEMPT_TICK, "gen e0 seg0", segment._tick, segment._clock)
+    ]
+    assert segment.parked_at is None and sim._seq == seq + 1
 
 
 def test_policies_agree_on_ideal_chains():

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import re
+import sys
 import weakref
 from collections import Counter
 
@@ -1490,6 +1491,67 @@ def test_cl_retry_of_a_parked_source_hop_ends_only_its_owner(monkeypatch):
     assert all(now > release_at for now in aborted)
     assert decided.count("n0") == 1
     assert [tag for now, tag in freed if now <= release_at] == ["blocker"]
+
+
+def test_an_idle_retry_restarts_its_source_hop_in_place_and_queues_only_its_timeout(
+    monkeypatch,
+):
+    # the source hop fails its first attempts until another tag takes both
+    # of n1's slots at 0.45 ms, then parks there; store and forward holds
+    # the frame at n0, so every try that times out before 12.3 ms is idle.
+    # Its retry keeps the source session and its stats object, zeroed and
+    # stamped with now, and pushes the next timeout and nothing else, in a
+    # few frames: no abort, departure, launch or new stats
+    topo = chain_topology([5.0, 5.0], memories=2, rate=1e4, p_src=0.01)
+    sim = Simulator(topo, PARAMS, seed=3)
+    sim.schedule(4.5e-4, EventKind.PROTOCOL_STEP,
+                 lambda: sim.memory.acquire("n1", 2, "blocker", sim.now), "block")
+    sim.schedule(0.0123, EventKind.PROTOCOL_STEP,
+                 lambda: sim.memory.release_all("blocker", sim.now), "unblock")
+    service = NetworkService(sim, controller="n1", cl_timeout=0.002, pipelining=False)
+    retries = []  # (stats before, pushed entries, frames) of every idle retry
+    timed_out = netlayer._ClLeg._timed_out
+
+    def checked_timed_out(leg):
+        if leg.retries >= leg.retry_limit or sim.now > 0.0123:
+            return timed_out(leg)
+        (session,) = leg._sessions
+        (segment,) = session.segments
+        stats = session.stats
+        assert segment.parked_at == "n1" and "n0" in leg.held_frames and not leg._node_held
+        before = (stats.attempts_total, stats.purification_rounds, stats.swaps,
+                  stats.started_at)
+        seq, frames = sim._seq, []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            timed_out(leg)
+        finally:
+            sys.setprofile(None)
+        assert leg._sessions == [session] and session.stats is stats
+        assert (stats.attempts_total, stats.purification_rounds, stats.swaps,
+                stats.started_at) == (0, 0, 0, sim.now)
+        assert segment.parked_at == "n1"
+        pushed = sorted(entry for entry in sim._heap if entry[1] >= seq)
+        retries.append((before, [entry[2] for entry in pushed], frames))
+
+    monkeypatch.setattr(netlayer._ClLeg, "_timed_out", checked_timed_out)
+    service.submit(_cl_request("cl", "n0", "n2", retry_limit=20), at=0.0)
+    sim.run_until()
+    assert len(service.outcomes) == 1
+    assert len(retries) == 6  # at 2, 4, ..., 12 ms
+    # the first retry zeroes the four attempts the hop failed before it parked
+    assert [before[0] for before, _, _ in retries] == [4, 0, 0, 0, 0, 0]
+    assert [before[3] for before, _, _ in retries] == [0.0, 0.002, 0.004, 0.006, 0.008, 0.01]
+    for _, pushed, frames in retries:
+        assert pushed == [EventKind.TIMEOUT]
+        assert len(frames) <= 6, frames
+    for n in topo.nodes:
+        assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
 def test_cl_source_hop_whose_pumping_round_failed_is_rebuilt(built_sessions, monkeypatch):
