@@ -62,6 +62,11 @@ from .linklayer import (
 from .model import RepeaterClass, Role, Topology, WernerLink, fidelity_of
 from .physics import channel_success_prob
 
+# The members this module tests against per request, leg, session or frame,
+# as plain module names: each read of an Enum member costs about 0.1 us.
+_CONNECTION_ORIENTED = ConnectionModel.CONNECTION_ORIENTED
+_CONNECTIONLESS = ConnectionModel.CONNECTIONLESS
+_ONE_BY_ONE, _THIRD = LinkProtocol.ONE_BY_ONE, RepeaterClass.THIRD
 
 # --------------------------------------------------------------------------
 # quantum frame codec
@@ -608,6 +613,11 @@ class ForwardAction(Enum):
     DROPPED = "dropped"
 
 
+_FORWARDED, _DELIVERED, _DROPPED = (
+    ForwardAction.FORWARDED, ForwardAction.DELIVERED, ForwardAction.DROPPED
+)
+
+
 @dataclass
 class ForwardDecision:
     action: ForwardAction
@@ -631,17 +641,17 @@ def forward_frame(
     try:
         frame = decode_frame(buf)
     except FrameError as err:
-        return ForwardDecision(ForwardAction.DROPPED, reason=err.reason)
+        return ForwardDecision(_DROPPED, reason=err.reason)
     if topology.address_of(node_id) == frame.dst_addr:
-        return ForwardDecision(ForwardAction.DELIVERED, frame=frame)
+        return ForwardDecision(_DELIVERED, frame=frame)
     frame.ttl -= 1
     frame.hop_count += 1
     if frame.ttl <= 0:
-        return ForwardDecision(ForwardAction.DROPPED, frame=frame, reason="TtlExpired")
+        return ForwardDecision(_DROPPED, frame=frame, reason="TtlExpired")
     edge_id = tables.get(node_id, {}).get(frame.dst_addr)
     if edge_id is None:
-        return ForwardDecision(ForwardAction.DROPPED, frame=frame, reason="NoRoute")
-    return ForwardDecision(ForwardAction.FORWARDED, frame=frame, edge_id=edge_id)
+        return ForwardDecision(_DROPPED, frame=frame, reason="NoRoute")
+    return ForwardDecision(_FORWARDED, frame=frame, edge_id=edge_id)
 
 
 # --------------------------------------------------------------------------
@@ -732,33 +742,27 @@ class _ClLeg:
     def __init__(
         self,
         service: "NetworkService",
+        state: "_RequestState",
         tag: str,
-        src: str,
-        dst: str,
-        cls: RepeaterClass,
-        *,
-        op_flags: int,
-        retry_limit: int,
-        timeout: float,
-        stats: SessionStats,
-        drops: dict[str, int],
+        area: tuple[str, str, float],
         on_success: Callable[[WernerLink], None],
         on_failure: Callable[[str, str], None],
     ):
+        # an area is admission's (src, dst, try timeout); the class, retry
+        # limit, stats and drops are the request's, shared by all its legs
+        request = state.request
         self.service = service
         self.engine = service.engine
         self.tag = tag
-        self.src = src
-        self.dst = dst
-        self.cls = cls
-        self.op_flags = op_flags
-        self.retry_limit = retry_limit
-        self.timeout = timeout
-        self.stats = stats
-        self.drops = drops
+        self.src, self.dst, self.timeout = area
+        self.cls = cls = request.repeater_class
+        self.op_flags = service._leg_op_flags(cls)
+        self.retry_limit = request.retry_limit
+        self.stats = state.stats
+        self.drops = state.drops
         self.on_success = on_success
         self.on_failure = on_failure
-        self.third = cls is RepeaterClass.THIRD
+        self.third = cls is _THIRD
         self.retries = 0
         self.finished = False
         self._sessions: list[LinkSession] = []
@@ -857,10 +861,10 @@ class _ClLeg:
     def _at_node(self, node: str, buf: bytes) -> None:
         service = self.service
         decision = forward_frame(service.topology, service.tables, node, buf)
-        if decision.action is ForwardAction.DELIVERED:
+        if decision.action is _DELIVERED:
             self._frame_delivered()
             return
-        if decision.action is ForwardAction.DROPPED:
+        if decision.action is _DROPPED:
             self.drops[decision.reason] = self.drops.get(decision.reason, 0) + 1
             if node == self.src:
                 # the source sees its own drop; waiting out the timeout
@@ -955,7 +959,7 @@ class _ClLeg:
             self.engine,
             [node, nxt],
             self.cls,
-            LinkProtocol.ONE_BY_ONE,
+            _ONE_BY_ONE,
             options=self.service.options,
             blocked_at=self._blocked_at,
             on_pair_stored=self._claim,
@@ -1100,7 +1104,7 @@ class _Route(NamedTuple):
     ``path`` (CO, hybrid alternate mode) or one leg per ``areas`` entry,
     ``(src, dst, try timeout)`` (CL, hybrid areas), and needs ``plan``'s
     ``(node, slots)``, the slots of every route summed. ``orders`` holds
-    each ordered node's delay pair (:meth:`NetworkService._orders_at`).
+    each ordered node's delay pair (:meth:`NetworkService._order`).
     Every request with the signature shares this one value, so each part
     is a tuple.
     """
@@ -1290,11 +1294,18 @@ class NetworkService:
             return
         self._finish(state, "Completed", link=link)
 
-    def _orders_at(self, orders: tuple[tuple[float, float], ...]) -> float:
-        """When orders sent now have reached every node n of a route's
-        ``orders``, its ``(d(controller, n) / c, n's proc_delay)`` pairs."""
+    def _order(self, state: _RequestState, then: Callable[[_RequestState], None]) -> None:
+        """Send the controller's orders for ``state``'s route now, and run
+        ``then(state)`` once they have reached every node n of its
+        ``orders``, the ``(d(controller, n) / c, n's proc_delay)`` pairs."""
         now = self.engine.now
-        return max([now + d + proc_delay for d, proc_delay in orders])
+        self.engine.schedule(
+            max([now + d + proc_delay for d, proc_delay in state.route.orders]),
+            PROTOCOL_STEP,
+            lambda: then(state),
+            f"orders {state.request.request_id}",
+            owner=state,
+        )
 
     def _admission(self, request: ConnectionRequest) -> _Route:
         """``request``'s route, worked out on the first request with its signature."""
@@ -1327,10 +1338,10 @@ class NetworkService:
         every route summed; and each hop for an edge that never heralds.
         """
         cls = request.repeater_class
-        third = cls is RepeaterClass.THIRD
+        third = cls is _THIRD
         nodes = self.topology.nodes
         hybrid = request.model is ConnectionModel.HYBRID
-        one_session = request.model is ConnectionModel.CONNECTION_ORIENTED or (
+        one_session = request.model is _CONNECTION_ORIENTED or (
             hybrid and request.alternate_mode
         )
         no_path = "NoPath"  # the row a missing route gives; a table walk's is NoRoute
@@ -1524,7 +1535,7 @@ class NetworkService:
             if src not in row or end not in row:
                 self._finish(state, "NoPath", detail=f"no classical route {src} -> {end}")
                 return
-        if request.model is ConnectionModel.CONNECTION_ORIENTED:
+        if request.model is _CONNECTION_ORIENTED:
             # the controller routes the request, so it checks admission there
             self._to_controller(state, lambda: self._co_request_arrived(state))
             return
@@ -1532,10 +1543,11 @@ class NetworkService:
         if state.route.refusal is not None:
             outcome, detail = state.route.refusal
             self._finish(state, outcome, detail=detail)
-        elif request.model is ConnectionModel.CONNECTIONLESS:
+        elif request.model is _CONNECTIONLESS:
             self._cl_submit(state)
         else:
-            self._to_controller(state, lambda: self._hybrid_orders(state))
+            then = self._hybrid_alternate if request.alternate_mode else self._hybrid_fast
+            self._to_controller(state, lambda: self._order(state, then))
 
     # -- connection oriented -------------------------------------------------
 
@@ -1595,15 +1607,15 @@ class NetworkService:
             now = self.engine.now
             for node_id, slots in plan:
                 ledger.acquire(node_id, slots, state.tag, now)
-            self.engine.schedule(
-                self._orders_at(state.route.orders),
-                PROTOCOL_STEP,
-                lambda s=state: self._co_start_session(s),
-                f"orders {state.request.request_id}",
-                owner=state,
-            )
+            self._order(state, self._start_session)
 
-    def _co_start_session(self, state: _RequestState) -> None:
+    def _start_session(self, state: _RequestState) -> None:
+        """Build and start the one session of a CO or hybrid alternate request.
+
+        Both run under the service's swap policy and pipelining. Admission
+        lets in only one-by-one alternate requests, so ``link_protocol``
+        serves both.
+        """
         request = state.request
         session = LinkSession(
             self.engine,
@@ -1613,17 +1625,21 @@ class NetworkService:
             policy=self.swap_policy,
             pipelining=self.pipelining,
             options=self.options,
-            on_done=lambda s: self._co_session_done(state, s),
-            on_node_free=lambda n: self._co_node_freed(state, n),
+            on_done=lambda s: self._session_done(state, s),
+            on_node_free=lambda n: self._node_freed(state, n),
             layouts=self._layouts,
         )
         state.session = session
         session.start()
 
-    def _co_node_freed(self, state: _RequestState, node_id: str) -> None:
-        # the swap freed the slots physically; the controller's books
-        # update when the node's notice arrives, and admission follows the
-        # books
+    def _node_freed(self, state: _RequestState, node_id: str) -> None:
+        # the swap freed the node's two slots physically. An alternate
+        # request, which the controller does not queue, hands them back at
+        # once; for a CO request the controller's books update when the
+        # node's notice arrives, and admission follows the books
+        if state.request.model is not _CONNECTION_ORIENTED:
+            self.engine.memory.release(node_id, 2, state.tag, self.engine.now)
+            return
         self.engine.send_classical(
             node_id,
             self.controller,
@@ -1639,7 +1655,7 @@ class NetworkService:
             self.engine.memory.release(node_id, held, state.tag, self.engine.now)
         self._try_admit()
 
-    def _co_session_done(self, state: _RequestState, session: LinkSession) -> None:
+    def _session_done(self, state: _RequestState, session: LinkSession) -> None:
         result = session.result
         _merge_stats(state.stats, session.stats)
         if isinstance(result, ChannelResult):
@@ -1654,7 +1670,7 @@ class NetworkService:
         c = self.engine.params.c_fiber
         total = 0.0
         for edge, receiver in hops:
-            if cls is RepeaterClass.THIRD:
+            if cls is _THIRD:
                 total += edge.length_km / c + receiver.proc_delay
             else:
                 total += (
@@ -1662,7 +1678,7 @@ class NetworkService:
                     + 2.0 * edge.length_km / c
                     + receiver.proc_delay
                 )
-        if cls is RepeaterClass.THIRD:
+        if cls is _THIRD:
             total += 1.0 / hops[0][0].attempt_rate_hz
         total += self.routes.classical_distance(dst, src) / c
         total += self.topology.nodes[src].proc_delay
@@ -1678,64 +1694,16 @@ class NetworkService:
             flags |= OP_PIPELINING
         return flags
 
-    def _make_leg(
-        self,
-        state: _RequestState,
-        tag: str,
-        area: tuple[str, str, float],
-        on_success: Callable[[WernerLink], None],
-        on_failure: Callable[[str, str], None],
-    ) -> _ClLeg:
-        """A leg over an ``area`` admission routed, as (src, dst, try timeout)."""
-        request = state.request
-        cls = request.repeater_class
-        src, dst, timeout = area
-        return _ClLeg(
-            self,
-            tag,
-            src,
-            dst,
-            cls,
-            op_flags=self._leg_op_flags(cls),
-            retry_limit=request.retry_limit,
-            timeout=timeout,
-            stats=state.stats,
-            drops=state.drops,
-            on_success=on_success,
-            on_failure=on_failure,
-        )
-
     def _cl_submit(self, state: _RequestState) -> None:
-        leg = self._make_leg(
-            state,
-            state.tag,
-            state.route.areas[0],
-            on_success=lambda link: self._deliver(state, link),
-            on_failure=lambda reason, detail: self._finish(state, reason, detail=detail),
-        )
+        leg = _ClLeg(self, state, state.tag, state.route.areas[0],
+                     lambda link: self._deliver(state, link),
+                     lambda reason, detail: self._finish(state, reason, detail=detail))
         state.legs.append(leg)
         leg.start()
 
     # -- hybrid ---------------------------------------------------------------
 
-    def _hybrid_orders(self, state: _RequestState) -> None:
-        request = state.request
-        self.engine.schedule(
-            self._orders_at(state.route.orders),
-            PROTOCOL_STEP,
-            lambda: self._hybrid_begin(state),
-            f"orders {request.request_id}",
-            owner=state,
-        )
-
-    def _hybrid_begin(self, state: _RequestState) -> None:
-        if state.request.alternate_mode:
-            self._hybrid_alternate(state)
-        else:
-            self._hybrid_fast(state)
-
     def _hybrid_alternate(self, state: _RequestState) -> None:
-        request = state.request
         # the whole path now or a failure, whose _finish frees what was taken
         memory = self.engine.memory
         try:
@@ -1744,32 +1712,17 @@ class NetworkService:
         except ResourceExhausted as err:
             self._finish(state, "ResourceExhausted", detail=str(err))
             return
-        session = LinkSession(
-            self.engine,
-            state.route.path,
-            request.repeater_class,
-            LinkProtocol.ONE_BY_ONE,
-            options=self.options,
-            on_done=lambda s: self._co_session_done(state, s),
-            # a swap consumes both halves at an interior node
-            on_node_free=lambda n: memory.release(n, 2, state.tag, self.engine.now),
-            layouts=self._layouts,
-        )
-        state.session = session
-        session.start()
+        self._start_session(state)
 
     def _hybrid_fast(self, state: _RequestState) -> None:
         for i, area in enumerate(state.route.areas):
-            leg = self._make_leg(
-                state,
-                f"{state.tag}:leg{i}",
-                area,
-                on_success=lambda link, idx=i: self._hybrid_leg_done(state, idx, link),
-                on_failure=lambda reason, detail, idx=i: self._finish(
+            state.legs.append(_ClLeg(
+                self, state, f"{state.tag}:leg{i}", area,
+                lambda link, idx=i: self._hybrid_leg_done(state, idx, link),
+                lambda reason, detail, idx=i: self._finish(
                     state, reason, detail=f"area {idx}: {detail}"
                 ),
-            )
-            state.legs.append(leg)
+            ))
         for leg in list(state.legs):
             leg.start()
 

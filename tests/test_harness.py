@@ -997,9 +997,9 @@ request id=ap src=a dst=b model=co class=all_photonic protocol=sl arrivals=poiss
         ),
         (
             FIRST_TOPO, FIRST_NOPIPE_SCN, 93,
-            "bf79f7aa739bb019c6f997edbda58cd1aa2c174e3c93e5dd8ead88c1084dcf5d",
-            4329,
-            "1d4d38bd261be41e9170b640be5cd97453dca8569456c857eb37029714fe0562",
+            "88e11d7c83b2a3daff29fa5ae0192faa891f9218d42732b5e35710299cda4e55",
+            4421,
+            "7a50b81736c9ebeea026c6cfd9ebdda3fef22d862d96981f04400541a21a44dc",
         ),
         (
             AP_TOPO, AP_SCN, 25,

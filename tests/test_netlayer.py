@@ -1672,6 +1672,112 @@ def test_hybrid_alternate_raises_programming_errors(monkeypatch):
     assert service.outcomes == []
 
 
+def _alternate_request(rid="ha"):
+    return ConnectionRequest(rid, "n0", "n4", RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
+                             ConnectionModel.HYBRID, waypoints=("n2",), alternate_mode=True)
+
+
+def _first_ticks_and_frontiers(trace: str):
+    """Each segment's first tick time, and when the frontier reached each node."""
+    ticks, frontiers = {}, {}
+    for line in trace.splitlines():
+        time, _, _, summary = line.split("\t")
+        if summary.startswith("gen "):
+            ticks.setdefault(int(summary.rsplit("seg", 1)[1]), float(time))
+        elif summary.startswith("frontier -> n"):
+            frontiers[int(summary[len("frontier -> n"):])] = float(time)
+    return ticks, frontiers
+
+
+@pytest.mark.parametrize("pipelining", [True, False])
+def test_an_alternate_session_pipelines_only_when_the_service_does(pipelining):
+    # one-by-one without pipelining starts segment k once the frontier pair
+    # reaches path[k]; a tick period of 10 us against 125 us of fiber per
+    # hop lets a pipelined segment tick long before that
+    trace = io.StringIO()
+    sim = Simulator(chain_topology([25.0] * 4, rate=1e5), PARAMS, seed=13, trace_fp=trace)
+    service = NetworkService(sim, controller="n2", pipelining=pipelining)
+    service.submit(_alternate_request(), at=0.0)
+    sim.run_until()
+    assert service.outcomes[0].outcome == "Completed"
+    ticks, frontiers = _first_ticks_and_frontiers(trace.getvalue())
+    assert sorted(ticks) == [0, 1, 2, 3] and sorted(frontiers) == [2, 3]
+    for k in (2, 3):
+        assert (ticks[k] > frontiers[k]) is not pipelining, (k, ticks, frontiers)
+
+
+@pytest.mark.parametrize("pipelining", [True, False], ids=["pipe", "nopipe"])
+@pytest.mark.parametrize("f_target", [0.0, 0.9], ids=["no-target", "target"])
+@pytest.mark.parametrize("cls", [RepeaterClass.FIRST, RepeaterClass.SECOND, RepeaterClass.THIRD],
+                         ids=lambda c: c.value)
+def test_a_connectionless_frame_carries_its_class_target_and_pipelining_flags(
+    monkeypatch, cls, f_target, pipelining
+):
+    sent = []
+    forward_frame = netlayer.forward_frame
+
+    def recording_forward(topology, tables, node_id, buf):
+        sent.append((node_id, buf))
+        return forward_frame(topology, tables, node_id, buf)
+
+    monkeypatch.setattr(netlayer, "forward_frame", recording_forward)
+    third = cls is RepeaterClass.THIRD
+    topo = chain_topology([10.0, 10.0], cls=cls, memories=0 if third else 4)
+    sim = Simulator(topo, PhysicsParams(f_target=f_target), seed=3)
+    service = NetworkService(sim, pipelining=pipelining)
+    service.submit(_cl_request("f", "n0", "n2", cls=cls, retry_limit=0), at=0.0)
+    sim.run_until()
+    node_id, buf = sent[0]
+    assert node_id == "n0"
+    frame = netlayer.decode_frame(buf)
+    assert frame.qr_class is cls
+    purify = f_target > 0 and cls is RepeaterClass.FIRST
+    assert frame.op_flags == (
+        (netlayer.OP_PURIFY if purify else 0)
+        | (netlayer.OP_ECC if cls is not RepeaterClass.FIRST else 0)
+        | (netlayer.OP_PIPELINING if pipelining else 0)
+    )
+
+
+@pytest.mark.parametrize("model", ["alternate", "co"])
+def test_interior_slots_come_back_at_the_swap_or_when_the_notice_arrives(monkeypatch, model):
+    # an alternate request, which the controller does not queue, frees a
+    # node's two slots in the step that swaps there; a CO request's come
+    # back when the node's notice reaches the controller
+    swaps, releases = {}, {}
+    swap = LinkSession._swap
+
+    def recording_swap(self, k, ab, bc):
+        swaps[self.path[k]] = self.engine.now
+        return swap(self, k, ab, bc)
+
+    release = MemoryLedger.release
+
+    def recording_release(self, node_id, count, tag, now):
+        releases[node_id] = (count, now)
+        return release(self, node_id, count, tag, now)
+
+    monkeypatch.setattr(LinkSession, "_swap", recording_swap)
+    monkeypatch.setattr(MemoryLedger, "release", recording_release)
+    sim = Simulator(chain_topology([25.0] * 4), PARAMS, seed=13)
+    service = NetworkService(sim, controller="n0")
+    if model == "co":
+        request = ConnectionRequest("co", "n0", "n4", RepeaterClass.FIRST,
+                                    LinkProtocol.ONE_BY_ONE, ConnectionModel.CONNECTION_ORIENTED)
+    else:
+        request = _alternate_request()
+    service.submit(request, at=0.0)
+    sim.run_until()
+    assert service.outcomes[0].outcome == "Completed"
+    assert sorted(swaps) == sorted(releases) == ["n1", "n2", "n3"]
+    controller = sim.topology.nodes["n0"]
+    for node_id, at in swaps.items():
+        if model == "co":
+            d = service.routes.classical_distance(node_id, "n0")
+            at += d / PARAMS.c_fiber + controller.proc_delay
+        assert releases[node_id] == (2, pytest.approx(at, rel=1e-12, abs=0.0))
+
+
 def test_hybrid_fast_beats_alternate_here():
     lat = {}
     for alt in (False, True):
@@ -1916,8 +2022,8 @@ def test_identical_refused_requests_give_identical_rows(make):
 
 def test_a_shared_route_cannot_be_changed_through_one_request(monkeypatch):
     states = []
-    start = NetworkService._co_start_session
-    monkeypatch.setattr(NetworkService, "_co_start_session",
+    start = NetworkService._start_session
+    monkeypatch.setattr(NetworkService, "_start_session",
                         lambda self, state: states.append(state) or start(self, state))
     sim = Simulator(chain_topology([5.0, 5.0]), PARAMS, seed=1)
     service = NetworkService(sim)

@@ -205,3 +205,24 @@ def test_every_protocol_swaps_and_counts_through_one_step():
         "linklayer.py swap_pairs stats.swaps += 1",
         "netlayer.py _merge_stats into.swaps += part.swaps",
     ]
+
+
+def test_requests_build_sessions_and_schedule_orders_in_one_place_each():
+    # CO and hybrid alternate requests start their one session through
+    # NetworkService._start_session, and a connectionless leg builds one per
+    # hop; the controller's orders for CO and hybrid requests go out
+    # through NetworkService._order alone
+    path = ROOT / "src" / "qrnet" / "netlayer.py"
+    sessions, orders = [], []
+    for scope, node in _scoped_nodes(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        if getattr(node.func, "id", None) == "LinkSession":
+            sessions.append(scope)
+        elif getattr(node.func, "attr", None) in _OWNER_ARG and len(node.args) > 3:
+            summary = node.args[3]
+            text = summary.values[0] if isinstance(summary, ast.JoinedStr) else summary
+            if isinstance(text, ast.Constant) and str(text.value).startswith("orders"):
+                orders.append(scope)
+    assert sessions == ["_ClLeg._launch_segment", "NetworkService._start_session"]
+    assert orders == ["NetworkService._order"]
