@@ -13,12 +13,15 @@ import hashlib
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
 
 from .model import Topology
 from .physics import PhysicsParams
+
+_NO_ENTRIES = MappingProxyType({})  # what the ledger reads for a tag it holds no entry of
 
 
 class EventKind(Enum):
@@ -74,16 +77,18 @@ class MemoryLedger:
     with nodes in the order the tag first touched them, so every per-tag
     call costs O(nodes the tag touched), not O(run history).  An entry's
     slot-seconds are settled on ``acquire``, ``release`` and
-    ``occupancy_s``, always as ``slot + held * (now - since)``. An owner
-    that has closed is forgotten (``forget``) once its slot-seconds are
-    read, so the ledger holds only the tags of live owners.
+    ``occupancy_s``, always as ``slot + held * (now - since)``. ``book``
+    takes a whole plan for a tag that holds nothing, or returns the first
+    ``(node, slots)`` that does not fit and takes none. ``close`` reads an
+    owner's slot-seconds, frees its slots and forgets it, so the ledger
+    holds only the tags of live owners.
 
     A waiter blocked on memory parks at the one node that blocks it, with
-    the slots it needs there, instead of polling.  ``release`` and
-    ``release_all`` wake only the waiters at the freed node whose need now
-    fits; the rest stay parked.  Only those two free slots, so every parked
-    waiter needs more slots than its node has free, and nothing else can
-    unblock it.
+    the slots it needs there, instead of polling.  ``release``,
+    ``release_all`` and ``close`` wake only the waiters at a freed node
+    whose need now fits; the rest stay parked.  Only those three free
+    slots, so every parked waiter needs more slots than its node has free,
+    and nothing else can unblock it.
     """
 
     def __init__(self, topology: Topology):
@@ -98,42 +103,57 @@ class MemoryLedger:
     def available(self, node_id: str) -> int:
         return self.capacity[node_id] - self.in_use[node_id]
 
-    @staticmethod
-    def _settle(entry: list, now: float) -> None:
-        held, since, slot = entry
-        entry[2] = slot + held * (now - since)
-        entry[1] = now
-
     def held_by(self, tag: str, node_id: str) -> int:
-        entry = self._by_tag.get(tag, {}).get(node_id)
+        entry = self._by_tag.get(tag, _NO_ENTRIES).get(node_id)
         return 0 if entry is None else entry[0]
 
     def acquire(self, node_id: str, count: int, tag: str, now: float) -> None:
         free = self.capacity[node_id] - self.in_use[node_id]
         if count > free:
             raise ResourceExhausted(f"{node_id}: need {count} slots, {free} free")
-        entry = self._by_tag.setdefault(tag, {}).setdefault(node_id, [0, now, 0.0])
-        held, since, slot = entry  # settled here as _settle would
-        entry[:] = held + count, now, slot + held * (now - since)
+        entries = self._by_tag.get(tag) or self._by_tag.setdefault(tag, {})
+        entry = entries.get(node_id)
+        if entry is None:
+            entries[node_id] = [count, now, 0.0]
+        else:
+            entry[:] = entry[0] + count, now, entry[2] + entry[0] * (now - entry[1])
         self.in_use[node_id] += count
 
+    def book(self, plan, tag: str, now: float) -> tuple[str, int] | None:
+        """Take each ``(node, slots)`` of ``plan``, nodes distinct, or none (see the class)."""
+        entries = self._by_tag.get(tag)
+        if entries and any(entry[0] for entry in entries.values()):
+            raise ValueError(f"{tag} books a plan while it holds slots")
+        for step in plan:
+            if self.available(step[0]) < step[1]:
+                return step
+        if entries:  # a tag that held before: acquire settles its entries
+            for node_id, count in plan:
+                self.acquire(node_id, count, tag, now)
+        else:
+            self._by_tag[tag] = {node_id: [count, now, 0.0] for node_id, count in plan}
+            for node_id, count in plan:
+                self.in_use[node_id] += count
+        return None
+
     def release(self, node_id: str, count: int, tag: str, now: float) -> None:
-        held = self.held_by(tag, node_id)
+        entry = self._by_tag.get(tag, _NO_ENTRIES).get(node_id)
+        held = 0 if entry is None else entry[0]
         if count > held:
             raise ValueError(f"{tag} releases {count} at {node_id} but holds {held}")
-        entry = self._by_tag.setdefault(tag, {}).setdefault(node_id, [0, now, 0.0])
-        self._settle(entry, now)
-        entry[0] = held - count
+        if entry is None:  # releasing nothing still touches the node
+            entry = self._by_tag.setdefault(tag, {})[node_id] = [0, now, 0.0]
+        entry[:] = held - count, now, entry[2] + held * (now - entry[1])
         self.in_use[node_id] -= count
-        if count:
+        if count and self._waiters[node_id]:
             self.wake(node_id)
 
     def release_all(self, tag: str, now: float) -> None:
-        for node_id, entry in self._by_tag.get(tag, {}).items():
-            if entry[0] > 0:
-                self._settle(entry, now)
-                self.in_use[node_id] -= entry[0]
-                entry[0] = 0
+        for node_id, entry in self._by_tag.get(tag, _NO_ENTRIES).items():
+            held = entry[0]  # an entry that holds nothing settles to the same bits
+            entry[:] = 0, now, entry[2] + held * (now - entry[1])
+            self.in_use[node_id] -= held
+            if held and self._waiters[node_id]:
                 self.wake(node_id)
 
     def park(self, waiter, node_id: str, need: int) -> None:
@@ -149,8 +169,6 @@ class MemoryLedger:
         Each woken waiter leaves the list and gets one ``wake()`` call.
         """
         waiting = self._waiters[node_id]
-        if not waiting:
-            return
         free = self.capacity[node_id] - self.in_use[node_id]
         woken = [w for w, need in waiting.items() if need <= free]
         for waiter in woken:
@@ -160,16 +178,21 @@ class MemoryLedger:
     def occupancy_s(self, tag: str, now: float, skip=()) -> float:
         """Accumulated slot-seconds for ``tag``, leaving out nodes in ``skip``."""
         total = 0.0
-        for node_id, entry in self._by_tag.get(tag, {}).items():
-            if node_id in skip:
-                continue
-            self._settle(entry, now)
-            total += entry[2]
+        for node_id, entry in self._by_tag.get(tag, _NO_ENTRIES).items():
+            if node_id not in skip:
+                held, since, slot = entry
+                entry[1], entry[2] = now, slot + held * (now - since)
+                total += entry[2]
         return total
 
-    def forget(self, tag: str) -> None:
-        """Drop a closed owner's entries, after its last ``occupancy_s`` read."""
-        self._by_tag.pop(tag, None)
+    def close(self, tag: str, now: float, skip=()) -> float:
+        """``occupancy_s(tag, now, skip)``, after which ``tag`` frees all and is forgotten."""
+        total = self.occupancy_s(tag, now, skip)
+        for node_id, entry in self._by_tag.pop(tag, _NO_ENTRIES).items():
+            self.in_use[node_id] -= entry[0]
+            if entry[0] and self._waiters[node_id]:
+                self.wake(node_id)
+        return total
 
 
 class Simulator:

@@ -115,8 +115,8 @@ def _fields(tokens: list[str], table: dict, lineno: int, what: str, memos: dict)
     dataclass supplies every default.
 
     ``memos``, which lives for one parse, keeps per directive each token
-    that converted to other than a tuple, which arrivals are (each template
-    owns its list of times), so that such a token is converted only once.
+    whose value is not a tuple, which arrivals are (each template owns its
+    list of times), so that such a token is read only once.
     """
     out = {}
     unknown: list[str] = []
@@ -152,7 +152,7 @@ def _fields(tokens: list[str], table: dict, lineno: int, what: str, memos: dict)
             if bad is None:
                 bad = err
             continue
-        if parse is not None and type(converted) is not tuple:
+        if type(converted) is not tuple:
             memo[token] = (key, name, converted)
     if unknown:
         raise ParseError(lineno, f"unknown {what} keys: {sorted(unknown)}")
@@ -271,7 +271,8 @@ def _parse_arrivals(value: str, lineno: int, key: str) -> tuple:
         raise ParseError(lineno, f"arrivals needs poisson:RATE or fixed:T,..., got {value!r}")
     if scheme == "fixed":
         # every time is read as a number before a range fault is reported
-        times = [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t]
+        times = ([_as_float(arg, lineno, "arrival time")] if arg and "," not in arg
+                 else [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t])
         if not times:
             raise ParseError(lineno, "fixed arrivals need at least one time")
         for time in times:

@@ -1257,22 +1257,18 @@ class NetworkService:
         state.session = None
         for leg in state.legs:
             leg.abort()
-        occupancy = 0.0
         request = state.request
         ends = (request.src, request.dst)
         ledger = self.engine.memory
-        legs = state.legs
-        tags = [state.tag] + [leg.tag for leg in legs] if legs else (state.tag,)
-        for tag in tags:
-            occupancy += ledger.occupancy_s(tag, now, ends)
-            ledger.release_all(tag, now)
-        for tag in tags:
-            ledger.forget(tag)
+        own = occupancy = ledger.close(state.tag, now, ends)
+        for leg in state.legs:
+            # a plain CL leg's tag is the request's: closed once, added twice (ROADMAP item 8)
+            occupancy += own if leg.tag == state.tag else ledger.close(leg.tag, now, ends)
         self._active.discard(request.request_id)
         # positional, in field order: keywords make the call cost twice as much
         state.on_outcome(ConnectionOutcome(
             request, outcome, link, now - state.emission, state.stats,
-            sum(leg.retries for leg in legs) if legs else 0, dict(state.drops),
+            sum(leg.retries for leg in state.legs) if state.legs else 0, dict(state.drops),
             occupancy, detail, now,
         ))
         self._try_admit()
@@ -1598,15 +1594,10 @@ class NetworkService:
             short = state.short
             if short is not None and ledger.available(short[0]) < short[1]:
                 return
-            plan = state.route.plan
-            for entry in plan:
-                if ledger.available(entry[0]) < entry[1]:
-                    state.short = entry
-                    return
+            state.short = ledger.book(state.route.plan, state.tag, self.engine.now)
+            if state.short is not None:
+                return
             self._queue.popleft()
-            now = self.engine.now
-            for node_id, slots in plan:
-                ledger.acquire(node_id, slots, state.tag, now)
             self._order(state, self._start_session)
 
     def _start_session(self, state: _RequestState) -> None:
@@ -1704,15 +1695,15 @@ class NetworkService:
     # -- hybrid ---------------------------------------------------------------
 
     def _hybrid_alternate(self, state: _RequestState) -> None:
-        # the whole path now or a failure, whose _finish frees what was taken
+        # the whole path now, or a failure that took nothing
         memory = self.engine.memory
-        try:
-            for node_id, slots in state.route.plan:
-                memory.acquire(node_id, slots, state.tag, self.engine.now)
-        except ResourceExhausted as err:
-            self._finish(state, "ResourceExhausted", detail=str(err))
-            return
-        self._start_session(state)
+        short = memory.book(state.route.plan, state.tag, self.engine.now)
+        if short is None:
+            self._start_session(state)
+        else:
+            node_id, need = short
+            self._finish(state, "ResourceExhausted", detail=(
+                f"{node_id}: need {need} slots, {memory.available(node_id)} free"))
 
     def _hybrid_fast(self, state: _RequestState) -> None:
         for i, area in enumerate(state.route.areas):

@@ -5,7 +5,7 @@ Run it from the repository root:
     python tests/cost_counts.py
 
 For the first scenario of the default run seed of each workload in
-``perfbench/workloads.py`` it prints four counts, each measured in a fresh
+``perfbench/workloads.py`` it prints these counts, each measured in a fresh
 interpreter over ``run_experiment`` on the parsed inputs:
 
 - the Python calls cProfile counts;
@@ -16,7 +16,8 @@ interpreter over ``run_experiment`` on the parsed inputs:
   the run (:func:`_held`);
 - what connectionless waiting costs (:func:`_waits`): ticks that find the
   gate shut, segment wakes, the float steps those wakes replay, and try
-  timeouts that retry an idle try or a try that touched more.
+  timeouts that retry an idle try or a try that touched more;
+- the calls of each public ``MemoryLedger`` method (:func:`_ledger_calls`).
 
 None of them depends on host speed, so the output is the same on every
 run of one commit on one Python version; it must also not depend on
@@ -28,12 +29,13 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import FunctionType
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-MEASURES = ("calls", "events", "run-peak", "peak", "memos", "waits")
+MEASURES = ("calls", "events", "run-peak", "peak", "memos", "waits", "ledger")
 
 
 class _KindCounter:
@@ -110,6 +112,35 @@ def _waits(topology, scenario) -> str:
     )
 
 
+def _ledger_calls(topology, scenario) -> str:
+    """Run once, counting the calls of each public ``MemoryLedger`` method.
+
+    Whatever public methods the class defines are wrapped at class level,
+    in definition order, so a call the ledger makes to its own method
+    counts too, and the line reads any version of the ledger.
+    """
+    from qrnet.engine import MemoryLedger
+    from qrnet.harness import run_experiment
+
+    counts = Counter()
+
+    def counted(name, method):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return call
+
+    names = [
+        name for name, value in vars(MemoryLedger).items()
+        if not name.startswith("_") and isinstance(value, FunctionType)
+    ]
+    for name in names:
+        setattr(MemoryLedger, name, counted(name, getattr(MemoryLedger, name)))
+    run_experiment(topology, scenario)
+    return "ledger: " + ", ".join(f"{name} {counts[name]}" for name in names)
+
+
 def _measure(name: str, measure: str) -> str:
     import cProfile
     import pstats
@@ -148,6 +179,8 @@ def _measure(name: str, measure: str) -> str:
         return f"memos after run: admissions {admitted} B, layouts {layouts} B"
     if measure == "waits":
         return _waits(topology, scenario)
+    if measure == "ledger":
+        return _ledger_calls(topology, scenario)
     if measure == "events":
         sink = _KindCounter()
         run_experiment(topology, scenario, trace_fp=sink)

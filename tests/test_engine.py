@@ -399,6 +399,27 @@ def test_ledger_occupancy_accumulates_across_cycles():
     assert math.isclose(ledger.occupancy_s("req:1", now=12.0), 7.0)
 
 
+def test_book_refuses_a_tag_that_holds_slots_and_books_nothing():
+    ledger = MemoryLedger(chain_topology([10.0, 10.0], memories=2))
+    ledger.acquire("n1", 1, "req:1", now=0.0)
+    with pytest.raises(ValueError):
+        ledger.book((("n0", 1), ("n2", 1)), "req:1", now=1.0)
+    assert [ledger.held_by("req:1", n) for n in ("n0", "n1", "n2")] == [0, 1, 0]
+    assert [ledger.available(n) for n in ("n0", "n1", "n2")] == [2, 1, 2]
+    # a plan that falls short takes nothing and names the entry
+    plan = (("n0", 1), ("n1", 2), ("n2", 1))
+    assert ledger.book(plan, "req:2", now=1.0) is plan[1]
+    assert [ledger.available(n) for n in ("n0", "n1", "n2")] == [2, 1, 2]
+    # once its slots are back, the tag may book; its slot-seconds go on
+    ledger.release("n1", 1, "req:1", now=2.0)
+    assert ledger.book(plan, "req:1", now=3.0) is None
+    assert [ledger.held_by("req:1", n) for n in ("n0", "n1", "n2")] == [1, 2, 1]
+    assert ledger.occupancy_s("req:1", now=4.0, skip={"n0", "n2"}) == 4.0
+    assert ledger.close("req:1", now=5.0) == 10.0
+    assert [ledger.available(n) for n in ("n0", "n1", "n2")] == [2, 2, 2]
+    assert ledger.held_by("req:1", "n1") == 0 and ledger.occupancy_s("req:1", 6.0) == 0.0
+
+
 def test_release_all_clears_every_node():
     topo = chain_topology([10.0, 10.0], memories=4)
     ledger = MemoryLedger(topo)
@@ -457,18 +478,42 @@ class _FlatLedger:
             total += self.slot[(t, node)]
         return total
 
+    def book(self, plan, tag, now):
+        if self.tags_holding(tag):
+            raise ValueError(tag)
+        for node, count in plan:
+            if count > self.capacity[node] - self.in_use[node]:
+                return (node, count)
+        for node, count in plan:
+            self.acquire(node, count, tag, now)
+        return None
+
+    def close(self, tag, now, skip=()):
+        total = self.occupancy_s(tag, now, skip)
+        self.release_all(tag, now)
+        for key in [key for key in self.held if key[0] == tag]:
+            del self.held[key], self.since[key], self.slot[key]
+        return total
+
 
 LEDGER_TAGS = ["req:a", "req:b", "req:c"]
 LEDGER_NODES = ["n0", "n1", "n2"]
 LEDGER_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["acquire", "release", "release_all", "occupancy_s"]),
+        st.sampled_from(
+            ["acquire", "release", "release_all", "occupancy_s", "book", "close"]
+        ),
         st.sampled_from(LEDGER_TAGS),
         st.sampled_from(LEDGER_NODES),
         st.integers(0, 3),
         # steps that do not add up exactly, so summation order shows
         st.sampled_from([0.0, 1e-4, 0.1, 1.0 / 3.0, 2.5]),
         st.frozensets(st.sampled_from(LEDGER_NODES)),
+        # a plan to book: each node at most once, in any order
+        st.lists(
+            st.tuples(st.sampled_from(LEDGER_NODES), st.integers(0, 3)),
+            max_size=3, unique_by=lambda entry: entry[0],
+        ).map(tuple),
     ),
     max_size=60,
 )
@@ -485,26 +530,40 @@ def _outcome(call):
 @given(LEDGER_OPS)
 # 2e-4 + 2e-4 + 3e-4 sums differently from 3e-4 + 2e-4 + 2e-4
 @example([
-    ("acquire", "req:a", "n0", 2, 0.0, frozenset()),
-    ("acquire", "req:a", "n1", 2, 0.0, frozenset()),
-    ("acquire", "req:a", "n2", 3, 0.0, frozenset()),
-    ("occupancy_s", "req:a", "n0", 0, 1e-4, frozenset()),
+    ("acquire", "req:a", "n0", 2, 0.0, frozenset(), ()),
+    ("acquire", "req:a", "n1", 2, 0.0, frozenset(), ()),
+    ("acquire", "req:a", "n2", 3, 0.0, frozenset(), ()),
+    ("occupancy_s", "req:a", "n0", 0, 1e-4, frozenset(), ()),
+])
+# a close sums like occupancy_s, and a tag that held nothing may book again
+@example([
+    ("book", "req:a", "n0", 0, 0.0, frozenset(), (("n0", 2), ("n1", 2), ("n2", 3))),
+    ("book", "req:b", "n0", 0, 0.0, frozenset(), (("n0", 1), ("n2", 1))),
+    ("close", "req:a", "n0", 0, 1e-4, frozenset(), ()),
+    ("release", "req:c", "n1", 0, 0.1, frozenset(), ()),
+    ("book", "req:c", "n0", 0, 0.1, frozenset(), (("n2", 3), ("n1", 1))),
 ])
 def test_ledger_matches_flat_reference(ops):
     ledger = MemoryLedger(chain_topology([10.0, 10.0], memories=3))
     ref = _FlatLedger(ledger.capacity)
     now = 0.0
-    for kind, tag, node, count, step, skip in ops:
+    for kind, tag, node, count, step, skip, plan in ops:
         now += step
         if kind in ("acquire", "release"):
             args = (node, count, tag, now)
         elif kind == "release_all":
             args = (tag, now)
+        elif kind == "book":
+            args = (plan, tag, now)
         else:
             args = (tag, now, skip)
         got = _outcome(lambda: getattr(ledger, kind)(*args))
         want = _outcome(lambda: getattr(ref, kind)(*args))
-        assert got == want  # occupancy_s bit for bit, not approximately
+        # slot-seconds bit for bit, not approximately; a booking that does
+        # not fit names the same entry
+        assert got == want
+        if kind == "close":
+            assert ledger.occupancy_s(tag, now) == 0.0
         for t in LEDGER_TAGS:
             for n in LEDGER_NODES:
                 assert ledger.held_by(t, n) == ref.held.get((t, n), 0)

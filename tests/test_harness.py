@@ -499,6 +499,9 @@ _GOOD_NODE = "node {} role=switch class=first memories=2 t_coh=0.05\n"
      " deadline=0.03", "duplicate key 'deadline'"),
     (parse_topology, _GOOD_NODE.format("a") + _GOOD_NODE.format("b"),
      "node c role=switch memories=2 role=switch", "duplicate key 'role'"),
+    # a key kept as written, memoized on a line ahead, twice on one line
+    (parse_scenario, _GOOD_REQUEST * 2, "request src=a src=a dst=b model=co",
+     "duplicate key 'src'"),
     # an unknown key beside memoized ones
     (parse_scenario, _GOOD_REQUEST * 2, "request src=a dst=b model=co foo=1 class=first",
      "unknown request keys: ['foo']"),
@@ -1440,6 +1443,29 @@ def test_csv_attempts_equal_the_attempts_drawn(monkeypatch, model):
     rows = run_experiment(parse_topology(LOSSY_CHAIN_TOPO), parse_scenario(scenario))
     assert len(rows) == 12
     assert sum(row["attempts_total"] for row in rows) == len(drawn)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: a plain CL leg's tag is its request's, and the "
+    "close adds that tag's slot-seconds once for the request and once for the leg",
+)
+def test_a_cl_row_counts_each_slot_second_once():
+    topo = (
+        "node a role=end class=first memories=4\n"
+        "node r role=repeater class=first memories=4\n"
+        "node b role=end class=first memories=4\n"
+        "edge a r length_km=5 alpha=0\n"
+        "edge r b length_km=5 alpha=0\n"
+    )
+    scenario = (
+        "seed=3\n"
+        "request id=q src=a dst=b model=cl class=first protocol=ol arrivals=fixed:0\n"
+    )
+    [row] = run_experiment(parse_topology(topo), parse_scenario(scenario))
+    assert row["outcome"] == "success"
+    # r, the one node the row counts, held its 2 slots for 50 us
+    assert row["node_occupancy_s"] == pytest.approx(2 * 50e-6, rel=1e-9)
 
 
 _CLASSES = [cls.value for cls in RepeaterClass]

@@ -1326,6 +1326,16 @@ class _CheckedLedger(MemoryLedger):
         super().release_all(*args)
         self._check()
 
+    def book(self, *args):
+        short = super().book(*args)
+        self._check()
+        return short
+
+    def close(self, *args):
+        total = super().close(*args)
+        self._check()
+        return total
+
     def park(self, waiter, node_id, need, *rest):
         super().park(waiter, node_id, need, *rest)
         self.needs[waiter] = need
@@ -1675,6 +1685,28 @@ def test_hybrid_alternate_raises_programming_errors(monkeypatch):
 def _alternate_request(rid="ha"):
     return ConnectionRequest(rid, "n0", "n4", RepeaterClass.FIRST, LinkProtocol.ONE_BY_ONE,
                              ConnectionModel.HYBRID, waypoints=("n2",), alternate_mode=True)
+
+
+def test_an_alternate_request_that_cannot_fit_never_holds_a_slot(monkeypatch):
+    # the plan's ends come first: n0 has its slot free, n4, second, has none
+    held = []  # what the request holds at n0 when it closes
+    finish = NetworkService._finish
+
+    def recording_finish(service, state, *args, **kwargs):
+        held.append(service.engine.memory.held_by(state.tag, "n0"))
+        finish(service, state, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkService, "_finish", recording_finish)
+    sim = Simulator(chain_topology([25.0] * 4), PARAMS, seed=13)
+    sim.memory.acquire("n4", 4, "blocker", 0.0)
+    service = NetworkService(sim, controller="n2")
+    service.submit(_alternate_request(), at=0.0)
+    sim.run_until()
+    [outcome] = service.outcomes
+    assert (outcome.outcome, outcome.detail) == ("ResourceExhausted", "n4: need 1 slots, 0 free")
+    assert (outcome.stats.attempts_total, outcome.node_occupancy_s) == (0, 0.0)
+    assert held == [0]
+    assert [sim.memory.available(n) for n in sim.topology.nodes] == [4, 4, 4, 4, 0]
 
 
 def _first_ticks_and_frontiers(trace: str):

@@ -180,7 +180,7 @@ def test_the_link_layer_takes_and_frees_no_memory():
         f"{scope} {call.func.attr}"
         for scope, call in _calls_to(
             ast.parse(path.read_text(), str(path)),
-            {"acquire", "release", "release_all", "park", "unpark"},
+            {"acquire", "book", "release", "release_all", "close", "park", "unpark"},
         )
     ]
     assert calls == ["_Segment._tick park", "LinkSession._cleanup unpark"]
