@@ -78,10 +78,10 @@ class MemoryLedger:
     call costs O(nodes the tag touched), not O(run history).  An entry's
     slot-seconds are settled on ``acquire``, ``release`` and
     ``occupancy_s``, always as ``slot + held * (now - since)``. ``book``
-    takes a whole plan for a tag that holds nothing, or returns the first
-    ``(node, slots)`` that does not fit and takes none. ``close`` reads an
-    owner's slot-seconds, frees its slots and forgets it, so the ledger
-    holds only the tags of live owners.
+    takes a whole plan for a tag the ledger has no entry of, or returns
+    the first ``(node, slots)`` that does not fit and takes none.
+    ``close`` reads an owner's slot-seconds, frees its slots and forgets
+    it, so the ledger holds only the tags of live owners.
 
     A waiter blocked on memory parks at the one node that blocks it, with
     the slots it needs there, instead of polling.  ``release``,
@@ -121,19 +121,14 @@ class MemoryLedger:
 
     def book(self, plan, tag: str, now: float) -> tuple[str, int] | None:
         """Take each ``(node, slots)`` of ``plan``, nodes distinct, or none (see the class)."""
-        entries = self._by_tag.get(tag)
-        if entries and any(entry[0] for entry in entries.values()):
-            raise ValueError(f"{tag} books a plan while it holds slots")
+        if tag in self._by_tag:
+            raise ValueError(f"{tag} books a plan while the ledger has entries of it")
         for step in plan:
             if self.available(step[0]) < step[1]:
                 return step
-        if entries:  # a tag that held before: acquire settles its entries
-            for node_id, count in plan:
-                self.acquire(node_id, count, tag, now)
-        else:
-            self._by_tag[tag] = {node_id: [count, now, 0.0] for node_id, count in plan}
-            for node_id, count in plan:
-                self.in_use[node_id] += count
+        self._by_tag[tag] = {node_id: [count, now, 0.0] for node_id, count in plan}
+        for node_id, count in plan:
+            self.in_use[node_id] += count
         return None
 
     def release(self, node_id: str, count: int, tag: str, now: float) -> None:

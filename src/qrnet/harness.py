@@ -271,8 +271,7 @@ def _parse_arrivals(value: str, lineno: int, key: str) -> tuple:
         raise ParseError(lineno, f"arrivals needs poisson:RATE or fixed:T,..., got {value!r}")
     if scheme == "fixed":
         # every time is read as a number before a range fault is reported
-        times = ([_as_float(arg, lineno, "arrival time")] if arg and "," not in arg
-                 else [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t])
+        times = [_as_float(t, lineno, "arrival time") for t in arg.split(",") if t]
         if not times:
             raise ParseError(lineno, "fixed arrivals need at least one time")
         for time in times:

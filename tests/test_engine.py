@@ -399,7 +399,7 @@ def test_ledger_occupancy_accumulates_across_cycles():
     assert math.isclose(ledger.occupancy_s("req:1", now=12.0), 7.0)
 
 
-def test_book_refuses_a_tag_that_holds_slots_and_books_nothing():
+def test_book_refuses_a_tag_the_ledger_has_entries_of_and_books_nothing():
     ledger = MemoryLedger(chain_topology([10.0, 10.0], memories=2))
     ledger.acquire("n1", 1, "req:1", now=0.0)
     with pytest.raises(ValueError):
@@ -410,14 +410,17 @@ def test_book_refuses_a_tag_that_holds_slots_and_books_nothing():
     plan = (("n0", 1), ("n1", 2), ("n2", 1))
     assert ledger.book(plan, "req:2", now=1.0) is plan[1]
     assert [ledger.available(n) for n in ("n0", "n1", "n2")] == [2, 1, 2]
-    # once its slots are back, the tag may book; its slot-seconds go on
+    # a tag that holds nothing still has its entries until it is closed
     ledger.release("n1", 1, "req:1", now=2.0)
-    assert ledger.book(plan, "req:1", now=3.0) is None
-    assert [ledger.held_by("req:1", n) for n in ("n0", "n1", "n2")] == [1, 2, 1]
-    assert ledger.occupancy_s("req:1", now=4.0, skip={"n0", "n2"}) == 4.0
-    assert ledger.close("req:1", now=5.0) == 10.0
+    with pytest.raises(ValueError):
+        ledger.book(plan, "req:1", now=3.0)
+    assert ledger.close("req:1", now=3.0) == 2.0
+    assert ledger.book(plan, "req:2", now=3.0) is None
+    assert [ledger.held_by("req:2", n) for n in ("n0", "n1", "n2")] == [1, 2, 1]
+    assert ledger.occupancy_s("req:2", now=4.0, skip={"n0", "n2"}) == 2.0
+    assert ledger.close("req:2", now=5.0) == 8.0
     assert [ledger.available(n) for n in ("n0", "n1", "n2")] == [2, 2, 2]
-    assert ledger.held_by("req:1", "n1") == 0 and ledger.occupancy_s("req:1", 6.0) == 0.0
+    assert ledger.held_by("req:2", "n1") == 0 and ledger.occupancy_s("req:2", 6.0) == 0.0
 
 
 def test_release_all_clears_every_node():
@@ -479,7 +482,7 @@ class _FlatLedger:
         return total
 
     def book(self, plan, tag, now):
-        if self.tags_holding(tag):
+        if any(t == tag for t, _ in self.held):
             raise ValueError(tag)
         for node, count in plan:
             if count > self.capacity[node] - self.in_use[node]:
@@ -509,10 +512,10 @@ LEDGER_OPS = st.lists(
         # steps that do not add up exactly, so summation order shows
         st.sampled_from([0.0, 1e-4, 0.1, 1.0 / 3.0, 2.5]),
         st.frozensets(st.sampled_from(LEDGER_NODES)),
-        # a plan to book: each node at most once, in any order
+        # a plan to book: one to three nodes, each at most once, in any order
         st.lists(
             st.tuples(st.sampled_from(LEDGER_NODES), st.integers(0, 3)),
-            max_size=3, unique_by=lambda entry: entry[0],
+            min_size=1, max_size=3, unique_by=lambda entry: entry[0],
         ).map(tuple),
     ),
     max_size=60,
@@ -535,13 +538,15 @@ def _outcome(call):
     ("acquire", "req:a", "n2", 3, 0.0, frozenset(), ()),
     ("occupancy_s", "req:a", "n0", 0, 1e-4, frozenset(), ()),
 ])
-# a close sums like occupancy_s, and a tag that held nothing may book again
+# a close sums like occupancy_s, a closed tag may book again, and a tag the
+# ledger has entries of may not, even one that holds nothing
 @example([
     ("book", "req:a", "n0", 0, 0.0, frozenset(), (("n0", 2), ("n1", 2), ("n2", 3))),
     ("book", "req:b", "n0", 0, 0.0, frozenset(), (("n0", 1), ("n2", 1))),
     ("close", "req:a", "n0", 0, 1e-4, frozenset(), ()),
     ("release", "req:c", "n1", 0, 0.1, frozenset(), ()),
     ("book", "req:c", "n0", 0, 0.1, frozenset(), (("n2", 3), ("n1", 1))),
+    ("book", "req:a", "n0", 0, 0.1, frozenset(), (("n2", 3), ("n1", 1))),
 ])
 def test_ledger_matches_flat_reference(ops):
     ledger = MemoryLedger(chain_topology([10.0, 10.0], memories=3))
