@@ -141,7 +141,6 @@ def validate_request(
     cls: RepeaterClass,
     protocol: LinkProtocol,
     model: ConnectionModel,
-    options: AllPhotonicOptions | None = None,
 ) -> None:
     """Raise CapabilityViolation unless (class, protocol, model) is runnable.
 

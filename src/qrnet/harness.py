@@ -116,7 +116,8 @@ def _fields(tokens: list[str], table: dict, lineno: int, what: str, memos: dict)
 
     ``memos``, which lives for one parse, keeps per directive each token
     whose value is not a tuple, which arrivals are (each template owns its
-    list of times), so that such a token is read only once.
+    list of times), so that such a token is read only once. A request id
+    is not kept either: ids are unique, so no later token would hit it.
     """
     out = {}
     unknown: list[str] = []
@@ -152,7 +153,7 @@ def _fields(tokens: list[str], table: dict, lineno: int, what: str, memos: dict)
             if bad is None:
                 bad = err
             continue
-        if type(converted) is not tuple:
+        if type(converted) is not tuple and name != "request_id":
             memo[token] = (key, name, converted)
     if unknown:
         raise ParseError(lineno, f"unknown {what} keys: {sorted(unknown)}")
@@ -257,7 +258,6 @@ class Scenario:
     frame_loss: float = 0.0
     ttl: int = 64
     physics: PhysicsParams = field(default_factory=PhysicsParams)
-    options: AllPhotonicOptions | None = None
     swap_policy: SwapPolicy = SwapPolicy.HIERARCHICAL
     pipelining: bool = True
     cl_timeout: float | None = None
@@ -370,7 +370,7 @@ def parse_scenario(text: str) -> Scenario:
             scenario.physics = replace(scenario.physics, **fields)
         elif kind == "allphotonic":
             fields = _fields(tokens[1:], _ALLPHOTONIC_KEYS, lineno, "allphotonic", memos)
-            scenario.options = AllPhotonicOptions(**fields)
+            scenario.physics = replace(scenario.physics, allphotonic=AllPhotonicOptions(**fields))
         elif kind == "policy":
             fields = _fields(tokens[1:], _POLICY_KEYS, lineno, "policy", memos)
             for name, value in fields.items():
@@ -467,7 +467,6 @@ def run_experiment(
             cl_timeout=scenario.cl_timeout,
             swap_policy=scenario.swap_policy,
             pipelining=scenario.pipelining,
-            options=scenario.options,
             routes=routes,
         )
         # each closed request becomes its row at once, so no outcome is kept

@@ -48,7 +48,6 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .capability import (
-    AllPhotonicOptions,
     CapabilityViolation,
     LinkProtocol,
     Support,
@@ -108,18 +107,17 @@ def segment_decay_rate(cls: RepeaterClass, rate_a: float, rate_b: float) -> floa
     return rate_a + rate_b
 
 
-def pumping(
-    cls: RepeaterClass, params, options: AllPhotonicOptions | None = None
-) -> bool:
+def pumping(cls: RepeaterClass, params) -> bool:
     """Whether a ``cls`` session pumps at all.
 
-    It does when f_target and r_max are set and its class purifies.
+    It does when f_target and r_max are set and its class purifies, under
+    the all-photonic features ``params`` selects.
     """
     return (
         params.r_max > 0
         and params.f_target > 0.0
         and cls is not _THIRD
-        and can_purify(cls, options)
+        and can_purify(cls, params.allphotonic)
     )
 
 
@@ -129,7 +127,6 @@ def pumps(
     spec_b: NodeSpec,
     cls: RepeaterClass,
     params,
-    options: AllPhotonicOptions | None = None,
 ) -> bool:
     """Whether a ``cls`` segment over ``edge`` between spec_a and spec_b pumps.
 
@@ -139,7 +136,7 @@ def pumps(
     ends decide it without talking, and admission refuses a route that
     would pump at a node that cannot purify.
     """
-    if not pumping(cls, params, options):
+    if not pumping(cls, params):
         return False
     herald_age = edge.length_km / params.c_fiber
     decay_rate = segment_decay_rate(cls, spec_a.decay_rate(), spec_b.decay_rate())
@@ -177,7 +174,6 @@ def session_layout(
     cls: RepeaterClass | None,
     protocol: LinkProtocol,
     policy: SwapPolicy,
-    options: AllPhotonicOptions | None,
     hops: dict,
 ) -> SessionLayout:
     """Check a session's path and class, then lay the session out.
@@ -188,8 +184,8 @@ def session_layout(
     class cannot run ``protocol`` or an interior node has another class.
     ``hops`` keeps each hop's row by ``(a, b, cls._value_)``: a row found
     there is read, and one not found is built and put there. Its owner
-    keeps it for one topology, one physics and one ``options``. A third
-    class layout takes only its edges from the rows.
+    keeps it for one topology and one physics, all-photonic features
+    included. A third class layout takes only its edges from the rows.
     """
     if len(path) < 2:
         raise ValueError("a path needs at least two nodes")
@@ -222,7 +218,7 @@ def session_layout(
             row = hops[hop] = (
                 a, b, edge, 1.0 / edge.attempt_rate_hz, spec_a, spec_b,
                 segment_decay_rate(cls, rates[a], rates[b]),
-                pumps(edge, spec_a, spec_b, cls, engine.params, options),
+                pumps(edge, spec_a, spec_b, cls, engine.params),
                 sys.intern(f"herald {e} -> {a}"), sys.intern(f"herald {e} -> {b}"),
             )
         edge = row[2]
@@ -273,14 +269,14 @@ def swap_pairs(
     node_id: str,
     ab: WernerLink,
     bc: WernerLink,
-    options: AllPhotonicOptions | None = None,
 ) -> WernerLink:
     """Swap ``ab`` and ``bc`` at ``node_id`` now: every protocol's swap.
 
     The merged pair joins the two pairs' far ends and decays at the
     combined rate of those two nodes, read from the topology's table of
-    node rates. The swap counts in ``stats``; the caller frees node_id's
-    two slots and heralds the pair.
+    node rates; its noise follows the all-photonic features the engine's
+    physics selects. The swap counts in ``stats``; the caller frees
+    node_id's two slots and heralds the pair.
     """
     topology = engine.topology
     rates = topology.decay_rates()
@@ -288,7 +284,8 @@ def swap_pairs(
     end_c = bc.node_b if bc.node_a == node_id else bc.node_a
     merged = physics.swap(
         ab, bc, topology.nodes[node_id], now=engine.now, link_id=engine.next_link_id(),
-        decay_rate=segment_decay_rate(cls, rates[end_a], rates[end_c]), options=options,
+        decay_rate=segment_decay_rate(cls, rates[end_a], rates[end_c]),
+        options=engine.params.allphotonic,
     )
     stats.swaps += 1
     return merged
@@ -402,7 +399,7 @@ class _Segment:
         self.stored = True
         is_base = self.link is None and not self._base_confirmed
         if is_base and session.on_pair_stored is not None:
-            session.on_pair_stored(self, pair)
+            session.on_pair_stored(self)
         self._known[pair.link_id] = set()
         a, b, km = self.node_a, self.node_b, self.edge.length_km
         engine.send_classical(b, a, km, lambda: self._herald(a, pair), self._to_a, session)
@@ -482,7 +479,7 @@ class _Segment:
             link_id=session.engine.next_link_id(),
             node_a=self.spec_a,
             node_b=self.spec_b,
-            options=session.options,
+            options=session.params.allphotonic,
         )
         self.link = survivor
         budget_left = self.rounds < session.params.r_max
@@ -541,22 +538,23 @@ class LinkSession:
     attempt, ``(node, need)`` names the first of its nodes that cannot
     serve it and the slots it needs there.  The segment parks there until
     a ``MemoryLedger`` release leaves ``need`` slots free, so the gate may
-    open at a node only through a release there.  ``on_pair_stored`` runs
-    only for a base pair, one a segment generates while it holds no pair,
-    and in the same tick as the ``blocked_at`` that passed, so the ledger
-    cannot change in between.  An ``untouched`` session holds nothing a
-    fresh one on its path would not, so its owner may ``restart`` it
-    instead of building one.  Once ``on_done`` has run, the session drops
+    open at a node only through a release there.
+    ``on_pair_stored(segment)`` runs only for a base pair, one a segment
+    generates while it holds no pair, and in the same tick as the
+    ``blocked_at`` that passed, so the ledger cannot change in between.
+    An ``untouched`` session holds nothing a fresh one on its path would
+    not, so its owner may ``restart`` it instead of building one.  Once ``on_done`` has run, the session drops
     its callbacks, flow and segments.
 
     ``layouts``, when given, is a memo of :class:`SessionLayout` by
     ``(path, cls, protocol, policy)``, each enum as its ``_value_``, that
-    its owner keeps for one topology, one physics and one ``options``: the
-    first session with a key runs the checks of :func:`session_layout` and
-    lays the path out, and every later one with that key reuses the layout,
-    so each distinct session is laid out once. The memo also keeps the hop
-    rows its layouts share, by ``(a, b, cls._value_)``, so each directed
-    hop of a class gets one row however many layouts cross it.
+    its owner keeps for one topology and one physics, whose ``allphotonic``
+    field decides which segments pump: the first session with a key runs
+    the checks of :func:`session_layout` and lays the path out, and every
+    later one with that key reuses the layout, so each distinct session is
+    laid out once. The memo also keeps the hop rows its layouts share, by
+    ``(a, b, cls._value_)``, so each directed hop of a class gets one row
+    however many layouts cross it.
     """
 
     # the flow's hook for a pair one end has heard of, if it has one
@@ -571,11 +569,10 @@ class LinkSession:
         *,
         policy: SwapPolicy = SwapPolicy.HIERARCHICAL,
         pipelining: bool = True,
-        options: AllPhotonicOptions | None = None,
         on_done: Callable[["LinkSession"], None] | None = None,
         on_node_free: Callable[[str], None] | None = None,
         blocked_at: Callable[[_Segment], tuple[str, int] | None] | None = None,
-        on_pair_stored: Callable[[_Segment, WernerLink], None] | None = None,
+        on_pair_stored: Callable[[_Segment], None] | None = None,
         layouts: dict | None = None,
     ):
         layouts = {} if layouts is None else layouts
@@ -588,7 +585,7 @@ class LinkSession:
         )
         layout = layouts.get(key)
         if layout is None:
-            layout = session_layout(engine, path, cls, protocol, policy, options, layouts)
+            layout = session_layout(engine, path, cls, protocol, policy, layouts)
             layouts[key] = layout
         self.layout = layout
         self.engine = engine
@@ -597,7 +594,6 @@ class LinkSession:
         self.protocol = protocol
         self.params = engine.params
         self.pipelining = pipelining
-        self.options = options
         self.on_done = on_done
         self.on_node_free = on_node_free
         self.blocked_at = blocked_at
@@ -664,7 +660,7 @@ class LinkSession:
         Reports path[k], whose two halves are consumed, to ``on_node_free``.
         """
         node_id = self.path[k]
-        merged = swap_pairs(self.engine, self.stats, self.cls, node_id, ab, bc, self.options)
+        merged = swap_pairs(self.engine, self.stats, self.cls, node_id, ab, bc)
         if self.on_node_free is not None:
             self.on_node_free(node_id)
         return merged
@@ -887,9 +883,7 @@ class _LogicalHopFlow:
         receiver = session.layout.specs[self.position]
         rng = session.engine.stream(f"hop:{edge.edge_id}")
         session.stats.attempts_total += 1
-        w_next = physics.transmit_logical_hop(
-            edge, self.w, receiver, session.params, rng
-        )
+        w_next = physics.transmit_logical_hop(self.w, receiver, session.params, rng)
         if w_next is None:
             session.abort(
                 "HopFailure",

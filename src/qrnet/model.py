@@ -105,7 +105,7 @@ class WernerLink:
     node_b: str
     w: float
     last_updated: float
-    decay_rate: float = 0.0
+    decay_rate: float
 
     def __post_init__(self) -> None:
         if self.node_a == self.node_b:

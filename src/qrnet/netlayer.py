@@ -32,7 +32,6 @@ from typing import Callable, NamedTuple
 
 from . import physics
 from .capability import (
-    AllPhotonicOptions,
     CapabilityViolation,
     ConnectionModel,
     LinkProtocol,
@@ -95,8 +94,8 @@ _CODE_CLASSES = {code: RepeaterClass(value) for value, code in _CLASS_CODES.item
 class FrameError(ValueError):
     """A frame failed structural validation; ``reason`` says which check."""
 
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(f"{reason}: {detail}" if detail else reason)
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"{reason}: {detail}")
         self.reason = reason
 
 
@@ -377,9 +376,9 @@ class RouteState:
     * the forwarding ``tables``, whose node tables fill on first read from
       ``trees``;
     * ``memos``: the admission and session-layout memos of the services
-      that share this state, one pair per ``(physics fields, options,
-      cl_timeout, controller)``, the only things they read beyond the
-      topology and cost (see :class:`NetworkService`).
+      that share this state, one pair per ``(physics fields, cl_timeout,
+      controller)``, the only things they read beyond the topology and
+      cost (see :class:`NetworkService`).
 
     Everything is built on its first use, so set-up costs what the requests
     read: a connection-oriented request searches only its source's tree, and
@@ -939,9 +938,7 @@ class _ClLeg:
         receiver = self.service.topology.nodes[node]
         rng = self.engine.stream(f"hop:{edge.edge_id}")
         self.stats.attempts_total += 1
-        w_next = physics.transmit_logical_hop(
-            edge, self.payload_w, receiver, self.engine.params, rng
-        )
+        w_next = physics.transmit_logical_hop(self.payload_w, receiver, self.engine.params, rng)
         if w_next is None:
             self.drops["HopLoss"] = self.drops.get("HopLoss", 0) + 1
             return
@@ -960,7 +957,6 @@ class _ClLeg:
             [node, nxt],
             self.cls,
             _ONE_BY_ONE,
-            options=self.service.options,
             blocked_at=self._blocked_at,
             on_pair_stored=self._claim,
             on_done=self._segment_done,
@@ -982,7 +978,7 @@ class _ClLeg:
                     return v, need
         return None
 
-    def _claim(self, segment, pair) -> None:
+    def _claim(self, segment) -> None:
         # runs in the tick whose _blocked_at just passed, so the slots are
         # still free; acquire raises ResourceExhausted if they are not
         ledger = self.engine.memory
@@ -1022,9 +1018,7 @@ class _ClLeg:
                 self.chain_end = v
                 self._dispatch_held(u)
                 continue
-            merged = swap_pairs(
-                engine, self.stats, self.cls, u, self.chain, pair, self.service.options
-            )
+            merged = swap_pairs(engine, self.stats, self.cls, u, self.chain, pair)
             engine.memory.release(u, 2, self.tag, engine.now)
             self.chain = merged
             self.chain_end = None
@@ -1162,10 +1156,10 @@ class NetworkService:
     refusal row is kept, with the controller's delays to the nodes a
     session route orders (:class:`_Route`); likewise each distinct link
     session is laid out once (:class:`SessionLayout`). Beyond the topology
-    and ``routes``, an admission reads only the physics, the ``options``,
-    ``cl_timeout`` and the controller, and a layout reads the physics and
-    the ``options``. So both memos live in ``routes.memos`` under those
-    four, and every service on one route state with the same four shares
+    and ``routes``, an admission reads only the physics, all-photonic
+    features included, ``cl_timeout`` and the controller, and a layout
+    reads the physics. So both memos live in ``routes.memos`` under those
+    three, and every service on one route state with the same three shares
     them: each trial of one experiment reuses the first's. Keys hold node
     ids and enum members' ``_value_`` strings, which hash in C, and both
     memos assume, like ``routes``, that the topology is not edited
@@ -1190,7 +1184,6 @@ class NetworkService:
         cl_timeout: float | None = None,
         swap_policy: SwapPolicy = SwapPolicy.HIERARCHICAL,
         pipelining: bool = True,
-        options: AllPhotonicOptions | None = None,
         routes: RouteState | None = None,
     ):
         self.engine = engine
@@ -1207,7 +1200,6 @@ class NetworkService:
         self.cl_timeout = cl_timeout
         self.swap_policy = swap_policy
         self.pipelining = pipelining
-        self.options = options
         self.routes = routes or RouteState(engine.topology)
         if self.routes.topology is not engine.topology:
             raise ValueError("route state belongs to another topology")
@@ -1227,7 +1219,7 @@ class NetworkService:
         # admission by request signature, and session layouts by
         # (path, class, protocol, policy); see the class docstring
         self._admitted, self._layouts = self.routes.memos.setdefault(
-            (astuple(engine.params), options, cl_timeout, controller), ({}, {})
+            (astuple(engine.params), cl_timeout, controller), ({}, {})
         )
 
     # -- plumbing ---------------------------------------------------------
@@ -1357,7 +1349,7 @@ class NetworkService:
             model = ConnectionModel.CONNECTIONLESS
             if one_session:
                 model = ConnectionModel.CONNECTION_ORIENTED
-            validate_request(cls, request.link_protocol, model, self.options)
+            validate_request(cls, request.link_protocol, model)
             if one_session:
                 routes = [compute_path(
                     self.routes,
@@ -1402,14 +1394,14 @@ class NetworkService:
                             f"{spec.repeater_class.value} node {n} "
                             "cannot relay one-way encoded qubits"
                         )
-            for route in routes if pumping(cls, params, self.options) else ():
+            for route in routes if pumping(cls, params) else ():
                 for u, v in zip(route, route[1:]):
                     specs = (nodes[u], nodes[v])
                     edge = self.topology.edge_between(u, v)
-                    if not pumps(edge, *specs, cls, params, self.options):
+                    if not pumps(edge, *specs, cls, params):
                         continue
                     for spec in specs:
-                        if not can_purify(spec.repeater_class, self.options):
+                        if not can_purify(spec.repeater_class, params.allphotonic):
                             raise CapabilityViolation(
                                 f"{spec.repeater_class.value} node {spec.node_id} "
                                 "cannot purify"
@@ -1615,7 +1607,6 @@ class NetworkService:
             request.link_protocol,
             policy=self.swap_policy,
             pipelining=self.pipelining,
-            options=self.options,
             on_done=lambda s: self._session_done(state, s),
             on_node_free=lambda n: self._node_freed(state, n),
             layouts=self._layouts,
@@ -1677,7 +1668,8 @@ class NetworkService:
 
     def _leg_op_flags(self, cls: RepeaterClass) -> int:
         flags = 0
-        if self.engine.params.f_target > 0 and can_purify(cls, self.options):
+        params = self.engine.params
+        if params.f_target > 0 and can_purify(cls, params.allphotonic):
             flags |= OP_PURIFY
         if cls in (RepeaterClass.SECOND, RepeaterClass.THIRD):
             flags |= OP_ECC
@@ -1729,7 +1721,7 @@ class NetworkService:
         anchor = anchors[i]
         merged = swap_pairs(
             self.engine, state.stats, request.repeater_class, anchor, chain,
-            state.leg_results[i + 1], self.options,
+            state.leg_results[i + 1],
         )
         ledger = self.engine.memory
         for tag in (state.legs[i].tag, state.legs[i + 1].tag):

@@ -47,6 +47,8 @@ class PhysicsParams:
     cluster_overhead  multiplier on the per-attempt success of all-photonic
                       generation (cluster construction is costly)
     p_hop             per-hop success of a third-class logical transfer
+    allphotonic       the selected all-photonic features, read by every
+                      layer that purifies or swaps; None selects none
     """
 
     c_fiber: float = 2.0e5
@@ -55,6 +57,7 @@ class PhysicsParams:
     r_max: int = 0
     cluster_overhead: float = 1.0
     p_hop: float = 1.0
+    allphotonic: AllPhotonicOptions | None = None
 
 
 class MismatchedEndpoints(Exception):
@@ -259,7 +262,6 @@ def allphotonic_generate(
 
 
 def transmit_logical_hop(
-    edge: EdgeSpec,
     state_w: float,
     receiver: NodeSpec,
     params: PhysicsParams,

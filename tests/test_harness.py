@@ -315,8 +315,9 @@ def test_every_key_of_every_directive_parses_to_its_field():
         cost=PathCost.LOSS_WEIGHTED,
         frame_loss=0.125,
         ttl=7,
-        physics=PhysicsParams(1.5e5, 0.95, 0.9, 2, 0.5, 0.75),
-        options=AllPhotonicOptions(hep=True, ecc=True, fgo=True),
+        physics=PhysicsParams(
+            1.5e5, 0.95, 0.9, 2, 0.5, 0.75, AllPhotonicOptions(hep=True, ecc=True, fgo=True)
+        ),
         swap_policy=SwapPolicy.LEFT_TO_RIGHT,
         pipelining=False,
         cl_timeout=0.004,
@@ -336,17 +337,20 @@ def test_every_key_of_every_directive_parses_to_its_field():
     scenario = parse_scenario(EVERY_KEY_SCENARIO)
     assert scenario == expected
     assert repr(scenario) == repr(expected)
-    # physics and policy lines add to what earlier lines set; a later
-    # allphotonic line replaces the earlier one whole
+    # physics and policy lines add to what earlier lines set, so a later
+    # physics line keeps the all-photonic selection; a later allphotonic
+    # line replaces the earlier one whole
     merged = parse_scenario(
         "physics w0=0.9\nphysics r_max=1\npolicy swap=left_to_right\n"
         "policy retry_limit=0\nallphotonic hep=true\nallphotonic fgo=true\n"
+        "physics p_hop=0.5\n"
     )
     assert merged == Scenario(
-        physics=PhysicsParams(w0=0.9, r_max=1),
+        physics=PhysicsParams(
+            w0=0.9, r_max=1, p_hop=0.5, allphotonic=AllPhotonicOptions(fgo=True)
+        ),
         swap_policy=SwapPolicy.LEFT_TO_RIGHT,
         retry_limit=0,
-        options=AllPhotonicOptions(fgo=True),
     )
 
 
@@ -386,7 +390,7 @@ def test_a_directive_with_no_keys_gives_its_class_defaults():
     assert (topo.nodes["a"], topo.edges["1"]) == (NodeSpec("a"), EdgeSpec("1", "a", "b"))
     scenario = parse_scenario("physics\nallphotonic\npolicy\nrequest src=a dst=b model=co\n")
     assert scenario == Scenario(
-        options=AllPhotonicOptions(),
+        physics=PhysicsParams(allphotonic=AllPhotonicOptions()),
         requests=[RequestTemplate("r1", "a", "b", ConnectionModel.CONNECTION_ORIENTED)],
     )
 
@@ -590,7 +594,7 @@ def test_parse_results_of_a_grid_are_pinned():
         "93043432a55c8c07dd9188c804366005f07d7be1e94d0c91800ba6f9910e95f7"
     )
     assert hashlib.sha256(repr(scenario).encode()).hexdigest() == (
-        "fdfe253681014db92565db721684b4d4023f844bd7e434afc71413a5db53feb4"
+        "6ae1ab4785491fda4d96795663bca581f2d102f0347ee5b45f1b3c4b0bc8896d"
     )
 
 

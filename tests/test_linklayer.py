@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrnet import (
+    AllPhotonicOptions,
     CapabilityViolation,
     ChannelResult,
     EventKind,
@@ -131,6 +132,29 @@ def test_pumping_triggers_when_target_above_raw_fidelity():
     res = simultaneous_link(sim, ["n0", "n1"])
     assert isinstance(res, ChannelResult)
     assert res.stats.purification_rounds == 0
+
+
+def test_a_session_reads_the_all_photonic_features_from_the_physics():
+    # a lossless all-photonic chain: with ECC selected the merged pair pays
+    # the middle node's eps_res, without it eps_op, and nothing pumps
+    topo = chain_topology([10.0, 10.0], cls=RepeaterClass.ALL_PHOTONIC,
+                          eps_op=0.02, eps_res=0.005)
+    path = ["n0", "n1", "n2"]
+    for selected, eps in ((AllPhotonicOptions(ecc=True), 0.005),
+                          (AllPhotonicOptions(hep=True), 0.02), (None, 0.02)):
+        sim = Simulator(topo, PhysicsParams(allphotonic=selected), seed=3)
+        res = simultaneous_link(sim, path)
+        assert isinstance(res, ChannelResult)
+        assert math.isclose(res.link.w, 1.0 - eps)
+        assert res.stats.purification_rounds == 0
+    # HEP and a target above w0's fidelity (0.925) make both segments pump;
+    # the same target without HEP pumps neither
+    for selected, pumped in ((AllPhotonicOptions(hep=True), True), (None, False)):
+        params = PhysicsParams(w0=0.9, f_target=0.95, r_max=3, allphotonic=selected)
+        res = simultaneous_link(Simulator(topo, params, seed=3), path)
+        assert isinstance(res, ChannelResult)
+        assert (res.stats.purification_rounds >= 2) is pumped
+        assert (res.stats.purification_rounds == 0) is not pumped
 
 
 def test_session_aborted_from_outside_fails():

@@ -56,16 +56,16 @@ def test_link_decay_and_materialize():
 
 def test_link_endpoints():
     link = WernerLink(
-        link_id=1, node_a="a", node_b="b", w=1.0, last_updated=0.0
+        link_id=1, node_a="a", node_b="b", w=1.0, last_updated=0.0, decay_rate=0.0
     )
     assert link.endpoints() == ("a", "b")
 
 
 def test_links_and_edges_reject_bad_endpoints():
     with pytest.raises(ValueError, match="distinct"):
-        WernerLink(link_id=1, node_a="a", node_b="a", w=1.0, last_updated=0.0)
+        WernerLink(link_id=1, node_a="a", node_b="a", w=1.0, last_updated=0.0, decay_rate=0.0)
     with pytest.raises(ValueError, match="out of range"):
-        WernerLink(link_id=1, node_a="a", node_b="b", w=1.5, last_updated=0.0)
+        WernerLink(link_id=1, node_a="a", node_b="b", w=1.5, last_updated=0.0, decay_rate=0.0)
     with pytest.raises(ValueError, match="not an endpoint of edge e"):
         EdgeSpec("e", "a", "b").other("c")
 

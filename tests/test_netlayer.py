@@ -1981,13 +1981,13 @@ _MEMO_INPUTS = {
          dict(params=PhysicsParams(w0=0.9, f_target=0.99, r_max=5))],
     ),
     # only an all-photonic session with HEP selected pumps its segments
-    "options": (
+    "allphotonic": (
         lambda: chain_topology([5.0, 5.0], cls=RepeaterClass.ALL_PHOTONIC),
         ConnectionRequest("q", "n0", "n2", RepeaterClass.ALL_PHOTONIC,
                           LinkProtocol.SIMULTANEOUS, ConnectionModel.CONNECTION_ORIENTED),
         [dict(params=PhysicsParams(w0=0.9, f_target=0.95, r_max=3)),
-         dict(params=PhysicsParams(w0=0.9, f_target=0.95, r_max=3),
-              options=AllPhotonicOptions(hep=True))],
+         dict(params=PhysicsParams(w0=0.9, f_target=0.95, r_max=3,
+                                   allphotonic=AllPhotonicOptions(hep=True)))],
     ),
     # a leg's try timeout is part of its admission
     "cl_timeout": (

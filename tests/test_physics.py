@@ -215,16 +215,15 @@ def test_allphotonic_overhead_scales_success():
 
 
 def test_transmit_logical_hop():
-    edge = EdgeSpec("e", "a", "b", length_km=10.0)
     relay = NodeSpec("b", role=Role.REPEATER,
                      repeater_class=RepeaterClass.THIRD, eps_res=0.01)
     params = PhysicsParams(p_hop=0.9)
-    out = transmit_logical_hop(edge, 1.0, relay, params, CountingRng([0.5]))
+    out = transmit_logical_hop(1.0, relay, params, CountingRng([0.5]))
     assert math.isclose(out, 0.99)
-    assert transmit_logical_hop(edge, 1.0, relay, params, CountingRng([0.95])) is None
+    assert transmit_logical_hop(1.0, relay, params, CountingRng([0.95])) is None
     wrong = NodeSpec("b", role=Role.REPEATER, repeater_class=RepeaterClass.FIRST)
     with pytest.raises(CapabilityViolation):
-        transmit_logical_hop(edge, 1.0, wrong, params, CountingRng([0.5]))
+        transmit_logical_hop(1.0, wrong, params, CountingRng([0.5]))
 
 
 def test_swap_w_never_exceeds_inputs():

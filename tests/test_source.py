@@ -88,6 +88,33 @@ def test_every_keyword_only_parameter_is_passed_outside_the_tests():
     assert unused == []
 
 
+def test_every_parameter_is_read_in_its_function():
+    # a parameter counts as read when its function's body, nested
+    # functions included, loads its name. The key tables call every
+    # converter as parse(value, lineno, key), so two converters leave
+    # some of those three unread
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name} {name}({p.arg})" for p in params if p.arg not in loaded]
+    assert sorted(unread) == [
+        "harness.py _parse_arrivals(key)",
+        "harness.py _parse_waypoints(key)",
+        "harness.py _parse_waypoints(lineno)",
+    ]
+
+
 def _dataclass_fields(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
