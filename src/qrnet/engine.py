@@ -331,8 +331,9 @@ class Simulator:
         progress = self._progress
         trace_fp = self.trace_fp
         heap = self._heap
+        heappop = heapq.heappop
         while heap:
-            time, seq, kind, summary, action, owner = heapq.heappop(heap)
+            time, seq, kind, summary, action, owner = heappop(heap)
             if owner is not None and owner.finished:
                 continue
             processed += 1

@@ -155,8 +155,9 @@ class SessionLayout(NamedTuple):
     to either end. ``ticks[i]`` is the summary of segment i's ticks. Third
     class builds no segment. ``rank`` maps each path position to its place
     in the swap order, the ends last, and is empty unless the protocol is
-    simultaneous. Everything is a tuple, so one layout serves every
-    session that asks for it.
+    simultaneous. ``flow`` is the flow class a session runs, and None for
+    a lone segment, which needs none. Everything is a tuple or a class, so
+    one layout serves every session that asks for it.
     """
 
     cls: RepeaterClass
@@ -166,6 +167,7 @@ class SessionLayout(NamedTuple):
     segments: tuple[tuple, ...]
     ticks: tuple[str, ...]
     rank: tuple[int, ...]
+    flow: type | None
 
 
 def session_layout(
@@ -228,6 +230,11 @@ def session_layout(
         ticks.append(sys.intern(f"gen {edge.edge_id} seg{i}"))
     if cls is _THIRD:
         rows = ticks = []
+        flow = _LogicalHopFlow
+    elif len(path) == 2:
+        flow = None
+    else:
+        flow = _SimultaneousFlow if protocol is _SIMULTANEOUS else _OneByOneFlow
     rank = []
     if protocol is _SIMULTANEOUS:
         rank = [len(path)] * len(path)
@@ -236,11 +243,11 @@ def session_layout(
         for place, node_id in enumerate(order):
             rank[position[node_id]] = place
     return SessionLayout(
-        cls, specs, tuple(edges), tuple(prefix_km), tuple(rows), tuple(ticks), tuple(rank)
+        cls, specs, tuple(edges), tuple(prefix_km), tuple(rows), tuple(ticks), tuple(rank), flow
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionStats:
     attempts_total: int = 0
     purification_rounds: int = 0
@@ -512,8 +519,9 @@ class _Segment:
             return
         session = self.session
         self.ready.add(node_id)
-        if len(session.segments) > 1:
-            session._flow.segment_ready(self, node_id)
+        flow = session._flow
+        if flow is not None:
+            flow.segment_ready(self, node_id)
         elif len(self.ready) == 2:
             # a lone segment is the channel once both ends know, under
             # either protocol
@@ -546,6 +554,12 @@ class LinkSession:
     not, so its owner may ``restart`` it instead of building one.  Once ``on_done`` has run, the session drops
     its callbacks, flow and segments.
 
+    A one-hop session of the first or second class, or all-photonic, runs
+    no flow: ``start`` starts its lone segment, which completes the session
+    once both its ends know of its pair. Sessions are built per hop and
+    per try, so the class keeps its attributes in slots; ``__weakref__``
+    stays, so a session can still be watched until it is freed.
+
     ``layouts``, when given, is a memo of :class:`SessionLayout` by
     ``(path, cls, protocol, policy)``, each enum as its ``_value_``, that
     its owner keeps for one topology and one physics, whose ``allphotonic``
@@ -557,8 +571,10 @@ class LinkSession:
     however many layouts cross it.
     """
 
-    # the flow's hook for a pair one end has heard of, if it has one
-    _base_known = None
+    __slots__ = ("layout", "engine", "path", "cls", "params", "pipelining",
+                 "on_done", "on_node_free", "blocked_at", "on_pair_stored", "ap_mode",
+                 "stats", "finished", "result", "segments", "edges", "_prefix_km",
+                 "_flow", "_base_known", "__weakref__")
 
     def __init__(
         self,
@@ -591,7 +607,6 @@ class LinkSession:
         self.engine = engine
         self.path = list(path)
         self.cls = cls = layout.cls
-        self.protocol = protocol
         self.params = engine.params
         self.pipelining = pipelining
         self.on_done = on_done
@@ -599,13 +614,15 @@ class LinkSession:
         self.blocked_at = blocked_at
         self.on_pair_stored = on_pair_stored
         self.ap_mode = cls is _ALL_PHOTONIC
-        self.third_class = cls is _THIRD
         self.stats = SessionStats()
         self.finished = False
         self.result: ChannelResult | Failure | None = None
         self.segments: list[_Segment] = []
         self.edges = layout.edges
         self._prefix_km = layout.prefix_km
+        self._flow = None
+        # the flow's hook for a pair one end has heard of, if it has one
+        self._base_known = None
 
     # -- helpers --------------------------------------------------------
 
@@ -617,19 +634,19 @@ class LinkSession:
     def start(self) -> None:
         """Begin the protocol; the owner has reserved whatever memory it needs."""
         self.stats.started_at = self.engine.now
-        if self.third_class:
-            self._flow = _LogicalHopFlow(self)
-        else:
-            layout = self.layout
+        layout = self.layout
+        flow = layout.flow
+        if flow is None:
+            # a lone segment completes the session itself (_Segment._mark_ready)
+            segment = _Segment(self, 0, layout.segments[0], layout.ticks[0])
+            self.segments = [segment]
+            segment.start()
+            return
+        if flow is not _LogicalHopFlow:
             self.segments = [_Segment(self, i, row, tick) for i, (row, tick)
                              in enumerate(zip(layout.segments, layout.ticks))]
-            if self.protocol is _SIMULTANEOUS:
-                self._flow = _SimultaneousFlow(self)
-            else:
-                self._flow = _OneByOneFlow(self)
-                if self.pipelining:
-                    self._base_known = self._flow.segment_base_known
-        self._flow.begin()
+        self._flow = flow = flow(self)
+        flow.begin()
 
     @property
     def untouched(self) -> bool:
@@ -779,6 +796,8 @@ class _OneByOneFlow:
         self.frontier: WernerLink | None = None
         # the path index whose node has heard of the current frontier pair
         self.frontier_at: int | None = None
+        if session.pipelining:
+            session._base_known = self.segment_base_known
 
     def begin(self) -> None:
         self._start_segment(0)

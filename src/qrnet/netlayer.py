@@ -73,9 +73,14 @@ _ONE_BY_ONE, _THIRD = LinkProtocol.ONE_BY_ONE, RepeaterClass.THIRD
 FRAME_VERSION = 1
 TRAILER_MAGIC = b"QFRT"
 
-# header layout, big endian: version, frame id, src, dst, class, op flags,
-# hop count, ttl, payload qubit count; a CRC-32 over these 23 bytes follows.
+# frame layout, big endian. The header body: version, frame id, src, dst,
+# class, op flags, hop count, ttl, payload qubit count, 23 bytes; the header
+# CRC-32 over them. The trailer: the magic, then the frame CRC-32 over the 31
+# bytes before it. A CRC-32 over body + tail is the tail's continued from the
+# body's, so the frame CRC is ``crc32(tail, header CRC)`` with tail the 8
+# bytes of header CRC and magic, and the body is summed once.
 _HEADER = struct.Struct(">BQIIBBBBH")
+_FRAME = struct.Struct(">BQIIBBBBHI4sI")  # the whole frame, read in one unpack
 _WORD = struct.Struct(">I")  # each CRC-32
 _HEADER_BODY = _HEADER.size
 HEADER_SIZE = _HEADER_BODY + 4
@@ -99,7 +104,7 @@ class FrameError(ValueError):
         self.reason = reason
 
 
-@dataclass
+@dataclass(slots=True)
 class QuantumFrame:
     """Classical header and trailer that travel with a quantum payload.
 
@@ -131,47 +136,34 @@ def encode_frame(frame: QuantumFrame) -> bytes:
         frame.ttl,
         frame.payload_qubits,
     )
-    header = body + _WORD.pack(zlib.crc32(body)) + TRAILER_MAGIC
-    return header + _WORD.pack(zlib.crc32(header))
+    crc = zlib.crc32(body)
+    tail = _WORD.pack(crc) + TRAILER_MAGIC
+    return body + tail + _WORD.pack(zlib.crc32(tail, crc))
 
 
 def decode_frame(buf: bytes) -> QuantumFrame:
-    """Parse and validate classical frame bytes into a frame."""
+    """Parse and validate classical frame bytes into a frame.
+
+    The checks run in wire order, each raising its own ``FrameError``:
+    BadLength, the header CRC, BadMagic, the frame CRC, BadVersion, BadClass.
+    """
     if len(buf) != FRAME_SIZE:
         raise FrameError("BadLength", f"{len(buf)} bytes, expected {FRAME_SIZE}")
-    body = buf[:_HEADER_BODY]
-    if zlib.crc32(body) != _WORD.unpack_from(buf, _HEADER_BODY)[0]:
+    (version, frame_id, src_addr, dst_addr, class_code, op_flags, hop_count, ttl,
+     payload_qubits, header_crc, magic, frame_crc) = _FRAME.unpack(buf)
+    if zlib.crc32(buf[:_HEADER_BODY]) != header_crc:
         raise FrameError("CrcFail", "header checksum mismatch")
-    magic = buf[HEADER_SIZE : HEADER_SIZE + 4]
     if magic != TRAILER_MAGIC:
         raise FrameError("BadMagic", magic.hex())
-    if zlib.crc32(buf[: HEADER_SIZE + 4]) != _WORD.unpack_from(buf, HEADER_SIZE + 4)[0]:
+    if zlib.crc32(buf[_HEADER_BODY : HEADER_SIZE + 4], header_crc) != frame_crc:
         raise FrameError("CrcFail", "frame checksum mismatch")
-    (
-        version,
-        frame_id,
-        src_addr,
-        dst_addr,
-        class_code,
-        op_flags,
-        hop_count,
-        ttl,
-        payload_qubits,
-    ) = _HEADER.unpack(body)
     if version != FRAME_VERSION:
         raise FrameError("BadVersion", str(version))
     cls = _CODE_CLASSES.get(class_code)
     if cls is None:
         raise FrameError("BadClass", str(class_code))
     return QuantumFrame(
-        frame_id=frame_id,
-        src_addr=src_addr,
-        dst_addr=dst_addr,
-        qr_class=cls,
-        op_flags=op_flags,
-        hop_count=hop_count,
-        ttl=ttl,
-        payload_qubits=payload_qubits,
+        frame_id, src_addr, dst_addr, cls, op_flags, hop_count, ttl, payload_qubits, version
     )
 
 
@@ -617,7 +609,7 @@ _FORWARDED, _DELIVERED, _DROPPED = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardDecision:
     action: ForwardAction
     frame: QuantumFrame | None = None
@@ -640,17 +632,17 @@ def forward_frame(
     try:
         frame = decode_frame(buf)
     except FrameError as err:
-        return ForwardDecision(_DROPPED, reason=err.reason)
+        return ForwardDecision(_DROPPED, None, None, err.reason)
     if topology.address_of(node_id) == frame.dst_addr:
-        return ForwardDecision(_DELIVERED, frame=frame)
+        return ForwardDecision(_DELIVERED, frame)
     frame.ttl -= 1
     frame.hop_count += 1
     if frame.ttl <= 0:
-        return ForwardDecision(_DROPPED, frame=frame, reason="TtlExpired")
+        return ForwardDecision(_DROPPED, frame, None, "TtlExpired")
     edge_id = tables.get(node_id, {}).get(frame.dst_addr)
     if edge_id is None:
-        return ForwardDecision(_DROPPED, frame=frame, reason="NoRoute")
-    return ForwardDecision(_FORWARDED, frame=frame, edge_id=edge_id)
+        return ForwardDecision(_DROPPED, frame, None, "NoRoute")
+    return ForwardDecision(_FORWARDED, frame, edge_id)
 
 
 # --------------------------------------------------------------------------
@@ -736,7 +728,16 @@ class _ClLeg:
     decides nothing. Any other try is aborted (``_abort_try``), and the
     retry sends the source's decision again under a new frame id,
     restarting the source hop if it never stored a pair.
+
+    A leg is built per CL request or hybrid area, so it keeps its
+    attributes in slots.
     """
+
+    __slots__ = ("service", "engine", "tag", "src", "dst", "timeout", "cls", "op_flags",
+                 "retry_limit", "stats", "drops", "on_success", "on_failure", "third",
+                 "retries", "finished", "_sessions", "_timeout_summary", "_try", "chain",
+                 "chain_end", "pairs", "held_frames", "delivered", "payload_w", "_node_held",
+                 "_source_decision")
 
     def __init__(
         self,

@@ -11,12 +11,14 @@ interpreter over ``run_experiment`` on the parsed inputs:
 - the Python calls cProfile counts;
 - the events that ran, per kind, counted from the trace lines;
 - the ``tracemalloc`` peak over ``run_experiment``, and over parse plus
-  run;
+  run, each traced from a collection that empties CPython's free lists;
 - the bytes that the route state's admission and layout memos hold after
   the run (:func:`_held`);
 - what connectionless waiting costs (:func:`_waits`): ticks that find the
   gate shut, segment wakes, the float steps those wakes replay, and try
   timeouts that retry an idle try or a try that touched more;
+- what connectionless hops cost (:func:`_hops`): hops launched, link
+  sessions and flows built, and frames encoded and decoded;
 - the calls of each public ``MemoryLedger`` method (:func:`_ledger_calls`).
 
 None of them depends on host speed, so the output is the same on every
@@ -25,6 +27,7 @@ run of one commit on one Python version; it must also not depend on
 to. pytest does not collect this file.
 """
 
+import gc
 import subprocess
 import sys
 from collections import Counter
@@ -35,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-MEASURES = ("calls", "events", "run-peak", "peak", "memos", "waits", "ledger")
+MEASURES = ("calls", "events", "run-peak", "peak", "memos", "waits", "hops", "ledger")
 
 
 class _KindCounter:
@@ -112,6 +115,42 @@ def _waits(topology, scenario) -> str:
     )
 
 
+def _hops(topology, scenario) -> str:
+    """Run once, counting what connectionless hops cost.
+
+    Like :func:`_waits` it wraps at class and module level, so it counts
+    the same things whatever the wrapped code does inside: a hop launch is a
+    ``_ClLeg._launch_segment`` call, which builds a session or restarts the
+    kept source hop; a session a ``LinkSession`` built, by any caller; a
+    flow one built for any session; and an encode or a decode a call of
+    the codec function the network layer calls.
+    """
+    from qrnet import linklayer, netlayer
+    from qrnet.harness import run_experiment
+
+    counts = Counter()
+
+    def counted(key, function):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    targets = [(netlayer._ClLeg, "_launch_segment", "hop launches"),
+               (linklayer.LinkSession, "__init__", "sessions")]
+    targets += [(flow, "__init__", "flows") for flow in (
+        linklayer._SimultaneousFlow, linklayer._OneByOneFlow, linklayer._LogicalHopFlow)]
+    targets += [(netlayer, "encode_frame", "encodes"), (netlayer, "decode_frame", "decodes")]
+    for owner, name, key in targets:
+        setattr(owner, name, counted(key, getattr(owner, name)))
+    run_experiment(topology, scenario)
+    return "hops: " + ", ".join(
+        f"{key} {counts[key]}"
+        for key in ("hop launches", "sessions", "flows", "encodes", "decodes")
+    )
+
+
 def _ledger_calls(topology, scenario) -> str:
     """Run once, counting the calls of each public ``MemoryLedger`` method.
 
@@ -152,12 +191,16 @@ def _measure(name: str, measure: str) -> str:
     workload = WORKLOADS[name]
     seed = scenario_seeds(DEFAULT_SEED)[0]
     topo_text, scen_text = topology_text(workload), scenario_text(workload, seed)
+    # a collection before each trace empties CPython's free lists, so the
+    # peak counts what the traced code allocates and not what is left there
     if measure == "peak":
+        gc.collect()
         tracemalloc.start()
         run_experiment(parse_topology(topo_text), parse_scenario(scen_text))
         return f"tracemalloc peak, parse plus run: {tracemalloc.get_traced_memory()[1]} B"
     topology, scenario = parse_topology(topo_text), parse_scenario(scen_text)
     if measure == "run-peak":
+        gc.collect()
         tracemalloc.start()
         run_experiment(topology, scenario)
         return f"tracemalloc peak, run: {tracemalloc.get_traced_memory()[1]} B"
@@ -179,6 +222,8 @@ def _measure(name: str, measure: str) -> str:
         return f"memos after run: admissions {admitted} B, layouts {layouts} B"
     if measure == "waits":
         return _waits(topology, scenario)
+    if measure == "hops":
+        return _hops(topology, scenario)
     if measure == "ledger":
         return _ledger_calls(topology, scenario)
     if measure == "events":

@@ -100,6 +100,48 @@ def test_every_single_byte_flip_is_caught():
             decode_frame(broken)
 
 
+# what flipping the low bit of each byte of the _frame() frame gives, by
+# position: the header CRC guards bytes 0-26, the magic is checked before the
+# frame CRC, and the frame CRC guards the rest
+_FLIP_ERRORS = (
+    ["CrcFail: header checksum mismatch"] * 27
+    + ["BadMagic: 50465254", "BadMagic: 51475254", "BadMagic: 51465354", "BadMagic: 51465255"]
+    + ["CrcFail: frame checksum mismatch"] * 4
+)
+
+
+def test_each_byte_flip_fails_the_first_check_that_guards_it():
+    buf = encode_frame(_frame())
+    got = []
+    for pos in range(FRAME_SIZE):
+        broken = bytearray(buf)
+        broken[pos] ^= 0x01
+        with pytest.raises(FrameError) as err:
+            decode_frame(bytes(broken))
+        got.append((err.value.reason, str(err.value)))
+    assert got == [(message.split(":")[0], message) for message in _FLIP_ERRORS]
+
+
+def _resealed(buf: bytearray) -> bytes:
+    """``buf`` with both checksums recomputed over its bytes."""
+    import struct
+    import zlib
+    header = bytes(buf[:23]) + struct.pack(">I", zlib.crc32(bytes(buf[:23]))) + TRAILER_MAGIC
+    return header + struct.pack(">I", zlib.crc32(header))
+
+
+def test_version_is_checked_before_class():
+    buf = bytearray(encode_frame(_frame()))
+    buf[0], buf[17] = 9, 200
+    with pytest.raises(FrameError) as err:
+        decode_frame(_resealed(buf))
+    assert (err.value.reason, str(err.value)) == ("BadVersion", "BadVersion: 9")
+    buf[0] = 1
+    with pytest.raises(FrameError) as err:
+        decode_frame(_resealed(buf))
+    assert (err.value.reason, str(err.value)) == ("BadClass", "BadClass: 200")
+
+
 def test_truncated_and_padded_buffers():
     buf = encode_frame(_frame())
     for bad in (buf[:-1], buf + b"\x00", b"", buf[:10]):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import sys
@@ -220,6 +221,36 @@ def test_a_session_whose_gate_never_opens_fails_stalled():
     assert isinstance(res, Failure)
     assert (res.reason, res.stats.attempts_total) == ("Stalled", 0)
     assert sim.memory.in_use == {"n0": 0, "n1": 0, "n2": 0}
+
+
+@pytest.mark.parametrize("pipelining", [True, False])
+@pytest.mark.parametrize("protocol", list(LinkProtocol))
+def test_a_one_hop_session_starts_its_segment_with_no_flow(protocol, pipelining):
+    # a lone segment is the channel once both its ends know, so a one-hop
+    # session of either protocol starts it directly: no flow, no base-known
+    # hook. Its pumped pair, latency, stats and trace are the ones recorded
+    # from the sessions that ran a flow
+    trace = io.StringIO()
+    params = PhysicsParams(w0=0.9, f_target=0.97, r_max=3)
+    topo = chain_topology([20.0], p_src=0.3, t_coh=0.5)
+    sim = Simulator(topo, params, seed=11, trace_fp=trace)
+    session = LinkSession(sim, ["n0", "n1"], None, protocol, pipelining=pipelining)
+    session.start()
+    (segment,) = session.segments
+    assert session._flow is None and session._base_known is None and segment.started
+    sim.run_until()
+    res = session.result
+    assert isinstance(res, ChannelResult)
+    assert (res.link.w, res.setup_latency_s) == (0.9346162681541417, 0.0102)
+    stats = res.stats
+    assert (stats.attempts_total, stats.purification_rounds, stats.swaps, stats.started_at) == (
+        10, 3, 0, 0.0
+    )
+    data = trace.getvalue().encode()
+    assert data.count(b"\n") == 20
+    assert hashlib.sha256(data).hexdigest() == (
+        "7a5fe414687ab3d7b742239649186cf382fe0b6d2b31bb2f57e03219b5302e63"
+    )
 
 
 @pytest.mark.parametrize("woken_at", [3.3e-4, 0.0123, 0.2])

@@ -1564,6 +1564,49 @@ def test_an_idle_retry_restarts_its_source_hop_in_place_and_queues_only_its_time
         assert sim.memory.available(n) == topo.nodes[n].memory_count
 
 
+def test_a_connectionless_hop_launches_its_segment_in_a_few_frames(monkeypatch):
+    # each hop of a CL leg is a one-hop session, which starts its lone
+    # segment with no flow: once the hop's layout is known, a launch builds
+    # the session, its stats and its segment and queues the segment's first
+    # tick, and nothing else
+    topo = chain_topology([5.0, 5.0, 5.0], memories=2, rate=1e4)
+    sim = Simulator(topo, PARAMS, seed=3)
+    service = NetworkService(sim, controller="n1")
+    launches = []  # (tag, hop, frames, session hooks) of every launch
+    launch = netlayer._ClLeg._launch_segment
+
+    def profiled_launch(leg, node, nxt):
+        seq, frames = sim._seq, []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            launch(leg, node, nxt)
+        finally:
+            sys.setprofile(None)
+        session = leg._sessions[-1]
+        assert session.path == [node, nxt]
+        assert [entry[2] for entry in sim._heap if entry[1] >= seq] == [EventKind.ATTEMPT_TICK]
+        launches.append((leg.tag, (node, nxt), frames, (session._flow, session._base_known)))
+
+    monkeypatch.setattr(netlayer._ClLeg, "_launch_segment", profiled_launch)
+    # the second request crosses the hops the first one laid out
+    service.submit(_cl_request("first", "n0", "n3"), at=0.0)
+    service.submit(_cl_request("second", "n0", "n3"), at=0.01)
+    sim.run_until()
+    assert [(out.outcome, out.retries) for out in service.outcomes] == [("Completed", 0)] * 2
+    hops = [("n0", "n1"), ("n1", "n2"), ("n2", "n3")]
+    assert [(tag, hop) for tag, hop, _, _ in launches] == (
+        [("req:first", hop) for hop in hops] + [("req:second", hop) for hop in hops]
+    )
+    for _, _, frames, _ in launches[3:]:
+        assert len(frames) <= 8, frames
+    assert [hooks for _, _, _, hooks in launches] == [(None, None)] * 6
+
+
 def test_cl_source_hop_whose_pumping_round_failed_is_rebuilt(built_sessions, monkeypatch):
     # every round fails, so the hop's link is None for the period after each
     # failed round even though it has stored pairs; the 250 us timeout lands
